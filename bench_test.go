@@ -419,3 +419,22 @@ func BenchmarkGroundWALSync(b *testing.B) {
 		b.Run(strings.TrimPrefix(s.Name, "BenchmarkGroundWALSync/"), run(s.Cfg))
 	}
 }
+
+// BenchmarkApplyPinned is one seat flipped in and out of a flight table
+// that a snapshot pins, swept over table sizes (bench.ApplyPinnedShapes,
+// shared with the CI trajectory, BENCH_rowscan.json). Copy-on-write is
+// page-granular: ns/op and B/op must not follow the row count.
+func BenchmarkApplyPinned(b *testing.B) {
+	for _, s := range bench.ApplyPinnedShapes() {
+		b.Run(strings.TrimPrefix(s.Name, "BenchmarkApplyPinned/"), func(b *testing.B) {
+			a := bench.NewApplyPinned(s.Rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.Flip(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -14,10 +14,11 @@ import (
 
 // Benchmark-trajectory emission: `qdbbench -json DIR` writes
 // BENCH_fig7.json, BENCH_submit.json, BENCH_read.json, BENCH_wal.json,
-// and BENCH_server.json — machine-readable ns/op, allocs/op, and domain
-// throughput for the headline workloads (grounding-heavy Fig7, the
-// parallel-admission submit storm, the snapshot read storm, durable
-// grounding, and the server data plane). CI
+// BENCH_server.json, and BENCH_rowscan.json — machine-readable ns/op,
+// allocs/op, and domain throughput for the headline workloads
+// (grounding-heavy Fig7, the parallel-admission submit storm, the
+// snapshot read storm, durable grounding, the server data plane, and the
+// row plane: a row-heavy read's round trip and a write under a pin). CI
 // uploads them as artifacts on every run, so the performance trajectory
 // of the repository is a downloadable series instead of numbers buried
 // in logs. The shapes match the in-repo benchmarks (bench_test.go), not
@@ -63,7 +64,10 @@ func emitTrajectory(dir string) error {
 	if err := emitWALSync(dir); err != nil {
 		return err
 	}
-	return emitServer(dir)
+	if err := emitServer(dir); err != nil {
+		return err
+	}
+	return emitRowscan(dir)
 }
 
 func emitFig7(dir string) error {
@@ -303,6 +307,63 @@ func emitServer(dir string) error {
 		doc.Points = append(doc.Points, pt)
 	}
 	return writeBenchFile(filepath.Join(dir, "BENCH_server.json"), doc)
+}
+
+// emitRowscan records the row plane's two micro-costs, whose bytes/op and
+// allocs/op are the point: the first write to a pinned table swept over
+// table sizes (bench.ApplyPinnedShapes, shared with BenchmarkApplyPinned;
+// it must stay flat), and one 150-row snapshot scan round trip over the
+// binary protocol (shared with BenchmarkSnapreadWire).
+func emitRowscan(dir string) error {
+	doc := benchFile{
+		Workload:  "row-plane",
+		Generated: time.Now().UTC().Format(time.RFC3339),
+	}
+	point := func(name string, res testing.BenchmarkResult) benchPoint {
+		pt := benchPoint{
+			Name:        name,
+			NsPerOp:     res.NsPerOp(),
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
+			Runs:        res.N,
+		}
+		if res.T > 0 {
+			pt.Throughput = float64(res.N) / res.T.Seconds()
+		}
+		return pt
+	}
+	for _, s := range bench.ApplyPinnedShapes() {
+		a := bench.NewApplyPinned(s.Rows)
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := a.Flip(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		pt := point(s.Name, res)
+		copies, bytes := a.CowStats()
+		pt.Counters = map[string]int{"rows": s.Rows, "cow_copies": int(copies), "cow_bytes": int(bytes)}
+		doc.Points = append(doc.Points, pt)
+	}
+	wire, err := serverload.NewSnapreadWire(serverload.SnapreadRows)
+	if err != nil {
+		return err
+	}
+	defer wire.Close()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := wire.Read(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	pt := point(fmt.Sprintf("BenchmarkSnapreadWire/rows=%d", serverload.SnapreadRows), res)
+	pt.Counters = map[string]int{"rows": serverload.SnapreadRows}
+	doc.Points = append(doc.Points, pt)
+	return writeBenchFile(filepath.Join(dir, "BENCH_rowscan.json"), doc)
 }
 
 func writeBenchFile(path string, doc benchFile) error {

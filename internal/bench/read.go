@@ -136,8 +136,8 @@ func RunParallelRead(cfg ReadConfig) (*ReadResult, error) {
 				s := q.Snapshot()
 				sols, err := q.QueryAt(s, query)
 				s.Release()
-				if err == nil && len(sols) != wantRows {
-					err = fmt.Errorf("saw %d rows, want %d", len(sols), wantRows)
+				if err == nil && sols.N != wantRows {
+					err = fmt.Errorf("saw %d rows, want %d", sols.N, wantRows)
 				}
 				if err != nil {
 					mu.Lock()

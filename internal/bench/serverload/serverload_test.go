@@ -1,6 +1,7 @@
 package serverload
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -160,4 +161,25 @@ func BenchmarkServerSubmit(b *testing.B) {
 	for _, s := range ServerShapes() {
 		b.Run(strings.TrimPrefix(s.Name, "BenchmarkServerSubmit/"), run(s.Cfg))
 	}
+}
+
+// BenchmarkSnapreadWire is one 150-row snapshot scan round trip over the
+// binary protocol (shared with the CI trajectory, BENCH_rowscan.json):
+// watch B/op and allocs/op — the client's one map per row is what is
+// left of them.
+func BenchmarkSnapreadWire(b *testing.B) {
+	b.Run(fmt.Sprintf("rows=%d", SnapreadRows), func(b *testing.B) {
+		s, err := NewSnapreadWire(SnapreadRows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Read(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -591,8 +591,9 @@ func (q *QDB) GroundCoordinated(id int64) (bool, error) {
 // transactions pending when the read arrived: a transaction admitted
 // after that linearizes after the read (its grounding cannot execute
 // while the read gate is held), so a sustained stream of overlapping
-// admissions cannot starve the read.
-func (q *QDB) Read(query []logic.Atom) ([]logic.Subst, error) {
+// admissions cannot starve the read. The result is a columnar row set,
+// as for QueryAt.
+func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 	// Collapsing reads mutate (they may force groundings), so a demoted
 	// leader refuses them too; snapshot reads (QueryAt/QuerySnapshot)
 	// remain available — the demoted engine is exactly a follower.
@@ -627,10 +628,10 @@ func (q *QDB) Read(query []logic.Atom) ([]logic.Subst, error) {
 			q.stats.snapshotReads.Add(1)
 			rq := relstore.Query{Atoms: query, Planner: q.opt.Planner}
 			evalStart := time.Now()
-			sols, err := rq.FindAll(snap, nil, 0)
+			rows, err := rq.Rows(snap)
 			sp.Add(stageReadEval, time.Since(evalStart))
 			snap.Release()
-			return sols, err
+			return rows, err
 		}
 		collapseStart := time.Now()
 		err := q.pool.Map(len(affected), func(i int) error {
@@ -653,15 +654,6 @@ func (q *QDB) Read(query []logic.Atom) ([]logic.Subst, error) {
 			return nil, err
 		}
 	}
-}
-
-// ReadOne is Read returning just the first solution (ok=false when none).
-func (q *QDB) ReadOne(query []logic.Atom) (logic.Subst, bool, error) {
-	sols, err := q.Read(query)
-	if err != nil || len(sols) == 0 {
-		return nil, false, err
-	}
-	return sols[0], true, nil
 }
 
 // PreviewRead reports the IDs of pending transactions the given read

@@ -258,6 +258,7 @@ func (q *QDB) Stats() Stats {
 	h, m := q.prep.Counters()
 	s.PrepCacheHits, s.PrepCacheMisses = int(h), int(m)
 	s.SnapshotsLive = q.db.SnapshotsLive()
+	s.CowCopies, s.CowBytes = q.db.CowStats()
 	// Lag is meaningful only once a subscriber has acked; before that a
 	// busy leader's raw WAL seq would read as unbounded "lag".
 	if q.log != nil && s.ReplicaAckSeq > 0 {

@@ -159,6 +159,12 @@ func TestSubmitValidatesTxn(t *testing.T) {
 	}
 }
 
+// seatOf returns the first row's value of the query variable s.
+func seatOf(rows *relstore.RowSet) value.Value {
+	v, _ := rows.Cell(0, rows.Col("s"))
+	return v
+}
+
 func TestReadForcesGroundingAndIsRepeatable(t *testing.T) {
 	db := worldDB([]int{1}, 6)
 	q := mustQDB(t, db, Options{})
@@ -170,10 +176,10 @@ func TestReadForcesGroundingAndIsRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sols) != 1 {
-		t.Fatalf("read returned %d rows, want 1", len(sols))
+	if sols.N != 1 {
+		t.Fatalf("read returned %d rows, want 1", sols.N)
 	}
-	seat := sols[0].Walk(logic.Var("s"))
+	seat := seatOf(sols)
 	if q.PendingCount() != 0 {
 		t.Fatal("read did not collapse the pending txn")
 	}
@@ -183,11 +189,11 @@ func TestReadForcesGroundingAndIsRepeatable(t *testing.T) {
 	}
 	// Repeatable: the same read returns the same seat.
 	sols2, err := q.Read(query)
-	if err != nil || len(sols2) != 1 {
-		t.Fatalf("second read: %v, %d rows", err, len(sols2))
+	if err != nil || sols2.N != 1 {
+		t.Fatalf("second read: %v, %+v", err, sols2)
 	}
-	if sols2[0].Walk(logic.Var("s")) != seat {
-		t.Fatalf("read not repeatable: %v then %v", seat, sols2[0].Walk(logic.Var("s")))
+	if seatOf(sols2) != seat {
+		t.Fatalf("read not repeatable: %v then %v", seat, seatOf(sols2))
 	}
 }
 
@@ -277,8 +283,8 @@ func TestKBoundForcesOldestGrounding(t *testing.T) {
 		sols, err := q.Read([]logic.Atom{
 			logic.NewAtom("Bookings", logic.Str(fmt.Sprintf("u%d", i)), logic.Int(1), logic.Var("s")),
 		})
-		if err != nil || len(sols) != 1 {
-			t.Fatalf("u%d not booked: %v %d", i, err, len(sols))
+		if err != nil || sols.N != 1 {
+			t.Fatalf("u%d not booked: %v %+v", i, err, sols)
 		}
 	}
 }
@@ -371,8 +377,8 @@ func TestSemanticReorderOnRead(t *testing.T) {
 	sols, err := q.Read([]logic.Atom{
 		logic.NewAtom("Bookings", logic.Str("Second"), logic.Int(1), logic.Var("s")),
 	})
-	if err != nil || len(sols) != 1 {
-		t.Fatalf("read: %v, %d rows", err, len(sols))
+	if err != nil || sols.N != 1 {
+		t.Fatalf("read: %v, %+v", err, sols)
 	}
 	if q.PendingCount() != 1 {
 		t.Fatalf("pending = %d, want 1 (First still pending)", q.PendingCount())
@@ -426,10 +432,10 @@ func TestSemanticReorderChecksWholeChain(t *testing.T) {
 	sols, err := q.Read([]logic.Atom{
 		logic.NewAtom("Bookings", logic.Str("Second"), logic.Int(1), logic.Var("s")),
 	})
-	if err != nil || len(sols) != 1 {
-		t.Fatalf("read: %v, %d", err, len(sols))
+	if err != nil || sols.N != 1 {
+		t.Fatalf("read: %v, %+v", err, sols)
 	}
-	if got := sols[0].Walk(logic.Var("s")); got != logic.Str("1B") {
+	if got := seatOf(sols); got != value.NewString("1B") {
 		t.Fatalf("Second's seat = %v, want 1B (1A reserved for First)", got)
 	}
 	if err := q.GroundAll(); err != nil {
@@ -634,8 +640,8 @@ func TestCoordinatorPartnerNeverArrives(t *testing.T) {
 	sols, err := q.Read([]logic.Atom{
 		logic.NewAtom("Bookings", logic.Str("Mickey"), logic.Int(1), logic.Var("s")),
 	})
-	if err != nil || len(sols) != 1 {
-		t.Fatalf("read: %v, %d", err, len(sols))
+	if err != nil || sols.N != 1 {
+		t.Fatalf("read: %v, %+v", err, sols)
 	}
 }
 

@@ -317,6 +317,10 @@ func (r *ReplicaState) PendingCount() int {
 	return len(r.pending)
 }
 
+// CowStats reports the replica store's copy-on-write copies and bytes
+// (relstore.DB.CowStats): what follower reads cost the replay path.
+func (r *ReplicaState) CowStats() (copies, bytes int64) { return r.db.CowStats() }
+
 // Snapshot pins a COW view of the replica store. Reads against it are
 // lock-free and never block (or are blocked by) batch replay. Release
 // when done.
@@ -326,11 +330,10 @@ func (r *ReplicaState) Snapshot() *relstore.Snapshot { return r.db.Snapshot() }
 // release. Results reflect replayed committed state only — the same
 // collapse-free semantics as the leader's QuerySnapshot, at the
 // replica's applied watermark.
-func (r *ReplicaState) QuerySnapshot(query []logic.Atom) ([]logic.Subst, error) {
+func (r *ReplicaState) QuerySnapshot(query []logic.Atom) (*relstore.RowSet, error) {
 	snap := r.db.Snapshot()
 	defer snap.Release()
-	rq := relstore.Query{Atoms: query}
-	return rq.FindAll(snap, nil, 0)
+	return relstore.Query{Atoms: query}.Rows(snap)
 }
 
 // EncodeState writes the replica store in the canonical snapshot

@@ -53,16 +53,19 @@ func (s *Snapshot) Encode(w io.Writer) error { return s.rs.Encode(w) }
 // never blocks on appliers, so it is safe to run arbitrarily slow
 // analytical reads against a snapshot while the engine grounds, admits,
 // and writes at full speed.
-func (q *QDB) QueryAt(s *Snapshot, query []logic.Atom) ([]logic.Subst, error) {
+//
+// The result is a columnar row set (one column per query variable, in
+// order of first occurrence), built straight from the evaluator's slot
+// values: a row costs its cells, not a map.
+func (q *QDB) QueryAt(s *Snapshot, query []logic.Atom) (*relstore.RowSet, error) {
 	q.stats.snapshotReads.Add(1)
-	rq := relstore.Query{Atoms: query, Planner: q.opt.Planner}
-	return rq.FindAll(s.rs, nil, 0)
+	return relstore.Query{Atoms: query, Planner: q.opt.Planner}.Rows(s.rs)
 }
 
 // QuerySnapshot is the one-shot collapse-free read: pin a snapshot,
 // evaluate, release. The result reflects committed state only; pending
 // transactions stay in superposition.
-func (q *QDB) QuerySnapshot(query []logic.Atom) ([]logic.Subst, error) {
+func (q *QDB) QuerySnapshot(query []logic.Atom) (*relstore.RowSet, error) {
 	s := q.Snapshot()
 	defer s.Release()
 	return q.QueryAt(s, query)

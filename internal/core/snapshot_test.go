@@ -61,8 +61,8 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 					t.Errorf("snapshot re-read: %v", err)
 					return
 				}
-				if len(sols) != len(base) {
-					t.Errorf("flight %d: pinned snapshot moved: %d rows, pinned %d", f, len(sols), len(base))
+				if sols.N != base.N {
+					t.Errorf("flight %d: pinned snapshot moved: %d rows, pinned %d", f, sols.N, base.N)
 					return
 				}
 				if snap.Epoch() != epoch {
@@ -106,26 +106,34 @@ func TestSlowSnapshotReadDoesNotDelayGround(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if st := q.Stats(); st.CowCopies != 0 || st.CowBytes != 0 {
+		t.Fatalf("copy-on-write counted with no snapshot ever pinned: %d copies, %d bytes", st.CowCopies, st.CowBytes)
+	}
 	snap := q.Snapshot() // the "slow analytical read" holds its view...
 	defer snap.Release()
 	if err := q.Ground(id); err != nil { // ...and grounding proceeds anyway
 		t.Fatalf("Ground blocked or failed under a live snapshot: %v", err)
 	}
+	// The grounding wrote tables the snapshot pins: the pages it touched
+	// were copied, and Stats says so.
+	if st := q.Stats(); st.CowCopies == 0 || st.CowBytes == 0 {
+		t.Fatalf("write under a live snapshot counted %d copies, %d bytes", st.CowCopies, st.CowBytes)
+	}
 	sols, err := q.QueryAt(snap, availQuery(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sols) != 6 {
-		t.Fatalf("pinned snapshot saw %d available seats, want the pre-collapse 6", len(sols))
+	if sols.N != 6 {
+		t.Fatalf("pinned snapshot saw %d available seats, want the pre-collapse 6", sols.N)
 	}
 	booked := []logic.Atom{logic.NewAtom("Bookings", logic.Var("n"),
 		logic.Const(value.NewInt(1)), logic.Var("s"))}
-	if sols, err := q.QueryAt(snap, booked); err != nil || len(sols) != 0 {
-		t.Fatalf("pinned snapshot sees the post-pin booking (%d rows, err %v)", len(sols), err)
+	if sols, err := q.QueryAt(snap, booked); err != nil || sols.N != 0 {
+		t.Fatalf("pinned snapshot sees the post-pin booking (%+v, err %v)", sols, err)
 	}
 	// A fresh snapshot sees the collapsed world.
-	if sols, err := q.QuerySnapshot(booked); err != nil || len(sols) != 1 {
-		t.Fatalf("fresh snapshot: %d bookings, err %v, want 1", len(sols), err)
+	if sols, err := q.QuerySnapshot(booked); err != nil || sols.N != 1 {
+		t.Fatalf("fresh snapshot: %+v, err %v, want 1 booking", sols, err)
 	}
 }
 
@@ -142,8 +150,8 @@ func TestReadNoAffectedUsesSnapshotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sols) != 3 {
-		t.Fatalf("read %d rows, want 3", len(sols))
+	if sols.N != 3 {
+		t.Fatalf("read %d rows, want 3", sols.N)
 	}
 	s := q.Stats()
 	if s.SnapshotReads != 1 {

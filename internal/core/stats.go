@@ -107,6 +107,13 @@ type Stats struct {
 	// SnapshotsLive is a gauge: snapshots currently pinned (taken and not
 	// yet released), including the transient ones reads take internally.
 	SnapshotsLive int
+	// CowCopies counts the row pages, key shards and index buckets store
+	// writers copied because another table version — one pinned by a
+	// snapshot, or left behind by one — still shared them; CowBytes is
+	// the payload those copies moved. Together: the write amplification
+	// snapshots cause.
+	CowCopies int64
+	CowBytes  int64
 	// CheckpointPauseNs accumulates the time Checkpoint actually held the
 	// engine's locks — the snapshot-take cut only, not serialization or
 	// WAL truncation, which run with the engine fully live. The gap

@@ -142,6 +142,12 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		func() int64 { return int64(q.PendingCount()) })
 	reg.GaugeFunc("qdb_snapshots_live", "COW snapshots currently pinned.",
 		func() int64 { return int64(q.db.SnapshotsLive()) })
+	reg.CounterFunc("qdb_relstore_cow_copies_total",
+		"Pages, shards and buckets writers copied because another table version shared them.",
+		func() int64 { n, _ := q.db.CowStats(); return n })
+	reg.CounterFunc("qdb_relstore_cow_bytes_total",
+		"Payload bytes moved by copy-on-write page, shard and bucket copies.",
+		func() int64 { _, n := q.db.CowStats(); return n })
 	reg.GaugeFunc("qdb_max_pending", "High-water mark of pending transactions.", c.maxPending.Load)
 	reg.GaugeFunc("qdb_max_partition_pending", "Per-partition pending high-water mark.", c.maxPartitionPending.Load)
 	reg.GaugeFunc("qdb_max_composed_atoms", "High-water mark of atoms in one composed body.", c.maxComposed.Load)

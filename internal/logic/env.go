@@ -66,6 +66,12 @@ func (e *Env) SlotOf(name string) (int, bool) {
 	return s, ok
 }
 
+// Len returns the number of interned variables.
+func (e *Env) Len() int { return len(e.cells) }
+
+// Name returns the variable interned at slot.
+func (e *Env) Name(slot int) string { return e.cells[slot].name }
+
 // Bound reports whether slot currently carries a binding.
 func (e *Env) Bound(slot int) bool { return e.cells[slot].bound }
 

@@ -55,6 +55,26 @@ type DB struct {
 	// consult per-table pin counts (table.snapRefs) to decide whether a
 	// copy-on-write clone is needed. See mvcc.go.
 	snapsLive int
+	// stamps numbers table versions (version.stamp); guarded by mu held
+	// exclusively. cow counts what writers copied on behalf of other
+	// versions.
+	stamps uint64
+	cow    cowStats
+}
+
+// newVersion returns a fresh stamp for a table version of this database.
+// Callers hold db.mu exclusively (or own a database nobody else sees yet).
+func (db *DB) newVersion() version {
+	db.stamps++
+	return version{stamp: db.stamps, stats: &db.cow}
+}
+
+// CowStats reports how many pages, shards and buckets writers have
+// copied because another version (one pinned by a snapshot, or left
+// behind by one) still shared them, and the bytes those copies moved:
+// the write amplification snapshots cause.
+func (db *DB) CowStats() (copies, bytes int64) {
+	return db.cow.copies.Load(), db.cow.bytes.Load()
 }
 
 // NewDB returns an empty database.
@@ -73,7 +93,7 @@ func (db *DB) CreateTable(s Schema) error {
 	if _, ok := db.tables[s.Name]; ok {
 		return fmt.Errorf("relstore: relation %s already exists", s.Name)
 	}
-	db.tables[s.Name] = newTable(s)
+	db.tables[s.Name] = newTable(s, db.newVersion())
 	return nil
 }
 
@@ -176,7 +196,7 @@ func (db *DB) Len(rel string) int {
 	if !ok {
 		return 0
 	}
-	return len(t.rows)
+	return t.len()
 }
 
 // Scan implements Source. The callback runs under a read lock; it must not
@@ -240,12 +260,7 @@ func (db *DB) ContainsKey(rel string, key []byte) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	t, ok := db.tables[rel]
-	if !ok {
-		return false
-	}
-	// The map index expression converts without allocating.
-	_, present := t.pos[string(key)]
-	return present
+	return ok && t.containsKey(key)
 }
 
 // KeyOf computes the primary-key string of tup under rel's schema.
@@ -274,7 +289,7 @@ func (db *DB) Clone() *DB {
 	defer db.mu.RUnlock()
 	c := NewDB()
 	for n, t := range db.tables {
-		c.tables[n] = t.clone()
+		c.tables[n] = t.clone(c.newVersion())
 	}
 	c.epoch = db.epoch
 	return c

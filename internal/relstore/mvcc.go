@@ -9,21 +9,25 @@ import (
 
 // Multiversioning. A Snapshot pins the exact table versions live at the
 // moment it was taken; mutators never touch a pinned version. Instead,
-// the first committed mutation of a pinned relation installs a
-// structural copy in the catalog (DB.mutable) and all further writes go
-// to the copy, so a snapshot's view stays frozen without the reader
-// holding any lock. Tuples themselves are immutable once stored (insert
-// clones its argument) and are shared between versions, so the
-// copy-on-write step duplicates only row headers and index structure —
-// never row data. Version garbage collection is the Go GC: when the
-// last snapshot pinning a version is released and the catalog has moved
-// on, nothing references the old version and it is collected.
+// the first committed mutation of a pinned relation installs a successor
+// version in the catalog (DB.mutable) and all further writes go to the
+// successor, so a snapshot's view stays frozen without the reader
+// holding any lock. A successor shares every page of its predecessor —
+// row pages, primary-key shards, index buckets — by pointer, and a write
+// copies just the pages it touches (the owner-stamp rule, cow.go).
+// Tuples themselves are immutable once stored (insert clones its
+// argument) and are shared between versions. Version garbage collection
+// is the Go GC: when the last snapshot pinning a version is released and
+// the catalog has moved on, the pages only it referenced are collected.
 //
 // Cost model: with no snapshots live the write path is unchanged except
 // for one integer check per mutated relation. While a snapshot is live,
-// the first mutation of each pinned relation pays one structural clone
-// (O(rows + index entries), zero tuple copies); subsequent mutations of
-// the already-cloned version are again in-place.
+// the first mutation of each pinned relation copies the version's roots
+// (O(indexes), independent of the row count) and then, like every later
+// write, the pages on the paths it touches whose stamp is not the
+// successor's: one row page, one primary-key shard, and per index one
+// shard and one bucket page — a few kilobytes, whatever the table's
+// size. DB.CowStats counts those copies.
 
 // Snapshot is an immutable, epoch-stamped view of the database at a
 // single committed state. It implements Source, so the query evaluator,
@@ -34,7 +38,7 @@ import (
 // Release is called; Release is idempotent and safe for concurrent use.
 // Reads after Release are still safe — the view simply keeps the pinned
 // versions alive — but holding snapshots longer than necessary delays
-// version reclamation and forces writers to keep cloning.
+// version reclamation and keeps writers copying the pages they touch.
 type Snapshot struct {
 	db     *DB
 	tables map[string]*table
@@ -121,7 +125,7 @@ func (s *Snapshot) Len(rel string) int {
 	if !ok {
 		return 0
 	}
-	return len(t.rows)
+	return t.len()
 }
 
 // Scan implements Source.
@@ -170,64 +174,21 @@ func (s *Snapshot) Contains(rel string, tup value.Tuple) bool {
 // ContainsKey implements Source.
 func (s *Snapshot) ContainsKey(rel string, key []byte) bool {
 	t, ok := s.tables[rel]
-	if !ok {
-		return false
-	}
-	_, present := t.pos[string(key)]
-	return present
+	return ok && t.containsKey(key)
 }
 
 // mutable returns the named table's writable version: the catalog entry
 // itself when nothing pins it, or a freshly installed copy-on-write
-// clone when live snapshots hold the current version. Callers must hold
-// db.mu exclusively.
+// successor when live snapshots hold the current version. Callers must
+// hold db.mu exclusively.
 func (db *DB) mutable(rel string) (*table, bool) {
 	t, ok := db.tables[rel]
 	if !ok {
 		return nil, false
 	}
 	if t.snapRefs > 0 {
-		t = t.cowClone()
+		t = t.cowClone(db.newVersion())
 		db.tables[rel] = t
 	}
 	return t, true
-}
-
-// cowClone makes a structurally independent copy of the table sharing
-// the (immutable) tuples: the rows slice, primary index, and secondary
-// index buckets are duplicated so in-place mutation of the clone cannot
-// be observed through a snapshot of the original. Compare clone(),
-// which re-inserts every row (deep, allocation-heavy) — cowClone copies
-// headers only.
-func (t *table) cowClone() *table {
-	c := &table{
-		schema: t.schema,
-		rows:   append(make([]rowEntry, 0, len(t.rows)+1), t.rows...),
-		pos:    make(map[string]int, len(t.pos)),
-		index:  make([]map[string]*keySet, len(t.index)),
-		comp:   make([]map[string]*keySet, len(t.comp)),
-		epoch:  t.epoch,
-	}
-	for k, v := range t.pos {
-		c.pos[k] = v
-	}
-	for i, m := range t.index {
-		c.index[i] = cloneBuckets(m)
-	}
-	for i, m := range t.comp {
-		c.comp[i] = cloneBuckets(m)
-	}
-	return c
-}
-
-func cloneBuckets(m map[string]*keySet) map[string]*keySet {
-	out := make(map[string]*keySet, len(m))
-	for k, s := range m {
-		cs := &keySet{pos: make(map[string]int, len(s.pos)), keys: append([]string(nil), s.keys...)}
-		for kk, i := range s.pos {
-			cs.pos[kk] = i
-		}
-		out[k] = cs
-	}
-	return out
 }

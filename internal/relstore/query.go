@@ -73,6 +73,62 @@ func (q Query) Count(src Source) (int, error) {
 	return q.Compile().Count(src)
 }
 
+// Rows returns every satisfying substitution as a columnar row set; see
+// Prepared.Rows.
+func (q Query) Rows(src Source) (*RowSet, error) {
+	return q.Compile().Rows(src)
+}
+
+// RowSet is a columnar query result: the column (variable) names once,
+// then the rows' values flat in row-major order. It is what a read hands
+// up from the evaluator to the wire without a per-row map in between.
+type RowSet struct {
+	// Cols names the columns; every row has len(Cols) cells.
+	Cols []string
+	// N is the number of rows (a query without variables has zero
+	// columns and, when it holds, one row).
+	N int
+	// Vals holds the N*len(Cols) cells.
+	Vals []value.Value
+	// Unbound, when non-nil, parallels Vals and marks cells whose
+	// variable the solution left unbound. No parsed query produces one
+	// (every variable occurs in an atom); it stays nil then.
+	Unbound []bool
+}
+
+// Cell returns the value of column c in row i; ok is false for an
+// unbound cell.
+func (rs *RowSet) Cell(i, c int) (v value.Value, ok bool) {
+	at := i*len(rs.Cols) + c
+	return rs.Vals[at], rs.Unbound == nil || !rs.Unbound[at]
+}
+
+// Col returns the position of the named column, or -1.
+func (rs *RowSet) Col(name string) int {
+	for c, n := range rs.Cols {
+		if n == name {
+			return c
+		}
+	}
+	return -1
+}
+
+// appendSolution appends env's current bindings of the column slots
+// [0, len(Cols)) as one row.
+func (rs *RowSet) appendSolution(env *logic.Env) {
+	for slot := range rs.Cols {
+		v, ok := env.Value(slot)
+		if !ok && rs.Unbound == nil {
+			rs.Unbound = make([]bool, len(rs.Vals), cap(rs.Vals))
+		}
+		rs.Vals = append(rs.Vals, v)
+		if rs.Unbound != nil {
+			rs.Unbound = append(rs.Unbound, !ok)
+		}
+	}
+	rs.N++
+}
+
 // Prepared is a compiled conjunctive query: every variable is resolved to
 // a slot of a logic.Env once, each atom's arguments are pre-split into
 // slots and constants, and all evaluation scratch (remaining-atom lists,
@@ -80,7 +136,8 @@ func (q Query) Count(src Source) (int, error) {
 // storage. Evaluation then backtracks by binding slots and undoing a
 // trail instead of cloning a map per candidate tuple, so a Prepared
 // performs no per-tuple allocations; only emitted solutions allocate
-// (their Subst snapshot).
+// (their Subst snapshot) — and Rows, which hands solutions out as slot
+// values appended to one flat row set, not even that.
 //
 // A Prepared may be evaluated repeatedly but is not safe for concurrent
 // use; compile one per goroutine.
@@ -89,10 +146,15 @@ type Prepared struct {
 	env     *logic.Env
 	atoms   []compiledAtom
 	checks  []compiledCheck
+	// nvars is the number of distinct variables in the atoms: they hold
+	// slots [0, nvars) in order of first occurrence (check-only variables
+	// follow), which is the column order of Rows.
+	nvars int
 
-	// Per-evaluation state.
+	// Per-evaluation state. Exactly one of emit and rows is set.
 	src     Source
 	emit    func(logic.Subst) bool
+	rows    *RowSet
 	stopped bool
 	// rem[d] holds the indexes of atoms not yet grounded at depth d; each
 	// depth owns one reusable buffer since recursion visits it once per
@@ -173,6 +235,7 @@ func (q Query) Compile() *Prepared {
 		}
 		ca.match = ca.matchTuple // bound once; scans reuse it
 	}
+	p.nvars = p.env.Len()
 	coff := nargs
 	if len(q.Checks) > 0 {
 		p.checks = make([]compiledCheck, len(q.Checks))
@@ -198,6 +261,32 @@ func (q Query) Compile() *Prepared {
 // Eval evaluates the compiled query over src; see Query.Eval for the
 // contract.
 func (p *Prepared) Eval(src Source, init logic.Subst, emit func(logic.Subst) bool) error {
+	p.emit = emit
+	err := p.eval(src, init)
+	p.emit = nil
+	return err
+}
+
+// Rows evaluates the compiled query over src and returns every solution
+// as one row of a columnar row set: one column per variable of the
+// query's atoms, in order of first occurrence. No Subst is built; a
+// solution costs the values it appends.
+func (p *Prepared) Rows(src Source) (*RowSet, error) {
+	rs := &RowSet{Cols: make([]string, p.nvars)}
+	for i := range rs.Cols {
+		rs.Cols[i] = p.env.Name(i)
+	}
+	p.rows = rs
+	err := p.eval(src, nil)
+	p.rows = nil
+	return rs, err
+}
+
+// rowsHint caps the rows a row set is pre-sized for from the planner's
+// estimate, which for a join is only a guess.
+const rowsHint = 1024
+
+func (p *Prepared) eval(src Source, init logic.Subst) error {
 	for i := range p.atoms {
 		ca := &p.atoms[i]
 		sch, ok := src.SchemaOf(ca.rel)
@@ -213,14 +302,20 @@ func (p *Prepared) Eval(src Source, init logic.Subst, emit func(logic.Subst) boo
 	if init != nil {
 		p.env.Load(init)
 	}
-	p.src, p.emit, p.stopped = src, emit, false
+	p.src, p.stopped = src, false
 	rem := p.rem[0][:0]
 	for i := range p.atoms {
 		rem = append(rem, i)
 	}
 	p.rem[0] = rem
+	if p.rows != nil && len(rem) > 0 {
+		// Size the row set for the cheapest atom's estimate — exact for a
+		// single-atom scan — so appending rows never regrows it.
+		n := p.estimate(&p.atoms[rem[p.cheapest(rem)]])
+		p.rows.Vals = make([]value.Value, 0, min(n, rowsHint)*p.nvars)
+	}
 	p.run(0)
-	p.src, p.emit = nil, nil
+	p.src = nil
 	return nil
 }
 
@@ -262,7 +357,9 @@ func (p *Prepared) run(depth int) {
 		if !p.checksHold(true) {
 			return
 		}
-		if !p.emit(p.env.Snapshot()) {
+		if p.rows != nil {
+			p.rows.appendSolution(p.env)
+		} else if !p.emit(p.env.Snapshot()) {
 			p.stopped = true
 		}
 		return

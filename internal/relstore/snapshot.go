@@ -2,9 +2,11 @@ package relstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -71,19 +73,29 @@ func encodeTables(bw *bufio.Writer, tables map[string]*table) error {
 		for _, ix := range t.schema.Indexes {
 			writeIntSlice(bw, ix)
 		}
-		// Sort an index slice, not t.rows itself: the table may be a
-		// version pinned by live snapshots and must stay immutable.
-		order := make([]int, len(t.rows))
-		for i := range order {
-			order[i] = i
+		// Key every row into one arena and sort by key bytes (byte order
+		// is string order): the version may be pinned by live snapshots
+		// and is only read.
+		type keyed struct {
+			lo, hi int // the row's key is keys[lo:hi]
+			tup    value.Tuple
 		}
-		sort.Slice(order, func(a, b int) bool {
-			return t.rows[order[a]].key < t.rows[order[b]].key
+		rows := make([]keyed, 0, t.len())
+		keys := make([]byte, 0, 16*t.len())
+		t.scan(func(tup value.Tuple) bool {
+			lo := len(keys)
+			keys = t.schema.appendKeyOf(keys, tup)
+			rows = append(rows, keyed{lo, len(keys), tup})
+			return true
 		})
-		writeUvarint(bw, uint64(len(t.rows)))
-		for _, i := range order {
-			var buf []byte
-			for _, v := range t.rows[i].tup {
+		slices.SortFunc(rows, func(a, b keyed) int {
+			return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi])
+		})
+		writeUvarint(bw, uint64(len(rows)))
+		var buf []byte
+		for _, r := range rows {
+			buf = buf[:0]
+			for _, v := range r.tup {
 				buf = v.AppendBinary(buf)
 			}
 			writeUvarint(bw, uint64(len(buf)))
@@ -177,9 +189,9 @@ func DecodeSnapshot(r io.Reader) (*DB, error) {
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	// Encoding into the writer's own spare buffer keeps the scratch bytes
+	// off the heap (a local array would escape through Write).
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {

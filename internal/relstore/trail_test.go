@@ -50,6 +50,26 @@ func TestEvalAllocsPerEmittedRow(t *testing.T) {
 	}
 }
 
+// TestRowsAllocsIndependentOfRowCount pins the slot-valued emit: Rows
+// builds no Subst, so an indexed scan allocates the row set (header,
+// column names, one exactly-sized value slice) however many rows it
+// returns.
+func TestRowsAllocsIndependentOfRowCount(t *testing.T) {
+	allocs := func(rows int) float64 {
+		db := allocTable(t, rows, 1)
+		p := Query{Atoms: []logic.Atom{logic.NewAtom("R", logic.Int(0), logic.Var("y"))}}.Compile()
+		return testing.AllocsPerRun(20, func() {
+			rs, err := p.Rows(db)
+			if err != nil || rs.N != rows {
+				t.Fatalf("Rows: %d rows, err %v", rs.N, err)
+			}
+		})
+	}
+	if small, big := allocs(100), allocs(1000); small != big || small > 4 {
+		t.Fatalf("Rows allocates %.0f objects for 100 rows, %.0f for 1000; want the same few", small, big)
+	}
+}
+
 // TestFindOneAllocsIndependentOfTableSize pins the LIMIT-1 oracle: a
 // compiled two-atom join probed over a 1k-row table allocates a small
 // constant regardless of how many tuples are scanned and rejected.
@@ -277,6 +297,23 @@ func TestTrailEquivalence(t *testing.T) {
 						n, err := q.Count(src.src)
 						if err != nil || n != len(ws) {
 							t.Fatalf("Count = %d, %v; want %d", n, err, len(ws))
+						}
+						// So does the columnar emit: the same solutions in
+						// the same order, one column per atom variable in
+						// order of first occurrence.
+						rows, err := q.Rows(src.src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if strings.Join(rows.Cols, ",") != strings.Join(tc.vars, ",") || rows.N != len(got) || rows.Unbound != nil {
+							t.Fatalf("Rows: cols %v, %d rows, unbound %v; want cols %v, %d rows", rows.Cols, rows.N, rows.Unbound, tc.vars, len(got))
+						}
+						for i, sub := range got {
+							for c, name := range rows.Cols {
+								if v, _ := rows.Cell(i, c); logic.Const(v) != sub.Walk(logic.Var(name)) {
+									t.Fatalf("Rows row %d: %s = %v, FindAll has %v", i, name, v, sub.Walk(logic.Var(name)))
+								}
+							}
 						}
 					}
 				})

@@ -548,6 +548,7 @@ func (f *Follower) Stats() core.Stats {
 	}
 	if st := f.state.Load(); st != nil {
 		s.StaleTermRefusals = st.StaleTermRefusals()
+		s.CowCopies, s.CowBytes = st.CowStats()
 	}
 	return s
 }

@@ -151,10 +151,7 @@ func (c *Client) connectLocked() error {
 }
 
 // dialLocked performs one connect attempt, including the binary
-// protocol's magic exchange: send the preamble, require its echo. A
-// server that answers anything else is not speaking this protocol —
-// surfaced as an error rather than silently downgrading, since every
-// server version that frames also still serves JSON on request.
+// protocol's magic exchange (handshake).
 func (c *Client) dialLocked() error {
 	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
@@ -166,21 +163,10 @@ func (c *Client) dialLocked() error {
 		c.enc = json.NewEncoder(conn)
 		return nil
 	}
-	br := bufio.NewReader(conn)
-	conn.SetDeadline(time.Now().Add(dialTimeout))
-	if _, err := conn.Write([]byte(frameMagic)); err != nil {
+	br, err := handshake(conn, c.addr)
+	if err != nil {
 		conn.Close()
 		return err
-	}
-	var echo [len(frameMagic)]byte
-	if _, err := io.ReadFull(br, echo[:]); err != nil {
-		conn.Close()
-		return err
-	}
-	conn.SetDeadline(time.Time{})
-	if string(echo[:]) != frameMagic {
-		conn.Close()
-		return fmt.Errorf("server: %s did not ack the binary protocol", c.addr)
 	}
 	c.conn = conn
 	c.br = br

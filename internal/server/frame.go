@@ -38,7 +38,14 @@ import (
 // immediately after connect, the server echoes it as the accept. A
 // JSON-lines client's first byte is '{' (or whitespace), never 'Q', so
 // the server can sniff the first 4 bytes and fall back transparently.
-const frameMagic = "QDB\x01"
+// The last byte is the protocol version: 2 since read results travel as
+// one columnar row set, which a version-1 peer cannot parse. A preamble
+// with the prefix but another version is refused in words (handle), not
+// misread as JSON.
+const (
+	magicPrefix = "QDB"
+	frameMagic  = magicPrefix + "\x02"
+)
 
 // maxFrameBody bounds one frame's declared body length; a length field
 // above it is rejected before any allocation. Sized for repl.bootstrap
@@ -210,13 +217,15 @@ func (r *wireBuf) count(min int) (int, error) {
 	return int(n), nil
 }
 
-func (r *wireBuf) value() (value.Value, error) {
-	v, n, err := value.DecodeBinary(r.b)
+// quoted consumes one encoded value and appends its quoted text form
+// (value.Value.Quoted) to dst, without materializing the value.
+func (r *wireBuf) quoted(dst []byte) ([]byte, error) {
+	dst, n, err := value.QuoteBinary(dst, r.b)
 	if err != nil {
-		return value.Value{}, fmt.Errorf("server: frame decode: %w", err)
+		return dst, fmt.Errorf("server: frame decode: %w", err)
 	}
 	r.b = r.b[n:]
-	return v, nil
+	return dst, nil
 }
 
 func appendWireString(dst []byte, s string) []byte {
@@ -408,10 +417,9 @@ const (
 )
 
 // appendResponse encodes resp onto dst. Row results are encoded from
-// resp.vrows — typed values straight through value.AppendBinary, the
-// same encoder the WAL uses for facts — never from the JSON path's
-// quoted-string maps. Stats, a rare diagnostic op, rides as a JSON
-// sub-payload rather than earning its own schema.
+// resp.rows, the engine's columnar row set, by appendRowSet — never from
+// the JSON path's quoted-string maps. Stats, a rare diagnostic op, rides
+// as a JSON sub-payload rather than earning its own schema.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	var flags byte
 	if resp.OK {
@@ -470,21 +478,43 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 			dst = appendWireBytes(dst, rec.Payload)
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(resp.vrows)))
-	for _, row := range resp.vrows {
-		dst = binary.AppendUvarint(dst, uint64(len(row)))
-		for k, v := range row {
-			dst = appendWireString(dst, k)
+	return appendRowSet(dst, resp.rows), nil
+}
+
+// wireUnbound stands in for the encoding of a cell whose variable the
+// solution left unbound; it is no value kind byte.
+const wireUnbound = 0xFF
+
+// appendRowSet encodes a read result as
+//
+//	ncols | name... | nrows | value...
+//
+// column names once, then the nrows*ncols cells row-major, each through
+// value.AppendBinary — the encoder the WAL uses for facts — or the
+// wireUnbound byte. A nil row set (every op but the reads) is 0 | 0.
+func appendRowSet(dst []byte, rs *quantumdb.RowSet) []byte {
+	if rs == nil {
+		return append(dst, 0, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(rs.Cols)))
+	for _, name := range rs.Cols {
+		dst = appendWireString(dst, name)
+	}
+	dst = binary.AppendUvarint(dst, uint64(rs.N))
+	for i, v := range rs.Vals {
+		if rs.Unbound != nil && rs.Unbound[i] {
+			dst = append(dst, wireUnbound)
+		} else {
 			dst = v.AppendBinary(dst)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // decodeResponse parses a frame payload into a Response. Typed row
 // values are materialized back into the quoted-string maps the JSON
-// protocol carries, so callers above the transport see identical rows
-// on either protocol.
+// protocol carries (decodeRowSet), so callers above the transport see
+// identical rows on either protocol.
 func decodeResponse(payload []byte) (Response, error) {
 	var resp Response
 	r := wireBuf{payload}
@@ -600,34 +630,71 @@ func decodeResponse(payload []byte) (Response, error) {
 			}
 		}
 	}
-	nrows, err := r.count(1)
-	if err != nil {
+	if resp.Rows, err = decodeRowSet(&r); err != nil {
 		return Response{}, err
-	}
-	if nrows > 0 {
-		resp.Rows = make([]map[string]string, nrows)
-		for i := range resp.Rows {
-			ncols, err := r.count(2)
-			if err != nil {
-				return Response{}, err
-			}
-			m := make(map[string]string, ncols)
-			for j := 0; j < ncols; j++ {
-				k, err := r.str()
-				if err != nil {
-					return Response{}, err
-				}
-				v, err := r.value()
-				if err != nil {
-					return Response{}, err
-				}
-				m[k] = v.Quoted()
-			}
-			resp.Rows[i] = m
-		}
 	}
 	if r.remaining() != 0 {
 		return Response{}, fmt.Errorf("server: frame decode: %d trailing bytes", r.remaining())
 	}
 	return resp, nil
+}
+
+// decodeRowSet parses the row-set layout (appendRowSet) into one map per
+// row. The maps share the header's column-name strings, and every cell's
+// quoted text is a substring of one arena string built for the whole
+// response, so a row costs its map and nothing per cell. Counts are
+// checked against the bytes left before anything is sized by them.
+func decodeRowSet(r *wireBuf) ([]map[string]string, error) {
+	ncols, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, ncols)
+	for i := range names {
+		if names[i], err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	nrows, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// A cell is at least one byte; a row without columns is the single
+	// empty solution of a variable-free query.
+	if ncols == 0 && nrows > 1 || ncols > 0 && nrows > uint64(r.remaining()/ncols) {
+		return nil, fmt.Errorf("server: frame decode: %d rows of %d columns exceed payload", nrows, ncols)
+	}
+	if nrows == 0 {
+		return nil, nil
+	}
+	// First pass: validate every cell and lay its text out in the arena;
+	// ends[i] is where cell i's text ends, -1 for an unbound cell.
+	ends := make([]int, int(nrows)*ncols)
+	arena := make([]byte, 0, r.remaining()+2*len(ends))
+	for i := range ends {
+		if len(r.b) > 0 && r.b[0] == wireUnbound {
+			r.b = r.b[1:]
+			ends[i] = -1
+			continue
+		}
+		if arena, err = r.quoted(arena); err != nil {
+			return nil, err
+		}
+		ends[i] = len(arena)
+	}
+	text := string(arena)
+	rows := make([]map[string]string, nrows)
+	start, cell := 0, 0
+	for i := range rows {
+		m := make(map[string]string, ncols)
+		for _, name := range names {
+			if end := ends[cell]; end >= 0 {
+				m[name] = text[start:end]
+				start = end
+			}
+			cell++
+		}
+		rows[i] = m
+	}
+	return rows, nil
 }

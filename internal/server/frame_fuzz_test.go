@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	quantumdb "repro"
+	"repro/internal/value"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the wire decoder stack:
@@ -48,6 +51,13 @@ func FuzzFrameDecode(f *testing.F) {
 	// Seed 7: zero-length body (shorter than the id+op header).
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0))
 
+	// Seeds 8-12: the row-set layout (ncols | names | nrows | cells),
+	// sound and then lying about its size in each way a count can: the
+	// decoder must refuse before sizing anything by the claimed counts.
+	for _, rowSet := range rowSetSeeds() {
+		f.Add(finishFrame(append(rowSetPrefix(), rowSet...)))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var buf []byte
@@ -70,6 +80,48 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rowSetPrefix is a response frame up to where its row set starts.
+func rowSetPrefix() []byte {
+	b, _ := appendResponse(beginFrame(nil, 5, 0), &Response{OK: true})
+	return b[:len(b)-2] // drop the empty row set: 0 columns, 0 rows
+}
+
+// rowSetSeeds returns row-set encodings: one valid, the rest corrupt.
+func rowSetSeeds() [][]byte {
+	rs := &quantumdb.RowSet{Cols: []string{"f", "s"}, N: 2, Vals: []value.Value{
+		value.NewInt(1), value.NewString("1A"), value.NewInt(1), value.NewString("o'k")}}
+	valid := appendRowSet(nil, rs)
+	header := appendWireString(appendWireString([]byte{2}, "f"), "s")
+	return [][]byte{
+		valid,
+		// Column count times row count overflows the payload (and uint64).
+		binary.AppendUvarint(append([]byte(nil), header...), 1<<63),
+		// Truncated arena: the last cell's string is cut short.
+		valid[:len(valid)-2],
+		// Zero columns cannot carry more than the one empty solution.
+		{0, 200},
+		// A column count larger than the payload.
+		binary.AppendUvarint(nil, 1<<40),
+	}
+}
+
+// TestRowSetDecodeRejectsCorruptCounts pins what the fuzzer probes
+// statistically: every corrupt row-set seed is an error, and the sound
+// one decodes.
+func TestRowSetDecodeRejectsCorruptCounts(t *testing.T) {
+	for i, rowSet := range rowSetSeeds() {
+		payload := append(rowSetPrefix()[4+frameHeader:], rowSet...)
+		resp, err := decodeResponse(payload)
+		if i == 0 {
+			if err != nil || len(resp.Rows) != 2 || resp.Rows[1]["s"] != `'o\'k'` {
+				t.Fatalf("valid row set: rows %v, err %v", resp.Rows, err)
+			}
+		} else if err == nil {
+			t.Fatalf("corrupt row set %d decoded: %v", i, resp.Rows)
+		}
+	}
 }
 
 // TestReadFrameRejectsOversized pins the specific guard the fuzzer

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"time"
 )
@@ -47,25 +48,42 @@ func DialPipe(addr string) (*PipeClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(conn)
-	conn.SetDeadline(time.Now().Add(dialTimeout))
-	if _, err := conn.Write([]byte(frameMagic)); err != nil {
+	br, err := handshake(conn, addr)
+	if err != nil {
 		conn.Close()
 		return nil, err
-	}
-	var echo [len(frameMagic)]byte
-	if _, err := io.ReadFull(br, echo[:]); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetDeadline(time.Time{})
-	if string(echo[:]) != frameMagic {
-		conn.Close()
-		return nil, fmt.Errorf("server: %s did not ack the binary protocol", addr)
 	}
 	p := &PipeClient{conn: conn, pending: make(map[uint64]chan pipeReply)}
 	go p.readLoop(br)
 	return p, nil
+}
+
+// handshake performs the binary protocol's magic exchange on a fresh
+// connection — send the preamble, require its echo — within dialTimeout,
+// and returns the buffered reader the frames follow on. A server that
+// answers anything else is not speaking this protocol version: a qdb
+// server of another version says so in one line, which is passed on, so
+// the caller sees "protocol version mismatch" rather than a stalled or
+// garbled exchange. There is no silent downgrade, since every server
+// version that frames also still serves JSON on request.
+func handshake(conn net.Conn, addr string) (*bufio.Reader, error) {
+	conn.SetDeadline(time.Now().Add(dialTimeout))
+	defer conn.SetDeadline(time.Time{})
+	if _, err := conn.Write([]byte(frameMagic)); err != nil {
+		return nil, err
+	}
+	br := bufio.NewReader(conn)
+	var echo [len(frameMagic)]byte
+	if _, err := io.ReadFull(br, echo[:]); err != nil {
+		return nil, err
+	}
+	if string(echo[:]) == frameMagic {
+		return br, nil
+	}
+	// The refusal is one line; take what is there of it.
+	rest, _ := br.ReadString('\n')
+	return nil, fmt.Errorf("server: %s did not ack binary protocol %s/%d: %s",
+		addr, magicPrefix, frameMagic[len(magicPrefix)], strings.TrimSpace(string(echo[:])+rest))
 }
 
 // Do issues one request and blocks for its response; any number of Do

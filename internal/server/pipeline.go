@@ -18,12 +18,14 @@ import (
 //     request;
 //   - dispatchers: run s.dispatch on the engine concurrently — the
 //     whole point: the admission layer is parallel, so one connection's
-//     requests should feed it in parallel too;
+//     requests should feed it in parallel too — and encode the response,
+//     row set included, into a pooled frame buffer themselves, so a
+//     row-heavy read's encoding runs in parallel as well;
 //   - the writer (writeResponses): the ONLY goroutine writing to the
-//     connection. Dispatchers hand it completed responses over a
-//     channel and it frames them in completion order — out of order
-//     with respect to arrival — batching socket writes by flushing
-//     only when its queue runs dry.
+//     connection. Dispatchers hand it sealed frames over a channel and
+//     it writes them in completion order — out of order with respect
+//     to arrival — batching socket writes by flushing only when its
+//     queue runs dry, and returns the buffers to the pool.
 //
 // Drain discipline: a dispatched request holds a beginOp slot until its
 // response frame is FLUSHED to the socket (the writer releases slots
@@ -33,12 +35,40 @@ import (
 
 // binResp is one completed response travelling dispatcher → writer.
 type binResp struct {
-	id   uint64
-	resp Response
+	frame *frameBuf
 	// counted marks responses holding a beginOp slot, released by the
 	// writer once the frame reaches the socket. Sheds and decode-error
 	// replies are uncounted — they never dispatched.
 	counted bool
+}
+
+// frameBuf is a pooled response frame. The pool holds pointers so that
+// returning a buffer allocates nothing.
+type frameBuf struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// maxPooledFrame keeps the occasional huge frame (a repl.bootstrap
+// image) from pinning its buffer in the pool.
+const maxPooledFrame = 1 << 20
+
+// encodeResponse seals resp into a pooled frame answering request id.
+func encodeResponse(id uint64, resp *Response) *frameBuf {
+	f := framePool.Get().(*frameBuf)
+	b, err := appendResponse(beginFrame(f.b[:0], id, 0), resp)
+	if err != nil {
+		// Response encoding failed (stats marshal): the stream is still
+		// in sync, so frame the error instead.
+		b, _ = appendResponse(beginFrame(b[:0], id, 0), &Response{Err: err.Error()})
+	}
+	f.b = finishFrame(b)
+	return f
+}
+
+func releaseFrame(f *frameBuf) {
+	if cap(f.b) <= maxPooledFrame {
+		framePool.Put(f)
+	}
 }
 
 func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
@@ -79,7 +109,7 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 			// The frame itself was sound (length and CRC checked), so
 			// the stream is still in sync: answer the bad payload
 			// in-band and keep serving.
-			out <- binResp{id: id, resp: Response{Err: derr.Error()}}
+			out <- binResp{frame: encodeResponse(id, &Response{Err: derr.Error()})}
 			continue
 		}
 		// Window admission: take a slot immediately if one is free,
@@ -101,7 +131,7 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 				}
 			case <-shedTimer.C:
 				s.sheds.Add(1)
-				out <- binResp{id: id, resp: Response{Err: ErrOverloaded.Error(), Retry: true}}
+				out <- binResp{frame: encodeResponse(id, &Response{Err: ErrOverloaded.Error(), Retry: true})}
 				continue
 			}
 		}
@@ -110,7 +140,7 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 			// loop; in-flight dispatchers below still complete and
 			// their responses still flush.
 			<-sem
-			out <- binResp{id: id, resp: Response{Err: ErrShuttingDown.Error()}}
+			out <- binResp{frame: encodeResponse(id, &Response{Err: ErrShuttingDown.Error()})}
 			break
 		}
 		s.inflight.Add(1)
@@ -119,10 +149,11 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 			defer wg.Done()
 			start := time.Now()
 			resp := s.dispatch(req)
+			frame := encodeResponse(id, &resp)
 			s.observeOp(req.Op, start)
 			s.inflight.Add(-1)
 			<-sem
-			out <- binResp{id: id, resp: resp, counted: true}
+			out <- binResp{frame: frame, counted: true}
 		}(id, req)
 	}
 	wg.Wait()
@@ -131,14 +162,13 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 }
 
 // writeResponses is the single writer goroutine of one binary
-// connection: it frames responses in completion order into a reused
-// buffer and flushes only when its queue is empty, so bursts of
-// completions coalesce into few socket writes. beginOp slots held by
+// connection: it writes sealed frames in completion order and flushes
+// only when its queue is empty, so bursts of completions coalesce into
+// few socket writes. beginOp slots held by
 // counted responses are released only after the flush that made their
 // frames visible — or immediately once the connection is known broken,
 // so a dead peer cannot wedge a drain.
 func (s *Server) writeResponses(bw *bufio.Writer, out chan binResp) {
-	var buf []byte
 	unflushed := 0
 	release := func() {
 		for ; unflushed > 0; unflushed-- {
@@ -151,19 +181,13 @@ func (s *Server) writeResponses(bw *bufio.Writer, out chan binResp) {
 			unflushed++
 		}
 		if broken {
+			releaseFrame(m.frame)
 			release()
 			continue
 		}
-		buf = beginFrame(buf[:0], m.id, 0)
-		var err error
-		if buf, err = appendResponse(buf, &m.resp); err != nil {
-			// Response encoding failed (stats marshal): the stream is
-			// still in sync, so frame the error instead.
-			buf = beginFrame(buf[:0], m.id, 0)
-			buf, _ = appendResponse(buf, &Response{Err: err.Error()})
-		}
-		buf = finishFrame(buf)
-		if _, err := bw.Write(buf); err != nil {
+		_, err := bw.Write(m.frame.b)
+		releaseFrame(m.frame)
+		if err != nil {
 			broken = true
 			release()
 			continue

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -322,9 +323,12 @@ func startServerProto(t *testing.T, proto Proto) (*Client, *quantumdb.DB) {
 	return c, db
 }
 
-// TestProtocolRowParity: the same snapread answered over binary frames
-// and JSON lines yields byte-identical quoted rows — the cross-protocol
-// invariant the follower diff harness depends on.
+// TestProtocolRowParity: the same read answered over binary frames and
+// JSON lines yields identical quoted rows — the cross-protocol invariant
+// the follower diff harness depends on. The binary side decodes a
+// columnar row set, the JSON side renders maps from it server-side; the
+// queries cover ints, strings that need escaping, several columns, an
+// empty result, and a variable-free query (no columns, one row).
 func TestProtocolRowParity(t *testing.T) {
 	db, err := quantumdb.Open(quantumdb.Options{})
 	if err != nil {
@@ -351,19 +355,51 @@ func TestProtocolRowParity(t *testing.T) {
 	if _, err := bc.Submit("-Available(1, s), +Bookings('Mickey', 1, s) :-1 Available(1, s)"); err != nil {
 		t.Fatal(err)
 	}
-	brows, err := bc.SnapRead("Available(1, s)")
-	if err != nil {
+	if err := bc.Exec(`+Bookings('O\'Hara \\ "Zoë"', 2, '9Z'), +Bookings('', -7, '')`); err != nil {
 		t.Fatal(err)
 	}
-	jrows, err := jc.SnapRead("Available(1, s)")
-	if err != nil {
+	if err := bc.GroundAll(); err != nil { // extensional from here: read and snapread agree
 		t.Fatal(err)
 	}
-	if fmt.Sprint(brows) != fmt.Sprint(jrows) {
-		t.Fatalf("row parity broken:\nbinary: %v\njson:   %v", brows, jrows)
-	}
-	if len(brows) == 0 {
-		t.Fatal("no rows")
+	for _, query := range []string{
+		"Available(1, s)",
+		"Available(f, s)",
+		"Bookings(n, f, s)",
+		"Adjacent(f, a, b), Available(f, b)",
+		"Available(99, s)",     // empty result
+		"Available(1, '1B')",   // no variables: no columns, one row
+		"Available(1, 'nope')", // no variables, no row
+	} {
+		snap := db.Snapshot()
+		embedded, err := snap.Query(query)
+		snap.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []map[string]string
+		for _, row := range embedded {
+			m := map[string]string{}
+			for k, v := range row {
+				m[k] = v.Quoted()
+			}
+			want = append(want, m)
+		}
+		for _, op := range []string{"snapread", "read"} {
+			bresp, err := bc.roundTrip(Request{Op: op, Query: query})
+			if err != nil {
+				t.Fatalf("%s %s over binary: %v", op, query, err)
+			}
+			jresp, err := jc.roundTrip(Request{Op: op, Query: query})
+			if err != nil {
+				t.Fatalf("%s %s over JSON: %v", op, query, err)
+			}
+			if !reflect.DeepEqual(bresp.Rows, jresp.Rows) {
+				t.Fatalf("%s %s: row parity broken:\nbinary: %v\njson:   %v", op, query, bresp.Rows, jresp.Rows)
+			}
+			if !reflect.DeepEqual(bresp.Rows, want) {
+				t.Fatalf("%s %s: wire rows %v, embedded rows %v", op, query, bresp.Rows, want)
+			}
+		}
 	}
 }
 

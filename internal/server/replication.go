@@ -7,8 +7,6 @@ import (
 	"net"
 	"time"
 
-	quantumdb "repro"
-	"repro/internal/logic"
 	"repro/internal/replica"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -50,11 +48,11 @@ func (s *Server) dispatchFollower(r *serverRole, req Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		sols, err := st.QuerySnapshot(atoms)
+		rows, err := st.QuerySnapshot(atoms)
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, vrows: substRows(atoms, sols)}
+		return Response{OK: true, rows: rows}
 	case "pending":
 		if st := r.fol.State(); st != nil {
 			return Response{OK: true, Pending: st.PendingCount()}
@@ -91,30 +89,6 @@ func (s *Server) dispatchFollower(r *serverRole, req Request) Response {
 		}
 		return resp
 	}
-}
-
-// substRows materializes solver substitutions into typed rows (the
-// follower-side twin of the facade's rowsFromSols); the transport layer
-// decides the wire form — binary frames ship the values directly, the
-// JSON path quotes them via rowsOut. Keeping the conversion late is
-// what makes leader and follower snapread responses byte-exact on
-// either protocol.
-func substRows(atoms []logic.Atom, sols []logic.Subst) []quantumdb.Row {
-	var vars []string
-	for _, a := range atoms {
-		vars = a.Vars(vars)
-	}
-	out := make([]quantumdb.Row, 0, len(sols))
-	for _, sol := range sols {
-		m := make(quantumdb.Row, len(vars))
-		for _, v := range vars {
-			if t := sol.Walk(logic.Var(v)); !t.IsVar() {
-				m[v] = t.Value()
-			}
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 func toWireBatches(batches []wal.Batch) []WireBatch {

@@ -134,11 +134,12 @@ type Response struct {
 	// connection.
 	Errs  []string `json:"errs,omitempty"`
 	Retry bool     `json:"retry,omitempty"`
-	// vrows carries read results as typed values for the binary
-	// encoder, which ships them through the WAL's value encoding; the
-	// JSON write path materializes Rows from it (rowsOut) so the
-	// quoted-string conversion is paid only on the JSON wire.
-	vrows []quantumdb.Row
+	// rows carries a read's result as the engine's columnar row set.
+	// The binary encoder appends it to the response frame as is
+	// (appendRowSet); the JSON write path renders Rows from it
+	// (rowsText), so the quoted-string maps are built only for the JSON
+	// wire, and on a binary client's side of the socket.
+	rows *quantumdb.RowSet
 }
 
 // Redirect is the structured leader-moved payload: where the current
@@ -393,15 +394,23 @@ func (s *Server) handle(conn net.Conn) {
 	// magic preamble; a JSON-lines client's first byte is '{' (or
 	// whitespace) and its first request is longer than the magic, so
 	// peeking never stalls either kind. On a match the connection runs
-	// the pipelined binary loop; otherwise the peeked bytes stay
-	// buffered and the JSON loop reads them as request text.
+	// the pipelined binary loop. A preamble of another protocol version
+	// is told so in one line and dropped: its frames must not reach the
+	// JSON decoder. Anything else stays buffered and the JSON loop reads
+	// it as request text.
 	br := bufio.NewReader(conn)
-	if peek, err := br.Peek(len(frameMagic)); err == nil && string(peek) == frameMagic {
+	peek, err := br.Peek(len(frameMagic))
+	switch {
+	case err == nil && string(peek) == frameMagic:
 		br.Discard(len(frameMagic))
 		s.handleBinary(conn, br)
-		return
+	case err == nil && string(peek[:len(magicPrefix)]) == magicPrefix:
+		json.NewEncoder(conn).Encode(Response{Err: fmt.Sprintf(
+			"server: protocol version mismatch: this server speaks %s/%d, the client opened with %s/%d",
+			magicPrefix, frameMagic[len(magicPrefix)], magicPrefix, peek[len(magicPrefix)])})
+	default:
+		s.handleJSON(conn, br)
 	}
-	s.handleJSON(conn, br)
 }
 
 // handleJSON serves the JSON-lines protocol: strictly in-order, one
@@ -428,8 +437,8 @@ func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
 		start := time.Now()
 		resp := s.dispatch(req)
 		s.observeOp(req.Op, start)
-		if resp.vrows != nil {
-			resp.Rows = rowsOut(resp.vrows)
+		if resp.rows != nil {
+			resp.Rows = rowsText(resp.rows)
 		}
 		err := enc.Encode(resp)
 		if err == nil {
@@ -634,22 +643,22 @@ func (s *Server) dispatch(req Request) Response {
 		}
 		return Response{OK: true, ID: id, Pending: r.db.Pending()}
 	case "read":
-		rows, err := r.db.Query(req.Query)
+		rows, err := r.db.QueryRows(req.Query)
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, vrows: rows}
+		return Response{OK: true, rows: rows}
 	case "snapread":
 		// Collapse-free read: evaluated against a one-shot snapshot, so it
 		// observes committed state only (pending transactions stay
 		// superposed) and never contends with appliers.
 		snap := r.db.Snapshot()
-		rows, err := snap.Query(req.Query)
+		rows, err := snap.QueryRows(req.Query)
 		snap.Release()
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, vrows: rows}
+		return Response{OK: true, rows: rows}
 	case "preview":
 		ids, err := r.db.Preview(req.Query)
 		if err != nil {
@@ -682,13 +691,16 @@ func (s *Server) dispatch(req Request) Response {
 	}
 }
 
-// rowsOut converts rows to the wire's quoted-string maps.
-func rowsOut(rows []quantumdb.Row) []map[string]string {
-	out := make([]map[string]string, len(rows))
-	for i, r := range rows {
-		m := make(map[string]string, len(r))
-		for k, v := range r {
-			m[k] = v.Quoted()
+// rowsText renders a row set as the JSON wire's quoted-string maps; an
+// unbound cell is absent from its row.
+func rowsText(rs *quantumdb.RowSet) []map[string]string {
+	out := make([]map[string]string, rs.N)
+	for i := range out {
+		m := make(map[string]string, len(rs.Cols))
+		for c, name := range rs.Cols {
+			if v, ok := rs.Cell(i, c); ok {
+				m[name] = v.Quoted()
+			}
 		}
 		out[i] = m
 	}

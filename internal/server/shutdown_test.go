@@ -174,6 +174,8 @@ func TestServerMetricsSmoke(t *testing.T) {
 		`qdb_server_op_duration_seconds_count{op="txn"} 2`,
 		`qdb_server_op_duration_seconds_count{op="ping"} 1`,
 		"qdb_uptime_seconds",
+		"qdb_relstore_cow_copies_total",
+		"qdb_relstore_cow_bytes_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("scrape missing %q in:\n%s", want, out)

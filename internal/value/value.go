@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates the dynamic type of a Value.
@@ -68,16 +69,48 @@ func (v Value) Quoted() string {
 	if v.kind == Int {
 		return strconv.FormatInt(v.i, 10)
 	}
-	var b strings.Builder
-	b.WriteByte('\'')
-	for _, r := range v.s {
-		if r == '\'' || r == '\\' {
-			b.WriteByte('\\')
-		}
-		b.WriteRune(r)
+	var buf [64]byte
+	return string(v.AppendQuoted(buf[:0]))
+}
+
+// AppendQuoted appends the Quoted form of v to dst.
+func (v Value) AppendQuoted(dst []byte) []byte {
+	if v.kind == Int {
+		return strconv.AppendInt(dst, v.i, 10)
 	}
-	b.WriteByte('\'')
-	return b.String()
+	dst = append(dst, '\'')
+	for _, r := range v.s {
+		dst = appendQuotedRune(dst, r)
+	}
+	return append(dst, '\'')
+}
+
+func appendQuotedRune(dst []byte, r rune) []byte {
+	if r == '\'' || r == '\\' {
+		dst = append(dst, '\\')
+	}
+	return utf8.AppendRune(dst, r)
+}
+
+// QuoteBinary decodes one AppendBinary-encoded value from the front of
+// src and appends its Quoted form to dst — the text DecodeBinary followed
+// by AppendQuoted would give, without materializing the Value. It returns
+// the extended slice and the number of bytes of src consumed.
+func QuoteBinary(dst, src []byte) ([]byte, int, error) {
+	kind, i, str, n, err := splitBinary(src)
+	if err != nil {
+		return dst, 0, err
+	}
+	if kind == Int {
+		return strconv.AppendInt(dst, i, 10), n, nil
+	}
+	dst = append(dst, '\'')
+	for len(str) > 0 {
+		r, w := utf8.DecodeRune(str)
+		dst = appendQuotedRune(dst, r)
+		str = str[w:]
+	}
+	return append(dst, '\''), n, nil
 }
 
 // Parse decodes the Quoted form: a decimal integer or a single-quoted
@@ -159,28 +192,42 @@ func (v Value) AppendBinary(dst []byte) []byte {
 // DecodeBinary decodes one Value from the front of src, returning the Value
 // and the number of bytes consumed.
 func DecodeBinary(src []byte) (Value, int, error) {
+	kind, i, str, n, err := splitBinary(src)
+	if err != nil {
+		return Value{}, 0, err
+	}
+	if kind == Int {
+		return NewInt(i), n, nil
+	}
+	return NewString(string(str)), n, nil
+}
+
+// splitBinary parses one encoded value without copying: the kind, the
+// integer payload or the string payload (aliasing src), and the encoded
+// length.
+func splitBinary(src []byte) (kind Kind, i int64, str []byte, n int, err error) {
 	if len(src) == 0 {
-		return Value{}, 0, fmt.Errorf("value: short buffer")
+		return 0, 0, nil, 0, fmt.Errorf("value: short buffer")
 	}
 	switch Kind(src[0]) {
 	case Int:
 		if len(src) < 9 {
-			return Value{}, 0, fmt.Errorf("value: short int encoding")
+			return 0, 0, nil, 0, fmt.Errorf("value: short int encoding")
 		}
-		return NewInt(int64(binary.BigEndian.Uint64(src[1:9]))), 9, nil
+		return Int, int64(binary.BigEndian.Uint64(src[1:9])), nil, 9, nil
 	case String:
-		n, w := binary.Uvarint(src[1:])
+		l, w := binary.Uvarint(src[1:])
 		if w <= 0 {
-			return Value{}, 0, fmt.Errorf("value: bad string length")
+			return 0, 0, nil, 0, fmt.Errorf("value: bad string length")
 		}
 		start := 1 + w
-		end := start + int(n)
+		end := start + int(l)
 		if end > len(src) || end < start {
-			return Value{}, 0, fmt.Errorf("value: short string encoding")
+			return 0, 0, nil, 0, fmt.Errorf("value: short string encoding")
 		}
-		return NewString(string(src[start:end])), end, nil
+		return String, 0, src[start:end], end, nil
 	default:
-		return Value{}, 0, fmt.Errorf("value: unknown kind byte %d", src[0])
+		return 0, 0, nil, 0, fmt.Errorf("value: unknown kind byte %d", src[0])
 	}
 }
 

@@ -116,10 +116,19 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		}
 		enc := v.AppendBinary(nil)
 		got, n, err := DecodeBinary(enc)
-		return err == nil && n == len(enc) && got == v
+		// QuoteBinary is DecodeBinary then Quoted, without the Value.
+		text, qn, qerr := QuoteBinary([]byte("x"), enc)
+		return err == nil && n == len(enc) && got == v &&
+			qerr == nil && qn == n && string(text) == "x"+v.Quoted()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// quick draws valid UTF-8 only; escapes and broken encodings by hand.
+	for _, s := range []string{"", "it's", `back\slash`, "\xff'\xc3", "Zoë\x80"} {
+		if !f(0, s, false) {
+			t.Errorf("QuoteBinary and Quoted disagree on %q", s)
+		}
 	}
 }
 
@@ -134,6 +143,9 @@ func TestDecodeBinaryErrors(t *testing.T) {
 	for _, b := range bad {
 		if _, _, err := DecodeBinary(b); err == nil {
 			t.Errorf("DecodeBinary(%v) succeeded, want error", b)
+		}
+		if _, _, err := QuoteBinary(nil, b); err == nil {
+			t.Errorf("QuoteBinary(%v) succeeded, want error", b)
 		}
 	}
 }

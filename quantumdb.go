@@ -40,7 +40,11 @@
 //     variables resolve to slots of a logic.Env — a flat binding array
 //     with an undo trail — so backtracking over candidate tuples binds
 //     and unbinds slots instead of cloning a map per tuple. A Subst is
-//     materialized only when a solution is emitted (Env.Snapshot).
+//     materialized only when a solution is emitted (Env.Snapshot) — and
+//     reads do not emit Substs at all: Query, Snapshot.Query and the
+//     server's read verbs take their solutions as one columnar RowSet
+//     (column names once, values flat; QueryRows returns it as is), so a
+//     row costs its values until a caller asks for []Row maps.
 //   - The chain solver compiles each transaction body once per solve and
 //     recycles delta overlays through a free list; overlay delta maps are
 //     allocated lazily, so rejected candidate groundings cost no maps.
@@ -178,7 +182,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/logic"
 	"repro/internal/relstore"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
@@ -383,32 +386,40 @@ func (db *DB) SubmitTagged(src, tag, partner string) (int64, error) {
 // grounded first (observation collapses the quantum state); the returned
 // rows bind the query's variables and are repeatable.
 func (db *DB) Query(src string) ([]Row, error) {
+	rs, err := db.QueryRows(src)
+	if err != nil {
+		return nil, err
+	}
+	return rowMaps(rs), nil
+}
+
+// RowSet is a columnar query result: column (variable) names once, then
+// the rows' values flat in row-major order.
+type RowSet = relstore.RowSet
+
+// QueryRows is Query returning the engine's columnar row set as is; a
+// row costs its values, not a map. Row-heavy callers (the server's wire
+// encoder) use it.
+func (db *DB) QueryRows(src string) (*RowSet, error) {
 	atoms, err := txn.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	sols, err := db.q.Read(atoms)
-	if err != nil {
-		return nil, err
-	}
-	return rowsFromSols(atoms, sols), nil
+	return db.q.Read(atoms)
 }
 
-// rowsFromSols materializes solver substitutions into named rows.
-func rowsFromSols(atoms []logic.Atom, sols []logic.Subst) []Row {
-	var vars []string
-	for _, a := range atoms {
-		vars = a.Vars(vars)
-	}
-	rows := make([]Row, 0, len(sols))
-	for _, s := range sols {
-		row := make(Row, len(vars))
-		for _, v := range vars {
-			if t := s.Walk(logic.Var(v)); !t.IsVar() {
-				row[v] = t.Value()
+// rowMaps materializes a row set into named rows; a cell no atom bound
+// is absent from its row.
+func rowMaps(rs *RowSet) []Row {
+	rows := make([]Row, rs.N)
+	for i := range rows {
+		row := make(Row, len(rs.Cols))
+		for c, name := range rs.Cols {
+			if v, ok := rs.Cell(i, c); ok {
+				row[name] = v
 			}
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows
 }
@@ -425,7 +436,8 @@ func rowsFromSols(atoms []logic.Atom, sols []logic.Subst) []Row {
 //
 // Release the snapshot when done; it stays readable afterwards, but
 // holding it pins the store versions it references and makes writers
-// pay a one-time copy per mutated table.
+// copy the pages they touch (a few kilobytes per write, whatever the
+// table's size; Stats.CowCopies/CowBytes count them).
 type Snapshot struct {
 	db *DB
 	s  *core.Snapshot
@@ -447,19 +459,24 @@ func (s *Snapshot) Epoch() uint64 { return s.s.Epoch() }
 // frozen state; shorthand for DB.QueryAt.
 func (s *Snapshot) Query(src string) ([]Row, error) { return s.db.QueryAt(s, src) }
 
-// QueryAt evaluates a conjunctive read query (Query syntax) against a
-// snapshot: entirely gate-free, collapse-free, and repeatable — the
-// same snapshot always returns the same rows.
-func (db *DB) QueryAt(s *Snapshot, src string) ([]Row, error) {
+// QueryRows is Query returning the columnar row set; see DB.QueryRows.
+func (s *Snapshot) QueryRows(src string) (*RowSet, error) {
 	atoms, err := txn.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	sols, err := db.q.QueryAt(s.s, atoms)
+	return s.db.q.QueryAt(s.s, atoms)
+}
+
+// QueryAt evaluates a conjunctive read query (Query syntax) against a
+// snapshot: entirely gate-free, collapse-free, and repeatable — the
+// same snapshot always returns the same rows.
+func (db *DB) QueryAt(s *Snapshot, src string) ([]Row, error) {
+	rs, err := s.QueryRows(src)
 	if err != nil {
 		return nil, err
 	}
-	return rowsFromSols(atoms, sols), nil
+	return rowMaps(rs), nil
 }
 
 // Exec applies non-resource blind writes, given as comma-separated
