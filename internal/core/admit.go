@@ -6,70 +6,86 @@ import (
 	"time"
 
 	"repro/internal/formula"
-	"repro/internal/relstore"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
 )
 
-// This file implements optimistic parallel admission: Submit runs its
-// chain solve — the dominant cost of the whole hot path — OUTSIDE the
-// admission lock, so concurrent clients whose transactions touch
-// disjoint partitions admit in parallel instead of serializing. The
-// protocol is snapshot / speculate / validate+install:
+// This file implements admission — ONE routine behind both Submit (a
+// batch of one) and SubmitBatch. Each cycle runs the decision procedure
+// (decideBatch, batch.go) over a snapshot of the partitions the batch
+// overlaps, then publishes every member's outcome in one critical
+// section under admitMu. By default the chain solve — the dominant cost
+// of the whole hot path — runs OUTSIDE the admission lock, so concurrent
+// clients whose transactions touch disjoint partitions admit in parallel
+// instead of serializing. The optimistic protocol is snapshot /
+// speculate / validate+publish:
 //
-//  1. Snapshot: resolve the partitions the new transaction overlaps
-//     (without admitMu — lockCandidates validates set stability and the
-//     final say belongs to step 3) and record, per partition, the
-//     pending chain, the cached solution, its epoch stamp, and the
-//     partition's version counter; plus the database-wide partition-set
-//     version and admission sequence. The counters are read BEFORE the
-//     index walk and bumped by installers AFTER publication, so counter
-//     equality later proves the snapshot missed no install.
-//  2. Speculate: on the scheduler pool (bounding concurrent solves
-//     machine-wide), under the store's read gate, run the negative-cache
-//     probe, the solution-extension fast path, or the full composed-body
-//     solve over the snapshot chain — exactly the serial admission's
-//     decision procedure, against immutable inputs: *txn.T values are
-//     never mutated once published and partition slices are replaced,
-//     not written in place, so the snapshot needs no copies.
-//  3. Validate + install: re-enter admitMu, re-lock the overlap set, and
+//  1. Snapshot: resolve the partitions the batch overlaps (without
+//     admitMu — lockCandidates validates set stability and the final say
+//     belongs to step 3) and record, per partition, the pending chain,
+//     the cached solution, its epoch stamp, and the partition's version
+//     counter; plus the database-wide partition-set version and
+//     admission sequence. The counters are read BEFORE the index walk and
+//     bumped by installers AFTER publication, so counter equality later
+//     proves the snapshot missed no install.
+//  2. Speculate: on the scheduler pool (one worker slot per cycle,
+//     bounding concurrent solves machine-wide), under the store's read
+//     gate, decide each member in ID order — negative-cache probe,
+//     solution-extension fast path, or full composed-body solve — over a
+//     chain that grows with each accepted member, against immutable
+//     inputs: *txn.T values are never mutated once published and
+//     partition slices are replaced, not written in place, so the
+//     snapshot needs no copies.
+//  3. Validate + publish: re-enter admitMu, re-lock the overlap set, and
 //     check it is EXACTLY the snapshot (same partitions at the same
 //     versions — a new overlapping partition, a merge, a grounding, or a
 //     cache refresh all change it), then check the store: the epoch
-//     fingerprint of the relevant relations must equal the speculation's
-//     (bit-identical tables ⇒ the solve reproduces), OR every store
-//     mutation since must provably come from groundings of
-//     NON-overlapping partitions (storeTrusted, no blind writes, no
-//     admission installs), which cannot unify with the admission's atoms
-//     and so can neither create nor destroy its groundings. On success
-//     the outcome — accept or reject, both are user-visible decisions —
-//     is published under the lock like a serial admission's; on conflict
-//     the whole attempt retries, and after maxAdmitAttempts conflicts
-//     the call falls back to one serial admission, which cannot
-//     conflict. Stats: OptimisticAdmissions, AdmissionConflicts,
-//     AdmissionRetries, SerialFallbacks (conflicts = retries +
-//     fallbacks).
+//     fingerprint of the whole would-be chain's relations must equal the
+//     speculation's (bit-identical tables ⇒ every decision reproduces),
+//     OR every store mutation since must provably come from groundings
+//     of NON-overlapping partitions (storeTrusted, no blind writes, no
+//     admission installs), which cannot unify with the batch's atoms and
+//     so can neither create nor destroy its groundings. On success every
+//     outcome — accepts and rejections alike, both are user-visible
+//     decisions — is published; on conflict the whole cycle retries, and
+//     after maxAdmitAttempts conflicts the call falls back to serial
+//     admission, which cannot conflict.
+//
+// Serial admission is a mode of the same routine, used for
+// Options.SerialAdmission, Options.DisablePartitioning (one global
+// partition makes every pair of speculations conflict) and the conflict
+// fallback. It admits the members one at a time, holding admitMu from
+// overlap resolution through publish, so the partition set cannot move
+// under the solve and nothing needs revalidating.
+//
+// Stats: every cycle bumps CacheHits or CacheMisses per solved member,
+// NegativeHits per probe-answered rejection, Accepted/Rejected per
+// outcome. Optimistic cycles add ParallelSolves (one per cycle),
+// OptimisticAdmissions (per member of a validated cycle) and
+// AdmissionConflicts; a conflict then counts AdmissionRetries or, once
+// the budget is spent, SerialFallbacks (so conflicts = retries +
+// fallbacks). Serial cycles add none of those.
 //
 // The same key-collision caveat the sharded scheduler already accepts
 // applies here: "independent" partitions can still collide on update
 // keys of shared tables; Apply fails closed on such collisions, exactly
 // as it does for parallel grounding.
 
-// maxAdmitAttempts bounds optimistic tries per Submit; the attempt after
-// the last conflict runs serially under the admission lock, so a
-// contended partition degrades to the classic discipline instead of
-// livelocking.
+// maxAdmitAttempts bounds optimistic cycles per call; after the last
+// conflict the members admit serially, so a contended partition
+// degrades to the classic discipline instead of livelocking.
 const maxAdmitAttempts = 3
 
-// admitSnap is the optimistic-admission snapshot of everything the
-// speculative solve depends on.
+// admitSnap freezes everything a cycle's decisions depend on.
 type admitSnap struct {
 	partVersion uint64
 	admitSeq    uint64
 	parts       []partSnap
-	// merged is the would-be chain: the snapshot partitions' pending
-	// transactions plus the new one, ascending by ID.
-	merged []*txn.T
+	// base is the snapshot partitions' pending chain alone and merged is
+	// base plus the whole batch, both ascending by ID: decideBatch grows
+	// its chain from base as members are accepted, while merged remains
+	// the validation basis.
+	base, merged []*txn.T
 }
 
 // partSnap freezes one overlapping partition. txns/cached alias the
@@ -83,60 +99,99 @@ type partSnap struct {
 	cachedEpoch uint64
 }
 
-// specOutcome is what a speculative solve learned, pending validation.
-type specOutcome struct {
-	ok      bool // chain satisfiable with the new transaction
-	fromNeg bool // unsatisfiability answered by negative-cache probe
-	// cached is the full chain solution aligned with snap.merged (accept
-	// only).
-	cached []formula.Grounding
-	// negKey/negFP key the negative cache should the rejection validate.
-	negKey, negFP uint64
-	// fp is the epoch fingerprint of merged's relations at solve time:
-	// the validation basis and, unchanged, the install stamp.
-	fp uint64
-	// writeSeq is the accepted-blind-write count at solve time, read
-	// under the same read gate as the solve's store view.
-	writeSeq uint64
-	// trustGen is the checkpoint re-arm generation at solve time. The
-	// trusted-store validation arm requires it unchanged: a re-arm during
-	// the speculation means an out-of-band write (which never bumps
-	// writeSeq) may hide behind a restored storeTrusted.
-	trustGen uint64
-}
-
-// submitOptimistic drives the snapshot/speculate/validate loop for one
-// admission. orig is the caller's un-renamed transaction (for error
-// text); admitted carries the pre-assigned ID and renamed-apart
-// variables.
-func (q *QDB) submitOptimistic(orig, admitted *txn.T, sp *telemetry.Span) (int64, error) {
-	for attempt := 0; ; attempt++ {
-		if attempt == maxAdmitAttempts {
-			q.stats.serialFallbacks.Add(1)
-			return q.submitSerial(orig, admitted, sp)
+// admit decides and publishes items, filling ids and errs at each
+// member's idx: optimistic cycles while they validate, serial ones when
+// the options ask for it or the conflict budget is spent.
+func (q *QDB) admit(items []batchItem, ids []int64, errs []error, sp *telemetry.Span) {
+	if q.optimisticEnabled() {
+		for attempt := 0; attempt < maxAdmitAttempts; attempt++ {
+			if q.admitCycle(items, false, ids, errs, sp) {
+				return
+			}
+			q.stats.admissionConflicts.Add(1)
+			if attempt+1 < maxAdmitAttempts {
+				q.stats.admissionRetries.Add(1)
+			}
 		}
-		sp.Mark()
-		snap := q.snapshotOverlap(admitted)
-		sp.Stage(stageSubmitSnapshot)
-		spec, err := q.speculate(snap, admitted)
-		sp.Stage(stageSubmitSolve)
-		if err != nil {
-			q.prep.Evict(admitted)
-			return 0, err
-		}
-		id, done, err := q.tryInstall(orig, admitted, snap, spec, sp)
-		if done {
-			return id, err
-		}
-		q.stats.admissionConflicts.Add(1)
-		if attempt+1 < maxAdmitAttempts {
-			q.stats.admissionRetries.Add(1)
-		}
+		q.stats.serialFallbacks.Add(1)
+	}
+	for i := range items {
+		q.admitCycle(items[i:i+1], true, ids, errs, sp)
 	}
 }
 
-// snapshotOverlap resolves and freezes the partitions admitted overlaps.
-func (q *QDB) snapshotOverlap(admitted *txn.T) *admitSnap {
+// optimisticEnabled reports whether admission may speculate outside the
+// admission lock. With partitioning disabled every admission overlaps
+// the single global partition, so speculation could only ever conflict;
+// route it straight to serial cycles.
+func (q *QDB) optimisticEnabled() bool {
+	return !q.opt.SerialAdmission && !q.opt.DisablePartitioning
+}
+
+// admitCycle runs one snapshot → decide → publish cycle over items and
+// reports whether it published. A serial cycle (one member) holds
+// admitMu throughout and always publishes; an optimistic one speculates
+// outside it and returns false, having published nothing, when its
+// snapshot went stale.
+func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []error, sp *telemetry.Span) bool {
+	sp.Mark()
+	var snap *admitSnap
+	var locked []*partition
+	if serial {
+		q.admitMu.Lock()
+		locked = q.lockOverlapping(items[0].admitted)
+		snap = buildSnapBatch(locked, items)
+	} else {
+		snap = q.snapshotOverlapBatch(items)
+	}
+	sp.Stage(stageSubmitSnapshot)
+	out := &batchOutcome{}
+	var err error
+	if serial {
+		err = q.decideBatch(snap, items, out)
+	} else {
+		err = q.pool.Run(func() error {
+			q.stats.parallelSolves.Add(1)
+			return q.decideBatch(snap, items, out)
+		})
+	}
+	sp.Stage(stageSubmitSolve)
+	if err != nil {
+		if serial {
+			unlockPartitions(locked)
+			q.admitMu.Unlock()
+		}
+		for _, it := range items {
+			q.prep.Evict(it.admitted)
+			errs[it.idx] = err
+		}
+		return true
+	}
+	// The serial solve ran over live partitions no install could touch,
+	// so the fingerprint it recorded is the install stamp.
+	stamp := out.fpAll
+	if !serial {
+		q.admitMu.Lock()
+		var ok bool
+		locked, stamp, ok = q.revalidateBatch(snap, items, out)
+		sp.Stage(stageSubmitValidate)
+		if !ok {
+			q.admitMu.Unlock()
+			return false
+		}
+		q.stats.optimisticAdmissions.Add(int64(len(items)))
+	}
+	q.publish(items, locked, out, stamp, sp, ids, errs)
+	return true
+}
+
+// snapshotOverlapBatch resolves and freezes the partitions the batch
+// overlaps, over the union of its atoms: merging every member's overlap
+// set into one snapshot is the batch's tentative partition merge —
+// coarser than n individual merges would be only when members are
+// mutually disjoint, and a coarser partitioning is always correct (it
+// can only force more serialization, never miss a dependency).
+func (q *QDB) snapshotOverlapBatch(items []batchItem) *admitSnap {
 	// Counters first, index second: installs publish to the index before
 	// bumping, so if the counters are still equal at validation, every
 	// install is either in this snapshot or did not happen.
@@ -144,10 +199,10 @@ func (q *QDB) snapshotOverlap(admitted *txn.T) *admitSnap {
 	admitSeq := q.admitSeq.Load()
 	// One pass over the index's candidates, without lockCandidates'
 	// stability validation: a candidate that appears mid-walk (a
-	// concurrent install) is exactly what revalidate exists to catch, so
-	// the snapshot may be cheerfully stale — it must only be internally
-	// consistent, which the shard locks give per partition.
-	ps := q.candidateSnapshot(atomsOf(admitted))
+	// concurrent install) is exactly what revalidateBatch exists to
+	// catch, so the snapshot may be cheerfully stale — it must only be
+	// internally consistent, which the shard locks give per partition.
+	ps := q.candidateSnapshot(batchAtoms(items))
 	locked := ps[:0]
 	for _, p := range ps {
 		p.shard.Lock()
@@ -155,23 +210,26 @@ func (q *QDB) snapshotOverlap(admitted *txn.T) *admitSnap {
 			p.shard.Unlock()
 			continue
 		}
-		if len(p.txns) == 0 || !overlaps(admitted, p) {
+		if len(p.txns) == 0 || !overlapsAny(items, p) {
 			p.shard.Unlock()
 			continue
 		}
 		locked = append(locked, p)
 	}
-	snap := buildSnap(locked, admitted)
+	snap := buildSnapBatch(locked, items)
 	unlockPartitions(locked)
 	snap.partVersion, snap.admitSeq = partVersion, admitSeq
 	return snap
 }
 
-// buildSnap freezes an overlap set the caller has locked (live
-// partitions in the serial path, a moment-in-time set in the optimistic
-// one) and assembles the would-be chain. Counters are the caller's
-// concern: the serial path never validates, so it leaves them zero.
-func buildSnap(ps []*partition, admitted *txn.T) *admitSnap {
+// buildSnapBatch freezes an overlap set the caller has locked (live
+// partitions in a serial cycle, a moment-in-time set in an optimistic
+// one) and assembles base and merged. A concurrent admission can install
+// an ID above the batch's between our ID assignment and this snapshot,
+// so merged is sorted rather than assumed append-ordered. Counters are
+// the caller's concern: a serial cycle never validates, so it leaves
+// them zero.
+func buildSnapBatch(ps []*partition, items []batchItem) *admitSnap {
 	snap := &admitSnap{}
 	n := 0
 	for _, p := range ps {
@@ -181,236 +239,154 @@ func buildSnap(ps []*partition, admitted *txn.T) *admitSnap {
 		})
 		n += len(p.txns)
 	}
-	snap.merged = make([]*txn.T, 0, n+1)
+	snap.base = make([]*txn.T, 0, n)
 	for _, s := range snap.parts {
-		snap.merged = append(snap.merged, s.txns...)
+		snap.base = append(snap.base, s.txns...)
 	}
-	snap.merged = append(snap.merged, admitted)
+	sort.Slice(snap.base, func(i, j int) bool { return snap.base[i].ID < snap.base[j].ID })
+	snap.merged = make([]*txn.T, 0, n+len(items))
+	snap.merged = append(snap.merged, snap.base...)
+	for _, it := range items {
+		snap.merged = append(snap.merged, it.admitted)
+	}
 	sort.Slice(snap.merged, func(i, j int) bool { return snap.merged[i].ID < snap.merged[j].ID })
 	return snap
 }
 
-// decide is THE admission decision procedure, shared verbatim by the
-// serial and optimistic paths so their accept/reject semantics cannot
-// drift: negative-cache probe, cached-solution extension, full
-// composed-body solve, in that order, over the snapshot chain. It runs
-// under the store's read gate — no store writer may queue mid-solve (the
-// evaluator re-enters relstore read locks; see trySolveAndApply), and
-// the gate freezes the epochs, so the fingerprints recorded in out
-// describe precisely the store state the solve saw. It takes no shard
-// and no admission lock itself; the serial caller holds both, the
-// optimistic caller validates afterwards.
-func (q *QDB) decide(snap *admitSnap, admitted *txn.T, out *specOutcome) error {
-	q.storeMu.RLock()
-	defer q.storeMu.RUnlock()
-	out.writeSeq = q.writeSeq.Load()
-	out.trustGen = q.trustGen
-	views := stripAll(snap.merged)
-	if !q.opt.DisableCache {
-		// Negative probe: the same composed-body question (up to variable
-		// renaming — ContentKey normalizes the fresh rename-apart) proven
-		// unsatisfiable against these relations at these epochs rejects
-		// by cache probe, skipping both solve paths.
-		out.negKey = solveKey(views, false, 1, 0)
-		out.negFP = q.epochFingerprint(views)
-		// Without optional atoms the stripped views ARE the raw
-		// transactions (memoized identity) and negFP already covers
-		// every relevant relation.
-		out.fp = out.negFP
-		for i := range snap.merged {
-			if views[i] != snap.merged[i] {
-				out.fp = q.epochFingerprint(snap.merged)
-				break
-			}
-		}
-		if q.rejects.hit(out.negKey, out.negFP) {
-			out.fromNeg = true
-			return nil
-		}
-	} else {
-		out.fp = q.epochFingerprint(snap.merged)
-	}
-	if !q.opt.DisableCache && snap.allCached() && q.snapFresh(snap) &&
-		maxSnapID(snap) < admitted.ID {
-		// Fast path: extend the combined cached solution with a grounding
-		// for just the new transaction. Freshness is mandatory: extending
-		// a stale cached solution and re-stamping it at current epochs
-		// would launder a grounding the store no longer supports past the
-		// replay check. The ID guard keeps the extension aligned with the
-		// chain order: IDs are assigned before any admission lock, so an
-		// admission with a later ID can install first, and a solution
-		// extended at the END of the chain is only valid for a
-		// transaction that also sorts last.
-		combined := snap.combinedGroundings()
-		ov := relstore.NewOverlay(q.db)
-		if applyGroundings(ov, combined) == nil {
-			sol, ok, err := formula.SolveChain(ov, []*txn.T{strip(admitted)}, q.chainOpts(false))
-			if err != nil {
-				return err
-			}
-			if ok {
-				q.stats.cacheHits.Add(1)
-				out.ok = true
-				out.cached = append(combined, sol.Groundings[0])
-				return nil
-			}
-		}
-	}
-	// Slow path: full composed-body satisfiability check.
-	q.stats.cacheMisses.Add(1)
-	sol, ok, err := formula.SolveChain(q.db, views, q.chainOpts(false))
-	if err != nil {
-		return err
-	}
-	if ok {
-		out.ok = true
-		out.cached = sol.Groundings
-	}
-	return nil
-}
-
-// speculate runs decide over the snapshot on the scheduler pool (one
-// worker slot — concurrent speculations across clients are bounded
-// exactly like grounding tasks). It takes NO shard and holds NO
-// admission lock: conflicting state changes are caught by tryInstall,
-// never raced.
-func (q *QDB) speculate(snap *admitSnap, admitted *txn.T) (*specOutcome, error) {
-	out := &specOutcome{}
-	err := q.pool.Run(func() error {
-		q.stats.parallelSolves.Add(1)
-		return q.decide(snap, admitted, out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// tryInstall revalidates the snapshot under the admission lock and, when
-// it holds, publishes the speculation's outcome. done=false means the
-// snapshot went stale (a conflict) and nothing was published.
-func (q *QDB) tryInstall(orig, admitted *txn.T, snap *admitSnap, spec *specOutcome, sp *telemetry.Span) (id int64, done bool, err error) {
-	q.admitMu.Lock()
-	locked, ok := q.revalidate(snap, admitted)
-	if !ok {
-		q.admitMu.Unlock()
-		sp.Stage(stageSubmitValidate)
-		return 0, false, nil
-	}
-	// Store check, under the read gate so the epochs are frozen. The
-	// fingerprint recomputation doubles as the install stamp: it
-	// describes exactly the store state the solution is valid over —
-	// either bit-identical to the solve's (fingerprint equality) or moved
-	// past it only by groundings of non-overlapping partitions, which
-	// cannot unify with any of merged's atoms and so preserve the
-	// solution (and the rejection proof) verbatim.
-	q.storeMu.RLock()
-	fpNow := q.epochFingerprint(snap.merged)
-	storeOK := fpNow == spec.fp ||
-		(q.storeTrusted() && q.trustGen == spec.trustGen &&
-			q.writeSeq.Load() == spec.writeSeq &&
-			q.admitSeq.Load() == snap.admitSeq)
-	q.storeMu.RUnlock()
-	if !storeOK {
-		unlockPartitions(locked)
-		q.admitMu.Unlock()
-		sp.Stage(stageSubmitValidate)
-		return 0, false, nil
-	}
-	q.stats.optimisticAdmissions.Add(1)
-	sp.Stage(stageSubmitValidate)
-
-	if !spec.ok {
-		// Validated rejection: user-visible, so it needed the same
-		// validation as an accept — the question was proven unsatisfiable
-		// against the still-current partition chain and store.
-		return 0, true, q.rejectLocked(orig, admitted, locked, spec)
-	}
-	id, err = q.acceptLocked(admitted, locked, snap.merged, spec.cached, fpNow, sp)
-	return id, true, err
-}
-
-// rejectLocked publishes a decided rejection: record the
-// unsatisfiability proof, count the outcome, release the overlap set AND
-// the admission lock (both callers hold them), and build the error.
-func (q *QDB) rejectLocked(orig, admitted *txn.T, locked []*partition, out *specOutcome) error {
-	if !q.opt.DisableCache && !out.fromNeg {
-		q.rejects.add(out.negKey, out.negFP)
-	}
-	if out.fromNeg {
-		q.stats.negHits.Add(1)
-	}
-	unlockPartitions(locked)
-	q.admitMu.Unlock()
-	q.stats.rejected.Add(1)
-	q.prep.Evict(admitted)
-	return fmt.Errorf("%w: txn %q", ErrRejected, orig.String())
-}
-
-// acceptLocked publishes a decided accept: log the pending record
-// write-ahead (durable BEFORE the admission becomes visible — §4's
-// pending-transactions table discipline, so a log failure rejects
-// cleanly instead of leaving an admitted-but-unlogged transaction), then
-// merge the overlap set, install the chain and solution, release the
-// admission lock (the caller holds it), and run the k-bound eviction
-// with only the surviving partition locked.
-func (q *QDB) acceptLocked(admitted *txn.T, locked []*partition, merged []*txn.T, cached []formula.Grounding, stamp uint64, sp *telemetry.Span) (int64, error) {
-	var affinity int64
-	if len(locked) > 0 {
-		affinity = locked[0].id()
-	}
-	walStart := time.Now()
-	err := q.logPending(affinity, admitted)
-	sp.Add(stageSubmitWAL, time.Since(walStart))
-	if err != nil {
-		unlockPartitions(locked)
-		q.admitMu.Unlock()
-		q.prep.Evict(admitted)
-		return 0, err
-	}
-	p := q.mergeLocked(locked)
-	q.installLocked(p, admitted, merged, cached, stamp)
-	q.admitMu.Unlock()
-	return admitted.ID, q.enforceK(p)
-}
-
-// revalidate re-locks the partitions overlapping admitted under admitMu
-// and reports whether they are exactly the snapshot's, at the snapshot's
-// versions. Fast path: admitMu excludes installs, so if no install (or
-// create/merge/retire) has happened since the snapshot — partVersion
-// unchanged — no partition can have gained atoms, and locking the
-// snapshot set and checking versions suffices. Otherwise the overlap set
-// is resolved from scratch and compared. On success the returned
-// partitions are locked (ascending ID); on failure everything is
-// released.
-func (q *QDB) revalidate(snap *admitSnap, admitted *txn.T) ([]*partition, bool) {
+// revalidateBatch re-checks an optimistic snapshot under admitMu (the
+// caller holds it). First the partitions: fast path, admitMu excludes
+// installs, so if no install (or create/merge/retire) has happened since
+// the snapshot — partVersion unchanged — no partition can have gained
+// atoms, and locking the snapshot set and checking versions suffices;
+// otherwise the overlap set is resolved from scratch and compared. Then
+// the store, under the read gate so the epochs are frozen. On success
+// the overlap set is returned locked (ascending ID) with the install
+// stamp; on failure everything is released.
+func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutcome) ([]*partition, uint64, bool) {
+	var locked []*partition
 	if q.partVersion.Load() == snap.partVersion {
-		locked := make([]*partition, 0, len(snap.parts))
+		locked = make([]*partition, 0, len(snap.parts))
 		for _, s := range snap.parts {
 			s.p.shard.Lock()
 			locked = append(locked, s.p)
 			if !s.p.shard.Alive() || s.p.version != s.version {
 				unlockPartitions(locked)
-				return nil, false
+				return nil, 0, false
 			}
 		}
-		return locked, true
-	}
-	locked := q.lockOverlapping(admitted)
-	if len(locked) == len(snap.parts) {
-		ok := true
-		for i, s := range snap.parts {
-			if locked[i] != s.p || s.p.version != s.version {
-				ok = false
-				break
+	} else {
+		cands := q.lockOverlappingAtoms(batchAtoms(items))
+		locked = cands[:0]
+		for _, p := range cands {
+			if overlapsAny(items, p) {
+				locked = append(locked, p)
+			} else {
+				p.shard.Unlock()
 			}
 		}
-		if ok {
-			return locked, true
+		same := len(locked) == len(snap.parts)
+		for i := 0; same && i < len(locked); i++ {
+			same = locked[i] == snap.parts[i].p && locked[i].version == snap.parts[i].version
+		}
+		if !same {
+			unlockPartitions(locked)
+			return nil, 0, false
 		}
 	}
-	unlockPartitions(locked)
-	return nil, false
+	// The store: either bit-identical to the solve's over every relation
+	// of merged (every decision's basis is a subset), or moved past it
+	// only by groundings of non-overlapping partitions, which cannot
+	// unify with any of merged's atoms and so preserve every solution and
+	// rejection proof verbatim. The stamp describes exactly the store
+	// state the final chain's solution is valid over — when every member
+	// was accepted that chain IS merged, and fpNow already is it.
+	q.storeMu.RLock()
+	fpNow := q.epochFingerprint(snap.merged)
+	ok := fpNow == out.fpAll ||
+		(q.storeTrusted() && q.trustGen == out.trustGen &&
+			q.writeSeq.Load() == out.writeSeq &&
+			q.admitSeq.Load() == snap.admitSeq)
+	stamp := fpNow
+	if ok && len(out.finalChain) != len(snap.merged) {
+		stamp = q.epochFingerprint(out.finalChain)
+	}
+	q.storeMu.RUnlock()
+	if !ok {
+		unlockPartitions(locked)
+		return nil, 0, false
+	}
+	return locked, stamp, true
+}
+
+// publish makes a decided cycle visible, in one critical section:
+// record each rejection's unsatisfiability proof, then log every
+// accepted pending record as ONE WAL batch write-ahead (durable BEFORE
+// any admission becomes visible — §4's pending-transactions table
+// discipline, so a log failure rejects cleanly instead of leaving an
+// admitted-but-unlogged transaction), merge the overlap set, and install
+// each accept into the survivor. It releases the overlap set and
+// admitMu (the caller holds both), then runs the k-bound eviction with
+// only the surviving partition locked.
+func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome, stamp uint64, sp *telemetry.Span, ids []int64, errs []error) {
+	for i, it := range items {
+		d := out.decisions[i]
+		if d.ok {
+			continue
+		}
+		if !q.opt.DisableCache && !d.fromNeg {
+			q.rejects.add(d.negKey, d.negFP)
+		}
+		if d.fromNeg {
+			q.stats.negHits.Add(1)
+		}
+		q.stats.rejected.Add(1)
+		q.prep.Evict(it.admitted)
+		errs[it.idx] = fmt.Errorf("%w: txn %q", ErrRejected, it.orig.String())
+	}
+	if out.accepts == 0 {
+		unlockPartitions(locked)
+		q.admitMu.Unlock()
+		return
+	}
+	var affinity int64
+	if len(locked) > 0 {
+		affinity = locked[0].id()
+	}
+	accepted := make([]*txn.T, 0, out.accepts)
+	for i, it := range items {
+		if out.decisions[i].ok {
+			accepted = append(accepted, it.admitted)
+		}
+	}
+	walStart := time.Now()
+	werr := q.logPendingBatch(affinity, accepted)
+	sp.Add(stageSubmitWAL, time.Since(walStart))
+	if werr != nil {
+		unlockPartitions(locked)
+		q.admitMu.Unlock()
+		for i, it := range items {
+			if out.decisions[i].ok {
+				q.prep.Evict(it.admitted)
+				errs[it.idx] = werr
+			}
+		}
+		return
+	}
+	p := q.mergeLocked(locked)
+	for i, it := range items {
+		if out.decisions[i].ok {
+			q.installLocked(p, it.admitted, out.finalChain, out.finalCached, stamp)
+			ids[it.idx] = it.admitted.ID
+		}
+	}
+	q.admitMu.Unlock()
+	if kerr := q.enforceK(p); kerr != nil {
+		for i, it := range items {
+			if out.decisions[i].ok {
+				errs[it.idx] = kerr
+			}
+		}
+	}
 }
 
 // allCached reports whether every snapshot partition carries a cached
@@ -452,16 +428,4 @@ func (q *QDB) snapFresh(snap *admitSnap) bool {
 		}
 	}
 	return true
-}
-
-// maxSnapID returns the largest pending transaction ID in the snapshot,
-// or 0.
-func maxSnapID(snap *admitSnap) int64 {
-	var max int64
-	for _, ps := range snap.parts {
-		if n := len(ps.txns); n > 0 && ps.txns[n-1].ID > max {
-			max = ps.txns[n-1].ID // txns ascend by ID
-		}
-	}
-	return max
 }

@@ -1,68 +1,56 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"time"
-
 	"repro/internal/formula"
 	"repro/internal/logic"
 	"repro/internal/relstore"
-	"repro/internal/telemetry"
 	"repro/internal/txn"
 )
 
-// This file implements BATCHED optimistic admission: SubmitBatch runs
-// ONE snapshot/speculate/validate cycle for a whole batch of
-// transactions from one client, instead of one cycle per transaction.
-// The per-transaction decision procedure is decide's, verbatim —
-// negative probe, solution extension, full composed-body solve — played
-// over a chain that grows as earlier batch members are accepted, so a
-// batch of n decides exactly as n sequential Submits would against the
-// same store. What is amortized is everything around the decisions: one
+// This file holds the admission entry points' shared front half and THE
+// decision procedure. Submit is a batch of one: both entry points
+// validate, ID-stamp and rename apart through submit, then run the one
+// admission routine (admit.go). decideBatch plays the decision —
+// negative probe, solution extension, full composed-body solve — over a
+// chain that grows as earlier members are accepted, so a batch of n
+// decides exactly as n sequential Submits would against the same store.
+// What a batch amortizes is everything around the decisions: one
 // overlap snapshot over the union of the batch's atoms, one scheduler
 // slot, one store read-gate acquisition for all n solves, one
-// admission-lock critical section, one partition merge + install, and
-// ONE WAL batch carrying all n pending records (a single group-commit
-// fsync instead of n).
+// admission-lock critical section, one partition merge, and ONE WAL
+// batch carrying all n pending records (a single group-commit fsync
+// instead of n).
 //
-// Validation is coarser than the serial path's and therefore sound: the
-// fingerprint taken at solve time covers the UNION of the batch's
+// Validation is coarser than per-member validation and therefore sound:
+// the fingerprint taken at solve time covers the UNION of the batch's
 // relations (every per-decision basis is a subset), so its equality at
 // install time revalidates every decision at once — at worst it
-// conflicts spuriously, never falsely validates. Conflicts retry the
-// whole batch; after maxAdmitAttempts the batch degrades to per-item
-// serial admissions, which cannot conflict.
+// conflicts spuriously, never falsely validates.
 
-// batchItem pairs one batch member's caller-visible form with its
-// admitted (ID-stamped, renamed-apart) form and its index in the
-// caller's slices.
+// batchItem pairs one member's caller-visible form with its admitted
+// (ID-stamped, renamed-apart) form and its index in the caller's slices.
 type batchItem struct {
 	idx      int
 	orig     *txn.T
 	admitted *txn.T
 }
 
-// batchSnap extends admitSnap with the snapshot chain WITHOUT the batch:
-// decideBatch grows the chain incrementally from base as members are
-// accepted, while merged (base + the whole batch) remains the
-// validation basis.
-type batchSnap struct {
-	admitSnap
-	base []*txn.T
-}
-
-// batchDecision is one batch member's admission decision, pending
-// validation.
+// batchDecision is one member's admission decision, pending validation.
 type batchDecision struct {
 	ok            bool
-	fromNeg       bool
+	fromNeg       bool // unsatisfiability answered by negative-cache probe
 	negKey, negFP uint64
 }
 
-// batchOutcome is what one speculative batch solve learned.
+// batchOutcome is what one cycle's decisions learned.
 type batchOutcome struct {
+	// writeSeq is the accepted-blind-write count at solve time, read
+	// under the same read gate as the solve's store view.
 	writeSeq uint64
+	// trustGen is the checkpoint re-arm generation at solve time. The
+	// trusted-store validation arm requires it unchanged: a re-arm during
+	// the speculation means an out-of-band write (which never bumps
+	// writeSeq) may hide behind a restored storeTrusted.
 	trustGen uint64
 	// fpAll fingerprints the relations of the full would-be chain
 	// (snap.merged) at solve time. Every per-member decision's relation
@@ -88,96 +76,61 @@ type batchOutcome struct {
 func (q *QDB) SubmitBatch(ts []*txn.T) ([]int64, []error) {
 	ids := make([]int64, len(ts))
 	errs := make([]error, len(ts))
-	if len(ts) == 0 {
-		return ids, errs
-	}
-	if err := q.checkWritable(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return ids, errs
-	}
+	q.submit(ts, ids, errs, true)
+	return ids, errs
+}
+
+// submit is both entry points' front half: validate each transaction,
+// assign its ID and rename it apart, then admit the valid ones. IDs are
+// assigned up front, in slice order under one registry lock, before any
+// admission lock: concurrent optimistic admissions each need their
+// rename-apart variable suffix (and their identity in solver groundings)
+// while solving in parallel. A rejected or errored admission burns its
+// ID — gaps are fine, recovery resumes from max+1. Results land in ids
+// and errs, aligned with ts; batched marks SubmitBatch's members for
+// Stats.BatchedSubmits.
+func (q *QDB) submit(ts []*txn.T, ids []int64, errs []error, batched bool) {
 	items := make([]batchItem, 0, len(ts))
 	for i, t := range ts {
 		if err := t.Validate(); err != nil {
 			errs[i] = err
 			continue
 		}
-		q.stats.submitted.Add(1)
 		items = append(items, batchItem{idx: i, orig: t})
 	}
 	if len(items) == 0 {
-		return ids, errs
+		return
 	}
-	q.stats.batchedSubmits.Add(int64(len(items)))
-	// IDs up front, in slice order under one registry lock — contiguous
-	// for the common uncontended case, and every member gets its
-	// rename-apart suffix before any admission lock, like Submit.
+	if err := q.checkWritable(); err != nil {
+		for _, it := range items {
+			errs[it.idx] = err
+		}
+		return
+	}
+	q.stats.submitted.Add(int64(len(items)))
+	if batched {
+		q.stats.batchedSubmits.Add(int64(len(items)))
+	}
 	q.mu.Lock()
 	for i := range items {
-		id := q.nextID
-		q.nextID++
 		t := items[i].orig
-		admitted := &txn.T{ID: id, Tag: t.Tag, PartnerTag: t.PartnerTag, Body: t.Body, Update: t.Update}
+		admitted := &txn.T{ID: q.nextID, Tag: t.Tag, PartnerTag: t.PartnerTag, Body: t.Body, Update: t.Update}
+		q.nextID++
 		items[i].admitted = admitted.RenamedApart()
 	}
 	q.mu.Unlock()
 
 	sp := q.met.submit.Start()
 	defer sp.End()
-	if len(items) == 1 {
-		it := items[0]
-		if q.optimisticEnabled() {
-			ids[it.idx], errs[it.idx] = q.submitOptimistic(it.orig, it.admitted, &sp)
-		} else {
-			ids[it.idx], errs[it.idx] = q.submitSerial(it.orig, it.admitted, &sp)
-		}
-		return ids, errs
-	}
-	if !q.optimisticEnabled() {
-		q.submitItemsSerial(items, ids, errs, &sp)
-		return ids, errs
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt == maxAdmitAttempts {
-			q.stats.serialFallbacks.Add(1)
-			q.submitItemsSerial(items, ids, errs, &sp)
-			return ids, errs
-		}
-		sp.Mark()
-		snap := q.snapshotOverlapBatch(items)
-		sp.Stage(stageSubmitSnapshot)
-		out, err := q.speculateBatch(snap, items)
-		sp.Stage(stageSubmitSolve)
-		if err != nil {
-			for _, it := range items {
-				q.prep.Evict(it.admitted)
-				errs[it.idx] = err
-			}
-			return ids, errs
-		}
-		if q.tryInstallBatch(items, snap, out, &sp, ids, errs) {
-			return ids, errs
-		}
-		q.stats.admissionConflicts.Add(1)
-		if attempt+1 < maxAdmitAttempts {
-			q.stats.admissionRetries.Add(1)
-		}
-	}
-}
-
-// submitItemsSerial admits each member under the classic serial
-// discipline, in order — the batch's conflict-free fallback and its
-// SerialAdmission/DisablePartitioning form.
-func (q *QDB) submitItemsSerial(items []batchItem, ids []int64, errs []error, sp *telemetry.Span) {
-	for _, it := range items {
-		ids[it.idx], errs[it.idx] = q.submitSerial(it.orig, it.admitted, sp)
-	}
+	q.admit(items, ids, errs, &sp)
 }
 
 // batchAtoms collects the union of every member's atoms: the batch's
 // overlap-resolution key.
 func batchAtoms(items []batchItem) []logic.Atom {
+	if len(items) == 1 {
+		return atomsOf(items[0].admitted)
+	}
 	var out []logic.Atom
 	for _, it := range items {
 		out = append(out, atomsOf(it.admitted)...)
@@ -196,64 +149,6 @@ func overlapsAny(items []batchItem, p *partition) bool {
 	return false
 }
 
-// snapshotOverlapBatch is snapshotOverlap over the union of the batch's
-// atoms: merging every member's overlap set into one snapshot is the
-// batch's tentative partition merge — coarser than n individual merges
-// would be only when members are mutually disjoint, and a coarser
-// partitioning is always correct (it can only force more serialization,
-// never miss a dependency).
-func (q *QDB) snapshotOverlapBatch(items []batchItem) *batchSnap {
-	partVersion := q.partVersion.Load()
-	admitSeq := q.admitSeq.Load()
-	ps := q.candidateSnapshot(batchAtoms(items))
-	locked := ps[:0]
-	for _, p := range ps {
-		p.shard.Lock()
-		if !p.shard.Alive() {
-			p.shard.Unlock()
-			continue
-		}
-		if len(p.txns) == 0 || !overlapsAny(items, p) {
-			p.shard.Unlock()
-			continue
-		}
-		locked = append(locked, p)
-	}
-	snap := buildSnapBatch(locked, items)
-	unlockPartitions(locked)
-	snap.partVersion, snap.admitSeq = partVersion, admitSeq
-	return snap
-}
-
-// buildSnapBatch freezes the locked overlap set and assembles base (the
-// snapshot chain alone) and merged (base plus the whole batch), both
-// ascending by ID. A concurrent admission can install an ID above the
-// batch's between our ID assignment and this snapshot, so merged is
-// sorted rather than assumed append-ordered.
-func buildSnapBatch(ps []*partition, items []batchItem) *batchSnap {
-	snap := &batchSnap{}
-	n := 0
-	for _, p := range ps {
-		snap.parts = append(snap.parts, partSnap{
-			p: p, version: p.version,
-			txns: p.txns, cached: p.cached, cachedEpoch: p.cachedEpoch,
-		})
-		n += len(p.txns)
-	}
-	snap.base = make([]*txn.T, 0, n)
-	for _, s := range snap.parts {
-		snap.base = append(snap.base, s.txns...)
-	}
-	sort.Slice(snap.base, func(i, j int) bool { return snap.base[i].ID < snap.base[j].ID })
-	snap.merged = make([]*txn.T, 0, n+len(items))
-	snap.merged = append(snap.merged, snap.base...)
-	for _, it := range items {
-		snap.merged = append(snap.merged, it.admitted)
-	}
-	sort.Slice(snap.merged, func(i, j int) bool { return snap.merged[i].ID < snap.merged[j].ID })
-	return snap
-}
-
 // insertByID writes chain plus t into dst (reset by the caller),
 // ascending by ID, and returns it.
 func insertByID(dst, chain []*txn.T, t *txn.T) []*txn.T {
@@ -266,13 +161,20 @@ func insertByID(dst, chain []*txn.T, t *txn.T) []*txn.T {
 	return append(dst, chain[i:]...)
 }
 
-// decideBatch plays decide's procedure over each member in ID order,
-// growing the chain with each accept, under ONE store read-gate
-// acquisition. A member decided after an accepted predecessor sees that
-// predecessor in its chain — byte-for-byte the question sequential
-// Submits would have asked — and a rejected member leaves the chain
-// untouched, so later members decide as if it never arrived.
-func (q *QDB) decideBatch(snap *batchSnap, items []batchItem, out *batchOutcome) error {
+// decideBatch is THE admission decision procedure: per member in ID
+// order, a negative-cache probe, then the cached-solution extension,
+// then the full composed-body solve, over a chain grown by each accept,
+// under ONE store read-gate acquisition. A member decided after an
+// accepted predecessor sees that predecessor in its chain — byte for
+// byte the question sequential Submits would have asked — and a
+// rejected member leaves the chain untouched, so later members decide
+// as if it never arrived. The read gate keeps store writers from queuing
+// mid-solve (the evaluator re-enters relstore read locks; see
+// trySolveAndApply) and freezes the epochs, so the fingerprints recorded
+// in out describe precisely the store state the decisions saw. It takes
+// no shard and no admission lock itself: a serial caller holds both, an
+// optimistic one validates afterwards.
+func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome) error {
 	q.storeMu.RLock()
 	defer q.storeMu.RUnlock()
 	out.writeSeq = q.writeSeq.Load()
@@ -281,10 +183,13 @@ func (q *QDB) decideBatch(snap *batchSnap, items []batchItem, out *batchOutcome)
 	out.decisions = make([]batchDecision, len(items))
 
 	chain := append(make([]*txn.T, 0, len(snap.merged)), snap.base...)
+	// cached is the chain's solution when known is set (an empty chain's
+	// is nil). The snapshot's combined solution is fetched when a member
+	// first gets past the negative probe (freshness costs a fingerprint
+	// per partition, which a probe-answered rejection never pays); after
+	// that each accept keeps it aligned with chain.
 	var cached []formula.Grounding
-	if !q.opt.DisableCache && snap.allCached() && q.snapFresh(&snap.admitSnap) {
-		cached = snap.combinedGroundings()
-	}
+	known, seeded := false, q.opt.DisableCache || !snap.allCached()
 	scratch := make([]*txn.T, 0, len(snap.merged))
 	for i, it := range items {
 		t := it.admitted
@@ -292,6 +197,11 @@ func (q *QDB) decideBatch(snap *batchSnap, items []batchItem, out *batchOutcome)
 		scratch = insertByID(scratch[:0], chain, t)
 		views := stripAll(scratch)
 		if !q.opt.DisableCache {
+			// Negative probe: the same composed-body question (up to
+			// variable renaming — ContentKey normalizes the fresh
+			// rename-apart) proven unsatisfiable against these relations
+			// at these epochs rejects by cache probe, skipping both solve
+			// paths.
 			d.negKey = solveKey(views, false, 1, 0)
 			d.negFP = q.epochFingerprint(views)
 			if q.rejects.hit(d.negKey, d.negFP) {
@@ -299,10 +209,23 @@ func (q *QDB) decideBatch(snap *batchSnap, items []batchItem, out *batchOutcome)
 				continue
 			}
 		}
-		if cached != nil && (len(chain) == 0 || chain[len(chain)-1].ID < t.ID) {
-			// Extension fast path, same ID guard as decide's: a solution
-			// extended at the END of the chain is only valid for a member
-			// that also sorts last.
+		if !seeded {
+			// Freshness is mandatory: extending a stale cached solution
+			// and re-stamping it at current epochs would launder a
+			// grounding the store no longer supports past the replay
+			// check.
+			seeded = true
+			if known = q.snapFresh(snap); known {
+				cached = snap.combinedGroundings()
+			}
+		}
+		if known && (len(chain) == 0 || chain[len(chain)-1].ID < t.ID) {
+			// Extension fast path: ground just this member over the
+			// chain's solution. The ID guard keeps the extension aligned
+			// with the chain order: IDs are assigned before any admission
+			// lock, so an admission with a later ID can install first,
+			// and a solution extended at the END of the chain is only
+			// valid for a member that also sorts last.
 			ov := relstore.NewOverlay(q.db)
 			if applyGroundings(ov, cached) == nil {
 				sol, ok, err := formula.SolveChain(ov, []*txn.T{strip(t)}, q.chainOpts(false))
@@ -319,6 +242,7 @@ func (q *QDB) decideBatch(snap *batchSnap, items []batchItem, out *batchOutcome)
 				}
 			}
 		}
+		// Slow path: full composed-body satisfiability check.
 		q.stats.cacheMisses.Add(1)
 		sol, ok, err := formula.SolveChain(q.db, views, q.chainOpts(false))
 		if err != nil {
@@ -331,168 +255,11 @@ func (q *QDB) decideBatch(snap *batchSnap, items []batchItem, out *batchOutcome)
 			if !q.opt.DisableCache {
 				// The full chain solution re-seeds the extension path for
 				// the remaining members.
-				cached = sol.Groundings
+				cached, known = sol.Groundings, true
 			}
 		}
 	}
 	out.finalChain = chain
 	out.finalCached = cached
 	return nil
-}
-
-// speculateBatch runs decideBatch on the scheduler pool: a whole batch
-// costs one worker slot, like a single speculative admission.
-func (q *QDB) speculateBatch(snap *batchSnap, items []batchItem) (*batchOutcome, error) {
-	out := &batchOutcome{}
-	err := q.pool.Run(func() error {
-		q.stats.parallelSolves.Add(1)
-		return q.decideBatch(snap, items, out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// revalidateBatch is revalidate with the overlap set resolved from the
-// union of the batch's atoms.
-func (q *QDB) revalidateBatch(snap *batchSnap, items []batchItem) ([]*partition, bool) {
-	if q.partVersion.Load() == snap.partVersion {
-		locked := make([]*partition, 0, len(snap.parts))
-		for _, s := range snap.parts {
-			s.p.shard.Lock()
-			locked = append(locked, s.p)
-			if !s.p.shard.Alive() || s.p.version != s.version {
-				unlockPartitions(locked)
-				return nil, false
-			}
-		}
-		return locked, true
-	}
-	cands := q.lockOverlappingAtoms(batchAtoms(items))
-	locked := cands[:0]
-	for _, p := range cands {
-		if overlapsAny(items, p) {
-			locked = append(locked, p)
-		} else {
-			p.shard.Unlock()
-		}
-	}
-	if len(locked) == len(snap.parts) {
-		ok := true
-		for i, s := range snap.parts {
-			if locked[i] != s.p || s.p.version != s.version {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return locked, true
-		}
-	}
-	unlockPartitions(locked)
-	return nil, false
-}
-
-// tryInstallBatch revalidates the batch snapshot under the admission
-// lock and, when it holds, publishes EVERY member's outcome — validated
-// rejections and accepts alike — in one critical section: one WAL batch
-// for all accepted pending records, one partition merge, one install
-// per accept into the surviving partition. done=false means the
-// snapshot went stale and nothing was published.
-func (q *QDB) tryInstallBatch(items []batchItem, snap *batchSnap, out *batchOutcome, sp *telemetry.Span, ids []int64, errs []error) bool {
-	q.admitMu.Lock()
-	locked, ok := q.revalidateBatch(snap, items)
-	if !ok {
-		q.admitMu.Unlock()
-		sp.Stage(stageSubmitValidate)
-		return false
-	}
-	// Store check: same two arms as tryInstall, over the union
-	// fingerprint. The finalChain fingerprint doubles as the install
-	// stamp, taken under the same read gate so it describes exactly the
-	// store state the decisions validate against.
-	q.storeMu.RLock()
-	fpNow := q.epochFingerprint(snap.merged)
-	storeOK := fpNow == out.fpAll ||
-		(q.storeTrusted() && q.trustGen == out.trustGen &&
-			q.writeSeq.Load() == out.writeSeq &&
-			q.admitSeq.Load() == snap.admitSeq)
-	var stamp uint64
-	if storeOK {
-		stamp = q.epochFingerprint(out.finalChain)
-	}
-	q.storeMu.RUnlock()
-	if !storeOK {
-		unlockPartitions(locked)
-		q.admitMu.Unlock()
-		sp.Stage(stageSubmitValidate)
-		return false
-	}
-	q.stats.optimisticAdmissions.Add(int64(len(items)))
-	sp.Stage(stageSubmitValidate)
-
-	// Publish the validated rejections (rejectLocked's bookkeeping,
-	// inlined because it must not release the locks the accepts still
-	// need).
-	for i, it := range items {
-		d := out.decisions[i]
-		if d.ok {
-			continue
-		}
-		if !q.opt.DisableCache && !d.fromNeg {
-			q.rejects.add(d.negKey, d.negFP)
-		}
-		if d.fromNeg {
-			q.stats.negHits.Add(1)
-		}
-		q.stats.rejected.Add(1)
-		q.prep.Evict(it.admitted)
-		errs[it.idx] = fmt.Errorf("%w: txn %q", ErrRejected, it.orig.String())
-	}
-	if out.accepts == 0 {
-		unlockPartitions(locked)
-		q.admitMu.Unlock()
-		return true
-	}
-	var affinity int64
-	if len(locked) > 0 {
-		affinity = locked[0].id()
-	}
-	accepted := make([]*txn.T, 0, out.accepts)
-	for i, it := range items {
-		if out.decisions[i].ok {
-			accepted = append(accepted, it.admitted)
-		}
-	}
-	walStart := time.Now()
-	werr := q.logPendingBatch(affinity, accepted)
-	sp.Add(stageSubmitWAL, time.Since(walStart))
-	if werr != nil {
-		unlockPartitions(locked)
-		q.admitMu.Unlock()
-		for i, it := range items {
-			if out.decisions[i].ok {
-				q.prep.Evict(it.admitted)
-				errs[it.idx] = werr
-			}
-		}
-		return true
-	}
-	p := q.mergeLocked(locked)
-	for i, it := range items {
-		if out.decisions[i].ok {
-			q.installLocked(p, it.admitted, out.finalChain, out.finalCached, stamp)
-			ids[it.idx] = it.admitted.ID
-		}
-	}
-	q.admitMu.Unlock()
-	if kerr := q.enforceK(p); kerr != nil {
-		for i, it := range items {
-			if out.decisions[i].ok {
-				errs[it.idx] = kerr
-			}
-		}
-	}
-	return true
 }

@@ -122,7 +122,7 @@ func (q *QDB) checkpointCut() checkpointCut {
 // unchecked — and knownEpoch snaps forward: from here on the engine's
 // own cache maintenance is authoritative again, until the next
 // out-of-band write. The generation counter keeps decisions that
-// straddle the re-arm honest (see gapClean and specOutcome.trustGen).
+// straddle the re-arm honest (see gapClean and batchOutcome.trustGen).
 // Caller holds admitMu, every live partition's shard, and storeMu
 // exclusively — the full cut, so no solve, replay, or speculation is in
 // flight anywhere except optimistic speculations, which the generation

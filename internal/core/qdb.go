@@ -13,7 +13,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/relstore"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -98,7 +97,7 @@ type QDB struct {
 	knownEpoch uint64
 	// trustGen counts checkpoint re-arms of knownEpoch. Decisions that
 	// span a release of storeMu (the solve-to-apply gap's epochSnap, an
-	// optimistic admission's specOutcome) record it and require it
+	// optimistic admission's batchOutcome) record it and require it
 	// unchanged at validation: a re-arm inside the span would otherwise
 	// launder exactly the out-of-band write it absorbed (see gapClean).
 	// Guarded like knownEpoch.
@@ -339,81 +338,22 @@ func (q *QDB) isPending(id int64) bool {
 // extension, full composed-body solve on cache miss, durable logging to
 // the pending-transactions table, and k-bound enforcement.
 //
-// By default the admission is OPTIMISTIC (admit.go): the chain solve —
-// the expensive part — runs outside the admission lock against a
-// snapshot of the overlapping partitions, and a short critical section
-// validates the snapshot and installs the result, retrying on conflict
-// with a serial fallback. Submits touching disjoint partitions therefore
-// admit concurrently. Options.SerialAdmission (and DisablePartitioning)
-// selects the serial discipline, which holds the admission lock across
-// the whole solve. Either way, the k-bound eviction at the end runs with
-// only the target partition locked, so evictions of different partitions
-// proceed in parallel.
+// Submit is SubmitBatch of one: the same admission routine (admit.go)
+// decides and publishes it. By default the admission is OPTIMISTIC: the
+// chain solve — the expensive part — runs outside the admission lock
+// against a snapshot of the overlapping partitions, and a short critical
+// section validates the snapshot and installs the result, retrying on
+// conflict with a serial fallback. Submits touching disjoint partitions
+// therefore admit concurrently. Options.SerialAdmission (and
+// DisablePartitioning) selects the serial mode, which holds the
+// admission lock across the whole solve. Either way, the k-bound
+// eviction at the end runs with only the target partition locked, so
+// evictions of different partitions proceed in parallel.
 func (q *QDB) Submit(t *txn.T) (int64, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	if err := q.checkWritable(); err != nil {
-		return 0, err
-	}
-	q.stats.submitted.Add(1)
-	// The ID is assigned up front, before any admission lock: concurrent
-	// optimistic admissions each need their rename-apart variable suffix
-	// (and their identity in solver groundings) while solving in
-	// parallel. A rejected or errored admission burns its ID — gaps are
-	// fine, recovery resumes from max+1.
-	q.mu.Lock()
-	id := q.nextID
-	q.nextID++
-	q.mu.Unlock()
-	admitted := &txn.T{ID: id, Tag: t.Tag, PartnerTag: t.PartnerTag, Body: t.Body, Update: t.Update}
-	admitted = admitted.RenamedApart()
-
-	sp := q.met.submit.Start()
-	defer sp.End()
-	if q.optimisticEnabled() {
-		return q.submitOptimistic(t, admitted, &sp)
-	}
-	return q.submitSerial(t, admitted, &sp)
-}
-
-// optimisticEnabled reports whether Submit may speculate outside the
-// admission lock. With partitioning disabled every admission overlaps
-// the single global partition, so speculation could only ever conflict;
-// route it straight to the serial path.
-func (q *QDB) optimisticEnabled() bool {
-	return !q.opt.SerialAdmission && !q.opt.DisablePartitioning
-}
-
-// submitSerial admits under the classic discipline: the admission lock
-// is held from overlap resolution through install, so the solve sees a
-// partition set that cannot change underneath it. Used for the
-// SerialAdmission/DisablePartitioning ablations and as the bounded
-// fallback after repeated optimistic conflicts.
-func (q *QDB) submitSerial(t *txn.T, admitted *txn.T, sp *telemetry.Span) (int64, error) {
-	sp.Mark()
-	q.admitMu.Lock()
-	overlapping := q.lockOverlapping(admitted)
-	// Same decision procedure as the optimistic path (decide, admit.go),
-	// just over the LIVE partitions with the admission lock held across
-	// the whole solve: the set cannot change underneath it, so no
-	// validation is needed and the fingerprint the solve records doubles
-	// directly as the install stamp.
-	snap := buildSnap(overlapping, admitted)
-	sp.Stage(stageSubmitSnapshot)
-	out := &specOutcome{}
-	err := q.decide(snap, admitted, out)
-	sp.Stage(stageSubmitSolve)
-	if err != nil {
-		unlockPartitions(overlapping)
-		q.admitMu.Unlock()
-		q.prep.Evict(admitted)
-		return 0, err
-	}
-	if !out.ok {
-		return 0, q.rejectLocked(t, admitted, overlapping, out)
-	}
-	return q.acceptLocked(admitted, overlapping, snap.merged, out.cached, out.fp, sp)
+	var ids [1]int64
+	var errs [1]error
+	q.submit([]*txn.T{t}, ids[:], errs[:], false)
+	return ids[0], errs[0]
 }
 
 // installLocked publishes an accepted admission: the merged chain and

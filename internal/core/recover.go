@@ -78,33 +78,16 @@ func (e *batchEnc) addFacts(inserts, deletes []relstore.GroundFact) {
 	}
 }
 
-// logPending durably records an admitted transaction BEFORE it is
+// logPendingBatch durably records admitted transactions as ONE WAL
+// batch — one append, one group-commit fsync — BEFORE any of them is
 // installed: the §4 invariant wants the pending-transactions table ahead
 // of any visible effect. affinity routes the batch to the partition's
-// segment.
-func (q *QDB) logPending(affinity int64, t *txn.T) error {
-	if q.log == nil {
-		return nil
-	}
-	data, err := t.Marshal()
-	if err != nil {
-		return err
-	}
-	_, err = q.log.AppendBatch(affinity, []wal.Record{{Type: recPending, Payload: data}})
-	return q.noteStaleTerm(err)
-}
-
-// logPendingBatch durably records a whole batch of admitted
-// transactions as ONE WAL batch — one append, one group-commit fsync —
-// BEFORE any of them is installed. Recovery and follower replay iterate
-// every record of a batch, so a multi-record pending batch replays
-// exactly like the equivalent sequence of single appends.
+// segment. Recovery and follower replay iterate every record of a batch,
+// so a multi-record pending batch replays exactly like the equivalent
+// sequence of single appends.
 func (q *QDB) logPendingBatch(affinity int64, ts []*txn.T) error {
 	if q.log == nil {
 		return nil
-	}
-	if len(ts) == 1 {
-		return q.logPending(affinity, ts[0])
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)

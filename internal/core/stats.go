@@ -61,13 +61,14 @@ type Stats struct {
 	MaxComposedAtoms int
 	// PartitionMerges counts partition-merge events during admission.
 	PartitionMerges int
-	// OptimisticAdmissions counts Submit outcomes (accepted or rejected)
-	// decided by a speculative solve run outside the admission lock whose
-	// snapshot then validated. AdmissionConflicts counts snapshot
+	// OptimisticAdmissions counts admission outcomes (accepted or
+	// rejected, Submit and SubmitBatch members alike) decided by a
+	// speculative solve run outside the admission lock whose snapshot
+	// then validated. AdmissionConflicts counts snapshot
 	// validations that failed (the partition set or the relevant store
 	// epochs advanced past the snapshot); each conflict either re-runs the
 	// speculation (AdmissionRetries) or, once the per-call retry budget is
-	// exhausted, falls back to a fully-serial admission under the lock
+	// exhausted, falls back to serial admission under the lock
 	// (SerialFallbacks) — so AdmissionConflicts equals AdmissionRetries +
 	// SerialFallbacks.
 	OptimisticAdmissions int

@@ -20,8 +20,8 @@ import (
 // its Tracer in newEngineMetrics, in order.
 const (
 	// submit: snapshot the overlap set, speculative/serial chain solve,
-	// validate+install critical section; wal is the pending-record
-	// append, timed inside the install by acceptLocked.
+	// validate critical section (optimistic cycles only); wal is the
+	// pending-record append, timed inside the install by publish.
 	stageSubmitSnapshot = iota
 	stageSubmitSolve
 	stageSubmitValidate

@@ -131,7 +131,7 @@ func (m model) encode(t testing.TB) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	if err := db.EncodeSnapshot(&buf); err != nil {
+	if err := encodeLive(db, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -53,8 +54,9 @@ type DB struct {
 	epoch  uint64
 	// snapsLive counts snapshots taken and not yet released; mutators
 	// consult per-table pin counts (table.snapRefs) to decide whether a
-	// copy-on-write clone is needed. See mvcc.go.
-	snapsLive int
+	// copy-on-write clone is needed. Atomic like the pins: Snapshot holds
+	// mu shared and Release holds nothing. See mvcc.go.
+	snapsLive atomic.Int64
 	// stamps numbers table versions (version.stamp); guarded by mu held
 	// exclusively. cow counts what writers copied on behalf of other
 	// versions.

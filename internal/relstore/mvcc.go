@@ -3,6 +3,7 @@ package relstore
 import (
 	"bufio"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -43,62 +44,62 @@ type Snapshot struct {
 	db     *DB
 	tables map[string]*table
 	epoch  uint64
-	// released is guarded by db.mu, making Release idempotent even when
-	// called from multiple goroutines.
-	released bool
+	// released makes Release idempotent even when called from multiple
+	// goroutines.
+	released atomic.Bool
 }
 
 // Snapshot returns an O(1)-ish view of the current committed state: it
 // copies the catalog map and pins each table version with a reference
 // count, never copying rows. Relations created after the snapshot is
 // taken are not visible in it.
+//
+// It holds db.mu shared, not exclusively: the pins are atomic, and the
+// read side already excludes every writer, so no mutator can test a pin
+// count while it is being raised. Taking the write side would park any
+// reader that re-enters the read lock from inside a Scan callback (as a
+// chain solve does) behind the waiting Snapshot — a deadlock. Writers
+// are the only exclusive holders of db.mu.
 func (db *DB) Snapshot() *Snapshot {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	tabs := make(map[string]*table, len(db.tables))
 	for n, t := range db.tables {
-		t.snapRefs++
+		t.snapRefs.Add(1)
 		tabs[n] = t
 	}
-	db.snapsLive++
+	db.snapsLive.Add(1)
 	return &Snapshot{db: db, tables: tabs, epoch: db.epoch}
 }
 
 // SnapshotsLive reports how many snapshots are currently pinned (taken
 // and not yet released).
 func (db *DB) SnapshotsLive() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.snapsLive
+	return int(db.snapsLive.Load())
 }
 
-// Release unpins the snapshot's table versions. Idempotent; nil-safe.
-// The Snapshot remains readable afterwards, but writers stop paying the
-// copy-on-write cost for its versions.
+// Release unpins the snapshot's table versions. Idempotent; nil-safe;
+// takes no lock. The Snapshot remains readable afterwards, but writers
+// stop paying the copy-on-write cost for its versions. A writer racing a
+// Release may still see the pin and clone once more — harmless.
 func (s *Snapshot) Release() {
-	if s == nil {
+	if s == nil || !s.released.CompareAndSwap(false, true) {
 		return
 	}
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	if s.released {
-		return
-	}
-	s.released = true
 	for _, t := range s.tables {
-		t.snapRefs--
+		t.snapRefs.Add(-1)
 	}
-	s.db.snapsLive--
+	s.db.snapsLive.Add(-1)
 }
 
 // Epoch returns the store-wide epoch at the moment the snapshot was
 // taken. Two snapshots with equal epochs witness identical content.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Encode serializes the snapshot in EncodeSnapshot's format. Unlike
-// DB.EncodeSnapshot it takes no locks: the pinned versions are frozen,
-// so serialization can run concurrently with live mutations — this is
-// what makes fuzzy checkpoints possible.
+// Encode serializes the snapshot in the canonical snapshot format
+// (snapshot.go) that DecodeSnapshot reads. It takes no locks: the pinned
+// versions are frozen, so serialization can run concurrently with live
+// mutations — this is what makes fuzzy checkpoints possible.
 func (s *Snapshot) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapMagic); err != nil {
@@ -186,7 +187,7 @@ func (db *DB) mutable(rel string) (*table, bool) {
 	if !ok {
 		return nil, false
 	}
-	if t.snapRefs > 0 {
+	if t.snapRefs.Load() > 0 {
 		t = t.cowClone(db.newVersion())
 		db.tables[rel] = t
 	}

@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/value"
 )
@@ -137,18 +138,18 @@ func TestSnapshotCOWSharesUntouchedTables(t *testing.T) {
 	}
 }
 
-// TestSnapshotEncodeMatchesEncodeSnapshot checks the two serializers
-// produce identical bytes for the same state, and that a snapshot
-// encoded AFTER the live store moved on still writes its pinned state —
-// the property fuzzy checkpoints rely on.
-func TestSnapshotEncodeMatchesEncodeSnapshot(t *testing.T) {
+// TestSnapshotEncodeFrozenAfterWrite checks that a snapshot encoded
+// AFTER the live store moved on still writes its pinned state, byte for
+// byte what it encoded before the write — the property fuzzy
+// checkpoints rely on.
+func TestSnapshotEncodeFrozenAfterWrite(t *testing.T) {
 	db := flightsDB(t)
-	var live bytes.Buffer
-	if err := db.EncodeSnapshot(&live); err != nil {
-		t.Fatal(err)
-	}
 	snap := db.Snapshot()
 	defer snap.Release()
+	var before bytes.Buffer
+	if err := snap.Encode(&before); err != nil {
+		t.Fatal(err)
+	}
 
 	// Mutate after the pin: Encode must still serialize the pinned state.
 	if err := db.Insert("Available", tup(123, "9F")); err != nil {
@@ -158,8 +159,8 @@ func TestSnapshotEncodeMatchesEncodeSnapshot(t *testing.T) {
 	if err := snap.Encode(&pinned); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(live.Bytes(), pinned.Bytes()) {
-		t.Fatal("Snapshot.Encode differs from EncodeSnapshot of the same state")
+	if !bytes.Equal(before.Bytes(), pinned.Bytes()) {
+		t.Fatal("Snapshot.Encode changed after a write to the live store")
 	}
 	got, err := DecodeSnapshot(&pinned)
 	if err != nil {
@@ -189,5 +190,43 @@ func TestSnapshotMissingRelation(t *testing.T) {
 	snap.Scan("Late", func(value.Tuple) bool { t.Fatal("scan yielded"); return false })
 	if snap.IndexCount("Late", 0, value.NewInt(1)) != 0 {
 		t.Fatal("index count on post-pin relation")
+	}
+}
+
+// TestSnapshotDoesNotParkNestedReader is the store-lock deadlock's
+// regression test. A chain solve re-enters the read lock from inside a
+// Scan callback; when Snapshot took db.mu exclusively, a Snapshot
+// arriving mid-scan queued on the write side and parked that nested
+// reader behind it for good. Snapshot now pins under the read side, so
+// the nested reader gets straight in.
+func TestSnapshotDoesNotParkNestedReader(t *testing.T) {
+	db := flightsDB(t)
+	snapshotDone, nested := make(chan struct{}), make(chan struct{})
+	db.Scan("Available", func(value.Tuple) bool {
+		go func() {
+			db.Snapshot().Release()
+			close(snapshotDone)
+		}()
+		// A goroutine queued on the write lock shows nothing; give a
+		// parked Snapshot time to queue.
+		select {
+		case <-snapshotDone:
+		case <-time.After(50 * time.Millisecond):
+		}
+		go func() {
+			db.Len("Available")
+			close(nested)
+		}()
+		select {
+		case <-nested:
+		case <-time.After(200 * time.Millisecond):
+			t.Error("a nested reader inside Scan is parked behind a concurrent Snapshot")
+		}
+		return false // leaving the scan lets a parked Snapshot, then the reader, through
+	})
+	<-snapshotDone
+	<-nested
+	if n := db.SnapshotsLive(); n != 0 {
+		t.Fatalf("SnapshotsLive = %d after Release, want 0", n)
 	}
 }

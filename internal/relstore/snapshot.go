@@ -24,25 +24,8 @@ import (
 
 const snapMagic = "QDBSNAP1"
 
-// EncodeSnapshot writes the full database state to w. It holds the
-// database's read lock for the duration; to serialize without blocking
-// writers, take a Snapshot and use its Encode (same format).
-func (db *DB) EncodeSnapshot(w io.Writer) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapMagic); err != nil {
-		return err
-	}
-	if err := encodeTables(bw, db.tables); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// encodeTables writes the table-catalog section of the snapshot format;
-// shared by DB.EncodeSnapshot (under lock) and Snapshot.Encode
-// (lock-free over pinned versions).
+// encodeTables writes the table-catalog section of the snapshot format
+// for Snapshot.Encode (lock-free over pinned versions).
 //
 // The encoding is CANONICAL: tables are emitted in name order and rows
 // in primary-key order, regardless of the insertion/deletion history
@@ -107,7 +90,7 @@ func encodeTables(bw *bufio.Writer, tables map[string]*table) error {
 	return nil
 }
 
-// DecodeSnapshot reads a database written by EncodeSnapshot.
+// DecodeSnapshot reads a database written by Snapshot.Encode.
 func DecodeSnapshot(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapMagic))

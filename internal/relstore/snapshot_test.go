@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +10,14 @@ import (
 
 	"repro/internal/value"
 )
+
+// encodeLive serializes db's current state through a short-lived
+// snapshot.
+func encodeLive(db *DB, w io.Writer) error {
+	s := db.Snapshot()
+	defer s.Release()
+	return s.Encode(w)
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := flightsDB(t)
@@ -19,7 +28,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	db.MustInsert("Comp", tup(1, "x", "y"))
 
 	var buf bytes.Buffer
-	if err := db.EncodeSnapshot(&buf); err != nil {
+	if err := encodeLive(db, &buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeSnapshot(&buf)
@@ -46,7 +55,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotEmptyDB(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewDB().EncodeSnapshot(&buf); err != nil {
+	if err := encodeLive(NewDB(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeSnapshot(&buf)
@@ -72,7 +81,7 @@ func TestSnapshotBadInput(t *testing.T) {
 	// Corrupted tail: valid snapshot with flipped row byte.
 	db := flightsDB(t)
 	var buf bytes.Buffer
-	if err := db.EncodeSnapshot(&buf); err != nil {
+	if err := encodeLive(db, &buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -104,7 +113,7 @@ func TestQuickSnapshotRandomRows(t *testing.T) {
 			db.MustInsert("S", tup(s))
 		}
 		var buf bytes.Buffer
-		if err := db.EncodeSnapshot(&buf); err != nil {
+		if err := encodeLive(db, &buf); err != nil {
 			return false
 		}
 		got, err := DecodeSnapshot(&buf)
@@ -160,10 +169,10 @@ func TestSnapshotEncodeCanonical(t *testing.T) {
 		b.MustInsert("R", tup(i, "v"))
 	}
 	var ba, bb bytes.Buffer
-	if err := a.EncodeSnapshot(&ba); err != nil {
+	if err := encodeLive(a, &ba); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.EncodeSnapshot(&bb); err != nil {
+	if err := encodeLive(b, &bb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {

@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/value"
@@ -60,11 +61,14 @@ type table struct {
 	// misses a change). Cross-solve caches key their entries on it: an
 	// unchanged epoch proves the relation's content is unchanged.
 	epoch uint64
-	// snapRefs counts live snapshots pinning this exact version (guarded
-	// by the owning DB's mu). While nonzero the version is immutable:
-	// mutators go through DB.mutable, which installs a copy-on-write
-	// successor in the catalog and leaves this version to its snapshots.
-	snapRefs int
+	// snapRefs counts live snapshots pinning this exact version. Pins are
+	// taken under the owning DB's mu held shared and dropped with no lock
+	// at all; mutators read it under mu held exclusively, so no pin can
+	// appear mid-write. While nonzero the version is immutable: mutators
+	// go through DB.mutable, which installs a copy-on-write successor in
+	// the catalog and leaves this version to its snapshots. A pointer, so
+	// cowClone's struct copy starts its successor at a fresh count.
+	snapRefs *atomic.Int32
 }
 
 // bucket is the insertion-ordered set of tuples sharing one index key,
@@ -78,13 +82,14 @@ type bucket struct {
 
 func newTable(s Schema, v version) *table {
 	t := &table{
-		schema:  s,
-		version: v,
-		pos:     newCowMap[int32](&v),
-		stride:  1 + s.Arity() + len(s.Indexes),
-		freeRow: -1,
-		index:   make([]cowMap[*bucket], s.Arity()),
-		comp:    make([]cowMap[*bucket], len(s.Indexes)),
+		schema:   s,
+		version:  v,
+		pos:      newCowMap[int32](&v),
+		stride:   1 + s.Arity() + len(s.Indexes),
+		freeRow:  -1,
+		index:    make([]cowMap[*bucket], s.Arity()),
+		comp:     make([]cowMap[*bucket], len(s.Indexes)),
+		snapRefs: new(atomic.Int32),
 	}
 	for i := range t.index {
 		t.index[i] = newCowMap[*bucket](&v)
@@ -100,7 +105,7 @@ func newTable(s Schema, v version) *table {
 func (t *table) cowClone(v version) *table {
 	c := *t
 	c.version = v
-	c.snapRefs = 0
+	c.snapRefs = new(atomic.Int32)
 	c.index = append([]cowMap[*bucket](nil), t.index...)
 	c.comp = append([]cowMap[*bucket](nil), t.comp...)
 	return &c
