@@ -202,7 +202,8 @@ func (q *QDB) snapshotOverlapBatch(items []batchItem) *admitSnap {
 	// concurrent install) is exactly what revalidateBatch exists to
 	// catch, so the snapshot may be cheerfully stale — it must only be
 	// internally consistent, which the shard locks give per partition.
-	ps := q.candidateSnapshot(batchAtoms(items))
+	atoms := batchAtoms(items)
+	ps := q.candidateSnapshot(atoms)
 	locked := ps[:0]
 	for _, p := range ps {
 		p.shard.Lock()
@@ -210,7 +211,7 @@ func (q *QDB) snapshotOverlapBatch(items []batchItem) *admitSnap {
 			p.shard.Unlock()
 			continue
 		}
-		if len(p.txns) == 0 || !overlapsAny(items, p) {
+		if len(p.txns) == 0 || !overlaps(p, atoms) {
 			p.shard.Unlock()
 			continue
 		}
@@ -275,10 +276,11 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 			}
 		}
 	} else {
-		cands := q.lockOverlappingAtoms(batchAtoms(items))
+		atoms := batchAtoms(items)
+		cands := q.lockOverlappingAtoms(atoms)
 		locked = cands[:0]
 		for _, p := range cands {
-			if overlapsAny(items, p) {
+			if overlaps(p, atoms) {
 				locked = append(locked, p)
 			} else {
 				p.shard.Unlock()

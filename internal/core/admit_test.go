@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/relstore"
+	"repro/internal/txn"
 	"repro/internal/value"
 )
 
@@ -274,5 +276,55 @@ func TestSerialAdmissionAblation(t *testing.T) {
 	}
 	if got := db.Len("Bookings"); got != 3 {
 		t.Fatalf("bookings = %d, want 3", got)
+	}
+}
+
+// TestAdmissionCostIndependentOfPartitionCount: admitting a booking on a
+// fresh flight costs the same whether 10 or 1,000 other single-flight
+// partitions are pending — the overlap index walks what the atoms can
+// touch, not every partition of their relations.
+func TestAdmissionCostIndependentOfPartitionCount(t *testing.T) {
+	const runs, submitted = 50, 1000
+	cost := func(others int) (allocs, bytes float64) {
+		fls := make([]int, submitted+runs+1)
+		for i := range fls {
+			fls[i] = i + 1
+		}
+		q := mustQDB(t, worldDB(fls, 3), Options{K: -1})
+		// Every case submits as many bookings and grounds all but others
+		// of them, so the measured admissions carry IDs of the same width
+		// (renaming apart formats the ID into every variable name).
+		for f := 1; f <= submitted; f++ {
+			id, err := q.Submit(book(fmt.Sprintf("u%d", f), f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f <= submitted-others {
+				if err := q.Ground(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fresh := make([]*txn.T, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range fresh {
+			fresh[i] = book(fmt.Sprintf("new%d", i), submitted+1+i)
+		}
+		i := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
+			if _, err := q.Submit(fresh[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs+1)
+	}
+	smallA, smallB := cost(10)
+	bigA, bigB := cost(1000)
+	t.Logf("per Submit on a fresh flight: %.0f allocs, %.0f B with 10 partitions pending; %.0f allocs, %.0f B with 1000", smallA, smallB, bigA, bigB)
+	if bigA > smallA+2 || bigB > 1.5*smallB {
+		t.Fatalf("admission cost grows with the pending set: %.0f allocs / %.0f B at 10 partitions, %.0f allocs / %.0f B at 1000", smallA, smallB, bigA, bigB)
 	}
 }

@@ -138,17 +138,6 @@ func batchAtoms(items []batchItem) []logic.Atom {
 	return out
 }
 
-// overlapsAny reports whether any batch member overlaps p. Caller holds
-// p's shard.
-func overlapsAny(items []batchItem, p *partition) bool {
-	for _, it := range items {
-		if overlaps(it.admitted, p) {
-			return true
-		}
-	}
-	return false
-}
-
 // insertByID writes chain plus t into dst (reset by the caller),
 // ascending by ID, and returns it.
 func insertByID(dst, chain []*txn.T, t *txn.T) []*txn.T {

@@ -42,6 +42,8 @@ type Coordinator struct {
 	waiting map[string][]int64
 	// partnerOf maps a pending ID to the PartnerTag it waits for.
 	partnerOf map[int64]string
+	// swept is len(partnerOf) after the last sweep (pruneLocked).
+	swept int
 	// coordinated counts pairs grounded together.
 	coordinated int
 }
@@ -146,30 +148,50 @@ func (c *Coordinator) groundFoundPair(partnerID, id int64) error {
 }
 
 // takeWaitingLocked pops the oldest pending transaction tagged tag that
-// waits for wantsPartner. Caller holds mu.
+// waits for wantsPartner, dropping the entries it finds grounded on the
+// way. Caller holds mu.
 func (c *Coordinator) takeWaitingLocked(tag, wantsPartner string) (int64, bool) {
 	ids := c.waiting[tag]
+	kept := ids[:0]
 	for i, id := range ids {
 		if c.partnerOf[id] != wantsPartner {
+			kept = append(kept, id)
 			continue
 		}
+		delete(c.partnerOf, id)
 		if !c.qdb.isPending(id) {
 			continue // grounded by a read or the k-bound meanwhile
 		}
-		c.waiting[tag] = append(ids[:i:i], ids[i+1:]...)
-		if len(c.waiting[tag]) == 0 {
-			delete(c.waiting, tag)
-		}
-		delete(c.partnerOf, id)
+		c.setWaitingLocked(tag, append(kept, ids[i+1:]...))
 		return id, true
 	}
+	c.setWaitingLocked(tag, kept)
 	return 0, false
 }
 
+func (c *Coordinator) setWaitingLocked(tag string, ids []int64) {
+	if len(ids) == 0 {
+		delete(c.waiting, tag)
+	} else {
+		c.waiting[tag] = ids
+	}
+}
+
+// pruneSlack is how far the registry may grow past twice its size after
+// the last sweep before pruneLocked sweeps again.
+const pruneSlack = 64
+
 // pruneLocked drops waiting entries whose transactions were grounded by
 // other causes (k-bound, reads) so the maps do not grow without bound.
-// Caller holds mu.
+// It sweeps only once partnerOf has doubled (plus pruneSlack) since the
+// last sweep, so a sweep's cost is paid for by the registrations before
+// it: amortised O(1) per submit. Stale entries left in between are never
+// matched — IDs are not reused, and takeWaitingLocked skips (and drops)
+// any ID no longer pending. Caller holds mu.
 func (c *Coordinator) pruneLocked() {
+	if len(c.partnerOf) < 2*c.swept+pruneSlack {
+		return
+	}
 	for tag, ids := range c.waiting {
 		kept := ids[:0]
 		for _, id := range ids {
@@ -179,10 +201,7 @@ func (c *Coordinator) pruneLocked() {
 				delete(c.partnerOf, id)
 			}
 		}
-		if len(kept) == 0 {
-			delete(c.waiting, tag)
-		} else {
-			c.waiting[tag] = kept
-		}
+		c.setWaitingLocked(tag, kept)
 	}
+	c.swept = len(c.partnerOf)
 }

@@ -743,7 +743,7 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	cands := q.lockOverlappingAtoms(factAtoms)
 	var affected []*partition
 	for _, p := range cands {
-		if q.partitionTouches(p, factAtoms) {
+		if overlaps(p, factAtoms) {
 			affected = append(affected, p)
 		}
 	}
@@ -864,21 +864,6 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	unlockPartitions(cands)
 	q.stats.writesAccepted.Add(1)
 	return nil
-}
-
-// partitionTouches reports whether any fact atom unifies with any atom of
-// the partition's transactions. Caller holds p's shard.
-func (q *QDB) partitionTouches(p *partition, facts []logic.Atom) bool {
-	for _, t := range p.txns {
-		for _, a := range atomsOf(t) {
-			for _, f := range facts {
-				if logic.Unifiable(a, f) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 func factAtom(f relstore.GroundFact) logic.Atom {

@@ -422,10 +422,11 @@ func (q *QDB) lockOverlapping(t *txn.T) []*partition {
 	if q.opt.DisablePartitioning {
 		return q.lockAllPartitions()
 	}
-	cands := q.lockOverlappingAtoms(atomsOf(t))
+	atoms := atomsOf(t)
+	cands := q.lockOverlappingAtoms(atoms)
 	out := cands[:0]
 	for _, p := range cands {
-		if overlaps(t, p) {
+		if overlaps(p, atoms) {
 			out = append(out, p)
 		} else {
 			// Index false positive: routine sound-superset slack, not
@@ -442,16 +443,7 @@ func (q *QDB) lockOverlapping(t *txn.T) []*partition {
 // so one pass suffices — candidates that died between snapshot and lock
 // are dropped (a stale acquire, counted in LockWaits).
 func (q *QDB) lockOverlappingAtoms(atoms []logic.Atom) []*partition {
-	q.mu.Lock()
-	var cands []*partition
-	for pid := range q.idx.candidates(atoms) {
-		if p := q.parts[pid]; p != nil {
-			cands = append(cands, p)
-		}
-	}
-	q.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].id() < cands[j].id() })
-
+	cands := q.candidateSnapshot(atoms)
 	out := cands[:0]
 	for _, p := range cands {
 		p.shard.Lock()
@@ -483,18 +475,29 @@ func shardsOf(ps []*partition) []*sched.Shard {
 	return out
 }
 
-// overlaps reports whether any atom of t unifies with any atom of any
+// overlaps reports whether any of atoms unifies with any atom of any
 // transaction in p (the conservative independence test of §4). Caller
 // holds p's shard.
-func overlaps(t *txn.T, p *partition) bool {
-	ta := atomsOf(t)
+func overlaps(p *partition, atoms []logic.Atom) bool {
 	for _, pt := range p.txns {
-		for _, pa := range atomsOf(pt) {
-			for _, a := range ta {
-				if logic.Unifiable(a, pa) {
-					return true
-				}
+		for _, b := range pt.Body {
+			if unifiesAny(b.Atom, atoms) {
+				return true
 			}
+		}
+		for _, u := range pt.Update {
+			if unifiesAny(u.Atom, atoms) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func unifiesAny(a logic.Atom, atoms []logic.Atom) bool {
+	for _, b := range atoms {
+		if logic.Unifiable(b, a) {
+			return true
 		}
 	}
 	return false
@@ -652,18 +655,7 @@ func (q *QDB) lockCandidates(atoms []logic.Atom) []*partition {
 			locked = append(locked, p)
 		}
 		// Validate: every current candidate must be in the locked set.
-		ok := true
-		have := make(map[int64]bool, len(locked))
-		for _, p := range locked {
-			have[p.id()] = true
-		}
-		for _, p := range q.candidateSnapshot(atoms) {
-			if !have[p.id()] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if subsetByID(q.candidateSnapshot(atoms), locked) {
 			return locked
 		}
 		unlockPartitions(locked)
@@ -672,18 +664,33 @@ func (q *QDB) lockCandidates(atoms []logic.Atom) []*partition {
 	}
 }
 
+// subsetByID reports whether every partition of sub is in set; both
+// ascend by ID.
+func subsetByID(sub, set []*partition) bool {
+	i := 0
+	for _, p := range sub {
+		for i < len(set) && set[i].id() < p.id() {
+			i++
+		}
+		if i == len(set) || set[i].id() != p.id() {
+			return false
+		}
+	}
+	return true
+}
+
 // candidateSnapshot resolves the index's candidate partitions under the
-// registry lock, ascending by ID.
+// registry lock, ascending by ID (the order the index returns them in).
 func (q *QDB) candidateSnapshot(atoms []logic.Atom) []*partition {
 	q.mu.Lock()
-	var out []*partition
-	for pid := range q.idx.candidates(atoms) {
+	defer q.mu.Unlock()
+	ids := q.idx.candidates(atoms)
+	out := make([]*partition, 0, len(ids))
+	for _, pid := range ids {
 		if p := q.parts[pid]; p != nil {
 			out = append(out, p)
 		}
 	}
-	q.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].id() < out[j].id() })
 	return out
 }
 
