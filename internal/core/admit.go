@@ -23,8 +23,7 @@ import (
 //  1. Snapshot: resolve the partitions the batch overlaps (without
 //     admitMu — lockCandidates validates set stability and the final say
 //     belongs to step 3) and record, per partition, the pending chain,
-//     the cached solution, its epoch stamp, and the partition's version
-//     counter; plus the database-wide partition-set version and
+//     the cached solution, and the partition's version counter; plus the database-wide partition-set version and
 //     admission sequence. The counters are read BEFORE the index walk and
 //     bumped by installers AFTER publication, so counter equality later
 //     proves the snapshot missed no install.
@@ -43,9 +42,10 @@ import (
 //     fingerprint of the whole would-be chain's relations must equal the
 //     speculation's (bit-identical tables ⇒ every decision reproduces),
 //     OR every store mutation since must provably come from groundings
-//     of NON-overlapping partitions (storeTrusted, no blind writes, no
-//     admission installs), which cannot unify with the batch's atoms and
-//     so can neither create nor destroy its groundings. On success every
+//     of NON-overlapping partitions (no blind writes, no admission
+//     installs — the engine is the store's only writer), which cannot
+//     unify with the batch's atoms and so can neither create nor destroy
+//     its groundings. On success every
 //     outcome — accepts and rejections alike, both are user-visible
 //     decisions — is published; on conflict the whole cycle retries, and
 //     after maxAdmitAttempts conflicts the call falls back to serial
@@ -92,11 +92,10 @@ type admitSnap struct {
 // partition's slices — safe because the engine replaces those slices on
 // every mutation (and bumps version) rather than writing them in place.
 type partSnap struct {
-	p           *partition
-	version     uint64
-	txns        []*txn.T
-	cached      []formula.Grounding
-	cachedEpoch uint64
+	p       *partition
+	version uint64
+	txns    []*txn.T
+	cached  []formula.Grounding
 }
 
 // admit decides and publishes items, filling ids and errs at each
@@ -167,13 +166,10 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 		}
 		return true
 	}
-	// The serial solve ran over live partitions no install could touch,
-	// so the fingerprint it recorded is the install stamp.
-	stamp := out.fpAll
 	if !serial {
 		q.admitMu.Lock()
 		var ok bool
-		locked, stamp, ok = q.revalidateBatch(snap, items, out)
+		locked, ok = q.revalidateBatch(snap, items, out)
 		sp.Stage(stageSubmitValidate)
 		if !ok {
 			q.admitMu.Unlock()
@@ -181,7 +177,7 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 		}
 		q.stats.optimisticAdmissions.Add(int64(len(items)))
 	}
-	q.publish(items, locked, out, stamp, sp, ids, errs)
+	q.publish(items, locked, out, sp, ids, errs)
 	return true
 }
 
@@ -236,7 +232,7 @@ func buildSnapBatch(ps []*partition, items []batchItem) *admitSnap {
 	for _, p := range ps {
 		snap.parts = append(snap.parts, partSnap{
 			p: p, version: p.version,
-			txns: p.txns, cached: p.cached, cachedEpoch: p.cachedEpoch,
+			txns: p.txns, cached: p.cached,
 		})
 		n += len(p.txns)
 	}
@@ -261,9 +257,9 @@ func buildSnapBatch(ps []*partition, items []batchItem) *admitSnap {
 // atoms, and locking the snapshot set and checking versions suffices;
 // otherwise the overlap set is resolved from scratch and compared. Then
 // the store, under the read gate so the epochs are frozen. On success
-// the overlap set is returned locked (ascending ID) with the install
-// stamp; on failure everything is released.
-func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutcome) ([]*partition, uint64, bool) {
+// the overlap set is returned locked (ascending ID); on failure
+// everything is released.
+func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutcome) ([]*partition, bool) {
 	var locked []*partition
 	if q.partVersion.Load() == snap.partVersion {
 		locked = make([]*partition, 0, len(snap.parts))
@@ -272,7 +268,7 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 			locked = append(locked, s.p)
 			if !s.p.shard.Alive() || s.p.version != s.version {
 				unlockPartitions(locked)
-				return nil, 0, false
+				return nil, false
 			}
 		}
 	} else {
@@ -292,32 +288,23 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 		}
 		if !same {
 			unlockPartitions(locked)
-			return nil, 0, false
+			return nil, false
 		}
 	}
 	// The store: either bit-identical to the solve's over every relation
 	// of merged (every decision's basis is a subset), or moved past it
 	// only by groundings of non-overlapping partitions, which cannot
 	// unify with any of merged's atoms and so preserve every solution and
-	// rejection proof verbatim. The stamp describes exactly the store
-	// state the final chain's solution is valid over — when every member
-	// was accepted that chain IS merged, and fpNow already is it.
+	// rejection proof verbatim.
 	q.storeMu.RLock()
-	fpNow := q.epochFingerprint(snap.merged)
-	ok := fpNow == out.fpAll ||
-		(q.storeTrusted() && q.trustGen == out.trustGen &&
-			q.writeSeq.Load() == out.writeSeq &&
-			q.admitSeq.Load() == snap.admitSeq)
-	stamp := fpNow
-	if ok && len(out.finalChain) != len(snap.merged) {
-		stamp = q.epochFingerprint(out.finalChain)
-	}
+	ok := q.epochFingerprint(snap.merged) == out.fpAll ||
+		(q.writeSeq.Load() == out.writeSeq && q.admitSeq.Load() == snap.admitSeq)
 	q.storeMu.RUnlock()
 	if !ok {
 		unlockPartitions(locked)
-		return nil, 0, false
+		return nil, false
 	}
-	return locked, stamp, true
+	return locked, true
 }
 
 // publish makes a decided cycle visible, in one critical section:
@@ -329,7 +316,7 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 // each accept into the survivor. It releases the overlap set and
 // admitMu (the caller holds both), then runs the k-bound eviction with
 // only the surviving partition locked.
-func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome, stamp uint64, sp *telemetry.Span, ids []int64, errs []error) {
+func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome, sp *telemetry.Span, ids []int64, errs []error) {
 	for i, it := range items {
 		d := out.decisions[i]
 		if d.ok {
@@ -377,7 +364,7 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 	p := q.mergeLocked(locked)
 	for i, it := range items {
 		if out.decisions[i].ok {
-			q.installLocked(p, it.admitted, out.finalChain, out.finalCached, stamp)
+			q.installLocked(p, it.admitted, out.finalChain, out.finalCached)
 			ids[it.idx] = it.admitted.ID
 		}
 	}
@@ -411,23 +398,4 @@ func (s *admitSnap) combinedGroundings() []formula.Grounding {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Txn.ID < all[j].Txn.ID })
 	return all
-}
-
-// snapFresh is cachesFresh over snapshot state: every snapshot
-// partition's cached solution must still be valid over the current
-// store. Caller holds the store's read gate.
-func (q *QDB) snapFresh(snap *admitSnap) bool {
-	if q.storeTrusted() {
-		return true
-	}
-	for _, ps := range snap.parts {
-		if len(ps.txns) == 0 {
-			continue
-		}
-		if q.epochFingerprint(ps.txns) != ps.cachedEpoch {
-			q.stats.solutionStale.Add(1)
-			return false
-		}
-	}
-	return true
 }

@@ -47,11 +47,6 @@ type batchOutcome struct {
 	// writeSeq is the accepted-blind-write count at solve time, read
 	// under the same read gate as the solve's store view.
 	writeSeq uint64
-	// trustGen is the checkpoint re-arm generation at solve time. The
-	// trusted-store validation arm requires it unchanged: a re-arm during
-	// the speculation means an out-of-band write (which never bumps
-	// writeSeq) may hide behind a restored storeTrusted.
-	trustGen uint64
 	// fpAll fingerprints the relations of the full would-be chain
 	// (snap.merged) at solve time. Every per-member decision's relation
 	// set is a subset of merged's, so fpAll equality at validation
@@ -167,16 +162,15 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 	q.storeMu.RLock()
 	defer q.storeMu.RUnlock()
 	out.writeSeq = q.writeSeq.Load()
-	out.trustGen = q.trustGen
 	out.fpAll = q.epochFingerprint(snap.merged)
 	out.decisions = make([]batchDecision, len(items))
 
 	chain := append(make([]*txn.T, 0, len(snap.merged)), snap.base...)
 	// cached is the chain's solution when known is set (an empty chain's
 	// is nil). The snapshot's combined solution is fetched when a member
-	// first gets past the negative probe (freshness costs a fingerprint
-	// per partition, which a probe-answered rejection never pays); after
-	// that each accept keeps it aligned with chain.
+	// first gets past the negative probe (a probe-answered rejection
+	// never pays for the merge); after that each accept keeps it aligned
+	// with chain.
 	var cached []formula.Grounding
 	known, seeded := false, q.opt.DisableCache || !snap.allCached()
 	scratch := make([]*txn.T, 0, len(snap.merged))
@@ -199,14 +193,8 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			}
 		}
 		if !seeded {
-			// Freshness is mandatory: extending a stale cached solution
-			// and re-stamping it at current epochs would launder a
-			// grounding the store no longer supports past the replay
-			// check.
-			seeded = true
-			if known = q.snapFresh(snap); known {
-				cached = snap.combinedGroundings()
-			}
+			seeded, known = true, true
+			cached = snap.combinedGroundings()
 		}
 		if known && (len(chain) == 0 || chain[len(chain)-1].ID < t.ID) {
 			// Extension fast path: ground just this member over the

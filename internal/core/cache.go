@@ -1,7 +1,6 @@
 package core
 
 import (
-	"log"
 	"sync"
 
 	"repro/internal/hash"
@@ -16,11 +15,10 @@ import (
 // probe, not a solve. Three mechanisms compose:
 //
 //   - Per-partition solution replay: each partition carries a cached
-//     consistent grounding (partition.cached) stamped with the epoch
-//     fingerprint of its relevant relations (partition.cachedEpoch).
-//     Grounding the partition head replays the cached grounding directly
-//     — zero solver work — when the fingerprint still matches (see
-//     QDB.replayHead in ground.go).
+//     consistent grounding (partition.cached), kept valid by the engine's
+//     own write paths. Grounding the partition head replays the cached
+//     grounding directly — zero solver work (see QDB.replayHead in
+//     ground.go).
 //   - Negative solve cache (rejectCache): unsatisfiable solve instances
 //     (rejected admissions, rejected blind writes, failed reorder
 //     attempts) are remembered; resubmitting the same question against
@@ -30,88 +28,18 @@ import (
 //   - Cross-solve prepared queries (formula.PrepCache, owned by the QDB
 //     and threaded through ChainOptions.Prep).
 //
-// Soundness of the epoch fingerprint: relstore epochs are monotone and
-// bumped on every committed mutation, with no other mutation path into a
-// table, so fingerprint equality proves the solve's relevant relations
-// are bit-identical to when the entry was recorded — a cached outcome
-// can never be stale. The converse is conservative: an epoch bump by a
-// write that did not actually affect this solve (another partition
-// touching the same table) invalidates spuriously and costs one
-// re-solve, never correctness.
-
-// storeTrusted reports whether every mutation since the engine's last
-// trust point came from this engine (QDB.knownEpoch still matches the
-// store epoch). While true, the engine's own cache maintenance —
-// refresh on write, realignment on grounding, non-unifiability across
-// partitions — is authoritative and cached solutions need no
-// fingerprint check; the first out-of-band mutation breaks equality
-// (epochs are monotone) and demotes every cache decision to
-// fingerprint comparison until the next checkpoint re-arms trust (its
-// consistent cut revalidates every cached solution; see
-// QDB.rearmTrustLocked). Caller must hold storeMu (either side) so the
-// two counters are read coherently.
-func (q *QDB) storeTrusted() bool {
-	if q.db.Epoch() == q.knownEpoch {
-		return true
-	}
-	q.noteTrustDemotion()
-	return false
-}
-
-// noteTrustDemotion counts and logs each observed trusted-store
-// demotion (once per demotion episode: the latch resets when a
-// checkpoint re-arms trust). The demotion itself is implicit — the
-// epoch counters diverged — and lasts until the next checkpoint's
-// consistent cut revalidates the caches and re-arms knownEpoch; what
-// this adds is visibility (Stats.TrustDemotions, and a log line) so a
-// deployment whose cache hit rate degraded can see that an out-of-band
-// store write is why.
-func (q *QDB) noteTrustDemotion() {
-	if q.demoted.CompareAndSwap(false, true) {
-		q.stats.trustDemotions.Add(1)
-		log.Printf("core: out-of-band store write detected (store epoch %d, engine expected %d): "+
-			"trusted-store fast path demoted; cache decisions need epoch-fingerprint checks until a checkpoint re-arms it",
-			q.db.Epoch(), q.knownEpoch)
-	}
-}
-
-// noteEngineWrite advances the expected epoch for a non-empty batch the
-// engine just applied. Caller holds storeMu exclusively (the same
-// section as the Apply), matching relstore's one-bump-per-batch rule.
-func (q *QDB) noteEngineWrite(inserts, deletes []relstore.GroundFact) {
-	if len(inserts)+len(deletes) > 0 {
-		q.knownEpoch++
-	}
-}
-
-// epochSnap captures the paired epoch counters (plus the trust
-// generation) for gap detection.
-type epochSnap struct{ store, known, gen uint64 }
-
-// epochSnapshot records the current (store epoch, expected epoch,
-// trust generation) triple. Caller holds storeMu (either side).
-func (q *QDB) epochSnapshot() epochSnap {
-	return epochSnap{store: q.db.Epoch(), known: q.knownEpoch, gen: q.trustGen}
-}
-
-// gapClean reports whether every store mutation since the snapshot was
-// an engine write: the store-epoch delta equals the engine's own
-// write-count delta. Solve-then-apply paths release the read gate
-// between solving and applying; a solution solved before the gap may
-// only be STAMPED fresh if the gap was clean — an out-of-band write in
-// the gap would otherwise be absorbed into the new fingerprint and the
-// staleness laundered permanently.
-//
-// The trust generation must also be unchanged: a checkpoint re-arm
-// inside the gap snaps knownEpoch forward to the store epoch, which
-// would make the deltas match even though the gap contained the very
-// out-of-band write that forced the re-arm. Requiring the generation
-// rules that out (re-arms happen only under the full checkpoint cut,
-// which excludes every gap holder except this comparison's caller
-// racing in afterwards). Caller holds storeMu exclusively.
-func (q *QDB) gapClean(s epochSnap) bool {
-	return q.trustGen == s.gen && q.db.Epoch()-s.store == q.knownEpoch-s.known
-}
+// Soundness rests on the engine being the store's only writer, and that
+// is enforced, not assumed: New takes the store's ownership latch
+// (relstore.DB.Own), after which every write from outside the engine is
+// refused with relstore.ErrOwned. The engine's own write paths keep the
+// per-partition solutions aligned, so those need no stamp. The negative
+// cache and admission validation key on epoch fingerprints: relstore
+// epochs are monotone and bumped on every committed mutation, so
+// fingerprint equality proves the solve's relevant relations are
+// bit-identical to when the entry was recorded. The converse is
+// conservative: an epoch bump by a write that did not affect this solve
+// (another partition touching the same table) invalidates spuriously and
+// costs one re-solve, never correctness.
 
 // epochFingerprint hashes the current epochs of every relation the given
 // transaction views mention (body and update atoms — update relations

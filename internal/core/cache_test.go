@@ -45,49 +45,70 @@ func TestGroundReplaysCachedSolution(t *testing.T) {
 	}
 }
 
-// TestEpochInvalidationPreventsStaleGrounding is the stale-read test of
-// the epoch design: the store is mutated BEHIND the engine's back (the
-// one path no invalidation hook can see) in a way that makes the cached
-// grounding applicable-but-inconsistent. The epoch fingerprint must
-// refuse the replay and re-solve against the real store.
-func TestEpochInvalidationPreventsStaleGrounding(t *testing.T) {
+// cheapSeatDB is one flight whose seats are all Available and Cheap.
+func cheapSeatDB(seats ...string) *relstore.DB {
 	db := relstore.NewDB()
 	db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
 	db.MustCreateTable(relstore.Schema{Name: "Cheap", Columns: []string{"sno"}})
 	db.MustCreateTable(relstore.Schema{Name: "Bookings", Columns: []string{"name", "fno", "sno"}, Key: []int{1, 2}})
-	db.MustInsert("Available", tup(1, "a"))
-	db.MustInsert("Available", tup(1, "b"))
-	db.MustInsert("Cheap", tup("a"))
-	db.MustInsert("Cheap", tup("b"))
-	q := mustQDB(t, db, Options{})
+	for _, s := range seats {
+		db.MustInsert("Available", tup(1, s))
+		db.MustInsert("Cheap", tup(s))
+	}
+	return db
+}
 
-	id, err := q.Submit(txn.MustParse(
-		"-Available(1, s), +Bookings('M', 1, s) :-1 Available(1, s), Cheap(s)"))
+// bookCheap books any available cheap seat on flight 1 for name.
+func bookCheap(name string) *txn.T {
+	return txn.MustParse(fmt.Sprintf(
+		"-Available(1, s), +Bookings('%s', 1, s) :-1 Available(1, s), Cheap(s)", name))
+}
+
+// TestEpochInvalidationPreventsStaleGrounding: the one write no
+// invalidation path could see — a mutation behind the engine's back that
+// leaves the cached grounding applicable but inconsistent — is refused
+// by the owned store, so the cached grounding stays valid and replays.
+func TestEpochInvalidationPreventsStaleGrounding(t *testing.T) {
+	db := cheapSeatDB("a", "b")
+	q := mustQDB(t, db, Options{})
+	id, err := q.Submit(bookCheap("M"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The admission-time solution deterministically picks seat 'a'
-	// (insertion-ordered scans). Now delete Cheap('a') around the engine:
-	// the cached grounding still APPLIES cleanly (its updates touch only
-	// Available and Bookings), but the world it produces violates the
-	// body. A stale replay would book 'a'.
-	if err := db.Delete("Cheap", tup("a")); err != nil {
-		t.Fatal(err)
+	// (insertion-ordered scans). Deleting Cheap('a') around the engine
+	// would leave that grounding applicable but violating the body.
+	epoch := db.Epoch()
+	if err := db.Delete("Cheap", tup("a")); !errors.Is(err, relstore.ErrOwned) {
+		t.Fatalf("out-of-band delete: %v, want ErrOwned", err)
+	}
+	if !db.Contains("Cheap", tup("a")) || db.Epoch() != epoch {
+		t.Fatal("a refused delete changed the store")
 	}
 	if err := q.Ground(id); err != nil {
 		t.Fatal(err)
 	}
-	var seat string
-	db.Scan("Bookings", func(tp value.Tuple) bool { seat = tp[2].Quoted(); return true })
-	if seat != "'b'" {
-		t.Fatalf("grounded seat %s; a stale cached grounding was served (want 'b')", seat)
+	if !db.Contains("Bookings", tup("M", 1, "a")) {
+		t.Fatalf("bookings = %v, want M on seat 'a'", db.All("Bookings"))
 	}
-	s := q.Stats()
-	if s.SolutionStale == 0 {
-		t.Fatal("epoch mismatch was never observed")
+	if s := q.Stats(); s.SolutionReplays != 1 || s.SolutionStale != 0 {
+		t.Fatalf("replays = %d, stale = %d; want the cached grounding replayed", s.SolutionReplays, s.SolutionStale)
 	}
-	if s.SolutionReplays != 0 {
-		t.Fatalf("replayed %d groundings from a stale cache", s.SolutionReplays)
+}
+
+// TestCreateTableKeepsFingerprints: creating a relation on a live engine
+// stays open on the owned store and changes no epoch fingerprint, not
+// even one over the new relation, whose epoch starts where an unknown
+// relation's is.
+func TestCreateTableKeepsFingerprints(t *testing.T) {
+	q := mustQDB(t, cheapSeatDB("a"), Options{})
+	views := []*txn.T{bookCheap("M"), txn.MustParse("+Lounge('M') :-1 Cheap(s), Lounge(s)")}
+	before := q.epochFingerprint(views)
+	if err := q.Store().CreateTable(relstore.Schema{Name: "Lounge", Columns: []string{"sno"}}); err != nil {
+		t.Fatal(err)
+	}
+	if after := q.epochFingerprint(views); after != before {
+		t.Fatalf("CreateTable moved a fingerprint: %x -> %x", before, after)
 	}
 }
 
@@ -122,59 +143,44 @@ func TestStrictPrefixGroundingReplays(t *testing.T) {
 }
 
 // TestFastPathDoesNotLaunderStaleCache: the admission fast path extends
-// the overlapping partitions' cached solutions. If a cache is stale
-// (store mutated out-of-band), the extension must NOT inherit it and
-// restamp it at current epochs — that would launder an invalidated
-// grounding past the replay check. The fast path must decline and the
-// slow path must re-solve against the real store. The scenario runs
-// under both admission disciplines: the optimistic path extends from a
-// partition SNAPSHOT and validates before install, and its freshness and
-// stamping rules must be exactly as strict as the serial path's.
+// the overlapping partitions' cached solutions, which is sound only if
+// nothing changed the store behind the engine. An out-of-band delete
+// that would have made the cache stale is refused under both admission
+// disciplines, and the extended solution books distinct valid seats.
 func TestFastPathDoesNotLaunderStaleCache(t *testing.T) {
 	for _, serial := range []bool{false, true} {
 		t.Run(fmt.Sprintf("serialAdmission=%v", serial), func(t *testing.T) {
-			db := relstore.NewDB()
-			db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
-			db.MustCreateTable(relstore.Schema{Name: "Cheap", Columns: []string{"sno"}})
-			db.MustCreateTable(relstore.Schema{Name: "Bookings", Columns: []string{"name", "fno", "sno"}, Key: []int{1, 2}})
-			for _, s := range []string{"a", "b", "c"} {
-				db.MustInsert("Available", tup(1, s))
-				db.MustInsert("Cheap", tup(s))
-			}
+			db := cheapSeatDB("a", "b", "c")
 			q := mustQDB(t, db, Options{SerialAdmission: serial})
-			mk := func(name string) *txn.T {
-				return txn.MustParse(fmt.Sprintf(
-					"-Available(1, s), +Bookings('%s', 1, s) :-1 Available(1, s), Cheap(s)", name))
-			}
-			if _, err := q.Submit(mk("M")); err != nil { // cached grounding picks 'a'
+			if _, err := q.Submit(bookCheap("M")); err != nil { // cached grounding picks 'a'
 				t.Fatal(err)
 			}
-			// Out-of-band: invalidate the cached choice without touching what
-			// the cached grounding applies to.
-			if err := db.Delete("Cheap", tup("a")); err != nil {
+			if err := db.Delete("Cheap", tup("a")); !errors.Is(err, relstore.ErrOwned) {
+				t.Fatalf("out-of-band delete: %v, want ErrOwned", err)
+			}
+			// Overlapping admission: the fast path extends M's cache.
+			if _, err := q.Submit(bookCheap("N")); err != nil {
 				t.Fatal(err)
 			}
-			// Overlapping admission: the fast path would extend M's stale cache.
-			if _, err := q.Submit(mk("N")); err != nil {
-				t.Fatal(err)
-			}
-			if s := q.Stats(); s.SolutionStale == 0 {
-				t.Fatal("fast path never noticed the stale cache")
-			}
-			if !serial {
-				if s := q.Stats(); s.TrustDemotions != 1 {
-					t.Fatalf("TrustDemotions = %d after an out-of-band delete, want 1", s.TrustDemotions)
-				}
+			if s := q.Stats(); s.CacheMisses != 0 || s.SolutionStale != 0 {
+				t.Fatalf("cache misses = %d, stale = %d; want both admitted by extension", s.CacheMisses, s.SolutionStale)
 			}
 			if err := q.GroundAll(); err != nil {
 				t.Fatal(err)
 			}
-			db.Scan("Bookings", func(tp value.Tuple) bool {
-				if tp[2].Quoted() == "'a'" {
-					t.Fatalf("%v booked seat 'a', whose Cheap row was deleted before admission of N", tp[0])
+			seats := map[string]string{}
+			for _, tp := range db.All("Bookings") {
+				if prev, dup := seats[tp[2].Quoted()]; dup {
+					t.Fatalf("seat %s booked by %s and %v", tp[2].Quoted(), prev, tp[0])
 				}
-				return true
-			})
+				seats[tp[2].Quoted()] = tp[0].Str()
+				if !db.Contains("Cheap", value.Tuple{tp[2]}) {
+					t.Fatalf("%v booked seat %s, which is not cheap", tp[0], tp[2].Quoted())
+				}
+			}
+			if seats["'a'"] != "M" || len(seats) != 2 {
+				t.Fatalf("bookings %v, want M on 'a' and N on another seat", seats)
+			}
 		})
 	}
 }

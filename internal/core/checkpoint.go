@@ -29,12 +29,12 @@ import (
 // The checkpoint is FUZZY: the engine quiesces only for the cut itself
 // — the admission lock, every live partition's shard, and the store
 // gate are held just long enough to pin a copy-on-write store snapshot,
-// copy the pending-transaction pointers, read the WAL sequence stamp,
-// and re-arm the trusted-store fast path. That pause is O(pending +
-// tables), independent of row count. Serialization then runs against
-// the pinned snapshot with the engine fully live (admissions,
-// groundings, and writes proceed and keep logging), and the WAL is
-// truncated below the stamp concurrently with new appends above it.
+// copy the pending-transaction pointers, and read the WAL sequence
+// stamp. That pause is O(pending + tables), independent of row count.
+// Serialization then runs against the pinned snapshot with the engine
+// fully live (admissions, groundings, and writes proceed and keep
+// logging), and the WAL is truncated below the stamp concurrently with
+// new appends above it.
 // Stats.CheckpointPauseNs accumulates only the cut time.
 //
 // The stamp is exact: every WAL appender runs under the admission lock
@@ -86,8 +86,8 @@ type checkpointCut struct {
 // checkpointCut executes the fuzzy checkpoint's locked cut — the only
 // quiescent moment: admission lock, every live partition's shard, and
 // the store gate are held just long enough to pin a COW store snapshot,
-// copy the pending-transaction pointers, read the WAL sequence stamp,
-// and re-arm the trusted-store fast path. Shared by Checkpoint (which
+// copy the pending-transaction pointers, and read the WAL sequence
+// stamp. Shared by Checkpoint (which
 // then serializes to a file and truncates the WAL) and CheckpointImage
 // (which serializes to memory for replica bootstrap and truncates
 // nothing). Stats.CheckpointPauseNs accumulates the hold time.
@@ -107,40 +107,11 @@ func (q *QDB) checkpointCut() checkpointCut {
 	snap := q.db.Snapshot()
 	stamp := q.log.Seq()
 	term := q.log.Term()
-	q.rearmTrustLocked(locked)
 	q.storeMu.Unlock()
 	unlockPartitions(locked)
 	q.admitMu.Unlock()
 	q.stats.checkpointPauseNs.Add(time.Since(cutStart).Nanoseconds())
 	return checkpointCut{snap: snap, nextID: nextID, stamp: stamp, term: term, pending: pending}
-}
-
-// rearmTrustLocked re-arms the trusted-store fast path at a checkpoint
-// cut. If out-of-band writes demoted trust (knownEpoch fell behind the
-// store epoch), every cached solution whose stamp no longer matches the
-// current epochs is dropped — the restored fast path would replay it
-// unchecked — and knownEpoch snaps forward: from here on the engine's
-// own cache maintenance is authoritative again, until the next
-// out-of-band write. The generation counter keeps decisions that
-// straddle the re-arm honest (see gapClean and batchOutcome.trustGen).
-// Caller holds admitMu, every live partition's shard, and storeMu
-// exclusively — the full cut, so no solve, replay, or speculation is in
-// flight anywhere except optimistic speculations, which the generation
-// check invalidates.
-func (q *QDB) rearmTrustLocked(locked []*partition) {
-	if q.knownEpoch == q.db.Epoch() {
-		return
-	}
-	for _, p := range locked {
-		if p.cached != nil && p.cachedEpoch != q.epochFingerprint(p.txns) {
-			p.cached, p.cachedEpoch = nil, 0
-			p.version++
-		}
-	}
-	q.knownEpoch = q.db.Epoch()
-	q.trustGen++
-	q.demoted.Store(false)
-	q.stats.trustRearms.Add(1)
 }
 
 // writeCheckpointTo streams a cut in the checkpoint wire format:

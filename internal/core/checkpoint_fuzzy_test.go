@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/relstore"
-	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -317,66 +316,5 @@ func TestRecoverCheckpointSkipsOrphanedPrefixRecords(t *testing.T) {
 	}
 	if id <= 1 {
 		t.Fatalf("recovered instance reissued ID %d", id)
-	}
-}
-
-// TestCheckpointRearmsTrustedFastPath is the trust re-arm satellite: an
-// out-of-band store write demotes the trusted-store fast path until a
-// checkpoint revalidates. The dangerous part of re-arming is a cached
-// solution poisoned by the out-of-band write — with trust restored, the
-// replay path would serve it without the epoch fingerprint check. The
-// checkpoint cut must therefore drop stale caches as it re-arms, and
-// the next grounding must re-solve against the real store.
-func TestCheckpointRearmsTrustedFastPath(t *testing.T) {
-	dir := t.TempDir()
-	db := relstore.NewDB()
-	db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
-	db.MustCreateTable(relstore.Schema{Name: "Cheap", Columns: []string{"sno"}})
-	db.MustCreateTable(relstore.Schema{Name: "Bookings", Columns: []string{"name", "fno", "sno"}, Key: []int{1, 2}})
-	for _, s := range []string{"a", "b"} {
-		db.MustInsert("Available", tup(1, s))
-		db.MustInsert("Cheap", tup(s))
-	}
-	q := mustQDB(t, db, Options{WALPath: filepath.Join(dir, "qdb.wal")})
-	id, err := q.Submit(txn.MustParse(
-		"-Available(1, s), +Bookings('M', 1, s) :-1 Available(1, s), Cheap(s)"))
-	if err != nil {
-		t.Fatal(err) // admission caches a grounding that picks seat 'a'
-	}
-	// Out-of-band: invalidate the cached choice behind the engine's back.
-	if err := db.Delete("Cheap", tup("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Checkpoint(filepath.Join(dir, "qdb.ckpt")); err != nil {
-		t.Fatal(err)
-	}
-	if s := q.Stats(); s.TrustRearms != 1 {
-		t.Fatalf("TrustRearms = %d after a checkpoint over an out-of-band write, want 1", s.TrustRearms)
-	}
-	if err := q.Ground(id); err != nil {
-		t.Fatal(err)
-	}
-	s := q.Stats()
-	if s.SolutionReplays != 0 {
-		t.Fatalf("replayed %d poisoned cached groundings after the re-arm", s.SolutionReplays)
-	}
-	found := false
-	for _, row := range db.All("Bookings") {
-		if row[2].Quoted() == "'a'" {
-			t.Fatal("re-armed fast path laundered the stale cache: booked the out-of-band-invalidated seat")
-		}
-		if row[2].Quoted() == "'b'" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("grounding did not book the remaining valid seat")
-	}
-	// A second checkpoint with nothing out-of-band is a no-op re-arm.
-	if err := q.Checkpoint(filepath.Join(dir, "qdb.ckpt")); err != nil {
-		t.Fatal(err)
-	}
-	if s := q.Stats(); s.TrustRearms != 1 {
-		t.Fatalf("TrustRearms = %d, want still 1 (trust was never lost)", s.TrustRearms)
 	}
 }

@@ -189,19 +189,18 @@ func (q *QDB) groundLocked(p *partition, idx int) error {
 }
 
 // replayHead grounds p.txns[0] by replaying the partition's cached
-// consistent grounding instead of solving: the cached solution was
-// computed over the store state fingerprinted in p.cachedEpoch, and the
-// relstore epochs prove that state unchanged, so its head grounding is
-// still consistent and can execute directly. This is the cross-solve
-// solution cache's hit path — a GroundAll drain or k-bound eviction of
-// an unchanged partition performs zero solver work after admission.
+// consistent grounding instead of solving: the engine is the store's
+// only writer and keeps the cached solution aligned on every write that
+// could affect it, so its head grounding is still consistent and can
+// execute directly. This is the cross-solve solution cache's hit path —
+// a GroundAll drain or k-bound eviction of an unchanged partition
+// performs zero solver work after admission.
 //
 // Replay declines (returns false, letting the solve paths run) when the
 // head has optional atoms (grounding maximizes them; the cached solution
 // was solved over stripped views), when a chooser wants candidates to
-// pick from, when the cache is disabled or unaligned, or when the epoch
-// fingerprint mismatches — the store changed in a way the cache was not
-// told about, counted in SolutionStale. Caller holds p's shard.
+// pick from, or when the cache is disabled or unaligned. Caller holds
+// p's shard.
 func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 	if q.opt.DisableCache || q.opt.sample() > 1 {
 		return false, nil
@@ -213,24 +212,12 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 		return false, nil
 	}
 	g := p.cached[0]
-	// Write-ahead ordering: validate the cached grounding under the read
-	// gate, log+sync its batch OUTSIDE the store gate (so replays of
-	// partitions on different WAL segments fsync concurrently and ones
-	// sharing a segment group-commit), then re-validate and apply under
-	// the exclusive side. The epoch snapshot brackets the gap: only
-	// engine writes — groundings of OTHER partitions, which cannot unify
-	// with this one and so commute with its grounding — may land between
-	// the check and the apply; anything else aborts the logged batch and
-	// falls back to a fresh solve.
-	q.storeMu.RLock()
-	if !q.storeTrusted() && q.epochFingerprint(p.txns) != p.cachedEpoch {
-		q.storeMu.RUnlock()
-		q.stats.solutionStale.Add(1)
-		return false, nil
-	}
-	snap := q.epochSnapshot()
-	q.storeMu.RUnlock()
-
+	// Write-ahead ordering: log+sync the batch OUTSIDE the store gate (so
+	// replays of partitions on different WAL segments fsync concurrently
+	// and ones sharing a segment group-commit), then apply under the
+	// exclusive side. Only groundings of OTHER partitions, which cannot
+	// unify with this one and so commute with its grounding, can land in
+	// between.
 	walStart := time.Now()
 	seq, err := q.logGrounding(p.id(), g)
 	sp.Add(stageGroundWAL, time.Since(walStart))
@@ -243,32 +230,17 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 
 	applyStart := time.Now()
 	q.storeMu.Lock()
-	if !q.gapClean(snap) {
-		// An out-of-band write slipped into the log-to-apply gap; the
-		// cached grounding may no longer hold. Compensate the batch and
-		// let the solve paths decide.
-		q.storeMu.Unlock()
-		q.stats.solutionStale.Add(1)
-		return false, q.logAbort(p.id(), seq)
-	}
-	if err := q.db.Apply(g.Inserts, g.Deletes); err != nil {
+	if err := q.w.Apply(g.Inserts, g.Deletes); err != nil {
 		// The grounding no longer applies (a key collision with a
-		// commuting engine write, or a raced out-of-band mutation under a
-		// matching fingerprint). Drop the cache and fall back to a fresh
-		// solve; Apply is atomic, so the store is unchanged — but the
-		// batch is already logged, so it must be compensated.
+		// commuting engine write). Drop the cache and fall back to a
+		// fresh solve; Apply is atomic, so the store is unchanged — but
+		// the batch is already logged, so it must be compensated.
 		q.storeMu.Unlock()
 		q.stats.solutionStale.Add(1)
-		p.cached, p.cachedEpoch = nil, 0
+		p.cached = nil
 		p.version++
 		return false, q.logAbort(p.id(), seq)
 	}
-	q.noteEngineWrite(g.Inserts, g.Deletes)
-	// Restamp while still holding the store gate: the post-apply epochs
-	// are frozen here, so a mutation racing the restamp cannot be
-	// absorbed into the new fingerprint (it would be missed forever; a
-	// too-early fingerprint is merely conservative).
-	stamp := q.epochFingerprint(p.txns[1:])
 	q.storeMu.Unlock()
 	sp.Add(stageGroundApply, time.Since(applyStart))
 	q.stats.grounded.Add(1)
@@ -285,7 +257,6 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 	// replayed head's updates (chain property), so it remains the
 	// partition's cached solution.
 	p.cached = p.cached[1:]
-	p.cachedEpoch = stamp
 	p.version++
 	if len(p.txns) == 0 {
 		q.mu.Lock()
@@ -409,17 +380,11 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 			pick = 0
 		}
 	}
-	// The solution was computed against the store as of this snapshot;
-	// the apply section below re-checks that the gap between releasing
-	// the read gate here and re-acquiring it exclusively saw engine
-	// writes only before stamping the cached tail fresh.
-	snap := q.epochSnapshot()
 	q.storeMu.RUnlock()
 	sp.Add(stageGroundSolve, time.Since(solveStart))
 	sol := sols[pick]
 
-	// Partition split computed up front so the cache restamp can happen
-	// under the store gate: keep positions not in order[:groundCount].
+	// Partition split: keep positions not in order[:groundCount].
 	grounded := make(map[int]bool, groundCount)
 	for _, pos := range order[:groundCount] {
 		grounded[pos] = true
@@ -466,7 +431,7 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		}
 		applyStart := time.Now()
 		q.storeMu.Lock()
-		if err := q.db.Apply(g.Inserts, g.Deletes); err != nil {
+		if err := q.w.Apply(g.Inserts, g.Deletes); err != nil {
 			q.storeMu.Unlock()
 			err = fmt.Errorf("core: executing grounding of txn %d: %w", g.Txn.ID, err)
 			if aerr := q.logAbort(p.id(), seq); aerr != nil {
@@ -474,27 +439,9 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 			}
 			return false, err
 		}
-		q.noteEngineWrite(g.Inserts, g.Deletes)
 		q.storeMu.Unlock()
 		sp.Add(stageGroundApply, time.Since(applyStart))
 	}
-	// The restamp fingerprint is taken under the store gate, over the
-	// frozen post-apply epochs (a mutation racing a post-unlock restamp
-	// would be absorbed into the stamp and missed forever).
-	q.storeMu.Lock()
-	var stamp uint64
-	if !q.opt.DisableCache {
-		if q.gapClean(snap) {
-			stamp = q.epochFingerprint(rest)
-		} else {
-			// An out-of-band write landed between solve and apply; the
-			// tail was solved without it. Leave the stamp poisoned (zero
-			// is never a computed fingerprint) so the next grounding
-			// re-solves instead of replaying.
-			q.stats.solutionStale.Add(1)
-		}
-	}
-	q.storeMu.Unlock()
 	q.stats.grounded.Add(int64(groundCount))
 
 	q.mu.Lock()
@@ -516,7 +463,6 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		// used here (identity or move-to-front) the tail is already in
 		// partition order.
 		p.cached = append([]formula.Grounding(nil), sol.Groundings[groundCount:]...)
-		p.cachedEpoch = stamp
 	}
 	p.version++
 	if len(p.txns) == 0 {
@@ -750,7 +696,6 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 
 	dk := deltaKey(inserts, deletes)
 	refreshed := make([][]formula.Grounding, len(affected))
-	snaps := make([]epochSnap, len(affected))
 	sp.Mark()
 	err = q.pool.Map(len(affected), func(i int) error {
 		p := affected[i] // pre-locked; task takes no shard
@@ -787,7 +732,6 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 			return ErrWriteRejected
 		}
 		refreshed[i] = sol.Groundings
-		snaps[i] = q.epochSnapshot() // still under this task's read gate
 		return nil
 	})
 	sp.Stage(stageWriteValidate)
@@ -818,7 +762,7 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	}
 	applyStart := time.Now()
 	q.storeMu.Lock()
-	if err := q.db.Apply(inserts, deletes); err != nil {
+	if err := q.w.Apply(inserts, deletes); err != nil {
 		q.storeMu.Unlock()
 		unlockPartitions(cands)
 		err = fmt.Errorf("core: applying write: %w", err)
@@ -827,35 +771,17 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		}
 		return err
 	}
-	q.noteEngineWrite(inserts, deletes)
 	// Blind writes are the one engine mutation optimistic admission can
 	// never attribute to a non-overlapping partition; the sequence number
 	// lets validations detect that one landed mid-speculation.
 	q.writeSeq.Add(1)
-	// Stamps are taken under the store gate (post-apply epochs frozen),
-	// and only for partitions whose validate-to-apply gap saw engine
-	// writes alone; see trySolveAndApply for why anything else would
-	// launder an out-of-band write into a fresh stamp.
-	var stamps []uint64
-	if !q.opt.DisableCache {
-		stamps = make([]uint64, len(affected))
-		for i, p := range affected {
-			if q.gapClean(snaps[i]) {
-				stamps[i] = q.epochFingerprint(p.txns)
-			} else {
-				q.stats.solutionStale.Add(1)
-			}
-		}
-	}
 	q.storeMu.Unlock()
 	sp.Add(stageWriteApply, time.Since(applyStart))
 	for i, p := range affected {
 		if !q.opt.DisableCache {
 			// Refreshed solutions were validated over the store plus this
-			// write, which is now the store; the stamp lets grounding
-			// replay them.
+			// write, which is now the store, so grounding can replay them.
 			p.cached = refreshed[i]
-			p.cachedEpoch = stamps[i]
 		}
 		// Either way the partition's solve-relevant state moved: any
 		// in-flight admission speculation over it must conflict.

@@ -68,7 +68,10 @@ type QDB struct {
 	mu      sync.Mutex
 	storeMu sync.RWMutex
 
+	// db is the store, read by solves and snapshots; w is its owner's
+	// Writer, the only way rows change once New has taken the store.
 	db   *relstore.DB
+	w    *relstore.Writer
 	opt  Options
 	pool *sched.Pool
 
@@ -83,25 +86,6 @@ type QDB struct {
 	// instances. Both are epoch-invalidated; see cache.go.
 	prep    *formula.PrepCache
 	rejects rejectCache
-	// knownEpoch is the store epoch the engine expects from its own
-	// writes alone: set to db.Epoch() at construction and incremented
-	// under storeMu exclusive for every non-empty batch the engine
-	// applies. While db.Epoch() still equals it, no out-of-band mutation
-	// has occurred since the last trust point, so the engine's own cache
-	// maintenance is authoritative and per-partition fingerprint checks
-	// can be skipped (storeTrusted in cache.go); after a divergence every
-	// cache decision falls back to fingerprint comparison until the next
-	// checkpoint's consistent cut revalidates the caches and re-arms
-	// knownEpoch (rearmTrustLocked in checkpoint.go). Guarded by storeMu
-	// (written under the exclusive side, read under either).
-	knownEpoch uint64
-	// trustGen counts checkpoint re-arms of knownEpoch. Decisions that
-	// span a release of storeMu (the solve-to-apply gap's epochSnap, an
-	// optimistic admission's batchOutcome) record it and require it
-	// unchanged at validation: a re-arm inside the span would otherwise
-	// launder exactly the out-of-band write it absorbed (see gapClean).
-	// Guarded like knownEpoch.
-	trustGen uint64
 
 	// Optimistic-admission snapshot counters (see admit.go). partVersion
 	// versions the partition SET: bumped on every partition create, merge,
@@ -111,18 +95,13 @@ type QDB struct {
 	// counter equality at validation proves the snapshot's overlap set is
 	// still the true one. admitSeq counts admission installs alone and
 	// writeSeq accepted blind writes (bumped under storeMu exclusive);
-	// together with storeTrusted they let a validation accept a snapshot
-	// whose relevant table epochs moved only by groundings of
-	// non-overlapping partitions, which cannot unify with the admission's
-	// atoms and so cannot invalidate its solve.
+	// since the engine is the store's only writer, they let a validation
+	// accept a snapshot whose relevant table epochs moved only by
+	// groundings of non-overlapping partitions, which cannot unify with
+	// the admission's atoms and so cannot invalidate its solve.
 	partVersion atomic.Uint64
 	admitSeq    atomic.Uint64
 	writeSeq    atomic.Uint64
-	// demoted latches the first observed trusted-store demotion of the
-	// current trust generation so each demotion episode is counted and
-	// logged exactly once; a checkpoint re-arm resets it (see
-	// noteTrustDemotion, rearmTrustLocked).
-	demoted atomic.Bool
 
 	// log is the segmented write-ahead log (nil without Options.WALPath);
 	// immutable after New, internally synchronized. Every durability path
@@ -171,13 +150,7 @@ type partition struct {
 	// aligned with txns, valid over the current extensional store. nil
 	// only when the cache is disabled.
 	cached []formula.Grounding
-	// cachedEpoch is the epoch fingerprint (cache.go) of the partition's
-	// relevant relations at the moment cached was installed. Grounding
-	// replays the cached head without solving only while the fingerprint
-	// still matches, so a store mutated behind the engine's back can
-	// never be served a stale grounding.
-	cachedEpoch uint64
-	// version counts mutations of txns/cached/cachedEpoch (written under
+	// version counts mutations of txns/cached (written under
 	// shard). Optimistic admission snapshots it and re-checks it at
 	// install time: equality under the shard proves the partition's
 	// pending chain and cached solution are exactly what the speculative
@@ -187,11 +160,18 @@ type partition struct {
 
 func (p *partition) id() int64 { return p.shard.ID() }
 
-// New creates a quantum database over db. The store is owned by the QDB
-// afterwards: all mutations must go through resource transactions, Write,
-// or grounding.
+// New creates a quantum database over db and takes the store's ownership
+// latch (relstore.DB.Own): afterwards every mutation goes through
+// resource transactions, Write, or grounding, and a write made directly
+// on db is refused with relstore.ErrOwned. New fails on a store that
+// already has an owner. Recover and PromoteReplica construct through New.
 func New(db *relstore.DB, opt Options) (*QDB, error) {
+	w, err := db.Own()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	q := &QDB{
+		w:      w,
 		db:     db,
 		opt:    opt,
 		pool:   sched.NewPool(opt.workers()),
@@ -207,9 +187,6 @@ func New(db *relstore.DB, opt Options) (*QDB, error) {
 	if opt.SlowOpThreshold > 0 {
 		q.met.slow.SetThreshold(opt.SlowOpThreshold)
 	}
-	// Rows seeded before the QDB takes ownership are the baseline, not
-	// out-of-band writes.
-	q.knownEpoch = db.Epoch()
 	if opt.WALPath != "" {
 		l, err := wal.OpenSegmented(opt.WALPath, opt.walSegments())
 		if err != nil {
@@ -246,8 +223,8 @@ func (q *QDB) LogStats() wal.SegStats {
 }
 
 // Store returns the underlying extensional store for read-only inspection
-// by tests and the benchmark harness. Going around the QDB for writes
-// breaks the pending-transaction invariant.
+// by tests and the benchmark harness. Its row mutators refuse with
+// relstore.ErrOwned: writes go through the QDB.
 func (q *QDB) Store() *relstore.DB { return q.db }
 
 // Stats returns a copy of the counters, folding in the prepared-query
@@ -362,13 +339,12 @@ func (q *QDB) Submit(t *txn.T) (int64, error) {
 // snapshot readers that observe the old counter values are guaranteed to
 // have missed nothing (see the counter ordering note on QDB). Caller
 // holds admitMu and p's shard.
-func (q *QDB) installLocked(p *partition, admitted *txn.T, merged []*txn.T, cached []formula.Grounding, stamp uint64) {
+func (q *QDB) installLocked(p *partition, admitted *txn.T, merged []*txn.T, cached []formula.Grounding) {
 	p.txns = merged
 	if q.opt.DisableCache {
 		p.cached = nil
 	} else {
 		p.cached = cached
-		p.cachedEpoch = stamp
 	}
 	p.version++
 	q.mu.Lock()

@@ -227,7 +227,6 @@ func TestReadUnrelatedDoesNotCollapse(t *testing.T) {
 // optional constraints yield to later hard constraints.
 func TestPlutoTakesMickeysOptionalSeat(t *testing.T) {
 	db := worldDB([]int{1}, 6)
-	q := mustQDB(t, db, Options{})
 	// Goofy already holds 1B extensionally.
 	if err := db.Apply(
 		[]relstore.GroundFact{{Rel: "Bookings", Tuple: tup("Goofy", 1, "1B")}},
@@ -235,6 +234,7 @@ func TestPlutoTakesMickeysOptionalSeat(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
+	q := mustQDB(t, db, Options{})
 	// Mickey wants any seat, preferably next to Goofy (1A or 1C).
 	mID, err := q.Submit(bookNextTo("Mickey", "Goofy", 1))
 	if err != nil {

@@ -378,7 +378,6 @@ func (q *QDB) readmit(t *txn.T) error {
 	merged := mergedTxns(overlapping, t)
 	q.storeMu.RLock()
 	sol, ok, err := formula.SolveChain(q.db, stripAll(merged), q.chainOpts(false))
-	stamp := q.epochFingerprint(merged)
 	q.storeMu.RUnlock()
 	if err != nil {
 		unlockPartitions(overlapping)
@@ -394,7 +393,6 @@ func (q *QDB) readmit(t *txn.T) error {
 		p.cached = nil
 	} else {
 		p.cached = sol.Groundings
-		p.cachedEpoch = stamp
 	}
 	p.version++
 	q.mu.Lock()

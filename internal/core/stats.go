@@ -25,10 +25,9 @@ type Stats struct {
 	CacheHits   int
 	CacheMisses int
 	// SolutionReplays counts groundings served by replaying the
-	// partition's cached solution against an epoch-unchanged store — a
-	// cache probe, zero solver work. SolutionStale counts replay
-	// attempts declined because the epoch fingerprint mismatched (the
-	// cross-solve cache's observed invalidations).
+	// partition's cached solution — a cache probe, zero solver work.
+	// SolutionStale counts replays whose grounding no longer applied (a
+	// key collision with a commuting write) and fell back to a solve.
 	SolutionReplays int
 	SolutionStale   int
 	// NegativeCacheHits counts unsatisfiability answers served from the
@@ -80,17 +79,6 @@ type Stats struct {
 	// (whatever their outcome) — the server's pipelined data plane is
 	// the expected feeder.
 	BatchedSubmits int
-	// TrustDemotions counts trusted-store demotion episodes: an
-	// out-of-band store write makes the engine fall back from "my own
-	// cache maintenance is authoritative" to per-solve epoch-fingerprint
-	// checks, which degrades cache hit rates, until a checkpoint's
-	// consistent cut re-arms trust (TrustRearms). At most one demotion is
-	// counted (and logged) per trust generation.
-	TrustDemotions int
-	// TrustRearms counts checkpoints that re-armed the trusted-store fast
-	// path after a demotion: the checkpoint cut revalidated every cached
-	// solution and snapped knownEpoch back to the store epoch.
-	TrustRearms int
 	// ParallelSolves counts partition tasks executed on the scheduler's
 	// worker pool: GroundAll partition drains, read-collapse tasks,
 	// blind-write validation solves, and speculative admission solves.
@@ -182,7 +170,6 @@ type counters struct {
 	optimisticAdmissions, admissionConflicts     atomic.Int64
 	admissionRetries, serialFallbacks            atomic.Int64
 	batchedSubmits                               atomic.Int64
-	trustDemotions, trustRearms                  atomic.Int64
 	snapshotReads, checkpointPauseNs             atomic.Int64
 	replicaAckSeq, replicaPulls                  atomic.Int64
 	demotions, staleTermRefusals                 atomic.Int64
@@ -221,8 +208,6 @@ func (c *counters) snapshot() Stats {
 		AdmissionRetries:     int(c.admissionRetries.Load()),
 		SerialFallbacks:      int(c.serialFallbacks.Load()),
 		BatchedSubmits:       int(c.batchedSubmits.Load()),
-		TrustDemotions:       int(c.trustDemotions.Load()),
-		TrustRearms:          int(c.trustRearms.Load()),
 		ParallelSolves:       int(c.parallelSolves.Load()),
 		LockWaits:            int(c.lockWaits.Load()),
 		SnapshotReads:        int(c.snapshotReads.Load()),

@@ -109,7 +109,7 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		{"qdb_cache_hits_total", "Admissions satisfied by extending a cached solution.", &c.cacheHits},
 		{"qdb_cache_misses_total", "Full composed-body solves at admission.", &c.cacheMisses},
 		{"qdb_solution_replays_total", "Groundings served by cached-solution replay.", &c.solutionReplays},
-		{"qdb_solution_stale_total", "Cached-solution replays declined on fingerprint mismatch.", &c.solutionStale},
+		{"qdb_solution_stale_total", "Cached-solution replays that no longer applied and fell back to a solve.", &c.solutionStale},
 		{"qdb_negative_cache_hits_total", "Unsatisfiability answers served from the negative solve cache.", &c.negHits},
 		{"qdb_semantic_reorders_total", "Successful move-to-front groundings.", &c.semanticReorders},
 		{"qdb_semantic_fallbacks_total", "Move-to-front attempts that fell back to the strict prefix.", &c.semanticFallbacks},
@@ -121,8 +121,6 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		{"qdb_admission_conflicts_total", "Optimistic-admission snapshot validations that failed.", &c.admissionConflicts},
 		{"qdb_admission_retries_total", "Optimistic admissions re-speculated after a conflict.", &c.admissionRetries},
 		{"qdb_serial_fallbacks_total", "Admissions that fell back to the serial discipline.", &c.serialFallbacks},
-		{"qdb_trust_demotions_total", "Trusted-store demotion episodes (out-of-band writes).", &c.trustDemotions},
-		{"qdb_trust_rearms_total", "Checkpoints that re-armed the trusted-store fast path.", &c.trustRearms},
 		{"qdb_parallel_solves_total", "Partition tasks executed on the worker pool.", &c.parallelSolves},
 		{"qdb_lock_waits_total", "Lock-order waits: stale shard acquires and TryLock skips.", &c.lockWaits},
 		{"qdb_snapshot_reads_total", "Read evaluations served gate-free from a COW snapshot.", &c.snapshotReads},

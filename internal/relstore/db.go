@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,6 +43,10 @@ type Source interface {
 // DB is an in-memory relational database: a catalog of keyed, hash-indexed
 // tables. All exported methods are safe for concurrent use.
 //
+// A DB can be owned (Own): from then on its exported row mutators refuse
+// with ErrOwned and the owner's Writer is the only way to change a row.
+// Schema changes (CreateTable) stay open.
+//
 // The database maintains monotone epoch counters — one per table plus a
 // store-wide one — bumped on every committed mutation. Epochs never
 // decrease and never reset within a DB instance, so an unchanged epoch
@@ -62,6 +67,51 @@ type DB struct {
 	// versions.
 	stamps uint64
 	cow    cowStats
+	// owned is set once, by Own under mu; see lockUnowned.
+	owned atomic.Bool
+}
+
+// ErrOwned is returned by Insert, Delete and Apply on a store an owner
+// has taken with Own; the write changes nothing.
+var ErrOwned = errors.New("relstore: store is owned; write through its owner")
+
+// Writer is the owner's handle on an owned store: the one way left to
+// change its rows.
+type Writer struct{ db *DB }
+
+// Own takes the store's write latch and returns the owner's Writer. It
+// fails with ErrOwned if the store already has an owner; ownership is
+// never released.
+func (db *DB) Own() (*Writer, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if !db.owned.CompareAndSwap(false, true) {
+		return nil, ErrOwned
+	}
+	return &Writer{db: db}, nil
+}
+
+// lockUnowned takes mu exclusively for a row mutator and reports true,
+// or reports false without locking if the store is owned. The latch is
+// read before locking too, so a refused write never queues on mu, where
+// it would block readers re-entering the read side.
+func (db *DB) lockUnowned() bool {
+	if db.owned.Load() {
+		return false
+	}
+	db.mu.Lock()
+	if db.owned.Load() {
+		db.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// Apply is DB.Apply for the store's owner.
+func (w *Writer) Apply(inserts, deletes []GroundFact) error {
+	w.db.mu.Lock()
+	defer w.db.mu.Unlock()
+	return w.db.applyLocked(inserts, deletes)
 }
 
 // newVersion returns a fresh stamp for a table version of this database.
@@ -121,7 +171,9 @@ func (db *DB) Relations() []string {
 
 // Insert adds a tuple; duplicate keys are an error (set semantics).
 func (db *DB) Insert(rel string, tup value.Tuple) error {
-	db.mu.Lock()
+	if !db.lockUnowned() {
+		return ErrOwned
+	}
 	defer db.mu.Unlock()
 	t, ok := db.mutable(rel)
 	if !ok {
@@ -136,7 +188,9 @@ func (db *DB) Insert(rel string, tup value.Tuple) error {
 
 // Delete removes the exact tuple; deleting an absent tuple is an error.
 func (db *DB) Delete(rel string, tup value.Tuple) error {
-	db.mu.Lock()
+	if !db.lockUnowned() {
+		return ErrOwned
+	}
 	defer db.mu.Unlock()
 	t, ok := db.mutable(rel)
 	if !ok {
@@ -284,8 +338,9 @@ func (db *DB) All(rel string) []value.Tuple {
 	return out
 }
 
-// Clone returns a deep copy of the database (schemas and rows). Used by
-// the benchmark harness to replay identical initial states.
+// Clone returns a deep copy of the database (schemas and rows), unowned
+// even when db is owned. Used by the benchmark harness to replay
+// identical initial states.
 func (db *DB) Clone() *DB {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -300,8 +355,15 @@ func (db *DB) Clone() *DB {
 // Apply performs a batch of inserts and deletes atomically: either all
 // succeed or the database is left unchanged.
 func (db *DB) Apply(inserts, deletes []GroundFact) error {
-	db.mu.Lock()
+	if !db.lockUnowned() {
+		return ErrOwned
+	}
 	defer db.mu.Unlock()
+	return db.applyLocked(inserts, deletes)
+}
+
+// applyLocked is Apply's body; the caller holds mu exclusively.
+func (db *DB) applyLocked(inserts, deletes []GroundFact) error {
 	if len(inserts)+len(deletes) > 0 {
 		// Bumped even when the batch rolls back: the compensating table
 		// operations bump the per-table epochs anyway, and over-counting

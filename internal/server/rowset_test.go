@@ -83,6 +83,9 @@ func TestSnapreadEncodeAllocs(t *testing.T) {
 	}
 	small, big := allocs(150), allocs(600)
 	t.Logf("allocs per snapread response: %.0f at 150 rows, %.0f at 600 rows", small, big)
+	if raceEnabled {
+		t.Skip("allocation counts vary from run to run under the race detector")
+	}
 	// One object of slack: a GC between runs may empty the frame pool.
 	if big > small+1 {
 		t.Fatalf("allocations grow with the row count: %.0f at 150 rows, %.0f at 600", small, big)

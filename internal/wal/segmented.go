@@ -1,3 +1,15 @@
+// Package wal implements the append-only write-ahead logging layer of
+// the quantum database (§4 "Recovery" of the paper): the pending-
+// transactions table is realized as pending/tombstone record pairs, and
+// base writes are logged so the extensional store can be rebuilt from
+// the initial database.
+//
+// The log is a SegmentedLog: N partition-affine segment files,
+// batch-framed commit units stamped with a monotone global sequence
+// number, per-segment group commit (concurrent synchronous appenders
+// share one fsync), and recovery that merges every segment back into a
+// single sequence-ordered replay stream while tolerating a torn tail per
+// segment.
 package wal
 
 import (
@@ -36,9 +48,22 @@ import (
 // far; appenders that arrive mid-fsync wait for the next round. A batch
 // is acknowledged only after a sync covering it completes.
 
+// Record is one logged entry: an opaque payload plus a record type chosen
+// by the caller.
+type Record struct {
+	Type    uint8
+	Payload []byte
+}
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrCorrupt is wrapped by batch-decoding errors caused by a torn or
+// corrupted frame body.
+var ErrCorrupt = errors.New("wal: corrupt record")
+
 // segMagic identifies a segment file; it doubles as a format version so
-// a legacy single-file log (package-level Log) is never misparsed as a
-// segment. Version 2 added the replication term to every frame body;
+// a log in the retired single-file format (bare CRC frames, no header)
+// is never misparsed as a segment. Version 2 added the replication term to every frame body;
 // version-1 files are refused (bad magic) rather than misread, because a
 // v1 body's record count would be parsed as the low bytes of a term.
 const segMagic = "QDBWSEG2"
@@ -973,7 +998,7 @@ func decodeBatchBody(data []byte) (Batch, error) {
 
 // rejectLegacy errors when a non-empty file sits at the log's root path
 // itself: segments live at <path>.N, so such a file is almost certainly
-// a log written by the legacy single-file Log format. Silently ignoring
+// a log written in the retired single-file format. Silently ignoring
 // it would make recovery "succeed" with zero batches — every pending
 // transaction lost without a word — so opening and replaying both refuse
 // until the operator migrates or moves it.

@@ -355,14 +355,7 @@ func TestSegmentedRejectsLegacyFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "old.wal")
 	// A legacy single-file log where a segment should be.
-	legacy, err := Open(segmentPath(path, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Append(Record{Type: 1, Payload: []byte("legacy")}); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Close()
+	writeLegacyLog(t, segmentPath(path, 0), rec(1, "legacy"))
 	if _, err := OpenSegmented(path, 1); err == nil {
 		t.Fatal("legacy-format file accepted as a segment")
 	}
@@ -375,14 +368,7 @@ func TestSegmentedRejectsLegacyRootFile(t *testing.T) {
 	// replaying the segmented log rooted there must refuse — silently
 	// globbing only <path>.N would "recover" zero batches and lose every
 	// pending transaction without a word.
-	legacy, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Append(Record{Type: 1, Payload: []byte("pending txn")}); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Close()
+	writeLegacyLog(t, path, rec(1, "pending txn"))
 	if _, err := OpenSegmented(path, 2); err == nil {
 		t.Fatal("OpenSegmented silently ignored a legacy log at the root path")
 	}
@@ -414,26 +400,14 @@ func TestSegmentedEmptyBatchIsNoOp(t *testing.T) {
 	}
 }
 
-// TestAppendAllocFree guards the scratch-buffer satellite: a steady-state
-// Log.Append (sync off) and SegmentedLog.AppendBatch allocate nothing
-// once buffers are warm.
+// TestAppendAllocFree guards the scratch buffer: a steady-state
+// SegmentedLog.AppendBatch (sync off) allocates nothing once buffers are
+// warm.
 func TestAppendAllocFree(t *testing.T) {
-	l, _ := openTemp(t)
 	r := Record{Type: 1, Payload: bytes.Repeat([]byte{0xCD}, 256)}
-	if err := l.Append(r); err != nil { // warm the scratch buffer
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := l.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 0 {
-		t.Errorf("Log.Append allocates %.1f per record, want 0", allocs)
-	}
-
 	sl, _ := openSeg(t, 2)
 	recs := []Record{r, {Type: 2, Payload: []byte("tombstone")}}
-	if _, err := sl.AppendBatch(1, recs); err != nil {
+	if _, err := sl.AppendBatch(1, recs); err != nil { // warm the scratch buffer
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {

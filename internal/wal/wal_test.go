@@ -2,46 +2,62 @@ package wal
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
 )
 
-func openTemp(t *testing.T) (*Log, string) {
+// writeLegacyLog writes records at path in the retired single-file format
+// (per record: u32 length of type+payload, type, payload, CRC-32C; no
+// header), so the tests can check that the segmented log refuses it.
+func writeLegacyLog(t *testing.T, path string, recs ...Record) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	var buf []byte
+	for _, r := range recs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(r.Payload)))
+		body := len(buf)
+		buf = append(buf, r.Type)
+		buf = append(buf, r.Payload...)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[body:], crcTable))
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readRecords replays the log rooted at path and flattens its batches.
+func readRecords(t *testing.T, path string) []Record {
+	t.Helper()
+	batches, err := ReadAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	return l, path
+	var out []Record
+	for _, b := range batches {
+		out = append(out, b.Records...)
+	}
+	return out
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
-	l, path := openTemp(t)
+	l, path := openSeg(t, 1)
 	recs := []Record{
 		{Type: 1, Payload: []byte("pending txn 1")},
 		{Type: 2, Payload: []byte{}},
 		{Type: 1, Payload: bytes.Repeat([]byte{0xAB}, 1000)},
 	}
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
+		if _, err := l.AppendBatch(0, []Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	if err := Replay(path, func(r Record) error {
-		got = append(got, Record{Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := readRecords(t, path)
 	if len(got) != len(recs) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
 	}
@@ -53,118 +69,83 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	err := Replay(filepath.Join(t.TempDir(), "absent.wal"), func(Record) error {
-		t.Fatal("callback on missing file")
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("missing file should replay empty, got %v", err)
+	got, err := ReadAll(filepath.Join(t.TempDir(), "absent.wal"))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("missing log should replay empty, got %v, %v", got, err)
 	}
 }
 
 func TestReplayTornTail(t *testing.T) {
-	l, path := openTemp(t)
-	if err := l.Append(Record{Type: 1, Payload: []byte("good")}); err != nil {
+	l, path := openSeg(t, 1)
+	if _, err := l.AppendBatch(0, []Record{rec(1, "good")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Type: 1, Payload: []byte("to be torn")}); err != nil {
+	if _, err := l.AppendBatch(0, []Record{rec(1, "to be torn")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the last 3 bytes off, simulating a crash mid-write.
-	data, err := os.ReadFile(path)
+	seg := segmentPath(path, 0)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+	if err := os.WriteFile(seg, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var got int
-	err = Replay(path, func(Record) error { got++; return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-	if got != 1 {
-		t.Fatalf("replayed %d intact records before corruption, want 1", got)
+	got := readRecords(t, path)
+	if len(got) != 1 || string(got[0].Payload) != "good" {
+		t.Fatalf("replayed %v before the torn tail, want just \"good\"", got)
 	}
 }
 
 func TestReplayBitFlip(t *testing.T) {
-	l, path := openTemp(t)
-	if err := l.Append(Record{Type: 1, Payload: []byte("payload")}); err != nil {
+	l, path := openSeg(t, 1)
+	if _, err := l.AppendBatch(0, []Record{rec(1, "payload")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	seg := segmentPath(path, 0)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[6] ^= 0x01 // flip a payload bit
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	data[len(data)-6] ^= 0x01 // flip a payload bit
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = Replay(path, func(Record) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt after bit flip, got %v", err)
-	}
-}
-
-func TestReplayCallbackError(t *testing.T) {
-	l, path := openTemp(t)
-	for i := 0; i < 3; i++ {
-		if err := l.Append(Record{Type: 1, Payload: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	sentinel := errors.New("stop")
-	n := 0
-	err := Replay(path, func(Record) error {
-		n++
-		if n == 2 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) || n != 2 {
-		t.Fatalf("callback error not propagated: n=%d err=%v", n, err)
+	if got := readRecords(t, path); len(got) != 0 {
+		t.Fatalf("a bit-flipped frame replayed as %v", got)
 	}
 }
 
 func TestTruncate(t *testing.T) {
-	l, path := openTemp(t)
-	if err := l.Append(Record{Type: 1, Payload: []byte("x")}); err != nil {
+	l, path := openSeg(t, 1)
+	if _, err := l.AppendBatch(0, []Record{rec(1, "x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Type: 2, Payload: []byte("y")}); err != nil {
+	if _, err := l.AppendBatch(0, []Record{rec(2, "y")}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	var got []Record
-	if err := Replay(path, func(r Record) error {
-		got = append(got, Record{Type: r.Type, Payload: append([]byte(nil), r.Payload...)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Type != 2 {
+	if got := readRecords(t, path); len(got) != 1 || got[0].Type != 2 {
 		t.Fatalf("after truncate: %v", got)
 	}
 }
 
 func TestClosedLogErrors(t *testing.T) {
-	l, _ := openTemp(t)
+	l, _ := openSeg(t, 1)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Type: 1}); err == nil {
+	if _, err := l.AppendBatch(0, []Record{rec(1, "")}); err == nil {
 		t.Error("append to closed log succeeded")
 	}
 	if err := l.Sync(); err == nil {
@@ -179,18 +160,14 @@ func TestClosedLogErrors(t *testing.T) {
 }
 
 func TestSyncOnAppend(t *testing.T) {
-	l, path := openTemp(t)
+	l, path := openSeg(t, 1)
 	l.SyncOnAppend = true
-	if err := l.Append(Record{Type: 7, Payload: []byte("durable")}); err != nil {
+	if _, err := l.AppendBatch(0, []Record{rec(7, "durable")}); err != nil {
 		t.Fatal(err)
 	}
 	// Without closing, the data must already be on disk.
-	var got int
-	if err := Replay(path, func(Record) error { got++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("synced record not visible: %d", got)
+	if got := readRecords(t, path); len(got) != 1 {
+		t.Fatalf("synced record not visible: %d", len(got))
 	}
 }
 
@@ -202,7 +179,7 @@ func TestQuickRoundTripArbitraryPayloads(t *testing.T) {
 		}
 		defer os.RemoveAll(dir)
 		path := filepath.Join(dir, "q.wal")
-		l, err := Open(path)
+		l, err := OpenSegmented(path, 1)
 		if err != nil {
 			return false
 		}
@@ -211,20 +188,22 @@ func TestQuickRoundTripArbitraryPayloads(t *testing.T) {
 			n = len(types)
 		}
 		for i := 0; i < n; i++ {
-			if err := l.Append(Record{Type: types[i], Payload: payloads[i]}); err != nil {
+			if _, err := l.AppendBatch(0, []Record{{Type: types[i], Payload: payloads[i]}}); err != nil {
 				return false
 			}
 		}
 		l.Close()
-		i := 0
-		err = Replay(path, func(r Record) error {
-			if r.Type != types[i] || !bytes.Equal(r.Payload, payloads[i]) {
-				return errors.New("mismatch")
+		batches, err := ReadAll(path)
+		if err != nil || len(batches) != n {
+			return false
+		}
+		for i, b := range batches {
+			r := b.Records[0]
+			if len(b.Records) != 1 || r.Type != types[i] || !bytes.Equal(r.Payload, payloads[i]) {
+				return false
 			}
-			i++
-			return nil
-		})
-		return err == nil && i == n
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -127,7 +127,9 @@
 // never wait on anything — DB.Snapshot returns an epoch-stamped frozen
 // view; Snapshot.Query / DB.QueryAt evaluate against it lock-free and
 // repeatably until it is Released. Stats reports SnapshotReads and the
-// SnapshotsLive gauge.
+// SnapshotsLive gauge. The raw store behind the engine is read-only:
+// every row write goes through the engine, and one made directly on
+// Engine().Store() is refused with relstore.ErrOwned.
 //
 // Options.Workers picks the pool width: 0 (default) uses GOMAXPROCS,
 // 1 makes every multi-partition operation run inline (serial), larger
@@ -546,7 +548,8 @@ func (db *DB) SlowOps() *telemetry.SlowLog { return db.q.SlowOps() }
 func (db *DB) SetSlowOpThreshold(d time.Duration) { db.q.SetSlowOpThreshold(d) }
 
 // Engine exposes the underlying quantum engine for advanced use
-// (GroundPair, partition inspection).
+// (GroundPair, partition inspection). Its raw store (Engine().Store())
+// is read-only: its row writes return relstore.ErrOwned; write with Exec.
 func (db *DB) Engine() *core.QDB { return db.q }
 
 // Coordinator executes entangled resource transactions: it grounds a

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/relstore"
+	"repro/internal/value"
 )
 
 func travelDB(t *testing.T, opt Options) *DB {
@@ -175,6 +177,48 @@ func TestFacadeRecover(t *testing.T) {
 	rows, err := r.Query("Bookings('M', 123, s)")
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rows = %v err=%v", rows, err)
+	}
+}
+
+// TestFacadeStoreIsReadOnly: the raw store behind a live engine refuses
+// writes, while schema changes and blind writes through the facade still
+// work, and a Recover setup callback can still seed rows through Exec
+// (the engine takes the store only after the callback).
+func TestFacadeStoreIsReadOnly(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "owned.wal")
+	q, err := core.New(relstore.NewDB(), core.Options{WALPath: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := FromEngine(q)
+	travelSchema(db)
+	db.MustExec("+Available(123, '1A')")
+	seat := []relstore.GroundFact{{Rel: "Available", Tuple: value.Tuple{value.NewInt(123), value.NewString("1B")}}}
+	if err := db.Engine().Store().Apply(seat, nil); !errors.Is(err, relstore.ErrOwned) {
+		t.Fatalf("write around the engine: %v, want ErrOwned", err)
+	}
+	if err := db.CreateTable(Table{Name: "Lounges", Columns: []string{"fno"}}); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("+Lounges(123)")
+	if rows, err := db.Query("Available(123, s)"); err != nil || len(rows) != 1 {
+		t.Fatalf("Available = %v, %v; want only the Exec'd seat", rows, err)
+	}
+	db.Close()
+
+	r, err := Recover(Options{WALPath: filepath.Join(t.TempDir(), "seeded.wal")}, func(fresh *DB) error {
+		travelSchema(fresh)
+		return fresh.Exec("+Available(123, '1A'), +Available(123, '1B')")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if rows, err := r.Query("Available(123, s)"); err != nil || len(rows) != 2 {
+		t.Fatalf("seeded Available = %v, %v; want 2 rows", rows, err)
+	}
+	if err := r.Engine().Store().Apply(seat, nil); !errors.Is(err, relstore.ErrOwned) {
+		t.Fatalf("write around the recovered engine: %v, want ErrOwned", err)
 	}
 }
 
