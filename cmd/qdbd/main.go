@@ -296,6 +296,7 @@ func runFollower(cfg followerConfig) {
 		if err := srv.Shutdown(cfg.drainTimeout); err != nil {
 			log.Printf("drain: %v", err)
 		}
+		rc.Close()
 		if db := srv.DB(); db != nil {
 			// Promoted mid-run: we are the leader now; flush and close
 			// the engine so the WAL tail is durable.

@@ -65,15 +65,15 @@ func (q *QDB) CheckpointImage() ([]byte, uint64, error) {
 }
 
 // WALBatchesFrom returns the committed WAL batches with sequence
-// numbers above after, merged across segments in sequence order — the
-// shipper's pull primitive. A wal.ErrTruncated result means the leader
-// checkpointed past the subscriber's position; the caller must fall
-// back to CheckpointImage.
-func (q *QDB) WALBatchesFrom(after uint64) ([]wal.Batch, error) {
+// numbers above after, merged across segments in sequence order, at
+// most max of them (max <= 0: all) — the shipper's pull primitive. A
+// wal.ErrTruncated result means the leader checkpointed past the
+// subscriber's position; the caller must fall back to CheckpointImage.
+func (q *QDB) WALBatchesFrom(after uint64, max int) ([]wal.Batch, error) {
 	if q.log == nil {
 		return nil, errNoWAL
 	}
-	return q.log.ReadFrom(after)
+	return q.log.ReadFrom(after, max)
 }
 
 // WALSeq reports the highest WAL sequence number assigned so far; the

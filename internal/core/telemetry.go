@@ -212,6 +212,11 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		"Individual WAL flush+fsync rounds.")
 	m.walBytes = reg.Histogram("qdb_wal_batch_bytes", "",
 		"Encoded size of appended WAL batches.", 1)
+	// Resolved per poll, like the replication series above: q.log opens
+	// after this registry is built.
+	reg.CounterFunc("qdb_wal_file_scans_total",
+		"Log-shipping reads the in-memory WAL tail could not answer, served by scanning the segment files.",
+		func() int64 { return int64(q.LogStats().FileScans) })
 	return m
 }
 

@@ -242,7 +242,7 @@ func TestFailoverKillAtEveryBatchBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn(t, q, nil)
-	batches, err := q.WALBatchesFrom(stamp)
+	batches, err := q.WALBatchesFrom(stamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestFollowerCrashMidReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn(t, q, nil)
-	batches, err := q.WALBatchesFrom(stamp)
+	batches, err := q.WALBatchesFrom(stamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDivergenceRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	churn(t, q, nil)
-	batches, err := q.WALBatchesFrom(stamp)
+	batches, err := q.WALBatchesFrom(stamp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

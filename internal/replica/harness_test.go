@@ -263,6 +263,76 @@ func TestReplicationSequentialDeterminism(t *testing.T) {
 	}
 }
 
+// TestFollowerTailFileScans pins what the leader's in-memory WAL tail
+// buys: a caught-up follower's pulls are answered from memory and never
+// scan the segment files, while a follower resuming from an image older
+// than the log's current open costs exactly one file scan, after which
+// it is caught up and its pulls are answered from memory again. The
+// count is the qdb_wal_file_scans_total series.
+func TestFollowerTailFileScans(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "leader.wal")
+	opt := core.Options{WALPath: walPath, WALSegments: 2}
+	q, err := core.New(workload.NewWorld(leaderConfig()).DB, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := NewFollower(&Shipper{DB: q})
+	stale := NewFollower(&Shipper{DB: q})
+	for _, f := range []*Follower{current, stale} {
+		if err := f.Bootstrap(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn(t, q, func(i int) {
+		if _, err := current.Sync(); err != nil {
+			t.Fatalf("sync at op %d: %v", i, err)
+		}
+	})
+	catchUp(t, current, q)
+	if n := q.LogStats().FileScans; n != 0 {
+		t.Fatalf("a caught-up follower's pulls scanned the WAL files %d times, want 0", n)
+	}
+
+	// Restart the leader on the same log: the reopened tail starts empty
+	// at the on-disk sequence, below which only the files can answer.
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q, err = core.Recover(workload.NewWorld(leaderConfig()).DB, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	current.SetTransport(&Shipper{DB: q})
+	stale.SetTransport(&Shipper{DB: q})
+	if stale.AppliedSeq() >= q.WALSeq() {
+		t.Fatalf("stale follower at %d is not behind the reopened log at %d", stale.AppliedSeq(), q.WALSeq())
+	}
+	catchUp(t, stale, q)
+	for i := 0; i < 4; i++ {
+		fact := relstore.GroundFact{Rel: workload.RelFlights, Tuple: value.Tuple{
+			value.NewInt(int64(7000 + i)), value.NewString("TAIL"),
+		}}
+		if err := q.Write([]relstore.GroundFact{fact}, nil); err != nil {
+			t.Fatal(err)
+		}
+		catchUp(t, current, q)
+		catchUp(t, stale, q)
+	}
+	mustEqualState(t, q, stale.State())
+	mustEqualState(t, q, current.State())
+	if n := q.LogStats().FileScans; n != 1 {
+		t.Fatalf("WAL file scans = %d, want exactly 1 (the stale follower's first pull)", n)
+	}
+	var buf bytes.Buffer
+	if err := q.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("\nqdb_wal_file_scans_total 1\n")) {
+		t.Fatalf("leader metrics do not report the file scan:\n%s", buf.String())
+	}
+}
+
 // TestFollowerStatsAndMetrics pins the observable surface: the follower
 // registry exposes qdb_replica_lag and qdb_follower_applied_seq, and
 // Stats() carries the follower-side fields.

@@ -23,6 +23,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,15 +111,12 @@ func (s *Shipper) Pull(after, term uint64) (PullResult, error) {
 	if s.Wait > 0 {
 		s.DB.WaitForWALSeq(after, s.Wait)
 	}
-	batches, err := s.DB.WALBatchesFrom(after)
+	batches, err := s.DB.WALBatchesFrom(after, s.MaxBatches)
 	if err != nil {
 		if errors.Is(err, wal.ErrTruncated) {
 			return PullResult{LeaderSeq: s.DB.WALSeq(), LeaderTerm: s.DB.Term(), Resync: true}, nil
 		}
 		return PullResult{}, err
-	}
-	if s.MaxBatches > 0 && len(batches) > s.MaxBatches {
-		batches = batches[:s.MaxBatches]
 	}
 	return PullResult{Batches: batches, LeaderSeq: s.DB.WALSeq(), LeaderTerm: s.DB.Term()}, nil
 }
@@ -305,11 +303,16 @@ func NewFollower(t Transport) *Follower {
 
 // SetTransport swaps the leader this follower pulls from — the loser of
 // an election converges by re-pointing at the winner. The next Sync
-// uses the new transport; an in-flight call finishes against the old.
+// uses the new transport; an in-flight call finishes against the old,
+// which is then closed if it holds a connection (io.Closer).
 func (f *Follower) SetTransport(t Transport) {
 	f.trMu.Lock()
+	old := f.t
 	f.t = t
 	f.trMu.Unlock()
+	if c, ok := old.(io.Closer); ok && old != t {
+		c.Close()
+	}
 }
 
 func (f *Follower) transport() Transport {

@@ -302,6 +302,26 @@ func (c *Client) onceBinary(req *Request) (Response, error) {
 	}
 }
 
+// call performs req once, dialing first when no connection is held, with
+// timeout as the deadline of the exchange: no retry and no redirect, for
+// a caller that owns retrying (ReplicaClient). An error drops the
+// connection, so the next call redials.
+func (c *Client) call(req Request, timeout time.Duration) (Response, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.conn == nil {
+		if err := c.dialLocked(); err != nil {
+			return Response{}, err
+		}
+	}
+	c.conn.SetDeadline(time.Now().Add(timeout))
+	resp, err := c.once(req)
+	if err != nil {
+		c.dropConnLocked()
+	}
+	return resp, err
+}
+
 func (c *Client) dropConnLocked() {
 	if c.conn != nil {
 		c.conn.Close()

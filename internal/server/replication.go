@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"net"
+	"sync"
 	"time"
 
 	"repro/internal/replica"
@@ -13,11 +11,11 @@ import (
 )
 
 // This file is the network leg of WAL log shipping: the leader serves
-// repl.bootstrap / repl.pull over the ordinary JSON-lines protocol, a
-// follower-mode server answers reads from its replayed store, and
-// ReplicaClient adapts the wire back into a replica.Transport so the
-// follower loop is transport-agnostic (the replication harness drives
-// the same loop over an in-process Pipe).
+// repl.bootstrap / repl.pull like any other verb, a follower-mode
+// server answers reads from its replayed store, and ReplicaClient
+// adapts the wire back into a replica.Transport so the follower loop is
+// transport-agnostic (the replication harness drives the same loop over
+// an in-process Pipe).
 
 // ErrReadOnlyFollower is the refusal a follower sends for any mutating
 // verb: followers have no admission path — every change must flow
@@ -115,23 +113,72 @@ func fromWireBatches(batches []WireBatch) []wal.Batch {
 	return out
 }
 
-// ReplicaClient is a replica.Transport that speaks the JSON-lines
-// protocol to a leader qdbd. It dials per call: bootstraps are rare,
-// pulls ride a polling cadence, and a fresh connection per request
-// makes leader restarts and flaky networks a retry instead of a stuck
-// stream (the follower loop already retries transient errors).
+// ReplicaClient is a replica.Transport that speaks the binary protocol
+// to a leader qdbd over one held connection: a follower pulls after
+// every commit, and a dial, handshake and teardown per pull cost the
+// leader more CPU than serving the pull. A call makes one attempt and
+// never follows redirects — the follower loop owns retrying. Any
+// transport error drops the connection and the next call redials, so a
+// leader restart or a flaky network costs one failed call, not a stuck
+// stream. Calls that overlap (a promotion's fence exchange while a pull
+// is parked at the leader) each get a connection; only one is held
+// between calls. Safe for concurrent use.
 type ReplicaClient struct {
 	Addr string
-	// Timeout bounds one whole call, dial to decoded response
-	// (default 30s; stretched to cover Wait when long-polling).
+	// Timeout bounds one request's exchange on the connection (default
+	// 30s; stretched to cover Wait when long-polling). Dialing is
+	// bounded like any Client's.
 	Timeout time.Duration
 	// Wait, when positive, asks the leader to long-poll pulls: the
 	// server parks up to Wait for new batches before answering, so
 	// shipping is push-shaped and follower lag drops to a round trip.
 	Wait time.Duration
+
+	mu     sync.Mutex
+	idle   *Client // the held connection; nil while a call is using it
+	closed bool
 }
 
 var _ replica.Transport = (*ReplicaClient)(nil)
+
+// Close drops the held connection. A call in flight finishes and then
+// closes its connection; calls made after Close still work, each over a
+// connection of its own.
+func (c *ReplicaClient) Close() error {
+	c.mu.Lock()
+	cl := c.idle
+	c.idle, c.closed = nil, true
+	c.mu.Unlock()
+	if cl == nil {
+		return nil
+	}
+	return cl.Close()
+}
+
+// take hands the caller the held connection, or a new unconnected
+// client when a concurrent call holds it (or none was made yet).
+func (c *ReplicaClient) take() *Client {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cl := c.idle; cl != nil {
+		c.idle = nil
+		return cl
+	}
+	return &Client{addr: c.Addr, proto: ProtoBinary}
+}
+
+// put holds cl for the next call, or closes it when another connection
+// is already held or the client was closed.
+func (c *ReplicaClient) put(cl *Client) {
+	c.mu.Lock()
+	if c.idle == nil && !c.closed {
+		c.idle, cl = cl, nil
+	}
+	c.mu.Unlock()
+	if cl != nil {
+		cl.Close()
+	}
+}
 
 func (c *ReplicaClient) roundTrip(req Request) (Response, error) {
 	timeout := c.Timeout
@@ -141,18 +188,11 @@ func (c *ReplicaClient) roundTrip(req Request) (Response, error) {
 	if c.Wait > 0 && timeout < c.Wait+10*time.Second {
 		timeout = c.Wait + 10*time.Second
 	}
-	conn, err := net.DialTimeout("tcp", c.Addr, timeout)
+	cl := c.take()
+	resp, err := cl.call(req, timeout)
+	c.put(cl)
 	if err != nil {
-		return Response{}, fmt.Errorf("server: dial leader %s: %w", c.Addr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		return Response{}, fmt.Errorf("server: send %s: %w", req.Op, err)
-	}
-	var resp Response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		return Response{}, fmt.Errorf("server: read %s reply: %w", req.Op, err)
+		return Response{}, fmt.Errorf("server: %s to leader %s: %w", req.Op, c.Addr, err)
 	}
 	if !resp.OK {
 		return Response{}, fmt.Errorf("server: leader refused %s: %s", req.Op, resp.Err)

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,15 +157,133 @@ func TestReplicationOverTCP(t *testing.T) {
 	}
 }
 
-// TestReplicaClientLeaderRestartProof documents the dial-per-call
-// contract: a pull against a dead address fails cleanly (no hung
-// stream), and the same client works again once a leader is back.
+// TestReplicaClientDeadLeader checks that a call against a dead address
+// fails cleanly instead of hanging.
 func TestReplicaClientDeadLeader(t *testing.T) {
 	rc := &ReplicaClient{Addr: "127.0.0.1:1", Timeout: 500 * time.Millisecond}
+	defer rc.Close()
 	if _, err := rc.Pull(0, 0); err == nil {
 		t.Fatal("pull against a dead leader succeeded")
 	}
 	if _, _, err := rc.Bootstrap(); err == nil {
 		t.Fatal("bootstrap against a dead leader succeeded")
+	}
+}
+
+// acceptLog records every connection a listener accepts.
+type acceptLog struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *acceptLog) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *acceptLog) accepted() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.conns)
+}
+
+// TestReplicaClientHoldsOneConnection pins the follower's connection
+// discipline: pulls reuse one connection; a call overlapping a parked
+// long-poll gets a connection of its own instead of waiting behind it,
+// and only one connection is held afterwards; a connection the leader
+// drops costs one failed call, and the next call redials.
+func TestReplicaClientHoldsOneConnection(t *testing.T) {
+	db, err := quantumdb.Open(quantumdb.Options{WALPath: filepath.Join(t.TempDir(), "leader.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable(quantumdb.Table{Name: "Available", Columns: []string{"fno", "sno"}}); err != nil {
+		t.Fatal(err)
+	}
+	ln := &acceptLog{Listener: listenTCP(t)}
+	srv := New(db)
+	go srv.Serve(ln)
+	defer srv.Shutdown(time.Second)
+
+	rc := &ReplicaClient{Addr: ln.Addr().String(), Timeout: 5 * time.Second}
+	defer rc.Close()
+	_, applied, err := rc.Bootstrap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pull := func() {
+		t.Helper()
+		res, err := rc.Pull(applied, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range res.Batches {
+			applied = b.Seq
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if err := db.Exec(fmt.Sprintf("+Available(1, '%dA')", i)); err != nil {
+			t.Fatal(err)
+		}
+		pull()
+	}
+	if applied != db.Engine().WALSeq() {
+		t.Fatalf("pulled through %d, leader at %d", applied, db.Engine().WALSeq())
+	}
+	if n := ln.accepted(); n != 1 {
+		t.Fatalf("bootstrap and 10 pulls used %d connections, want 1", n)
+	}
+
+	// A long-poll parks at the leader; a bootstrap meanwhile must not
+	// queue behind it.
+	rc.Wait = 5 * time.Second
+	done := make(chan error, 1)
+	go func() {
+		_, err := rc.Pull(applied, 0)
+		done <- err
+	}()
+	for srv.inflight.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	if _, _, err := rc.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("bootstrap waited %v behind a parked pull", waited)
+	}
+	if err := db.Exec("+Available(2, '1A')"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	rc.Wait = 0
+	pull()
+	pull()
+	if n := ln.accepted(); n != 2 {
+		t.Fatalf("%d connections after one overlapping call, want 2", n)
+	}
+
+	// The leader drops the held connection: one call fails, the next
+	// redials.
+	ln.mu.Lock()
+	for _, c := range ln.conns {
+		c.Close()
+	}
+	ln.mu.Unlock()
+	if _, err := rc.Pull(applied, 0); err == nil {
+		t.Fatal("pull over a connection the leader closed succeeded")
+	}
+	pull()
+	if n := ln.accepted(); n != 3 {
+		t.Fatalf("%d connections after a dropped one, want 3", n)
 	}
 }

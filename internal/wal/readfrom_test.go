@@ -24,16 +24,16 @@ func TestReadFromBasicTail(t *testing.T) {
 	var acked uint64
 	var got []uint64
 	for {
-		bs, err := l.ReadFrom(acked)
+		// Cap the poll at 5 batches to exercise resumption mid-stream.
+		bs, err := l.ReadFrom(acked, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(bs) == 0 {
 			break
 		}
-		// Cap the poll at 5 batches to exercise resumption mid-stream.
 		if len(bs) > 5 {
-			bs = bs[:5]
+			t.Fatalf("ReadFrom(%d, 5) returned %d batches", acked, len(bs))
 		}
 		for _, b := range bs {
 			got = append(got, b.Seq)
@@ -50,16 +50,16 @@ func TestReadFromBasicTail(t *testing.T) {
 	}
 }
 
-// TestReadFromSeesBufferedBatches checks ReadFrom flushes segment
-// buffers, so a batch acknowledged in SyncOnAppend=false mode (flushed
-// to the OS, never fsynced) is still visible to the tail immediately.
+// TestReadFromSeesBufferedBatches checks that a batch acknowledged in
+// SyncOnAppend=false mode (flushed to the OS, never fsynced) is visible
+// to the tail read immediately.
 func TestReadFromSeesBufferedBatches(t *testing.T) {
 	l, _ := openSeg(t, 1)
 	seq, err := l.AppendBatch(0, []Record{rec(1, "x")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := l.ReadFrom(0)
+	bs, err := l.ReadFrom(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestReadFromTruncatedResume(t *testing.T) {
 	if err := l.TruncateBefore(cut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ReadFrom(cut - 1); !errors.Is(err, ErrTruncated) {
+	if _, err := l.ReadFrom(cut-1, 0); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("ReadFrom below the cut: err = %v, want ErrTruncated", err)
 	}
-	bs, err := l.ReadFrom(cut)
+	bs, err := l.ReadFrom(cut, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,10 @@ func TestReadFromTruncatedResume(t *testing.T) {
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.ReadFrom(seqs[6]); !errors.Is(err, ErrTruncated) {
+	if _, err := l.ReadFrom(seqs[6], 0); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("ReadFrom after full Truncate: err = %v, want ErrTruncated", err)
 	}
-	if bs, err := l.ReadFrom(seqs[7]); err != nil || len(bs) != 0 {
+	if bs, err := l.ReadFrom(seqs[7], 0); err != nil || len(bs) != 0 {
 		t.Fatalf("ReadFrom(Seq()) after Truncate = %v, %v; want empty, nil", bs, err)
 	}
 }
@@ -174,7 +174,7 @@ func TestReadFromConcurrentAppend(t *testing.T) {
 	go func() {
 		defer close(done)
 		for len(seen) < appenders*perAppender && !failed.Load() {
-			bs, err := l.ReadFrom(acked.Load())
+			bs, err := l.ReadFrom(acked.Load(), 0)
 			if err != nil {
 				fail(fmt.Errorf("reader: %w", err))
 				return

@@ -14,6 +14,7 @@ package wal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -94,6 +96,9 @@ type SegStats struct {
 	// lead — the group-commit piggyback count. With SyncOnAppend set,
 	// sum(Appends) == sum(Syncs) + GroupCommits.
 	GroupCommits uint64
+	// FileScans counts ReadFrom calls the in-memory tail could not answer,
+	// which fell back to reading the segment files.
+	FileScans uint64
 }
 
 // Hooks are crash-injection points for the durability test harness. Each
@@ -127,6 +132,17 @@ type SegmentedLog struct {
 	// is gone (ErrTruncated) instead of silently skipping batches a
 	// concurrent rewrite deleted mid-scan.
 	truncatedBelow atomic.Uint64
+	// tailFloor is the resume point at or above which the segments'
+	// in-memory tails hold every batch ReadFrom must return: a batch
+	// appended with seq > tailFloor is still in its segment's tail. It
+	// starts at the highest sequence on disk at open and rises when a tail
+	// evicts an entry or a segment is poisoned. Truncation leaves it
+	// alone: ReadFrom refuses a resume point below truncatedBelow before
+	// it looks at a tail, and the tail entries a truncation removed from
+	// the files all lie below that.
+	tailFloor atomic.Uint64
+	// fileScans counts ReadFrom calls answered from the files (SegStats).
+	fileScans atomic.Uint64
 	// term stamps every appended batch; fence is the minimum term still
 	// allowed to append. They advance together through SetTerm/Position
 	// (a legitimate term adoption), but Fence raises only the fence: the
@@ -170,6 +186,9 @@ type segment struct {
 	path string
 	// scratch is the frame-encoding buffer, reused under mu.
 	scratch []byte
+	// tail holds copies of the frame bodies most recently buffered here
+	// (tail.go).
+	tail tailRing
 	// appends numbers the batches buffered into this segment; it is the
 	// sync "ticket": a batch with ticket t is durable once synced >= t.
 	// synced advances ONLY on successful sync rounds, so `synced >=
@@ -205,6 +224,7 @@ func OpenSegmented(path string, n int) (*SegmentedLog, error) {
 		return nil, err
 	}
 	l.seq.Store(maxSeq)
+	l.tailFloor.Store(maxSeq)
 	// Resume at the highest term on disk: a recovered leader keeps its
 	// term (the fence rises with it — a reopen is not a demotion).
 	l.term.Store(maxTerm)
@@ -275,7 +295,7 @@ func openSegment(path string) (*segment, error) {
 			return nil, fmt.Errorf("wal: %s is not a segment file (bad magic)", path)
 		}
 	}
-	s := &segment{f: f, w: bufio.NewWriter(f), path: path}
+	s := &segment{f: f, w: bufio.NewWriter(f), path: path, tail: newTailRing()}
 	s.cond = sync.NewCond(&s.mu)
 	if st.Size() < int64(len(segMagic)) {
 		// Empty (or torn-during-creation) segment: (re)write the header.
@@ -326,9 +346,12 @@ func (l *SegmentedLog) AppendBatch(affinity int64, recs []Record) (uint64, error
 	s.scratch = appendBatchFrame(s.scratch[:0], seq, term, recs)
 	l.BatchBytes.Record(int64(len(s.scratch)))
 	if _, err := s.w.Write(s.scratch); err != nil {
-		s.failed = err
+		s.poison(l, err)
 		s.mu.Unlock()
 		return 0, fmt.Errorf("wal: append: %w", err)
+	}
+	if evicted := s.tail.add(seq, s.scratch[4:len(s.scratch)-4]); evicted != 0 {
+		raiseSeqWatermark(&l.tailFloor, evicted)
 	}
 	s.appends++
 	ticket := s.appends
@@ -342,7 +365,7 @@ func (l *SegmentedLog) AppendBatch(affinity int64, recs []Record) (uint64, error
 		// Flush per append (the OS has the bytes; a process crash loses
 		// nothing, a machine crash may lose the unsynced tail).
 		if err := s.w.Flush(); err != nil {
-			s.failed = err
+			s.poison(l, err)
 			s.mu.Unlock()
 			return 0, fmt.Errorf("wal: flush: %w", err)
 		}
@@ -509,8 +532,7 @@ func (s *segment) groupSync(l *SegmentedLog, ticket uint64) error {
 			// A failed flush/fsync leaves the durable prefix unknowable
 			// (write-back pages may have been dropped); poison the segment
 			// and wake every waiter to observe it.
-			s.failed = err
-			s.cond.Broadcast()
+			s.poison(l, err)
 			return fmt.Errorf("wal: sync: %w", err)
 		}
 		if prev := s.synced; covered > prev {
@@ -523,6 +545,19 @@ func (s *segment) groupSync(l *SegmentedLog, ticket uint64) error {
 		}
 		s.cond.Broadcast()
 	}
+}
+
+// poison latches err on the segment and wakes its sync waiters to
+// observe it. After a failed write, flush or sync the file's contents are
+// unknowable, so the segment's tail is dropped and the tail floor raised
+// past every sequence number assigned so far (this segment's included —
+// they were all assigned under its lock): no read is answered from a copy
+// the file may not hold. Caller holds s.mu.
+func (s *segment) poison(l *SegmentedLog, err error) {
+	s.failed = err
+	s.tail.reset()
+	raiseSeqWatermark(&l.tailFloor, l.seq.Load())
+	s.cond.Broadcast()
 }
 
 // Sync flushes and fsyncs every segment.
@@ -553,8 +588,7 @@ func (l *SegmentedLog) Sync() error {
 			// acknowledged off a failed sync would treat a non-durable
 			// batch as committed. Poison the segment and wake waiters to
 			// observe it.
-			s.failed = err
-			s.cond.Broadcast()
+			s.poison(l, err)
 			s.mu.Unlock()
 			return err
 		}
@@ -683,32 +717,38 @@ func raiseSeqWatermark(m *atomic.Uint64, v uint64) {
 	}
 }
 
-// ReadFrom returns every batch with sequence number strictly above
+// ReadFrom returns the batches with sequence numbers strictly above
 // `after`, merged across segments in global sequence order — the
-// log-shipping tail read. It is safe to call concurrently with
-// appenders and with TruncateBefore:
+// log-shipping tail read — at most max of them (max <= 0: no cap). A
+// capped read returns the lowest sequence numbers, so the caller resumes
+// from the last one. It is safe to call concurrently with appenders and
+// with TruncateBefore:
 //
 //   - The read is a consistent cut at S = Seq() sampled on entry: only
-//     batches with seq <= S are returned, and every acknowledged batch
-//     with after < seq <= S IS returned. Any such sequence number was
-//     assigned under its segment's lock and buffered before that lock
-//     was released, so the per-segment flush ReadFrom performs before
-//     scanning makes it file-visible. Batches appended after entry
-//     (seq > S) are simply left for the next poll, whatever partial
-//     file state the scan observes of them.
+//     batches with seq <= S are returned, and every batch buffered with
+//     after < seq <= S, synced or not, IS returned (up to max). Any such
+//     sequence number was assigned under its segment's lock, and the
+//     batch was buffered and copied into the segment's tail before that
+//     lock was released. Batches appended after entry (seq > S) are left
+//     for the next poll.
 //   - A truncation whose cut is at or below `after` is invisible: it
 //     only removes batches the caller already consumed. A truncation
 //     racing past `after` returns ErrTruncated (checked before AND
-//     after the scan), telling the subscriber its resume point is gone
+//     after the read), telling the subscriber its resume point is gone
 //     and it must re-bootstrap from a checkpoint.
+//
+// A resume point at or above the tail floor — a subscriber that keeps up
+// — is answered from the segments' in-memory tails: no flush, no file,
+// no system call. One below it (a subscriber that fell further behind
+// than a tail holds, or one resuming from an image older than this
+// log's open) flushes the segment buffers and scans every segment file,
+// which costs time in proportion to the log's length; SegStats.FileScans
+// counts those reads.
 //
 // Sequence numbers are not dense — a failed append burns its number —
 // so callers must advance their resume point to the highest sequence
-// returned, never by arithmetic. Each call rescans the segment files
-// from the start; that keeps the reader stateless against rewrites, and
-// stays cheap because checkpoints continually truncate the scanned
-// prefix.
-func (l *SegmentedLog) ReadFrom(after uint64) ([]Batch, error) {
+// returned, never by arithmetic.
+func (l *SegmentedLog) ReadFrom(after uint64, max int) ([]Batch, error) {
 	if tb := l.truncatedBelow.Load(); tb > after {
 		return nil, fmt.Errorf("%w (resume %d, truncated through %d)", ErrTruncated, after, tb)
 	}
@@ -716,20 +756,77 @@ func (l *SegmentedLog) ReadFrom(after uint64) ([]Batch, error) {
 	if high <= after {
 		return nil, nil
 	}
-	// Flush every healthy segment so each batch with seq <= high is
-	// file-visible. Poisoned segments are skipped: their buffer may end
-	// in a torn frame, and every batch acknowledged before the poison
-	// was already flushed by its own append or group-commit round.
+	bodies, ok, err := l.tailBodies(after, high, max)
+	if err == nil && !ok {
+		l.fileScans.Add(1)
+		bodies, err = l.fileBodies(after, high)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out, err := decodeBodies(bodies, max)
+	if err != nil {
+		return nil, err
+	}
+	if tb := l.truncatedBelow.Load(); tb > after {
+		// A truncation raced the read and may have removed frames in
+		// (after, tb] before we reached them; the partial result cannot be
+		// trusted to be gap-free.
+		return nil, fmt.Errorf("%w (resume %d, truncated through %d)", ErrTruncated, after, tb)
+	}
+	return out, nil
+}
+
+var errReadClosed = errors.New("wal: read from closed log")
+
+// tailBodies copies the bodies of the batches in (after, high], at most
+// max per segment, out of the segments' tails. ok is false when the
+// tails may not hold all of them: the resume point is below the floor,
+// or an eviction raised the floor past it while the copy ran (the
+// eviction happens under a segment lock, so the second check sees it).
+func (l *SegmentedLog) tailBodies(after, high uint64, max int) (bodies [][]byte, ok bool, err error) {
+	if l.tailFloor.Load() > after {
+		return nil, false, nil
+	}
+	var data []byte
+	var ends []int
 	for _, s := range l.segs {
 		s.mu.Lock()
 		if s.f == nil {
 			s.mu.Unlock()
-			return nil, errors.New("wal: read from closed log")
+			return nil, false, errReadClosed
+		}
+		data, ends = s.tail.appendRange(data, ends, after, high, max)
+		s.mu.Unlock()
+	}
+	if l.tailFloor.Load() > after {
+		return nil, false, nil
+	}
+	bodies = make([][]byte, len(ends))
+	start := 0
+	for i, end := range ends {
+		bodies[i] = data[start:end:end]
+		start = end
+	}
+	return bodies, true, nil
+}
+
+// fileBodies flushes every healthy segment, so each batch with seq <=
+// high is file-visible, and collects the intact frame bodies with
+// sequence numbers in (after, high] from every segment file. Poisoned
+// segments are not flushed: their buffer may end in a torn frame, and
+// every batch acknowledged before the poison was already flushed by its
+// own append or group-commit round.
+func (l *SegmentedLog) fileBodies(after, high uint64) ([][]byte, error) {
+	for _, s := range l.segs {
+		s.mu.Lock()
+		if s.f == nil {
+			s.mu.Unlock()
+			return nil, errReadClosed
 		}
 		if s.failed == nil && s.w.Buffered() > 0 {
 			if err := s.w.Flush(); err != nil {
-				s.failed = err
-				s.cond.Broadcast()
+				s.poison(l, err)
 				s.mu.Unlock()
 				return nil, fmt.Errorf("wal: read flush: %w", err)
 			}
@@ -740,34 +837,39 @@ func (l *SegmentedLog) ReadFrom(after uint64) ([]Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Batch
+	var bodies [][]byte
 	for _, p := range paths {
-		var ferr error
 		if err := scanSegment(p.path, func(body []byte) bool {
-			seq := binary.LittleEndian.Uint64(body)
-			if seq <= after || seq > high {
-				return true
+			if seq := binary.LittleEndian.Uint64(body); seq > after && seq <= high {
+				bodies = append(bodies, body)
 			}
-			b, err := decodeBatchBody(body)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			out = append(out, b)
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		if ferr != nil {
-			return nil, fmt.Errorf("wal: read segment %s: %w", p.path, ferr)
-		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	if tb := l.truncatedBelow.Load(); tb > after {
-		// A truncation raced the scan and may have removed frames in
-		// (after, tb] before we reached them; the partial result cannot be
-		// trusted to be gap-free.
-		return nil, fmt.Errorf("%w (resume %d, truncated through %d)", ErrTruncated, after, tb)
+	return bodies, nil
+}
+
+// decodeBodies sorts frame bodies by sequence number and decodes the
+// first max of them (max <= 0: all). The records' payloads alias bodies.
+func decodeBodies(bodies [][]byte, max int) ([]Batch, error) {
+	if len(bodies) == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(bodies, func(a, b []byte) int {
+		return cmp.Compare(binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b))
+	})
+	if max > 0 && len(bodies) > max {
+		bodies = bodies[:max]
+	}
+	out := make([]Batch, len(bodies))
+	for i, body := range bodies {
+		b, err := decodeBatchBody(body)
+		if err != nil {
+			return nil, fmt.Errorf("wal: read batch %d: %w", binary.LittleEndian.Uint64(body), err)
+		}
+		out[i] = b
 	}
 	return out, nil
 }
@@ -792,7 +894,7 @@ func (l *SegmentedLog) ReadFrom(after uint64) ([]Batch, error) {
 func (l *SegmentedLog) TruncateBefore(cut uint64) error {
 	raiseSeqWatermark(&l.truncatedBelow, cut)
 	for _, s := range l.segs {
-		if err := s.truncateBefore(cut); err != nil {
+		if err := s.truncateBefore(l, cut); err != nil {
 			return err
 		}
 	}
@@ -822,7 +924,7 @@ func (l *SegmentedLog) TruncateBefore(cut uint64) error {
 	return nil
 }
 
-func (s *segment) truncateBefore(cut uint64) error {
+func (s *segment) truncateBefore(l *SegmentedLog, cut uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -843,8 +945,7 @@ func (s *segment) truncateBefore(cut uint64) error {
 			// the torn one and the rewrite would silently drop it. Poison the
 			// segment so those waiters error out instead of being
 			// acknowledged; a full Truncate (or reopen) clears it.
-			s.failed = err
-			s.cond.Broadcast()
+			s.poison(l, err)
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
 	}
@@ -924,6 +1025,7 @@ func (l *SegmentedLog) Stats() SegStats {
 		Appends:      make([]uint64, len(l.segs)),
 		Syncs:        make([]uint64, len(l.segs)),
 		GroupCommits: l.groupCommits.Load(),
+		FileScans:    l.fileScans.Load(),
 	}
 	for i, s := range l.segs {
 		s.mu.Lock()
