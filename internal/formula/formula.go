@@ -9,16 +9,18 @@
 //     Theorem 3.5 (atoms, unification predicates ϕ and their negations) and
 //     evaluates it by backtracking over the store. This mirrors the paper's
 //     formal development.
-//   - SolveChain: grounds the transactions sequentially against a stack of
-//     delta overlays, which operationalizes Definition 3.1 directly and also
+//   - SolveChain: grounds the transactions sequentially on one delta
+//     overlay, marking it before each candidate grounding and undoing after
+//     backtracking. This operationalizes Definition 3.1 directly and also
 //     handles insert-then-delete chains between non-adjacent transactions.
 //
 // The quantum database uses SolveChain in production and the composed
 // formula for exposition and cross-checking; the test suite asserts they
 // agree.
 //
-// SolveChain compiles each transaction body to a relstore.Prepared before
-// evaluating it; with ChainOptions.Prep set to a PrepCache, those
+// SolveChain compiles each transaction body to a relstore.Prepared, and
+// its update atoms to plans over that query's slots, before evaluating
+// it; with ChainOptions.Prep set to a PrepCache, those
 // compilations survive across solves (keyed by the memoized transaction
 // views, invalidated when a transaction leaves the system), eliminating
 // the per-operation compile cost of repeated admission checks and

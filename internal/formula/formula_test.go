@@ -36,6 +36,15 @@ func figure3DB() *relstore.DB {
 	return db
 }
 
+// onlyFact renders the single fact of a grounding's inserts or deletes.
+func onlyFact(t *testing.T, fs []relstore.GroundFact) string {
+	t.Helper()
+	if len(fs) != 1 {
+		t.Fatalf("grounding has %d facts %v, want 1", len(fs), fs)
+	}
+	return fs[0].String()
+}
+
 func figure3Txns(t *testing.T) []*txn.T {
 	t.Helper()
 	t1 := txn.MustParse("-B('M', 1, s1), +A(1, s1) :-1 B('M', 1, s1)")
@@ -105,13 +114,12 @@ func TestFigure3SatisfiabilityRequiresBacktracking(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("SolveChain: ok=%v err=%v", ok, err)
 	}
-	// Donald must be on flight 1.
-	d := sol.Groundings[1].Subst
-	if got := d.Walk(logic.Var("f2")); got != logic.Int(1) {
-		t.Errorf("Donald's flight = %v, want 1 (forced by Goofy)", got)
+	// Donald must be on flight 1, in the seat Mickey's cancellation frees.
+	if got, want := onlyFact(t, sol.Groundings[1].Inserts), "B('D', 1, '5A')"; got != want {
+		t.Errorf("Donald's booking = %s, want %s (forced by Goofy)", got, want)
 	}
-	if got := sol.Groundings[2].Subst.Walk(logic.Var("s3")); got != logic.Str("7C") {
-		t.Errorf("Goofy's seat = %v, want 7C", got)
+	if got, want := onlyFact(t, sol.Groundings[2].Deletes), "A(2, '7C')"; got != want {
+		t.Errorf("Goofy takes %s, want %s", got, want)
 	}
 
 	// The composed formula agrees.
@@ -163,8 +171,8 @@ func TestLemma34InsertCase(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("SolveChain: ok=%v err=%v", ok, err)
 	}
-	if got := sol.Groundings[1].Subst.Walk(logic.Var("y#2")); got != logic.Int(5) {
-		t.Errorf("y = %v, want 5 (from T1's insert)", got)
+	if got, want := onlyFact(t, sol.Groundings[1].Inserts), "Q(5)"; got != want {
+		t.Errorf("T2 inserts %s, want %s (y from T1's insert)", got, want)
 	}
 	f := Compose(ts)
 	s, ok, err := FindOne(f, db, nil)
@@ -201,10 +209,10 @@ func TestLemma34DeleteCase(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("chain after second tuple: ok=%v err=%v", ok, err)
 	}
-	x := sol.Groundings[0].Subst.Walk(logic.Var("x#1"))
-	y := sol.Groundings[1].Subst.Walk(logic.Var("y#2"))
-	if x == y {
-		t.Errorf("T2 grounded on the tuple T1 deleted: x=y=%v", x)
+	x := onlyFact(t, sol.Groundings[0].Deletes)
+	y := onlyFact(t, sol.Groundings[1].Inserts)
+	if x[1:] == y[1:] {
+		t.Errorf("T2 grounded on the tuple T1 deleted: %s then %s", x, y)
 	}
 	s, ok, err := FindOne(Compose(ts), db, nil)
 	if err != nil || !ok {
@@ -349,8 +357,8 @@ func TestSolverMaximizeOptionals(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
-	if got := sol.Groundings[0].Subst.Walk(logic.Var("s")); got != logic.Str("1A") {
-		t.Errorf("Mickey's seat = %v, want 1A (next to Goofy)", got)
+	if got, want := onlyFact(t, sol.Groundings[0].Inserts), "B('Mickey', 123, '1A')"; got != want {
+		t.Errorf("Mickey's booking = %s, want %s (next to Goofy)", got, want)
 	}
 	if sol.Groundings[0].OptionalSatisfied != 2 {
 		t.Errorf("OptionalSatisfied = %d, want 2", sol.Groundings[0].OptionalSatisfied)
@@ -365,8 +373,8 @@ func TestSolverMaximizeOptionals(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("relaxed: ok=%v err=%v", ok, err)
 	}
-	if got := sol.Groundings[0].Subst.Walk(logic.Var("s")); got != logic.Str("9F") {
-		t.Errorf("Mickey's fallback seat = %v, want 9F", got)
+	if got, want := onlyFact(t, sol.Groundings[0].Inserts), "B('Mickey', 123, '9F')"; got != want {
+		t.Errorf("Mickey's fallback booking = %s, want %s", got, want)
 	}
 	// One optional (B('Goofy',…)) still satisfiable; Adj(s,g) not.
 	if sol.Groundings[0].OptionalSatisfied != 1 {

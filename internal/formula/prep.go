@@ -4,14 +4,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/relstore"
 	"repro/internal/txn"
 )
 
-// PrepCache is a cross-solve cache of compiled body queries, keyed by
-// (transaction view pointer, optional-subset mask). The chain solver
-// compiles each transaction body per solve; hoisting the compiled
-// relstore.Prepared here makes prepared queries survive across
+// PrepCache is a cross-solve cache of compiled bodies (the body query and
+// its update plans), keyed by (transaction view pointer, optional-subset
+// mask). The chain solver compiles each transaction body per solve;
+// hoisting the compilation here makes prepared queries survive across
 // operations, so a transaction admitted once is never recompiled for the
 // admission checks, groundings, and write validations that follow —
 // the remaining per-operation compile cost of the §4 amortization
@@ -21,7 +20,7 @@ import (
 // strip/harden views of every admitted transaction (txn.T.Stripped,
 // txn.T.Hardened), so the same body is always presented under the same
 // pointer. The map itself is synchronized (solves of independent
-// partitions share one cache), but a cached *relstore.Prepared is NOT
+// partitions share one cache), but a cached body's relstore.Prepared is NOT
 // safe for concurrent evaluation — it owns the mutable binding
 // environment the evaluator backtracks over. Entries are therefore
 // CLAIMED for the duration of a solve: lookup hands an entry to at most
@@ -42,9 +41,9 @@ type PrepCache struct {
 	hits, misses atomic.Int64
 }
 
-// prepEntry wraps one compiled query with its exclusive-use claim.
+// prepEntry wraps one compiled body with its exclusive-use claim.
 type prepEntry struct {
-	p     *relstore.Prepared
+	b     *body
 	inUse atomic.Bool
 }
 
@@ -69,24 +68,24 @@ func NewPrepCache() *PrepCache {
 // per-solve L1), so the counters measure cross-solve reuse, not
 // per-candidate traffic (a claimed-by-another-solve entry counts as a
 // miss — the caller compiles).
-func (pc *PrepCache) lookup(view *txn.T, mask uint64) (*relstore.Prepared, *prepEntry, bool) {
+func (pc *PrepCache) lookup(view *txn.T, mask uint64) (*body, *prepEntry, bool) {
 	pc.mu.RLock()
 	e := pc.m[view][mask]
 	pc.mu.RUnlock()
 	if e != nil && e.inUse.CompareAndSwap(false, true) {
 		pc.hits.Add(1)
-		return e.p, e, true
+		return e.b, e, true
 	}
 	pc.misses.Add(1)
 	return nil, nil, false
 }
 
-// store records a freshly compiled query for (view, mask) and returns
-// its entry, already claimed by the caller (release it after the solve).
-// A racing store for the same key overwrites; the loser's entry stays
-// valid for its holder and is dropped when released.
-func (pc *PrepCache) store(view *txn.T, mask uint64, p *relstore.Prepared) *prepEntry {
-	e := &prepEntry{p: p}
+// store records a freshly compiled body for (view, mask) and returns its
+// entry, already claimed by the caller (release it after the solve). A
+// racing store for the same key overwrites; the loser's entry stays valid
+// for its holder and is dropped when released.
+func (pc *PrepCache) store(view *txn.T, mask uint64, b *body) *prepEntry {
+	e := &prepEntry{b: b}
 	e.inUse.Store(true)
 	pc.mu.Lock()
 	inner := pc.m[view]

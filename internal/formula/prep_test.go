@@ -9,7 +9,7 @@ import (
 	"repro/internal/value"
 )
 
-func prepStore(t *testing.T, seats int) *relstore.DB {
+func prepStore(t testing.TB, seats int) *relstore.DB {
 	t.Helper()
 	db := relstore.NewDB()
 	db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
@@ -151,7 +151,7 @@ func TestPrepCacheClaimExclusive(t *testing.T) {
 	pc := NewPrepCache()
 	tx := txn.MustParse("-A(x), +B(x) :-1 A(x)")
 	view := tx.Stripped()
-	e := pc.store(view, 0, relstore.Query{Atoms: view.HardAtoms()}.Compile())
+	e := pc.store(view, 0, compileBody(view, 0, relstore.PlanDynamic))
 
 	if _, _, ok := pc.lookup(view, 0); ok {
 		t.Fatal("lookup handed out an entry still claimed by its creator")

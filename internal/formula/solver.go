@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/logic"
@@ -17,7 +18,6 @@ import (
 // a chain solution, together with the ground update facts it induces.
 type Grounding struct {
 	Txn     *txn.T
-	Subst   logic.Subst
 	Inserts []relstore.GroundFact
 	Deletes []relstore.GroundFact
 	// OptionalSatisfied counts how many optional atoms of the transaction
@@ -113,8 +113,11 @@ func SolveChainN(base relstore.Source, ts []*txn.T, opt ChainOptions, n int) ([]
 	if n <= 0 {
 		n = 1
 	}
-	solver := &chainSolver{base: base, ts: ts, opt: opt, want: n}
-	return solver.run()
+	c := solverPool.Get().(*chainSolver)
+	c.base, c.ts, c.opt, c.want = base, ts, opt, n
+	sols, err := c.run()
+	c.release()
+	return sols, err
 }
 
 // SolveChainVaryingFirst returns up to n consistent groundings that
@@ -188,6 +191,9 @@ func (fk *factsKeyer) key(g Grounding) string {
 	return string(fk.out)
 }
 
+// chainSolver is one solve's state. Its scratch — the overlay, the level
+// buffers, the L1 compile map — is pooled across solves (solverPool), so a
+// warm solve allocates only the solutions it returns.
 type chainSolver struct {
 	base  relstore.Source
 	ts    []*txn.T
@@ -195,81 +201,130 @@ type chainSolver struct {
 	steps int
 	want  int
 	sols  []*ChainSolution
-	// freeOvs is a free list of overlays: one overlay is needed per live
-	// chain level, but one is speculatively created per candidate
-	// grounding, so recycling them removes two map allocations from every
-	// rejected candidate.
-	freeOvs []*relstore.Overlay
-	// prep caches the compiled body query per (transaction index,
+	// ov is the solve's one delta: level i marks it, applies a candidate
+	// grounding, recurses, and undoes back to the mark.
+	ov     *relstore.Overlay
+	levels []*level
+	// prep caches the compiled body per (transaction index,
 	// optional-subset mask). solveFrom(i) runs once per candidate
 	// grounding of the earlier transactions, so without the cache the
 	// same body would be recompiled for every candidate.
-	prep map[uint64]*relstore.Prepared
+	prep map[uint64]*body
 	// claimed are the cross-solve cache entries this solve holds
 	// exclusively (looked up or stored); released when run finishes.
 	claimed []*prepEntry
 }
 
-// preparedFor returns the compiled body query for transaction i under the
-// given optional-subset mask, compiling on first use. atoms is invoked
-// only on a full cache miss. Reuse is safe because the chain recursion
-// only ever nests evaluations of strictly later transactions inside an
-// evaluation of transaction i. The per-solve map is an L1 over the
-// optional cross-solve cache (opt.Prep): the shared cache is consulted
-// once per (view, mask) per solve, the L1 absorbs the per-candidate
-// traffic.
-func (c *chainSolver) preparedFor(i int, mask uint64, atoms func() []logic.Atom) *relstore.Prepared {
-	key := uint64(i)<<32 | mask
-	if p, ok := c.prep[key]; ok {
-		return p
-	}
-	if c.prep == nil {
-		c.prep = make(map[uint64]*relstore.Prepared)
-	}
-	if c.opt.Prep != nil {
-		if p, e, ok := c.opt.Prep.lookup(c.ts[i], mask); ok {
-			c.prep[key] = p
-			c.claimed = append(c.claimed, e)
-			return p
+var solverPool = sync.Pool{New: func() any {
+	return &chainSolver{ov: relstore.NewOverlay(nil), prep: make(map[uint64]*body)}
+}}
+
+// body is a transaction body compiled for the chain solver: the query over
+// its hard atoms (plus the optional atoms its mask selects), and its
+// update atoms as plans over that query's slots.
+type body struct {
+	q     *relstore.Prepared
+	upd   []updatePlan
+	nvals int // values across all update tuples
+}
+
+// updatePlan grounds one update atom from a body solution.
+type updatePlan struct {
+	atom   logic.Atom
+	insert bool
+	// slots holds, per argument, the body slot its variable is bound in,
+	// -1 for a constant (in consts), or -2 for a variable the body never
+	// binds (grounding it is an error).
+	slots  []int
+	consts []value.Value
+}
+
+// compileBody compiles t's body under the optional-subset mask.
+func compileBody(t *txn.T, mask uint64, planner relstore.PlannerMode) *body {
+	atoms := t.HardAtoms()
+	if mask != 0 {
+		for b, a := range t.OptionalAtoms() {
+			if mask&(1<<uint(b)) != 0 {
+				atoms = append(atoms, a)
+			}
 		}
 	}
-	p := relstore.Query{Atoms: atoms(), Planner: c.opt.Planner}.Compile()
-	c.prep[key] = p
+	b := &body{q: relstore.Query{Atoms: atoms, Planner: planner}.Compile(), upd: make([]updatePlan, len(t.Update))}
+	for _, op := range t.Update {
+		b.nvals += len(op.Atom.Args)
+	}
+	slots := make([]int, b.nvals)
+	consts := make([]value.Value, b.nvals)
+	off := 0
+	for k, op := range t.Update {
+		n := len(op.Atom.Args)
+		u := &b.upd[k]
+		u.atom, u.insert = op.Atom, op.Insert
+		u.slots, u.consts = slots[off:off+n:off+n], consts[off:off+n:off+n]
+		off += n
+		for a, term := range op.Atom.Args {
+			if !term.IsVar() {
+				u.slots[a], u.consts[a] = -1, term.Value()
+			} else if s, ok := b.q.SlotOf(term.Name()); ok {
+				u.slots[a] = s
+			} else {
+				u.slots[a] = -2
+			}
+		}
+	}
+	return b
+}
+
+// level is chain position i's scratch, reused across its candidates and
+// across pooled solves: the body being evaluated, the current candidate's
+// grounding (facts backed by vals), and the emit callback, bound once.
+type level struct {
+	c        *chainSolver
+	i        int
+	b        *body
+	optCount int
+	g        Grounding
+	vals     []value.Value
+	stop     bool
+	err      error
+	emitFn   func() bool
+}
+
+// preparedFor returns the compiled body for transaction i under the given
+// optional-subset mask, compiling on first use. Reuse is safe because the
+// chain recursion only ever nests evaluations of strictly later
+// transactions inside an evaluation of transaction i. The per-solve map is
+// an L1 over the optional cross-solve cache (opt.Prep): the shared cache
+// is consulted once per (view, mask) per solve, the L1 absorbs the
+// per-candidate traffic.
+func (c *chainSolver) preparedFor(i int, mask uint64) *body {
+	key := uint64(i)<<32 | mask
+	if b, ok := c.prep[key]; ok {
+		return b
+	}
 	if c.opt.Prep != nil {
-		c.claimed = append(c.claimed, c.opt.Prep.store(c.ts[i], mask, p))
+		if b, e, ok := c.opt.Prep.lookup(c.ts[i], mask); ok {
+			c.prep[key] = b
+			c.claimed = append(c.claimed, e)
+			return b
+		}
 	}
-	return p
-}
-
-// releasePrepared returns every claimed cross-solve cache entry; no
-// evaluation of the claimed queries may follow.
-func (c *chainSolver) releasePrepared() {
-	for _, e := range c.claimed {
-		e.release()
+	b := compileBody(c.ts[i], mask, c.opt.Planner)
+	c.prep[key] = b
+	if c.opt.Prep != nil {
+		c.claimed = append(c.claimed, c.opt.Prep.store(c.ts[i], mask, b))
 	}
-	c.claimed = nil
-}
-
-// overlayFor returns a cleared overlay over src, reusing the free list.
-func (c *chainSolver) overlayFor(src relstore.Source) *relstore.Overlay {
-	if n := len(c.freeOvs); n > 0 {
-		o := c.freeOvs[n-1]
-		c.freeOvs = c.freeOvs[:n-1]
-		o.Reset(src)
-		return o
-	}
-	return relstore.NewOverlay(src)
-}
-
-// releaseOverlay returns an overlay whose chain level has backtracked.
-func (c *chainSolver) releaseOverlay(o *relstore.Overlay) {
-	c.freeOvs = append(c.freeOvs, o)
+	return b
 }
 
 func (c *chainSolver) run() ([]*ChainSolution, error) {
-	defer c.releasePrepared()
-	gs := make([]Grounding, 0, len(c.ts))
-	_, err := c.solveFrom(c.base, 0, &gs)
+	c.ov.Reset(c.base)
+	for len(c.levels) < len(c.ts) {
+		l := &level{c: c, i: len(c.levels)}
+		l.emitFn = l.emit
+		c.levels = append(c.levels, l)
+	}
+	_, err := c.solveFrom(0)
 	if c.opt.StepCounter != nil {
 		atomic.AddInt64(c.opt.StepCounter, int64(c.steps))
 	}
@@ -279,20 +334,34 @@ func (c *chainSolver) run() ([]*ChainSolution, error) {
 	return c.sols, nil
 }
 
-// solveFrom grounds transactions c.ts[i:] over src, appending to *gs. The
-// returned bool means "enough solutions collected, stop searching".
-func (c *chainSolver) solveFrom(src relstore.Source, i int, gs *[]Grounding) (bool, error) {
+// release returns every claimed cross-solve cache entry, drops the
+// solve's references and puts the solver back in the pool.
+func (c *chainSolver) release() {
+	for _, e := range c.claimed {
+		e.release()
+	}
+	clear(c.claimed)
+	c.claimed = c.claimed[:0]
+	clear(c.prep)
+	for _, l := range c.levels[:len(c.ts)] {
+		l.b, l.g.Txn, l.err = nil, nil, nil
+	}
+	c.ov.Reset(nil)
+	c.base, c.ts, c.opt, c.sols, c.steps, c.want = nil, nil, ChainOptions{}, nil, 0, 0
+	solverPool.Put(c)
+}
+
+// solveFrom grounds transactions c.ts[i:] over the overlay. The returned
+// bool means "enough solutions collected, stop searching".
+func (c *chainSolver) solveFrom(i int) (bool, error) {
 	if i == len(c.ts) {
-		cp := make([]Grounding, len(*gs))
-		copy(cp, *gs)
-		c.sols = append(c.sols, &ChainSolution{Groundings: cp})
+		c.sols = append(c.sols, c.copySolution())
 		return len(c.sols) >= c.want, nil
 	}
-	t := c.ts[i]
 	if c.opt.MaximizeOptionals {
-		return c.solveMaximizing(src, i, gs)
+		return c.solveMaximizing(i)
 	}
-	return c.solveWithAtoms(src, i, 0, t.HardAtoms, 0, gs)
+	return c.solveWith(i, 0, 0)
 }
 
 // solveMaximizing tries optional-atom subsets of decreasing size, so the
@@ -300,11 +369,10 @@ func (c *chainSolver) solveFrom(src relstore.Source, i int, gs *[]Grounding) (bo
 // still admits a full-chain solution. Once any subset size yields a
 // solution, smaller sizes are not explored: all collected candidates for
 // this transaction carry the maximal optional count.
-func (c *chainSolver) solveMaximizing(src relstore.Source, i int, gs *[]Grounding) (bool, error) {
-	t := c.ts[i]
-	opts := t.OptionalAtoms()
+func (c *chainSolver) solveMaximizing(i int) (bool, error) {
+	opts := c.ts[i].OptionalAtoms()
 	if len(opts) == 0 {
-		return c.solveWithAtoms(src, i, 0, t.HardAtoms, 0, gs)
+		return c.solveWith(i, 0, 0)
 	}
 	if len(opts) > 16 {
 		return false, fmt.Errorf("formula: %d optional atoms exceeds subset-search limit", len(opts))
@@ -316,16 +384,7 @@ func (c *chainSolver) solveMaximizing(src relstore.Source, i int, gs *[]Groundin
 			if bits.OnesCount64(mask) != size {
 				continue
 			}
-			atoms := func() []logic.Atom {
-				out := append([]logic.Atom(nil), t.HardAtoms()...)
-				for b := 0; b < len(opts); b++ {
-					if mask&(1<<uint(b)) != 0 {
-						out = append(out, opts[b])
-					}
-				}
-				return out
-			}
-			stop, err := c.solveWithAtoms(src, i, mask, atoms, size, gs)
+			stop, err := c.solveWith(i, mask, size)
 			if err != nil || stop {
 				return stop, err
 			}
@@ -337,97 +396,133 @@ func (c *chainSolver) solveMaximizing(src relstore.Source, i int, gs *[]Groundin
 	return false, nil
 }
 
-// solveWithAtoms grounds transaction i using the body atoms selected by
-// mask (built by atoms on a compile-cache miss), then recurses on the
-// remaining transactions; it backtracks through all groundings of i
-// until enough full-chain solutions are collected.
-func (c *chainSolver) solveWithAtoms(src relstore.Source, i int, mask uint64, atoms func() []logic.Atom, optCount int, gs *[]Grounding) (bool, error) {
-	t := c.ts[i]
-	q := c.preparedFor(i, mask, atoms)
-	var (
-		done   bool
-		recErr error
-	)
-	err := q.Eval(src, nil, func(s logic.Subst) bool {
-		c.steps++
-		if c.opt.MaxSteps > 0 && c.steps > c.opt.MaxSteps {
-			recErr = ErrBudget
-			return false
-		}
-		g, err := groundUpdates(t, s)
-		if err != nil {
-			recErr = err
-			return false
-		}
-		g.OptionalSatisfied = optCount
-		if i == 0 && c.opt.skipFirst != nil && c.opt.skipFirst(g) {
-			return true
-		}
-		next := c.overlayFor(src)
-		if err := next.ApplyFacts(g.Inserts, g.Deletes); err != nil {
-			// This grounding collides with the store state (e.g. duplicate
-			// key): not a valid world, try the next grounding.
-			c.releaseOverlay(next)
-			return true
-		}
-		*gs = append(*gs, g)
-		stop, err := c.solveFrom(next, i+1, gs)
-		*gs = (*gs)[:len(*gs)-1]
-		c.releaseOverlay(next)
-		if err != nil {
-			recErr = err
-			return false
-		}
-		if stop {
-			done = true
-			return false
-		}
-		return true
-	})
-	if err != nil {
+// solveWith grounds transaction i using the body atoms selected by mask,
+// then recurses on the remaining transactions; it backtracks through all
+// groundings of i until enough full-chain solutions are collected.
+func (c *chainSolver) solveWith(i int, mask uint64, optCount int) (bool, error) {
+	l := c.levels[i]
+	l.b = c.preparedFor(i, mask)
+	l.optCount, l.stop, l.err = optCount, false, nil
+	l.g.Txn = c.ts[i]
+	if cap(l.vals) < l.b.nvals {
+		// Sized up front: the candidate's tuples are sub-slices of vals.
+		l.vals = make([]value.Value, 0, l.b.nvals)
+	}
+	if err := l.b.q.Each(c.ov, nil, l.emitFn); err != nil {
 		return false, err
 	}
-	if recErr != nil {
-		return false, recErr
-	}
-	return done, nil
+	return l.stop, l.err
 }
 
-// groundUpdates instantiates t's update portion under s. Every update
-// variable must be bound (guaranteed by range restriction when s solves
-// the hard body). It takes ownership of s: the query evaluator hands a
-// fresh snapshot to every emit, so no defensive clone is needed.
-func groundUpdates(t *txn.T, s logic.Subst) (Grounding, error) {
-	g := Grounding{Txn: t, Subst: s}
-	nIns := 0
-	for _, op := range t.Update {
-		if op.Insert {
-			nIns++
-		}
+// emit handles one body solution of level l: ground the updates, apply
+// them to the overlay under a mark, recurse, undo.
+func (l *level) emit() bool {
+	c := l.c
+	c.steps++
+	if c.opt.MaxSteps > 0 && c.steps > c.opt.MaxSteps {
+		l.err = ErrBudget
+		return false
 	}
-	if nIns > 0 {
-		g.Inserts = make([]relstore.GroundFact, 0, nIns)
+	if err := l.ground(); err != nil {
+		l.err = err
+		return false
 	}
-	if nDel := len(t.Update) - nIns; nDel > 0 {
-		g.Deletes = make([]relstore.GroundFact, 0, nDel)
+	if l.i == 0 && c.opt.skipFirst != nil && c.opt.skipFirst(l.g) {
+		return true
 	}
-	for _, op := range t.Update {
-		tup := make(value.Tuple, len(op.Atom.Args))
-		for i, at := range op.Atom.Args {
-			w := s.Walk(at)
-			if w.IsVar() {
-				return Grounding{}, fmt.Errorf("formula: update atom %v not ground under %v", op.Atom, s)
+	m := c.ov.Mark()
+	if c.ov.ApplyFacts(l.g.Inserts, l.g.Deletes) != nil {
+		// This grounding collides with the store state (e.g. duplicate
+		// key): not a valid world, try the next grounding.
+		c.ov.Undo(m)
+		return true
+	}
+	stop, err := c.solveFrom(l.i + 1)
+	c.ov.Undo(m)
+	if err != nil {
+		l.err = err
+		return false
+	}
+	if stop {
+		l.stop = true
+		return false
+	}
+	return true
+}
+
+// ground instantiates the update portion under the body solution being
+// emitted, into the level's scratch. Every update variable must be bound
+// (guaranteed by range restriction).
+func (l *level) ground() error {
+	vals := l.vals[:0]
+	ins, dels := l.g.Inserts[:0], l.g.Deletes[:0]
+	for k := range l.b.upd {
+		u := &l.b.upd[k]
+		start := len(vals)
+		for a, s := range u.slots {
+			if s == -1 {
+				vals = append(vals, u.consts[a])
+				continue
 			}
-			tup[i] = w.Value()
+			v, ok := value.Value{}, false
+			if s >= 0 {
+				v, ok = l.b.q.Value(s)
+			}
+			if !ok {
+				return fmt.Errorf("formula: update atom %v not ground by its body", u.atom)
+			}
+			vals = append(vals, v)
 		}
-		fact := relstore.GroundFact{Rel: op.Atom.Rel, Tuple: tup}
-		if op.Insert {
-			g.Inserts = append(g.Inserts, fact)
+		f := relstore.GroundFact{Rel: u.atom.Rel, Tuple: vals[start:len(vals):len(vals)]}
+		if u.insert {
+			ins = append(ins, f)
 		} else {
-			g.Deletes = append(g.Deletes, fact)
+			dels = append(dels, f)
 		}
 	}
-	return g, nil
+	l.g.Inserts, l.g.Deletes = ins, dels
+	return nil
+}
+
+// copySolution copies the levels' current groundings out of the scratch:
+// one Groundings slice, one fact arena, one value arena.
+func (c *chainSolver) copySolution() *ChainSolution {
+	ls := c.levels[:len(c.ts)]
+	nf, nv := 0, 0
+	for _, l := range ls {
+		nf += len(l.g.Inserts) + len(l.g.Deletes)
+		for _, f := range l.g.Inserts {
+			nv += len(f.Tuple)
+		}
+		for _, f := range l.g.Deletes {
+			nv += len(f.Tuple)
+		}
+	}
+	facts := make([]relstore.GroundFact, 0, nf)
+	vals := make([]value.Value, 0, nv)
+	sol := &ChainSolution{Groundings: make([]Grounding, len(ls))}
+	for i, l := range ls {
+		g := &sol.Groundings[i]
+		g.Txn, g.OptionalSatisfied = l.g.Txn, l.optCount
+		g.Inserts, facts, vals = copyFacts(l.g.Inserts, facts, vals)
+		g.Deletes, facts, vals = copyFacts(l.g.Deletes, facts, vals)
+	}
+	return sol
+}
+
+// copyFacts appends copies of src to the arenas and returns them as their
+// own capped slice (nil when src is empty).
+func copyFacts(src, facts []relstore.GroundFact, vals []value.Value) ([]relstore.GroundFact, []relstore.GroundFact, []value.Value) {
+	if len(src) == 0 {
+		return nil, facts, vals
+	}
+	start := len(facts)
+	for _, f := range src {
+		at := len(vals)
+		vals = append(vals, f.Tuple...)
+		facts = append(facts, relstore.GroundFact{Rel: f.Rel, Tuple: vals[at:len(vals):len(vals)]})
+	}
+	return facts[start:len(facts):len(facts)], facts, vals
 }
 
 // CountOptionalsSatisfied reports how many of t's optional atoms hold on

@@ -135,9 +135,13 @@ func (rs *RowSet) appendSolution(env *logic.Env) {
 // per-atom walk buffers, composite-key buffer) is hoisted into reusable
 // storage. Evaluation then backtracks by binding slots and undoing a
 // trail instead of cloning a map per candidate tuple, so a Prepared
-// performs no per-tuple allocations; only emitted solutions allocate
-// (their Subst snapshot) — and Rows, which hands solutions out as slot
-// values appended to one flat row set, not even that.
+// performs no per-tuple allocations.
+//
+// Solutions leave through one path, Each: the callback reads the bound
+// slots (SlotOf, Value) while the solution is live. Eval snapshots them
+// into a Subst, Rows appends them to one flat row set, and the chain
+// solver grounds update atoms straight from them, so only Eval pays a map
+// per solution.
 //
 // A Prepared may be evaluated repeatedly but is not safe for concurrent
 // use; compile one per goroutine.
@@ -151,10 +155,9 @@ type Prepared struct {
 	// follow), which is the column order of Rows.
 	nvars int
 
-	// Per-evaluation state. Exactly one of emit and rows is set.
+	// Per-evaluation state.
 	src     Source
-	emit    func(logic.Subst) bool
-	rows    *RowSet
+	emit    func() bool
 	stopped bool
 	// rem[d] holds the indexes of atoms not yet grounded at depth d; each
 	// depth owns one reusable buffer since recursion visits it once per
@@ -258,13 +261,26 @@ func (q Query) Compile() *Prepared {
 	return p
 }
 
+// Each evaluates the compiled query over src, extending the (possibly
+// nil) initial substitution, and calls emit once per solution until emit
+// returns false. While emit runs, Value reads the solution's bindings; the
+// solution costs nothing unless emit copies it out. Each returns an error
+// only for structural problems (unknown relation, arity mismatch).
+func (p *Prepared) Each(src Source, init logic.Subst, emit func() bool) error {
+	return p.eval(src, init, emit, nil)
+}
+
+// SlotOf returns the slot of a variable of the query.
+func (p *Prepared) SlotOf(name string) (int, bool) { return p.env.SlotOf(name) }
+
+// Value returns slot's binding in the solution being emitted; ok is false
+// while it is unbound.
+func (p *Prepared) Value(slot int) (value.Value, bool) { return p.env.Value(slot) }
+
 // Eval evaluates the compiled query over src; see Query.Eval for the
 // contract.
 func (p *Prepared) Eval(src Source, init logic.Subst, emit func(logic.Subst) bool) error {
-	p.emit = emit
-	err := p.eval(src, init)
-	p.emit = nil
-	return err
+	return p.eval(src, init, func() bool { return emit(p.env.Snapshot()) }, nil)
 }
 
 // Rows evaluates the compiled query over src and returns every solution
@@ -276,9 +292,7 @@ func (p *Prepared) Rows(src Source) (*RowSet, error) {
 	for i := range rs.Cols {
 		rs.Cols[i] = p.env.Name(i)
 	}
-	p.rows = rs
-	err := p.eval(src, nil)
-	p.rows = nil
+	err := p.eval(src, nil, func() bool { rs.appendSolution(p.env); return true }, rs)
 	return rs, err
 }
 
@@ -286,7 +300,9 @@ func (p *Prepared) Rows(src Source) (*RowSet, error) {
 // estimate, which for a join is only a guess.
 const rowsHint = 1024
 
-func (p *Prepared) eval(src Source, init logic.Subst) error {
+// eval runs one evaluation, handing solutions to emit; when sized is
+// non-nil it is pre-sized for the planner's first estimate.
+func (p *Prepared) eval(src Source, init logic.Subst, emit func() bool, sized *RowSet) error {
 	for i := range p.atoms {
 		ca := &p.atoms[i]
 		sch, ok := src.SchemaOf(ca.rel)
@@ -308,14 +324,15 @@ func (p *Prepared) eval(src Source, init logic.Subst) error {
 		rem = append(rem, i)
 	}
 	p.rem[0] = rem
-	if p.rows != nil && len(rem) > 0 {
+	if sized != nil && len(rem) > 0 {
 		// Size the row set for the cheapest atom's estimate — exact for a
 		// single-atom scan — so appending rows never regrows it.
 		n := p.estimate(&p.atoms[rem[p.cheapest(rem)]])
-		p.rows.Vals = make([]value.Value, 0, min(n, rowsHint)*p.nvars)
+		sized.Vals = make([]value.Value, 0, min(n, rowsHint)*p.nvars)
 	}
+	p.emit = emit
 	p.run(0)
-	p.src = nil
+	p.src, p.emit = nil, nil
 	return nil
 }
 
@@ -357,9 +374,7 @@ func (p *Prepared) run(depth int) {
 		if !p.checksHold(true) {
 			return
 		}
-		if p.rows != nil {
-			p.rows.appendSolution(p.env)
-		} else if !p.emit(p.env.Snapshot()) {
+		if !p.emit() {
 			p.stopped = true
 		}
 		return

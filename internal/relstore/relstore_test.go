@@ -377,12 +377,10 @@ func TestOverlayReinsertAfterDelete(t *testing.T) {
 	if !o.Contains("Available", tup(123, "1A")) {
 		t.Fatal("reinserted tuple missing")
 	}
-	// The tombstone is retained alongside the add (it must keep
-	// suppressing the base row, which can differ in non-key columns);
-	// applying the facts nets out to the same store state.
-	ins, dels := o.Facts()
-	if len(ins) != 1 || len(dels) != 1 {
-		t.Fatalf("Facts after delete+reinsert: ins=%v dels=%v", ins, dels)
+	// The delete is retained alongside the add (it must keep suppressing
+	// the base row, which can differ in non-key columns).
+	if n := o.Len("Available"); n != 6 {
+		t.Fatalf("Len after delete+reinsert = %d, want 6", n)
 	}
 	// 6 base rows: the tombstoned one is suppressed, the add restores it —
 	// crucially NOT both at once.
@@ -461,29 +459,37 @@ func TestOverlayNesting(t *testing.T) {
 	}
 }
 
-func TestOverlayCloneAndFacts(t *testing.T) {
+// TestOverlayMarkUndo: Undo rolls back exactly the ops since its mark,
+// nested marks included, and a failed ApplyFacts leaves nothing behind.
+func TestOverlayMarkUndo(t *testing.T) {
 	db := flightsDB(t)
 	o := NewOverlay(db)
 	if err := o.Delete("Available", tup(123, "1A")); err != nil {
 		t.Fatal(err)
 	}
-	c := o.Clone()
-	if err := c.Delete("Available", tup(123, "1B")); err != nil {
+	outer := o.Mark()
+	if err := o.Delete("Available", tup(123, "1B")); err != nil {
 		t.Fatal(err)
 	}
-	if !o.Contains("Available", tup(123, "1B")) {
-		t.Error("clone delete leaked into original overlay")
-	}
-	ins, dels := c.Facts()
-	if len(ins) != 0 || len(dels) != 2 {
-		t.Fatalf("clone Facts: ins=%d dels=%d, want 0/2", len(ins), len(dels))
-	}
-	// Flushing facts into the base applies the delta.
-	if err := db.Apply(ins, dels); err != nil {
+	inner := o.Mark()
+	if err := o.Insert("Bookings", tup("M", 123, "1B")); err != nil {
 		t.Fatal(err)
 	}
-	if db.Contains("Available", tup(123, "1A")) || db.Contains("Available", tup(123, "1B")) {
-		t.Error("flushed facts not applied to base")
+	o.Undo(inner)
+	if o.Contains("Bookings", tup("M", 123, "1B")) || o.Contains("Available", tup(123, "1B")) {
+		t.Fatal("inner Undo rolled back too little or too much")
+	}
+	o.Undo(outer)
+	if !o.Contains("Available", tup(123, "1B")) || o.Contains("Available", tup(123, "1A")) {
+		t.Fatal("outer Undo did not restore the state at its mark")
+	}
+	// The second delete fails: the first must not stick.
+	bad := []GroundFact{{Rel: "Available", Tuple: tup(123, "1B")}, {Rel: "Available", Tuple: tup(123, "9Z")}}
+	if err := o.ApplyFacts(nil, bad); err == nil {
+		t.Fatal("ApplyFacts deleting an absent tuple succeeded")
+	}
+	if !o.Contains("Available", tup(123, "1B")) || o.Len("Available") != db.Len("Available")-1 {
+		t.Fatal("failed ApplyFacts left part of its batch applied")
 	}
 }
 

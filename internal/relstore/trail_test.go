@@ -383,9 +383,8 @@ func TestOverlayDeleteThenInsertSameKey(t *testing.T) {
 	if o.Contains("R", value.Tuple{value.NewInt(1), value.NewString("a")}) {
 		t.Fatal("deleted row resurrected by same-key insert")
 	}
-	ins, dels := o.Facts()
-	if len(ins) != 1 || len(dels) != 1 {
-		t.Fatalf("Facts = %v / %v, want one insert and one delete", ins, dels)
+	if !o.ContainsKey("R", value.Tuple{value.NewInt(1)}.AppendKey(nil, nil)) {
+		t.Fatal("re-inserted key not visible")
 	}
 }
 
