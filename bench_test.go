@@ -363,10 +363,10 @@ func BenchmarkParallelSubmit(b *testing.B) {
 
 // BenchmarkParallelRead measures collapse-free snapshot-read throughput
 // swept over reader counts while one applier churns blind writes — the
-// gate-free read headline. Watch read/s rise with readers and per-read
+// lock-free read headline. Watch read/s rise with readers and per-read
 // latency hold near the applier-idle baseline (the last variant):
 // snapshot readers pin a copy-on-write version and never queue behind
-// the store gate's exclusive holders. The shapes come from
+// the store lock's exclusive holders. The shapes come from
 // bench.ReadShapes, shared with the CI trajectory artifact (qdbbench
 // -json, BENCH_read.json), so the two series stay comparable.
 func BenchmarkParallelRead(b *testing.B) {

@@ -158,7 +158,7 @@ func emitRead(dir string) error {
 	// applier churns blind writes, plus the applier-idle baseline the
 	// racing latencies are judged against. The counters record that every
 	// read took the snapshot path and that the applier kept moving — the
-	// structural half of the gate-free claim.
+	// structural half of the lock-free claim.
 	for _, s := range bench.ReadShapes() {
 		var (
 			elapsed time.Duration

@@ -17,10 +17,10 @@ import (
 // ReadConfig sizes the snapshot read-scaling experiment: Readers
 // goroutines each run ReadsPerReader collapse-free snapshot queries
 // over one flight while (optionally) one applier churns blind writes.
-// Every Write holds the store gate exclusively while it applies, so
+// Every Write holds the store lock exclusively while it applies, so
 // this is exactly the contention the copy-on-write snapshot path is
 // built to never wait behind: readers pin a version under a brief
-// shared acquisition and then evaluate entirely gate-free.
+// shared acquisition and then evaluate entirely lock-free.
 type ReadConfig struct {
 	// Readers is the number of querying goroutines.
 	Readers int
@@ -219,7 +219,7 @@ type ReadShape struct {
 // ReadShapes returns the canonical read sweep: readers 1/2/4/8 racing
 // the applier, plus the applier-idle baseline at the widest shape — the
 // pair whose per-read latencies must stay within ~2x of each other for
-// the gate-free claim to hold.
+// the lock-free claim to hold.
 func ReadShapes() []ReadShape {
 	var shapes []ReadShape
 	for _, n := range []int{1, 2, 4, 8} {

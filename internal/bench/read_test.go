@@ -41,7 +41,7 @@ func TestParallelReadCorrectness(t *testing.T) {
 }
 
 // TestParallelReadNotSlowedByApplier asserts the acceptance bar —
-// snapshot reads racing a sustained storeMu-exclusive applier stay
+// snapshot reads racing a sustained exclusive-lock applier stay
 // within ~2x of their applier-idle latency, i.e. collapse-free reads do
 // not queue behind writers. Opt in with SCALE=1 (timing assertions are
 // hostile to loaded CI boxes); TestParallelReadCorrectness covers the

@@ -28,8 +28,8 @@ import (
 //     bumped by installers AFTER publication, so counter equality later
 //     proves the snapshot missed no install.
 //  2. Speculate: on the scheduler pool (one worker slot per cycle,
-//     bounding concurrent solves machine-wide), under the store's read
-//     gate, decide each member in ID order — negative-cache probe,
+//     bounding concurrent solves machine-wide), through one store view
+//     (QDB.view), decide each member in ID order — negative-cache probe,
 //     solution-extension fast path, or full composed-body solve — over a
 //     chain that grows with each accepted member, against immutable
 //     inputs: *txn.T values are never mutated once published and
@@ -256,9 +256,8 @@ func buildSnapBatch(ps []*partition, items []batchItem) *admitSnap {
 // the snapshot — partVersion unchanged — no partition can have gained
 // atoms, and locking the snapshot set and checking versions suffices;
 // otherwise the overlap set is resolved from scratch and compared. Then
-// the store, under the read gate so the epochs are frozen. On success
-// the overlap set is returned locked (ascending ID); on failure
-// everything is released.
+// the store. On success the overlap set is returned locked (ascending
+// ID); on failure everything is released.
 func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutcome) ([]*partition, bool) {
 	var locked []*partition
 	if q.partVersion.Load() == snap.partVersion {
@@ -295,11 +294,12 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 	// of merged (every decision's basis is a subset), or moved past it
 	// only by groundings of non-overlapping partitions, which cannot
 	// unify with any of merged's atoms and so preserve every solution and
-	// rejection proof verbatim.
-	q.storeMu.RLock()
-	ok := q.epochFingerprint(snap.merged) == out.fpAll ||
+	// rejection proof verbatim. Epochs only grow, so a fingerprint equal
+	// to fpAll, even read table by table, proves the relations were all
+	// unchanged when the first was read; admitMu keeps writeSeq and
+	// admitSeq still.
+	ok := epochFingerprint(q.db, snap.merged) == out.fpAll ||
 		(q.writeSeq.Load() == out.writeSeq && q.admitSeq.Load() == snap.admitSeq)
-	q.storeMu.RUnlock()
 	if !ok {
 		unlockPartitions(locked)
 		return nil, false

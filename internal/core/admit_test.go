@@ -134,7 +134,7 @@ func TestOptimisticAdmissionStress(t *testing.T) {
 				case 9:
 					// Out-of-band mutation: inventory added around the
 					// engine is refused. It takes no store lock, so it
-					// races in-flight solves without the engine's gate.
+					// races in-flight solves without waiting for them.
 					err := db.Insert("Available", tup(f, fmt.Sprintf("OOB%d_%d", g, op)))
 					if !errors.Is(err, relstore.ErrOwned) {
 						t.Errorf("out-of-band insert: %v, want ErrOwned", err)

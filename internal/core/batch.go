@@ -16,8 +16,8 @@ import (
 // decides exactly as n sequential Submits would against the same store.
 // What a batch amortizes is everything around the decisions: one
 // overlap snapshot over the union of the batch's atoms, one scheduler
-// slot, one store read-gate acquisition for all n solves, one
-// admission-lock critical section, one partition merge, and ONE WAL
+// slot, one store view for all n solves, one admission-lock critical
+// section, one partition merge, and ONE WAL
 // batch carrying all n pending records (a single group-commit fsync
 // instead of n).
 //
@@ -45,7 +45,7 @@ type batchDecision struct {
 // batchOutcome is what one cycle's decisions learned.
 type batchOutcome struct {
 	// writeSeq is the accepted-blind-write count at solve time, read
-	// under the same read gate as the solve's store view.
+	// inside the solve's store view (see QDB.view).
 	writeSeq uint64
 	// fpAll fingerprints the relations of the full would-be chain
 	// (snap.merged) at solve time. Every per-member decision's relation
@@ -148,21 +148,20 @@ func insertByID(dst, chain []*txn.T, t *txn.T) []*txn.T {
 // decideBatch is THE admission decision procedure: per member in ID
 // order, a negative-cache probe, then the cached-solution extension,
 // then the full composed-body solve, over a chain grown by each accept,
-// under ONE store read-gate acquisition. A member decided after an
-// accepted predecessor sees that predecessor in its chain — byte for
+// through ONE store view. A member decided after an accepted
+// predecessor sees that predecessor in its chain — byte for
 // byte the question sequential Submits would have asked — and a
 // rejected member leaves the chain untouched, so later members decide
-// as if it never arrived. The read gate keeps store writers from queuing
-// mid-solve (the evaluator re-enters relstore read locks; see
-// trySolveAndApply) and freezes the epochs, so the fingerprints recorded
-// in out describe precisely the store state the decisions saw. It takes
-// no shard and no admission lock itself: a serial caller holds both, an
-// optimistic one validates afterwards.
+// as if it never arrived. Every solve and fingerprint reads one store
+// view (QDB.view), which holds writers off and so fixes the epochs: the
+// fingerprints recorded in out describe precisely the store state the
+// decisions saw. It takes no shard and no admission lock itself: a
+// serial caller holds both, an optimistic one validates afterwards.
 func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome) error {
-	q.storeMu.RLock()
-	defer q.storeMu.RUnlock()
+	v := q.view()
+	defer q.db.EndView()
 	out.writeSeq = q.writeSeq.Load()
-	out.fpAll = q.epochFingerprint(snap.merged)
+	out.fpAll = epochFingerprint(v, snap.merged)
 	out.decisions = make([]batchDecision, len(items))
 
 	chain := append(make([]*txn.T, 0, len(snap.merged)), snap.base...)
@@ -186,7 +185,7 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			// at these epochs rejects by cache probe, skipping both solve
 			// paths.
 			d.negKey = solveKey(views, false, 1, 0)
-			d.negFP = q.epochFingerprint(views)
+			d.negFP = epochFingerprint(v, views)
 			if q.rejects.hit(d.negKey, d.negFP) {
 				d.fromNeg = true
 				continue
@@ -203,7 +202,7 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			// lock, so an admission with a later ID can install first,
 			// and a solution extended at the END of the chain is only
 			// valid for a member that also sorts last.
-			ov := relstore.NewOverlay(q.db)
+			ov := relstore.NewOverlay(v)
 			if applyGroundings(ov, cached) == nil {
 				sol, ok, err := formula.SolveChain(ov, []*txn.T{strip(t)}, q.chainOpts(false))
 				if err != nil {
@@ -221,7 +220,7 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 		}
 		// Slow path: full composed-body satisfiability check.
 		q.stats.cacheMisses.Add(1)
-		sol, ok, err := formula.SolveChain(q.db, views, q.chainOpts(false))
+		sol, ok, err := formula.SolveChain(v, views, q.chainOpts(false))
 		if err != nil {
 			return err
 		}

@@ -46,8 +46,8 @@ import (
 // matter because groundings are checked for key collisions against
 // them). Iteration order is first-occurrence, which is deterministic for
 // a fixed view sequence, so equal view sequences at equal store states
-// produce equal fingerprints.
-func (q *QDB) epochFingerprint(ts []*txn.T) uint64 {
+// produce equal fingerprints. A solve passes its view (QDB.view).
+func epochFingerprint(src epochSource, ts []*txn.T) uint64 {
 	h := uint64(hash.Offset64)
 	// First-occurrence dedup over a stack buffer: admissions fingerprint
 	// several times per call (negative key, stamp, validation), so this
@@ -56,17 +56,20 @@ func (q *QDB) epochFingerprint(ts []*txn.T) uint64 {
 	rels := relsBuf[:0]
 	for _, t := range ts {
 		for _, b := range t.Body {
-			h, rels = q.fingerprintRel(h, rels, b.Atom.Rel)
+			h, rels = fingerprintRel(src, h, rels, b.Atom.Rel)
 		}
 		for _, u := range t.Update {
-			h, rels = q.fingerprintRel(h, rels, u.Atom.Rel)
+			h, rels = fingerprintRel(src, h, rels, u.Atom.Rel)
 		}
 	}
 	return h
 }
 
+// epochSource is a relstore.View or the *relstore.DB.
+type epochSource interface{ TableEpoch(rel string) uint64 }
+
 // fingerprintRel folds rel's table epoch into h unless already seen.
-func (q *QDB) fingerprintRel(h uint64, rels []string, rel string) (uint64, []string) {
+func fingerprintRel(src epochSource, h uint64, rels []string, rel string) (uint64, []string) {
 	for _, r := range rels {
 		if r == rel {
 			return h, rels
@@ -74,7 +77,7 @@ func (q *QDB) fingerprintRel(h uint64, rels []string, rel string) (uint64, []str
 	}
 	rels = append(rels, rel)
 	h = hash.String(h, rel)
-	h = hash.Mix(h, q.db.TableEpoch(rel))
+	h = hash.Mix(h, src.TableEpoch(rel))
 	return h, rels
 }
 

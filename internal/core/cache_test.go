@@ -103,11 +103,11 @@ func TestEpochInvalidationPreventsStaleGrounding(t *testing.T) {
 func TestCreateTableKeepsFingerprints(t *testing.T) {
 	q := mustQDB(t, cheapSeatDB("a"), Options{})
 	views := []*txn.T{bookCheap("M"), txn.MustParse("+Lounge('M') :-1 Cheap(s), Lounge(s)")}
-	before := q.epochFingerprint(views)
+	before := epochFingerprint(q.db, views)
 	if err := q.Store().CreateTable(relstore.Schema{Name: "Lounge", Columns: []string{"sno"}}); err != nil {
 		t.Fatal(err)
 	}
-	if after := q.epochFingerprint(views); after != before {
+	if after := epochFingerprint(q.db, views); after != before {
 		t.Fatalf("CreateTable moved a fingerprint: %x -> %x", before, after)
 	}
 }

@@ -27,10 +27,10 @@ import (
 // transactions followed by their length-prefixed serializations.
 //
 // The checkpoint is FUZZY: the engine quiesces only for the cut itself
-// — the admission lock, every live partition's shard, and the store
-// gate are held just long enough to pin a copy-on-write store snapshot,
-// copy the pending-transaction pointers, and read the WAL sequence
-// stamp. That pause is O(pending + tables), independent of row count.
+// — the admission lock and every live partition's shard are held just
+// long enough to pin a copy-on-write store snapshot, copy the
+// pending-transaction pointers, and read the WAL sequence stamp. That
+// pause is O(pending + tables), independent of row count.
 // Serialization then runs against the pinned snapshot with the engine
 // fully live (admissions, groundings, and writes proceed and keep
 // logging), and the WAL is truncated below the stamp concurrently with
@@ -84,10 +84,10 @@ type checkpointCut struct {
 }
 
 // checkpointCut executes the fuzzy checkpoint's locked cut — the only
-// quiescent moment: admission lock, every live partition's shard, and
-// the store gate are held just long enough to pin a COW store snapshot,
-// copy the pending-transaction pointers, and read the WAL sequence
-// stamp. Shared by Checkpoint (which
+// quiescent moment: the admission lock and every live partition's shard
+// are held just long enough to pin a COW store snapshot, copy the
+// pending-transaction pointers, and read the WAL sequence stamp. Shared
+// by Checkpoint (which
 // then serializes to a file and truncates the WAL) and CheckpointImage
 // (which serializes to memory for replica bootstrap and truncates
 // nothing). Stats.CheckpointPauseNs accumulates the hold time.
@@ -103,11 +103,9 @@ func (q *QDB) checkpointCut() checkpointCut {
 		pending = append(pending, p.txns...)
 	}
 	sort.Slice(pending, func(i, j int) bool { return pending[i].ID < pending[j].ID })
-	q.storeMu.Lock()
 	snap := q.db.Snapshot()
 	stamp := q.log.Seq()
 	term := q.log.Term()
-	q.storeMu.Unlock()
 	unlockPartitions(locked)
 	q.admitMu.Unlock()
 	q.stats.checkpointPauseNs.Add(time.Since(cutStart).Nanoseconds())

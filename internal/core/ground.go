@@ -212,12 +212,11 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 		return false, nil
 	}
 	g := p.cached[0]
-	// Write-ahead ordering: log+sync the batch OUTSIDE the store gate (so
+	// Write-ahead ordering: log+sync the batch with no store lock held (so
 	// replays of partitions on different WAL segments fsync concurrently
-	// and ones sharing a segment group-commit), then apply under the
-	// exclusive side. Only groundings of OTHER partitions, which cannot
-	// unify with this one and so commute with its grounding, can land in
-	// between.
+	// and ones sharing a segment group-commit), then apply. Only
+	// groundings of OTHER partitions, which cannot unify with this one and
+	// so commute with its grounding, can land in between.
 	walStart := time.Now()
 	seq, err := q.logGrounding(p.id(), g)
 	sp.Add(stageGroundWAL, time.Since(walStart))
@@ -229,19 +228,16 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 	}
 
 	applyStart := time.Now()
-	q.storeMu.Lock()
 	if err := q.w.Apply(g.Inserts, g.Deletes); err != nil {
 		// The grounding no longer applies (a key collision with a
 		// commuting engine write). Drop the cache and fall back to a
 		// fresh solve; Apply is atomic, so the store is unchanged — but
 		// the batch is already logged, so it must be compensated.
-		q.storeMu.Unlock()
 		q.stats.solutionStale.Add(1)
 		p.cached = nil
 		p.version++
 		return false, q.logAbort(p.id(), seq)
 	}
-	q.storeMu.Unlock()
 	sp.Add(stageGroundApply, time.Since(applyStart))
 	q.stats.grounded.Add(1)
 	q.stats.solutionReplays.Add(1)
@@ -308,15 +304,13 @@ func identityOrder(n int) []int {
 // removing those transactions and caching the rest. Returns ok=false when
 // the chain is unsatisfiable in this order.
 //
-// Caller holds p's shard. The solve runs under the store's read gate
-// (storeMu.RLock) — solves of independent partitions still overlap, and
-// holding the gate guarantees no store writer queues mid-solve, which
-// would deadlock the evaluator's nested relstore read locks. Each
-// grounding then logs write-ahead outside the store gate and applies
-// under a short exclusive section of its own: reads see whole
-// groundings, but a multi-transaction prefix is NOT atomic against
-// reads — a read may observe the state between two groundings of the
-// prefix, each of which is a real committed state.
+// Caller holds p's shard. The negative probe, the solve and the chooser
+// read one store view (QDB.view) — solves of independent partitions
+// still overlap. Each grounding then logs write-ahead with no store lock
+// held and applies on its own: reads see whole groundings, but a
+// multi-transaction prefix is NOT atomic against reads — a read may
+// observe the state between two groundings of the prefix, each of which
+// is a real committed state.
 func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groundCount int, sp *telemetry.Span) (bool, error) {
 	maximize := false
 	for _, t := range solver[:groundCount] {
@@ -325,64 +319,13 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 			break
 		}
 	}
-	sample := q.opt.sample()
-	var (
-		sols []*formula.ChainSolution
-		err  error
-	)
 	solveStart := time.Now()
-	q.storeMu.RLock()
-	// Negative probe: a solver-view sequence (up to renaming) proven
-	// unsatisfiable at these store epochs fails again without solving —
-	// this answers repeated failed reorder and coordination attempts by
-	// cache probe. The read gate freezes the epochs, so the fingerprint
-	// and the solve observe the same state.
-	useNeg := !q.opt.DisableCache
-	var negKey, negFP uint64
-	if useNeg {
-		negKey = solveKey(solver, maximize, sample, 0)
-		negFP = q.epochFingerprint(solver)
-		if q.rejects.hit(negKey, negFP) {
-			q.storeMu.RUnlock()
-			q.stats.negHits.Add(1)
-			sp.Add(stageGroundSolve, time.Since(solveStart))
-			return false, nil
-		}
-	}
-	if sample > 1 {
-		// Candidates must differ in the grounding of the collapse target
-		// (the chain head) for the chooser to have a real choice.
-		sols, err = formula.SolveChainVaryingFirst(q.db, solver, q.chainOpts(maximize), sample)
-	} else {
-		sols, err = formula.SolveChainN(q.db, solver, q.chainOpts(maximize), 1)
-	}
-	if err != nil {
-		q.storeMu.RUnlock()
-		sp.Add(stageGroundSolve, time.Since(solveStart))
+	sol, err := q.solveForGround(q.view(), solver, maximize)
+	q.db.EndView()
+	sp.Add(stageGroundSolve, time.Since(solveStart))
+	if sol == nil || err != nil {
 		return false, err
 	}
-	if len(sols) == 0 {
-		if useNeg {
-			q.rejects.add(negKey, negFP)
-		}
-		q.storeMu.RUnlock()
-		sp.Add(stageGroundSolve, time.Since(solveStart))
-		return false, nil
-	}
-	pick := 0
-	if len(sols) > 1 {
-		cands := make([]formula.Grounding, len(sols))
-		for i, s := range sols {
-			cands[i] = s.Groundings[0]
-		}
-		pick = q.opt.chooser()(cands, q.db)
-		if pick < 0 || pick >= len(sols) {
-			pick = 0
-		}
-	}
-	q.storeMu.RUnlock()
-	sp.Add(stageGroundSolve, time.Since(solveStart))
-	sol := sols[pick]
 
 	// Partition split: keep positions not in order[:groundCount].
 	grounded := make(map[int]bool, groundCount)
@@ -401,11 +344,11 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 
 	// Execute the chosen prefix against the store, one grounding — one
 	// WAL batch — at a time, write-ahead: each grounding's batch (facts +
-	// tombstone) is appended and, with SyncWAL, group-commit synced
-	// OUTSIDE the store gate, and only then applied under the exclusive
-	// side. Log sequence order stays consistent with apply order where it
-	// matters: same-partition batches are strictly ordered (the next
-	// append happens after the previous apply, under this shard), and
+	// tombstone) is appended and, with SyncWAL, group-commit synced with
+	// no store lock held, and only then applied. Log sequence order stays
+	// consistent with apply order where it matters: same-partition
+	// batches are strictly ordered (the next append happens after the
+	// previous apply, under this shard), and
 	// batches of other partitions commute with these groundings (their
 	// atoms cannot unify; residual key collisions fail closed at Apply
 	// and are compensated with an abort record). A crash between a
@@ -430,16 +373,13 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 			return false, err
 		}
 		applyStart := time.Now()
-		q.storeMu.Lock()
 		if err := q.w.Apply(g.Inserts, g.Deletes); err != nil {
-			q.storeMu.Unlock()
 			err = fmt.Errorf("core: executing grounding of txn %d: %w", g.Txn.ID, err)
 			if aerr := q.logAbort(p.id(), seq); aerr != nil {
 				err = errors.Join(err, aerr)
 			}
 			return false, err
 		}
-		q.storeMu.Unlock()
 		sp.Add(stageGroundApply, time.Since(applyStart))
 	}
 	q.stats.grounded.Add(int64(groundCount))
@@ -473,6 +413,60 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		q.partVersion.Add(1)
 	}
 	return true, nil
+}
+
+// solveForGround is trySolveAndApply's decision over the view v: the
+// negative probe, the solve and, when sampling, the chooser's pick. It
+// returns nil when the chain is unsatisfiable in this order.
+func (q *QDB) solveForGround(v relstore.View, solver []*txn.T, maximize bool) (*formula.ChainSolution, error) {
+	sample := q.opt.sample()
+	// Negative probe: a solver-view sequence (up to renaming) proven
+	// unsatisfiable at these store epochs fails again without solving —
+	// this answers repeated failed reorder and coordination attempts by
+	// cache probe. The view holds writers off, so the fingerprint and the
+	// solve observe the same state.
+	useNeg := !q.opt.DisableCache
+	var negKey, negFP uint64
+	if useNeg {
+		negKey = solveKey(solver, maximize, sample, 0)
+		negFP = epochFingerprint(v, solver)
+		if q.rejects.hit(negKey, negFP) {
+			q.stats.negHits.Add(1)
+			return nil, nil
+		}
+	}
+	var (
+		sols []*formula.ChainSolution
+		err  error
+	)
+	if sample > 1 {
+		// Candidates must differ in the grounding of the collapse target
+		// (the chain head) for the chooser to have a real choice.
+		sols, err = formula.SolveChainVaryingFirst(v, solver, q.chainOpts(maximize), sample)
+	} else {
+		sols, err = formula.SolveChainN(v, solver, q.chainOpts(maximize), 1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(sols) == 0 {
+		if useNeg {
+			q.rejects.add(negKey, negFP)
+		}
+		return nil, nil
+	}
+	pick := 0
+	if len(sols) > 1 {
+		cands := make([]formula.Grounding, len(sols))
+		for i, s := range sols {
+			cands[i] = s.Groundings[0]
+		}
+		pick = q.opt.chooser()(cands, v)
+		if pick < 0 || pick >= len(sols) {
+			pick = 0
+		}
+	}
+	return sols[pick], nil
 }
 
 // GroundCoordinated collapses the pending transaction id only if a
@@ -531,14 +525,13 @@ func (q *QDB) GroundCoordinated(id int64) (bool, error) {
 // repeatable: the returned values are fixed in the store.
 //
 // Affected partitions are collapsed in parallel on the worker pool; the
-// final evaluation holds the store's read gate, so a transaction admitted
-// mid-read stays pending (the read linearizes before it) and the result
-// set is cut at a single store state. The collapse is bounded to
-// transactions pending when the read arrived: a transaction admitted
-// after that linearizes after the read (its grounding cannot execute
-// while the read gate is held), so a sustained stream of overlapping
-// admissions cannot starve the read. The result is a columnar row set,
-// as for QueryAt.
+// final evaluation runs on a snapshot pinned while the candidate
+// partitions are locked, so a transaction admitted mid-read stays pending
+// (the read linearizes before it) and the result set is cut at a single
+// store state. The collapse is bounded to transactions pending when the
+// read arrived: a transaction admitted after that is not collapsed by
+// it, so a sustained stream of overlapping admissions cannot starve the
+// read. The result is a columnar row set, as for QueryAt.
 func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 	// Collapsing reads mutate (they may force groundings), so a demoted
 	// leader refuses them too; snapshot reads (QueryAt/QuerySnapshot)
@@ -562,14 +555,12 @@ func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 		}
 		if len(affected) == 0 {
 			// No pending transaction the read must observe can touch the
-			// query: pin a snapshot under a brief gate acquisition (while
-			// the candidate partitions are still locked, so no affected
-			// grounding can slip between the check and the pin), then
-			// release everything and evaluate entirely gate-free — a long
-			// read never stalls appliers, and appliers never stall it.
-			q.storeMu.RLock()
+			// query: pin a snapshot (while the candidate partitions are
+			// still locked, so no affected grounding can slip between the
+			// check and the pin), then release everything and evaluate
+			// lock-free — a long read never stalls appliers, and appliers
+			// never stall it.
 			snap := q.db.Snapshot()
-			q.storeMu.RUnlock()
 			unlockPartitions(ps)
 			q.stats.snapshotReads.Add(1)
 			rq := relstore.Query{Atoms: query, Planner: q.opt.Planner}
@@ -675,11 +666,9 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	defer sp.End()
 
 	// Structural validation of the write itself (arity, delete-of-absent,
-	// duplicate keys) on a scratch overlay, under the store's read gate
-	// (see trySolveAndApply for why solves hold it).
-	q.storeMu.RLock()
-	err := relstore.NewOverlay(q.db).ApplyFacts(inserts, deletes)
-	q.storeMu.RUnlock()
+	// duplicate keys) on a scratch overlay over a store view.
+	err := relstore.NewOverlay(q.view()).ApplyFacts(inserts, deletes)
+	q.db.EndView()
 	if err != nil {
 		return fmt.Errorf("core: invalid write: %w", err)
 	}
@@ -700,9 +689,11 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	err = q.pool.Map(len(affected), func(i int) error {
 		p := affected[i] // pre-locked; task takes no shard
 		q.stats.parallelSolves.Add(1)
-		// Overlays are single-goroutine; each validation builds its own.
-		q.storeMu.RLock()
-		defer q.storeMu.RUnlock()
+		// Overlays are single-goroutine; each validation builds its own,
+		// over a view of its own: a view held across pool.Map would wait
+		// for a slot whose holder waits on db.mu (QDB.view).
+		v := q.view()
+		defer q.db.EndView()
 		views := stripAll(p.txns)
 		// Negative probe: this write was already proven to empty this
 		// partition's possible worlds at these epochs — re-reject by
@@ -711,13 +702,13 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		var negKey, negFP uint64
 		if useNeg {
 			negKey = solveKey(views, false, 1, dk)
-			negFP = q.epochFingerprint(views)
+			negFP = epochFingerprint(v, views)
 			if q.rejects.hit(negKey, negFP) {
 				q.stats.negHits.Add(1)
 				return ErrWriteRejected
 			}
 		}
-		ov := relstore.NewOverlay(q.db)
+		ov := relstore.NewOverlay(v)
 		if err := ov.ApplyFacts(inserts, deletes); err != nil {
 			return fmt.Errorf("core: invalid write: %w", err)
 		}
@@ -746,8 +737,8 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 
 	// Write-ahead: the write's batch is logged (and synced, with SyncWAL)
 	// before it mutates the store — still under admitMu, so it is
-	// serialized against admissions exactly as before, but outside the
-	// store gate, so groundings of unaffected partitions proceed during
+	// serialized against admissions exactly as before, but with no store
+	// lock held, so groundings of unaffected partitions proceed during
 	// the fsync.
 	walStart := time.Now()
 	seq, err := q.logWrite(inserts, deletes)
@@ -761,9 +752,7 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		return err
 	}
 	applyStart := time.Now()
-	q.storeMu.Lock()
 	if err := q.w.Apply(inserts, deletes); err != nil {
-		q.storeMu.Unlock()
 		unlockPartitions(cands)
 		err = fmt.Errorf("core: applying write: %w", err)
 		if aerr := q.logAbort(0, seq); aerr != nil {
@@ -773,9 +762,9 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	}
 	// Blind writes are the one engine mutation optimistic admission can
 	// never attribute to a non-overlapping partition; the sequence number
-	// lets validations detect that one landed mid-speculation.
+	// lets validations detect that one landed mid-speculation. It moves
+	// only after Apply returns (QDB.view).
 	q.writeSeq.Add(1)
-	q.storeMu.Unlock()
 	sp.Add(stageWriteApply, time.Since(applyStart))
 	for i, p := range affected {
 		if !q.opt.DisableCache {

@@ -47,7 +47,8 @@ func (m Mode) String() string {
 // Returning an index outside [0, len(cands)) is treated as 0. §3.2.2:
 // "it is desirable to fix values in such a way as to maximize the
 // remaining number of possible worlds; more sophisticated
-// application-specific heuristics may also be appropriate."
+// application-specific heuristics may also be appropriate." src is the
+// solve's store view: a Chooser reads the store through it only.
 type Chooser func(cands []formula.Grounding, src relstore.Source) int
 
 // FirstFit takes the first candidate; with ChooserSample=1 this is the

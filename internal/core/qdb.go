@@ -34,7 +34,7 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 // operations acquire only the partitions they touch. Lock order, outermost
 // first:
 //
-//		admitMu → partition shards (ascending ID) → mu | storeMu
+//		admitMu → partition shards (ascending ID) → mu | db.mu
 //
 //	  - admitMu serializes changes to the partition SET: admission
 //	    installs (which can create and merge partitions), blind writes,
@@ -55,18 +55,18 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	  - mu guards only the partition registry (parts, byTxn, idx, the ID
 //	    counters) and is held for map operations only — never across a
 //	    solve.
-//	  - storeMu orders store mutations against collapsing reads: grounding
-//	    executions and accepted writes hold it exclusively for the short
-//	    apply+log; Read holds it shared across its final query evaluation
-//	    so results are cut at one store state.
+//	  - db.mu, inside relstore, is the one store lock. A solve holds it
+//	    shared from start to end through a lock-free view (view), so the
+//	    store and its epochs stay fixed under the solve and the evaluator
+//	    never asks for a lock it already holds; applies take it
+//	    exclusively inside Writer.Apply, after their WAL append.
 //
-// Chain solves — the expensive part — run outside mu and storeMu, under
-// only the solved partition's shard; the worker pool (Options.Workers)
-// drives solves of independent partitions in parallel.
+// Chain solves — the expensive part — run outside mu, under only the
+// solved partition's shard and the store's read side; the worker pool
+// (Options.Workers) drives solves of independent partitions in parallel.
 type QDB struct {
 	admitMu sync.Mutex
 	mu      sync.Mutex
-	storeMu sync.RWMutex
 
 	// db is the store, read by solves and snapshots; w is its owner's
 	// Writer, the only way rows change once New has taken the store.
@@ -94,7 +94,7 @@ type QDB struct {
 	// walking the index observes every install the counter covers, and
 	// counter equality at validation proves the snapshot's overlap set is
 	// still the true one. admitSeq counts admission installs alone and
-	// writeSeq accepted blind writes (bumped under storeMu exclusive);
+	// writeSeq accepted blind writes (bumped after their Apply returns);
 	// since the engine is the store's only writer, they let a validation
 	// accept a snapshot whose relevant table epochs moved only by
 	// groundings of non-overlapping partitions, which cannot unify with
@@ -372,6 +372,19 @@ func (q *QDB) enforceK(p *partition) error {
 	p.shard.Unlock()
 	return nil
 }
+
+// view takes the store's read side for one solve (relstore.DB.View);
+// q.db.EndView drops it. Two rules bind a holder until then:
+//
+//   - It never waits on a pool slot, a shard, admitMu or any q.db
+//     method: their holders may be appliers queued on db.mu behind it.
+//     So the solver, its overlays, the chooser and epochFingerprint get
+//     the view, never q.db, and Write takes one view per validation
+//     task, never one across pool.Map.
+//   - decideBatch reads writeSeq inside its view and Write bumps writeSeq
+//     only after Apply returns, so a blind write a decision's writeSeq
+//     counts was in its solve.
+func (q *QDB) view() relstore.View { return q.db.View() }
 
 // chainOpts builds solver options; maximize toggles optional-atom subset
 // search. The cross-solve prepared-query cache rides along unless the

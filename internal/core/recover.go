@@ -376,9 +376,8 @@ func (q *QDB) readmit(t *txn.T) error {
 	defer q.admitMu.Unlock()
 	overlapping := q.lockOverlapping(t)
 	merged := mergedTxns(overlapping, t)
-	q.storeMu.RLock()
-	sol, ok, err := formula.SolveChain(q.db, stripAll(merged), q.chainOpts(false))
-	q.storeMu.RUnlock()
+	sol, ok, err := formula.SolveChain(q.view(), stripAll(merged), q.chainOpts(false))
+	q.db.EndView()
 	if err != nil {
 		unlockPartitions(overlapping)
 		return err

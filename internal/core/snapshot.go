@@ -10,8 +10,8 @@ import (
 // Snapshot is an immutable, epoch-stamped view of the committed store —
 // the collapse-free read primitive. Unlike Read, taking or querying a
 // snapshot never forces pending transactions to ground (no collapse)
-// and never touches the store gate after the initial pin, so snapshot
-// readers cannot block appliers and appliers cannot block them; the
+// and takes no store lock after the initial pin, so snapshot readers
+// cannot block appliers and appliers cannot block them; the
 // price is that pending superposed transactions are simply not
 // observed. Release it when done; the view stays readable afterwards
 // but holding it pins the store versions it references.
@@ -20,14 +20,11 @@ type Snapshot struct {
 	rs *relstore.Snapshot
 }
 
-// Snapshot pins the current committed store state under a brief
-// acquisition of the read gate (ordering the view after any in-flight
-// apply section) and returns it. O(tables), never O(rows).
+// Snapshot pins the current committed store state (relstore pins under
+// db.mu shared, ordering the view after any in-flight apply) and returns
+// it. O(tables), never O(rows).
 func (q *QDB) Snapshot() *Snapshot {
-	q.storeMu.RLock()
-	rs := q.db.Snapshot()
-	q.storeMu.RUnlock()
-	return &Snapshot{q: q, rs: rs}
+	return &Snapshot{q: q, rs: q.db.Snapshot()}
 }
 
 // Release unpins the snapshot. Idempotent; nil-safe.
@@ -49,7 +46,7 @@ func (s *Snapshot) Epoch() uint64 { return s.rs.Epoch() }
 func (s *Snapshot) Encode(w io.Writer) error { return s.rs.Encode(w) }
 
 // QueryAt evaluates a conjunctive query against the snapshot's frozen
-// state, entirely gate-free. It never collapses superposed state and
+// state, entirely lock-free. It never collapses superposed state and
 // never blocks on appliers, so it is safe to run arbitrarily slow
 // analytical reads against a snapshot while the engine grounds, admits,
 // and writes at full speed.

@@ -91,9 +91,9 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	}
 }
 
-// TestSlowSnapshotReadDoesNotDelayGround is the gate-freedom check in
+// TestSlowSnapshotReadDoesNotDelayGround is the lock-freedom check in
 // its most direct form: a snapshot held open across a grounding must
-// not block it (the pre-MVCC read path held the store gate shared for
+// not block it (the pre-MVCC read path held the store lock shared for
 // the whole evaluation, which a grounding's exclusive apply had to wait
 // out). The grounding runs to completion WHILE the snapshot is pinned,
 // the pinned view stays pre-collapse, and a fresh read then sees the
@@ -139,7 +139,7 @@ func TestSlowSnapshotReadDoesNotDelayGround(t *testing.T) {
 
 // TestReadNoAffectedUsesSnapshotPath: a collapsing Read whose query
 // unifies with no pending transaction is answered on the snapshot path
-// (gate-free evaluation), visible as a SnapshotReads increment.
+// (lock-free evaluation), visible as a SnapshotReads increment.
 func TestReadNoAffectedUsesSnapshotPath(t *testing.T) {
 	db := worldDB([]int{1, 2}, 3)
 	q := mustQDB(t, db, Options{})

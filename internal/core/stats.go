@@ -88,7 +88,7 @@ type Stats struct {
 	// lookup and lock, forcing a retry) plus GroundAll TryLock skips of
 	// busy partitions.
 	LockWaits int
-	// SnapshotReads counts read evaluations served gate-free against a
+	// SnapshotReads counts read evaluations served lock-free against a
 	// copy-on-write snapshot (Read's collapse-free path plus every
 	// QueryAt); such reads never block, and are never blocked by, store
 	// appliers.

@@ -29,8 +29,8 @@ const (
 )
 
 const (
-	// ground: chain solve under the read gate, write-ahead batch append
-	// (+ group-commit fsync), store apply under the exclusive gate.
+	// ground: chain solve through a store view, write-ahead batch append
+	// (+ group-commit fsync), store apply (db.mu exclusive).
 	// Cache-replay groundings skip the solve stage entirely.
 	stageGroundSolve = iota
 	stageGroundWAL
@@ -39,7 +39,7 @@ const (
 
 const (
 	// read: collapse of affected partitions on the pool, then the final
-	// evaluation (gate-free snapshot scan or gated query).
+	// evaluation (lock-free, on a pinned snapshot).
 	stageReadCollapse = iota
 	stageReadEval
 )
@@ -123,7 +123,7 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		{"qdb_serial_fallbacks_total", "Admissions that fell back to the serial discipline.", &c.serialFallbacks},
 		{"qdb_parallel_solves_total", "Partition tasks executed on the worker pool.", &c.parallelSolves},
 		{"qdb_lock_waits_total", "Lock-order waits: stale shard acquires and TryLock skips.", &c.lockWaits},
-		{"qdb_snapshot_reads_total", "Read evaluations served gate-free from a COW snapshot.", &c.snapshotReads},
+		{"qdb_snapshot_reads_total", "Read evaluations served lock-free from a COW snapshot.", &c.snapshotReads},
 		{"qdb_checkpoint_pause_ns_total", "Nanoseconds Checkpoint held the engine's locks (the cut only).", &c.checkpointPauseNs},
 	} {
 		reg.CounterFunc(d.name, d.help, d.a.Load)

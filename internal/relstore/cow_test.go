@@ -338,8 +338,8 @@ func (p *pinned) check(probes []value.Tuple) error {
 }
 
 // TestCOWModelRandom interleaves inserts, deletes, batches, pins and
-// releases at random and requires the live store and every live
-// snapshot to match the model (the snapshot: the model frozen at pin
+// releases at random and requires the live store, a View of it and every
+// live snapshot to match the model (the snapshot: the model frozen at pin
 // time). Two shapes: few distinct values (big buckets, vector pages
 // split and merge) and many (a bucket per row, map shards split).
 func TestCOWModelRandom(t *testing.T) {
@@ -369,6 +369,12 @@ func TestCOWModelRandom(t *testing.T) {
 				probes := w.probes()
 				if err := checkSource(w.db, w.m, probes); err != nil {
 					t.Fatalf("step %d: live store: %v", i, err)
+				}
+				v := w.db.View()
+				err := checkSource(v, w.m, probes)
+				w.db.EndView()
+				if err != nil {
+					t.Fatalf("step %d: live view: %v", i, err)
 				}
 				for _, p := range live {
 					if err := p.check(probes); err != nil {

@@ -55,7 +55,7 @@ type Source interface {
 // comparison instead of by explicit hooks on every write path.
 type DB struct {
 	mu     sync.RWMutex
-	tables map[string]*table
+	tables catalog
 	epoch  uint64
 	// snapsLive counts snapshots taken and not yet released; mutators
 	// consult per-table pin counts (table.snapRefs) to decide whether a
@@ -219,11 +219,7 @@ func (db *DB) Epoch() uint64 {
 func (db *DB) TableEpoch(rel string) uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[rel]
-	if !ok {
-		return 0
-	}
-	return t.epoch
+	return db.tables.TableEpoch(rel)
 }
 
 // MustInsert is Insert that panics on error; for setup code.
@@ -233,11 +229,41 @@ func (db *DB) MustInsert(rel string, tup value.Tuple) {
 	}
 }
 
-// SchemaOf implements Source.
-func (db *DB) SchemaOf(rel string) (Schema, bool) {
+// View reads the live tables, taking no lock itself, between DB.View
+// and DB.EndView; it must not be used after EndView.
+type View struct{ catalog }
+
+// View takes db.mu shared and returns a view of the live tables. Writers
+// wait until the matching EndView, so the view reads one committed state,
+// and an evaluator re-entering it from a scan callback never asks for a
+// lock it already holds. Until EndView the holder must not wait on
+// anything a queued writer may hold, nor call another DB method: that
+// takes the read side again, behind the queued writer.
+func (db *DB) View() View {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[rel]
+	return View{db.tables}
+}
+
+// EndView drops the read side taken by View.
+func (db *DB) EndView() { db.mu.RUnlock() }
+
+// catalog is a set of table versions by name, read without locking. It
+// carries the one implementation of the Source reads: a Snapshot reads
+// its pinned catalog, a View the live one while its holder keeps db.mu
+// shared, and DB wraps each call in db.mu's read side.
+type catalog map[string]*table
+
+// TableEpoch returns rel's mutation counter, 0 for an unknown relation.
+func (c catalog) TableEpoch(rel string) uint64 {
+	if t, ok := c[rel]; ok {
+		return t.epoch
+	}
+	return 0
+}
+
+// SchemaOf implements Source.
+func (c catalog) SchemaOf(rel string) (Schema, bool) {
+	t, ok := c[rel]
 	if !ok {
 		return Schema{}, false
 	}
@@ -245,87 +271,126 @@ func (db *DB) SchemaOf(rel string) (Schema, bool) {
 }
 
 // Len implements Source.
-func (db *DB) Len(rel string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[rel]
-	if !ok {
-		return 0
+func (c catalog) Len(rel string) int {
+	if t, ok := c[rel]; ok {
+		return t.len()
 	}
-	return t.len()
+	return 0
 }
 
-// Scan implements Source. The callback runs under a read lock; it must not
-// call back into the DB's writing methods.
-func (db *DB) Scan(rel string, f func(value.Tuple) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t, ok := db.tables[rel]; ok {
+// Scan implements Source.
+func (c catalog) Scan(rel string, f func(value.Tuple) bool) {
+	if t, ok := c[rel]; ok {
 		t.scan(f)
 	}
 }
 
 // IndexScan implements Source.
-func (db *DB) IndexScan(rel string, col int, v value.Value, f func(value.Tuple) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t, ok := db.tables[rel]; ok {
+func (c catalog) IndexScan(rel string, col int, v value.Value, f func(value.Tuple) bool) {
+	if t, ok := c[rel]; ok {
 		t.indexScan(col, v, f)
 	}
 }
 
 // IndexCount implements Source.
-func (db *DB) IndexCount(rel string, col int, v value.Value) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t, ok := db.tables[rel]; ok {
+func (c catalog) IndexCount(rel string, col int, v value.Value) int {
+	if t, ok := c[rel]; ok {
 		return t.indexCount(col, v)
 	}
 	return 0
 }
 
 // CompositeScan implements Source.
-func (db *DB) CompositeScan(rel string, ix int, key string, f func(value.Tuple) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t, ok := db.tables[rel]; ok && ix < len(t.comp) {
+func (c catalog) CompositeScan(rel string, ix int, key string, f func(value.Tuple) bool) {
+	if t, ok := c[rel]; ok && ix < len(t.comp) {
 		t.compScan(ix, key, f)
 	}
 }
 
 // CompositeCount implements Source.
-func (db *DB) CompositeCount(rel string, ix int, key string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t, ok := db.tables[rel]; ok && ix < len(t.comp) {
+func (c catalog) CompositeCount(rel string, ix int, key string) int {
+	if t, ok := c[rel]; ok && ix < len(t.comp) {
 		return t.compCount(ix, key)
 	}
 	return 0
 }
 
 // Contains implements Source.
+func (c catalog) Contains(rel string, tup value.Tuple) bool {
+	t, ok := c[rel]
+	return ok && t.contains(tup)
+}
+
+// ContainsKey implements Source.
+func (c catalog) ContainsKey(rel string, key []byte) bool {
+	t, ok := c[rel]
+	return ok && t.containsKey(key)
+}
+
+// SchemaOf implements Source.
+func (db *DB) SchemaOf(rel string) (Schema, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.tables.SchemaOf(rel)
+}
+
+// Len implements Source.
+func (db *DB) Len(rel string) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.tables.Len(rel)
+}
+
+// Scan implements Source. The callback runs under db.mu's read side and
+// must not call any DB method: one that takes the read side again parks
+// behind a queued writer, and a writer deadlocks outright. An evaluation
+// that re-enters the store from its callbacks reads through a View.
+func (db *DB) Scan(rel string, f func(value.Tuple) bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.tables.Scan(rel, f)
+}
+
+// IndexScan implements Source; its callback is bound like Scan's.
+func (db *DB) IndexScan(rel string, col int, v value.Value, f func(value.Tuple) bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.tables.IndexScan(rel, col, v, f)
+}
+
+// IndexCount implements Source.
+func (db *DB) IndexCount(rel string, col int, v value.Value) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.tables.IndexCount(rel, col, v)
+}
+
+// CompositeScan implements Source; its callback is bound like Scan's.
+func (db *DB) CompositeScan(rel string, ix int, key string, f func(value.Tuple) bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.tables.CompositeScan(rel, ix, key, f)
+}
+
+// CompositeCount implements Source.
+func (db *DB) CompositeCount(rel string, ix int, key string) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.tables.CompositeCount(rel, ix, key)
+}
+
+// Contains implements Source.
 func (db *DB) Contains(rel string, tup value.Tuple) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[rel]
-	return ok && t.contains(tup)
+	return db.tables.Contains(rel, tup)
 }
 
 // ContainsKey implements Source.
 func (db *DB) ContainsKey(rel string, key []byte) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[rel]
-	return ok && t.containsKey(key)
-}
-
-// KeyOf computes the primary-key string of tup under rel's schema.
-func (db *DB) KeyOf(rel string, tup value.Tuple) (string, error) {
-	sch, ok := db.SchemaOf(rel)
-	if !ok {
-		return "", fmt.Errorf("relstore: unknown relation %s", rel)
-	}
-	return sch.keyOf(tup), nil
+	return db.tables.ContainsKey(rel, key)
 }
 
 // All returns every tuple of rel, in unspecified order.

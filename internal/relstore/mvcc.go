@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"io"
 	"sync/atomic"
-
-	"repro/internal/value"
 )
 
 // Multiversioning. A Snapshot pins the exact table versions live at the
@@ -41,9 +39,9 @@ import (
 // versions alive — but holding snapshots longer than necessary delays
 // version reclamation and keeps writers copying the pages they touch.
 type Snapshot struct {
-	db     *DB
-	tables map[string]*table
-	epoch  uint64
+	catalog // the pinned versions; its methods are the Source reads
+	db      *DB
+	epoch   uint64
 	// released makes Release idempotent even when called from multiple
 	// goroutines.
 	released atomic.Bool
@@ -56,20 +54,20 @@ type Snapshot struct {
 //
 // It holds db.mu shared, not exclusively: the pins are atomic, and the
 // read side already excludes every writer, so no mutator can test a pin
-// count while it is being raised. Taking the write side would park any
-// reader that re-enters the read lock from inside a Scan callback (as a
-// chain solve does) behind the waiting Snapshot — a deadlock. Writers
-// are the only exclusive holders of db.mu.
+// count while it is being raised. Taking the write side would park a
+// Scan callback that reads the DB again behind the waiting Snapshot — a
+// deadlock.
+// Writers are the only exclusive holders of db.mu.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	tabs := make(map[string]*table, len(db.tables))
+	tabs := make(catalog, len(db.tables))
 	for n, t := range db.tables {
 		t.snapRefs.Add(1)
 		tabs[n] = t
 	}
 	db.snapsLive.Add(1)
-	return &Snapshot{db: db, tables: tabs, epoch: db.epoch}
+	return &Snapshot{catalog: tabs, db: db, epoch: db.epoch}
 }
 
 // SnapshotsLive reports how many snapshots are currently pinned (taken
@@ -86,7 +84,7 @@ func (s *Snapshot) Release() {
 	if s == nil || !s.released.CompareAndSwap(false, true) {
 		return
 	}
-	for _, t := range s.tables {
+	for _, t := range s.catalog {
 		t.snapRefs.Add(-1)
 	}
 	s.db.snapsLive.Add(-1)
@@ -105,77 +103,10 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	if _, err := bw.WriteString(snapMagic); err != nil {
 		return err
 	}
-	if err := encodeTables(bw, s.tables); err != nil {
+	if err := encodeTables(bw, s.catalog); err != nil {
 		return err
 	}
 	return bw.Flush()
-}
-
-// SchemaOf implements Source.
-func (s *Snapshot) SchemaOf(rel string) (Schema, bool) {
-	t, ok := s.tables[rel]
-	if !ok {
-		return Schema{}, false
-	}
-	return t.schema, true
-}
-
-// Len implements Source.
-func (s *Snapshot) Len(rel string) int {
-	t, ok := s.tables[rel]
-	if !ok {
-		return 0
-	}
-	return t.len()
-}
-
-// Scan implements Source.
-func (s *Snapshot) Scan(rel string, f func(value.Tuple) bool) {
-	if t, ok := s.tables[rel]; ok {
-		t.scan(f)
-	}
-}
-
-// IndexScan implements Source.
-func (s *Snapshot) IndexScan(rel string, col int, v value.Value, f func(value.Tuple) bool) {
-	if t, ok := s.tables[rel]; ok {
-		t.indexScan(col, v, f)
-	}
-}
-
-// IndexCount implements Source.
-func (s *Snapshot) IndexCount(rel string, col int, v value.Value) int {
-	if t, ok := s.tables[rel]; ok {
-		return t.indexCount(col, v)
-	}
-	return 0
-}
-
-// CompositeScan implements Source.
-func (s *Snapshot) CompositeScan(rel string, ix int, key string, f func(value.Tuple) bool) {
-	if t, ok := s.tables[rel]; ok && ix < len(t.comp) {
-		t.compScan(ix, key, f)
-	}
-}
-
-// CompositeCount implements Source.
-func (s *Snapshot) CompositeCount(rel string, ix int, key string) int {
-	if t, ok := s.tables[rel]; ok && ix < len(t.comp) {
-		return t.compCount(ix, key)
-	}
-	return 0
-}
-
-// Contains implements Source.
-func (s *Snapshot) Contains(rel string, tup value.Tuple) bool {
-	t, ok := s.tables[rel]
-	return ok && t.contains(tup)
-}
-
-// ContainsKey implements Source.
-func (s *Snapshot) ContainsKey(rel string, key []byte) bool {
-	t, ok := s.tables[rel]
-	return ok && t.containsKey(key)
 }
 
 // mutable returns the named table's writable version: the catalog entry

@@ -11,7 +11,7 @@ import (
 // snapDump renders a snapshot's contents like relDump renders a DB's.
 func snapDump(s *Snapshot) string {
 	db := NewDB()
-	for rel := range s.tables {
+	for rel := range s.catalog {
 		sch, _ := s.SchemaOf(rel)
 		db.MustCreateTable(sch)
 		s.Scan(rel, func(t value.Tuple) bool {
@@ -125,7 +125,7 @@ func TestSnapshotCOWSharesUntouchedTables(t *testing.T) {
 	if db.tables["Flights"] != flights {
 		t.Fatal("untouched relation was cloned")
 	}
-	if db.tables["Available"] == snap.tables["Available"] {
+	if db.tables["Available"] == snap.catalog["Available"] {
 		t.Fatal("mutated relation was not cloned")
 	}
 	// A second write to the already-cloned version is in-place again.

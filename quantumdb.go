@@ -115,13 +115,14 @@
 //     SerialFallbacks (conflicts = retries + fallbacks). The k-bound
 //     eviction a Submit triggers runs after the admission lock is
 //     released, holding only the target partition.
-//   - Operations on the SAME partition serialize on its lock; store
-//     mutations are short exclusive sections against a read gate. Reads
-//     do NOT hold that gate while evaluating: Query pins an immutable
-//     copy-on-write snapshot of the store under a brief gate
-//     acquisition and evaluates against it gate-free, so a long
-//     analytical read never stalls appliers (and vice versa) while its
-//     results stay cut at a single committed state.
+//   - Operations on the SAME partition serialize on its lock. The store
+//     has one lock: a chain solve holds it shared from start to end,
+//     and a store mutation is a short exclusive section that waits for
+//     in-flight solves. Reads do NOT hold it while evaluating: Query
+//     pins an immutable copy-on-write snapshot of the store under a
+//     brief shared acquisition and evaluates against it lock-free, so a
+//     long analytical read never stalls appliers (and vice versa) while
+//     its results stay cut at a single committed state.
 //
 // For reads that should never collapse pending transactions — and
 // never wait on anything — DB.Snapshot returns an epoch-stamped frozen
@@ -471,7 +472,7 @@ func (s *Snapshot) QueryRows(src string) (*RowSet, error) {
 }
 
 // QueryAt evaluates a conjunctive read query (Query syntax) against a
-// snapshot: entirely gate-free, collapse-free, and repeatable — the
+// snapshot: entirely lock-free, collapse-free, and repeatable — the
 // same snapshot always returns the same rows.
 func (db *DB) QueryAt(s *Snapshot, src string) ([]Row, error) {
 	rs, err := s.QueryRows(src)
