@@ -132,7 +132,7 @@ func main() {
 
 	if *exp == "server" || (want("server") && *exp != "all") {
 		cfg := serverload.ServerConfig{
-			Binary: true, Conns: *conns, Window: *window, Batch: *batch,
+			Conns: *conns, Window: *window, Batch: *batch,
 			Rate: *rate, Duration: *duration,
 		}
 		fail(runServerExp(cfg, *addr, *metricsURL, *p99Max, *maxSheds))

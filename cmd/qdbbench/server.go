@@ -11,7 +11,7 @@ import (
 
 // Server data-plane experiment. Two modes:
 //
-//	qdbbench -exp server                      # in-process protocol sweep
+//	qdbbench -exp server                      # in-process shape sweep
 //	qdbbench -exp server -addr HOST:PORT ...  # open-loop against a running qdbd
 //
 // External mode is what the CI server-load smoke job runs: it drives a
@@ -55,8 +55,8 @@ func runServerExp(cfg serverload.ServerConfig, addr, metricsURL string,
 	return nil
 }
 
-// renderServerSweep measures the canonical protocol shapes in-process
-// and prints the ladder.
+// renderServerSweep measures the canonical shapes in-process and prints
+// them.
 func renderServerSweep() error {
 	fmt.Printf("Server data plane: %-28s%12s%12s%12s%8s\n",
 		"shape", "txn/s", "p50", "p99", "sheds")

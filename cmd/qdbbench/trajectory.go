@@ -260,9 +260,8 @@ func emitServer(dir string) error {
 		Generated: time.Now().UTC().Format(time.RFC3339),
 	}
 	// Shapes shared with BenchmarkServerSubmit (serverload.ServerShapes):
-	// the JSON-lines sync baseline, the pipelined binary protocol, and
-	// pipelined binary with batched admission, all over the same
-	// many-connection submit storm. The latencies here are
+	// pipelined submits and pipelined batched admission, both over the
+	// same many-connection submit storm. The latencies here are
 	// CLIENT-observed request round trips — the number a caller feels —
 	// complementing the server-side histograms the metrics endpoint
 	// exports.

@@ -15,7 +15,8 @@
 // `demo` loads the travel schema with one small flight.
 //
 // With -addr, qdbcli runs one command against a remote qdbd (leader or
-// follower) and exits — the scripting face of the JSON-lines protocol:
+// follower) over the wire protocol and exits — the scripting face of
+// the server:
 //
 //	qdbcli -addr 127.0.0.1:7685 lag        -> seq=42 applied=42 lag=0
 //	qdbcli -addr 127.0.0.1:7685 peek 'Bookings(n, 1, s)'
@@ -39,11 +40,9 @@ import (
 func main() {
 	addr := flag.String("addr", "",
 		"remote qdbd address; runs the single command in the remaining args and exits")
-	proto := flag.String("proto", "binary",
-		"wire protocol for -addr: binary (framed, pipelined) or json (JSON lines)")
 	flag.Parse()
 	if *addr != "" {
-		os.Exit(runRemote(*addr, *proto, flag.Args()))
+		os.Exit(runRemote(*addr, flag.Args()))
 	}
 
 	db, err := quantumdb.Open(quantumdb.Options{})
@@ -69,12 +68,11 @@ func main() {
 	}
 }
 
-// runRemote executes one command against a remote qdbd — framed binary
-// by default, JSON lines with -proto json — and returns the process
-// exit code. The verb set is the read-side subset plus
+// runRemote executes one command against a remote qdbd and returns the
+// process exit code. The verb set is the read-side subset plus
 // txn/batch/exec/ground — enough for scripting and for health checks
 // against followers (`lag` is the one to poll).
-func runRemote(addr, proto string, args []string) int {
+func runRemote(addr string, args []string) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return 1
@@ -82,16 +80,7 @@ func runRemote(addr, proto string, args []string) int {
 	if len(args) == 0 {
 		return fail(fmt.Errorf("usage: qdbcli -addr host:port <ping|lag|pending|stats|peek|read|create|txn|batch|exec|ground|promote> [args]"))
 	}
-	var p server.Proto
-	switch proto {
-	case "binary":
-		p = server.ProtoBinary
-	case "json":
-		p = server.ProtoJSON
-	default:
-		return fail(fmt.Errorf("unknown -proto %q (binary or json)", proto))
-	}
-	c, err := server.DialProto(addr, p, server.RetryPolicy{})
+	c, err := server.Dial(addr)
 	if err != nil {
 		return fail(err)
 	}

@@ -1,24 +1,25 @@
 // Command qdbd runs a quantum database as a network service (the
-// middle-tier of Figure 4). It speaks two protocols on one port: a
-// length-prefixed, CRC-framed binary protocol with per-connection
-// request pipelining (what the Go client dials by default), and a
-// JSON-lines protocol for anything that can write a JSON object to a
-// socket. A connection opts into binary by leading with a 4-byte magic
-// preamble; everything else is served as JSON lines.
+// middle-tier of Figure 4). It speaks one protocol: length-prefixed,
+// CRC-framed binary with per-connection request pipelining, opened by
+// a 4-byte magic preamble. A connection that opens with anything else
+// — a JSON line, another protocol version — gets one line naming the
+// protocol version mismatch and is closed. The Go client
+// (internal/server) and qdbcli speak it:
 //
 //	qdbd -addr :7683 -wal /var/lib/qdb/qdb.wal -metrics-addr :7684
 //
-// Each JSON request is one object per line, e.g.:
+// and from a shell, one request per qdbcli invocation:
 //
-//	{"op":"create","table":{"name":"Available","columns":["fno","sno"]}}
-//	{"op":"exec","facts":"+Available(1, '1A')"}
-//	{"op":"txn","txn":"-Available(1, s), +Bookings('M', 1, s) :-1 Available(1, s)"}
-//	{"op":"read","query":"Bookings('M', 1, s)"}
-//	{"op":"snapread","query":"Available(1, s)"}
+//	qdbcli -addr 127.0.0.1:7683 create "Available(fno, sno)"
+//	qdbcli -addr 127.0.0.1:7683 exec "+Available(1, '1A')"
+//	qdbcli -addr 127.0.0.1:7683 txn "-Available(1, s), +Bookings('M', 1, s) :-1 Available(1, s)"
+//	qdbcli -addr 127.0.0.1:7683 read "Bookings('M', 1, s)"
+//	qdbcli -addr 127.0.0.1:7683 peek "Available(1, s)"
 //
-// "read" collapses superpositions like an in-process Query; "snapread"
-// serves the committed state from a copy-on-write snapshot — it never
-// collapses anything and never contends with concurrent grounding.
+// "read" collapses superpositions like an in-process Query; "peek" (the
+// snapread verb) serves the committed state from a copy-on-write
+// snapshot — it never collapses anything and never contends with
+// concurrent grounding.
 //
 // With -metrics-addr, a second HTTP listener serves the engine's
 // telemetry: /metrics (Prometheus text exposition), /healthz,
@@ -75,7 +76,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second,
 		"how long a SIGINT/SIGTERM shutdown waits for in-flight requests before closing their connections")
 	maxInflight := flag.Int("max-inflight", 0,
-		"per-connection pipelining window: requests a binary connection may have dispatched at once (0 = default 64)")
+		"per-connection pipelining window: requests one connection may have dispatched at once (0 = default 64)")
 	maxConns := flag.Int("max-conns", 0,
 		"connection cap; connections beyond it are refused at accept (0 = unlimited)")
 	shedWait := flag.Duration("shed-wait", 0,

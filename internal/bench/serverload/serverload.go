@@ -1,7 +1,7 @@
 // Package serverload is the many-connection load generator for the
-// server data plane: it drives submit traffic over the JSON-lines and
-// pipelined binary protocols and measures throughput, client-observed
-// latency quantiles, and shed counts. It lives outside package bench
+// server data plane: it drives submit traffic over pipelined
+// connections and measures throughput, client-observed latency
+// quantiles, and shed counts. It lives outside package bench
 // because it dials the server (which wraps the root facade), and the
 // root package's own benchmarks import bench.
 package serverload
@@ -20,21 +20,16 @@ import (
 )
 
 // ServerConfig sizes the many-connection server data-plane experiment:
-// C connections drive submit traffic at a server, either as sync
-// JSON-lines clients (one request in flight per connection — the
-// pre-binary baseline) or as pipelined binary clients (Window
-// concurrent requests per connection, out-of-order completion). The
+// C pipelined connections drive submit traffic at a server, Window
+// concurrent requests per connection, completing out of order. The
 // workload is deliberately conflict-free — unique-key inserts guarded
 // by an existential — so every admission succeeds and the measured
 // quantity is the data plane itself, not admission contention.
 type ServerConfig struct {
-	// Binary selects the framed protocol with pipelining; false drives
-	// the JSON-lines protocol with one sync client per connection.
-	Binary bool
 	// Conns is the connection count.
 	Conns int
-	// Window is the number of concurrent issuers sharing each binary
-	// connection (ignored for JSON, which is serial per connection).
+	// Window is the number of concurrent issuers sharing each
+	// connection.
 	Window int
 	// Batch is the number of transactions per wire request; values > 1
 	// use the batch verb (one amortized admission cycle server-side).
@@ -58,7 +53,7 @@ type ServerConfig struct {
 // DefaultServerLoad is the in-repo benchmark shape: small enough for
 // CI, wide enough that pipelining has something to overlap.
 func DefaultServerLoad() ServerConfig {
-	return ServerConfig{Binary: true, Conns: 4, Window: 4, Batch: 1,
+	return ServerConfig{Conns: 4, Window: 4, Batch: 1,
 		Requests: 400, RowsPerFlight: 20}
 }
 
@@ -68,7 +63,7 @@ type ServerResult struct {
 	Elapsed  time.Duration
 	Requests int // wire requests completed
 	Txns     int // transactions admitted (Requests × Batch)
-	Sheds    int // retryable overload refusals observed (binary path)
+	Sheds    int // retryable overload refusals observed
 	// Lat summarizes client-observed request latency (issue → response).
 	Lat bench.Quantiles
 }
@@ -112,7 +107,7 @@ func DriveServerLoad(addr string, cfg ServerConfig) (*ServerResult, error) {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 1
 	}
-	if cfg.Window <= 0 || !cfg.Binary {
+	if cfg.Window <= 0 {
 		cfg.Window = 1
 	}
 	if cfg.Batch <= 0 {
@@ -231,70 +226,41 @@ func DriveServerLoad(addr string, cfg ServerConfig) (*ServerResult, error) {
 	}
 
 	startAll := time.Now()
-	if cfg.Binary {
-		pipes := make([]*server.PipeClient, cfg.Conns)
-		for i := range pipes {
-			p, err := server.DialPipe(addr)
-			if err != nil {
-				close(stopGround)
-				groundWG.Wait()
-				return nil, err
-			}
-			defer p.Close()
-			pipes[i] = p
+	pipes := make([]*server.PipeClient, cfg.Conns)
+	for i := range pipes {
+		p, err := server.DialPipe(addr)
+		if err != nil {
+			close(stopGround)
+			groundWG.Wait()
+			return nil, err
 		}
-		for _, p := range pipes {
-			for w := 0; w < cfg.Window; w++ {
-				wg.Add(1)
-				go run(func(txns []string) (bool, error) {
-					req := server.Request{Op: "txn", Txn: txns[0]}
-					if cfg.Batch > 1 {
-						req = server.Request{Op: "batch", Txns: txns}
-					}
-					resp, err := p.Do(req)
-					if err != nil {
-						return false, err
-					}
-					if resp.Retry {
-						return true, nil
-					}
-					if !resp.OK {
-						return false, fmt.Errorf("server refusal: %s", resp.Err)
-					}
-					for _, e := range resp.Errs {
-						if e != "" {
-							return false, fmt.Errorf("batch member refused: %s", e)
-						}
-					}
-					return false, nil
-				})
-			}
-		}
-	} else {
-		for i := 0; i < cfg.Conns; i++ {
-			c, err := server.DialJSON(addr)
-			if err != nil {
-				close(stopGround)
-				groundWG.Wait()
-				return nil, err
-			}
-			defer c.Close()
+		defer p.Close()
+		pipes[i] = p
+	}
+	for _, p := range pipes {
+		for w := 0; w < cfg.Window; w++ {
 			wg.Add(1)
 			go run(func(txns []string) (bool, error) {
+				req := server.Request{Op: "txn", Txn: txns[0]}
 				if cfg.Batch > 1 {
-					_, errs, err := c.SubmitBatch(txns)
-					if err != nil {
-						return false, err
-					}
-					for _, e := range errs {
-						if e != nil {
-							return false, e
-						}
-					}
-					return false, nil
+					req = server.Request{Op: "batch", Txns: txns}
 				}
-				_, err := c.Submit(txns[0])
-				return false, err // sync client retries sheds internally
+				resp, err := p.Do(req)
+				if err != nil {
+					return false, err
+				}
+				if resp.Retry {
+					return true, nil
+				}
+				if !resp.OK {
+					return false, fmt.Errorf("server refusal: %s", resp.Err)
+				}
+				for _, e := range resp.Errs {
+					if e != "" {
+						return false, fmt.Errorf("batch member refused: %s", e)
+					}
+				}
+				return false, nil
 			})
 		}
 	}
@@ -387,17 +353,13 @@ type ServerShape struct {
 	Cfg  ServerConfig
 }
 
-// ServerShapes returns the canonical protocol sweep: the JSON-lines
-// sync baseline, pipelined binary, and pipelined binary with batched
-// admission — the three rungs of the data-plane ladder.
+// ServerShapes returns the canonical sweep: pipelined submits one
+// transaction per request, and the same with batched admission.
 func ServerShapes() []ServerShape {
 	base := DefaultServerLoad()
-	js := base
-	js.Binary, js.Window = false, 1
 	batched := base
 	batched.Batch = 8
 	return []ServerShape{
-		{"BenchmarkServerSubmit/proto=json", js},
 		{"BenchmarkServerSubmit/proto=binary", base},
 		{"BenchmarkServerSubmit/proto=binary-batch8", batched},
 	}

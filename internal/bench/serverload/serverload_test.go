@@ -2,28 +2,22 @@ package serverload
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestServerLoadStructural runs the generator end to end on both
-// protocols at tiny scale and checks the accounting invariants that
-// don't depend on machine speed: every scheduled request completed,
-// transaction count reflects the batch factor, a latency sample exists
-// per request, and nothing was refused.
+// TestServerLoadStructural runs the generator end to end, with and
+// without batching, at tiny scale and checks the accounting invariants
+// that don't depend on machine speed: every scheduled request
+// completed, transaction count reflects the batch factor, a latency
+// sample exists per request, and nothing was refused.
 func TestServerLoadStructural(t *testing.T) {
 	for _, cfg := range []ServerConfig{
-		{Binary: true, Conns: 2, Window: 2, Batch: 1, Requests: 40, RowsPerFlight: 6},
-		{Binary: true, Conns: 2, Window: 2, Batch: 4, Requests: 24, RowsPerFlight: 6},
-		{Binary: false, Conns: 2, Batch: 1, Requests: 40, RowsPerFlight: 6},
+		{Conns: 2, Window: 2, Batch: 1, Requests: 40, RowsPerFlight: 6},
+		{Conns: 2, Window: 2, Batch: 4, Requests: 24, RowsPerFlight: 6},
 	} {
-		name := "json"
-		if cfg.Binary {
-			name = "binary"
-		}
+		name := "binary"
 		if cfg.Batch > 1 {
 			name += "-batch"
 		}
@@ -56,7 +50,7 @@ func TestServerLoadStructural(t *testing.T) {
 // below — a fast machine can't overshoot an open-loop schedule).
 func TestServerLoadOpenLoop(t *testing.T) {
 	r, err := RunServerLoad(ServerConfig{
-		Binary: true, Conns: 2, Window: 2,
+		Conns: 2, Window: 2,
 		Rate: 200, Duration: 500 * time.Millisecond, RowsPerFlight: 6,
 	})
 	if err != nil {
@@ -72,13 +66,13 @@ func TestServerLoadOpenLoop(t *testing.T) {
 }
 
 // TestServerShapesAligned pins the shared shape list: names carry the
-// benchmark prefix and the three protocol rungs are all present.
+// benchmark prefix and both shapes are present.
 func TestServerShapesAligned(t *testing.T) {
 	shapes := ServerShapes()
-	if len(shapes) != 3 {
-		t.Fatalf("shapes = %d, want 3", len(shapes))
+	if len(shapes) != 2 {
+		t.Fatalf("shapes = %d, want 2", len(shapes))
 	}
-	wantSub := []string{"proto=json", "proto=binary", "proto=binary-batch8"}
+	wantSub := []string{"proto=binary", "proto=binary-batch8"}
 	for i, s := range shapes {
 		if !strings.HasPrefix(s.Name, "BenchmarkServerSubmit/") {
 			t.Errorf("shape %q lacks the benchmark prefix", s.Name)
@@ -87,60 +81,15 @@ func TestServerShapesAligned(t *testing.T) {
 			t.Errorf("shape %d = %q, want suffix %q", i, s.Name, wantSub[i])
 		}
 	}
-	if shapes[0].Cfg.Binary || !shapes[1].Cfg.Binary || shapes[2].Cfg.Batch <= 1 {
+	if shapes[0].Cfg.Batch != 1 || shapes[1].Cfg.Batch <= 1 {
 		t.Error("shape configs out of order")
 	}
 }
 
-// TestBinaryThroughputBeatsJSON is the PR's headline gate: the
-// pipelined binary protocol with batched admission must at least
-// DOUBLE submit throughput over the sync JSON-lines baseline on the
-// many-connection load. Machine-dependent; opt in with SCALE=1.
-func TestBinaryThroughputBeatsJSON(t *testing.T) {
-	if os.Getenv("SCALE") == "" {
-		t.Skip("set SCALE=1 to run the timing assertion")
-	}
-	if runtime.GOMAXPROCS(0) < 4 {
-		t.Skip("needs >= 4 CPUs")
-	}
-	js := DefaultServerLoad()
-	js.Binary, js.Window = false, 1
-	js.Requests = 1200
-	bin := DefaultServerLoad()
-	bin.Batch = 8
-	bin.Requests = js.Requests / bin.Batch // same transaction total
-
-	// Interleave runs to damp machine drift, keep the best of each: the
-	// claim is about protocol capability, not scheduler luck.
-	var jsBest, binBest float64
-	for i := 0; i < 3; i++ {
-		jr, err := RunServerLoad(js)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := jr.Throughput(); v > jsBest {
-			jsBest = v
-		}
-		br, err := RunServerLoad(bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v := br.Throughput(); v > binBest {
-			binBest = v
-		}
-	}
-	t.Logf("json: %.0f txn/s, binary+batch: %.0f txn/s (%.2fx)",
-		jsBest, binBest, binBest/jsBest)
-	if binBest < 2*jsBest {
-		t.Fatalf("binary %.0f txn/s < 2x json %.0f txn/s", binBest, jsBest)
-	}
-}
-
-// BenchmarkServerSubmit sweeps the canonical protocol shapes
-// (ServerShapes, shared with the CI trajectory artifact qdbbench
-// -json, BENCH_server.json): JSON-lines sync baseline, pipelined
-// binary, pipelined binary with batched admission. Watch txn/s climb
-// up the ladder.
+// BenchmarkServerSubmit sweeps the canonical shapes (ServerShapes,
+// shared with the CI trajectory artifact qdbbench -json,
+// BENCH_server.json): pipelined submits, then the same with batched
+// admission. Watch txn/s climb with the batch.
 func BenchmarkServerSubmit(b *testing.B) {
 	run := func(c ServerConfig) func(*testing.B) {
 		return func(b *testing.B) {

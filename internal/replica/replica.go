@@ -303,8 +303,9 @@ func NewFollower(t Transport) *Follower {
 
 // SetTransport swaps the leader this follower pulls from — the loser of
 // an election converges by re-pointing at the winner. The next Sync
-// uses the new transport; an in-flight call finishes against the old,
-// which is then closed if it holds a connection (io.Closer).
+// uses the new transport. The old one is closed if it holds a connection
+// (io.Closer); a call still in flight on it may fail, and Run retries
+// it against the new one.
 func (f *Follower) SetTransport(t Transport) {
 	f.trMu.Lock()
 	old := f.t

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,24 +14,9 @@ import (
 	"repro/internal/value"
 )
 
-// Proto selects the wire protocol a Client speaks.
-type Proto int
-
-const (
-	// ProtoBinary is the framed binary protocol (frame.go): the client
-	// opens with the magic preamble and encodes requests into pooled
-	// frame buffers. The default.
-	ProtoBinary Proto = iota
-	// ProtoJSON is the legacy one-JSON-object-per-line protocol; servers
-	// serve it forever (it is also the debugging protocol: a shell
-	// heredoc over /dev/tcp speaks it).
-	ProtoJSON
-)
-
-// Client speaks to a quantum database server — the framed binary
-// protocol by default, JSON lines via DialJSON. Safe for concurrent
-// use; requests are serialized over one connection (PipeClient is the
-// pipelined form).
+// Client speaks to a quantum database server: the retry, redirect and
+// shed policy over one PipeClient. Safe for concurrent use; one logical
+// call runs at a time (issue on a PipeClient directly to pipeline).
 //
 // The client is failover-aware: transient transport errors (dial
 // refused, reset, EOF from a dying server) are retried under a capped
@@ -50,19 +33,8 @@ const (
 type Client struct {
 	mu    sync.Mutex
 	addr  string
-	proto Proto
 	retry RetryPolicy
-	conn  net.Conn
-	// JSON protocol state.
-	dec *json.Decoder
-	enc *json.Encoder
-	// Binary protocol state: the buffered frame reader and the reused
-	// encode/decode buffers (the pooled-buffer discipline — one logical
-	// call in flight under mu, so one buffer each way suffices).
-	br     *bufio.Reader
-	wbuf   []byte
-	rbuf   []byte
-	nextID uint64
+	pipe  *PipeClient // nil until the next call dials
 }
 
 // RetryPolicy bounds one logical call's persistence. Zero fields take
@@ -94,30 +66,17 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // dialTimeout bounds one TCP connect inside a call attempt.
 const dialTimeout = 5 * time.Second
 
-// Dial connects to a server over the binary protocol with the default
-// retry policy. The initial reachability check itself retries transient
-// dial failures, so a one-shot CLI invocation launched during a leader
-// restart connects once the server is back instead of failing on the
-// first refusal.
+// Dial connects to a server with the default retry policy. The initial
+// reachability check itself retries transient dial failures, so a
+// one-shot CLI invocation launched during a leader restart connects
+// once the server is back instead of failing on the first refusal.
 func Dial(addr string) (*Client, error) {
-	return DialProto(addr, ProtoBinary, RetryPolicy{})
+	return DialWithPolicy(addr, RetryPolicy{})
 }
 
-// DialWithPolicy connects over the binary protocol with an explicit
-// retry policy.
+// DialWithPolicy connects with an explicit retry policy.
 func DialWithPolicy(addr string, p RetryPolicy) (*Client, error) {
-	return DialProto(addr, ProtoBinary, p)
-}
-
-// DialJSON connects over the legacy JSON-lines protocol (the server
-// serves both on one port; this exercises its fallback path).
-func DialJSON(addr string) (*Client, error) {
-	return DialProto(addr, ProtoJSON, RetryPolicy{})
-}
-
-// DialProto connects with an explicit protocol and retry policy.
-func DialProto(addr string, proto Proto, p RetryPolicy) (*Client, error) {
-	c := &Client{addr: addr, proto: proto, retry: p}
+	c := &Client{addr: addr, retry: p}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.connectLocked(); err != nil {
@@ -126,9 +85,9 @@ func DialProto(addr string, proto Proto, p RetryPolicy) (*Client, error) {
 	return c, nil
 }
 
-// connectLocked establishes the connection, retrying transient dial
-// (and, on the binary protocol, handshake) failures within the
-// policy's budget. No request is sent beyond the preamble.
+// connectLocked establishes the connection, retrying transient dial and
+// handshake failures within the policy's budget. No request is sent
+// beyond the preamble.
 func (c *Client) connectLocked() error {
 	p := c.retry.withDefaults()
 	bo := replica.NewBackoff(p.BaseDelay, p.MaxDelay)
@@ -150,26 +109,13 @@ func (c *Client) connectLocked() error {
 		c.addr, p.MaxAttempts, lastErr)
 }
 
-// dialLocked performs one connect attempt, including the binary
-// protocol's magic exchange (handshake).
+// dialLocked performs one connect attempt, magic exchange included.
 func (c *Client) dialLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
+	p, err := DialPipe(c.addr)
 	if err != nil {
 		return err
 	}
-	if c.proto == ProtoJSON {
-		c.conn = conn
-		c.dec = json.NewDecoder(bufio.NewReader(conn))
-		c.enc = json.NewEncoder(conn)
-		return nil
-	}
-	br, err := handshake(conn, c.addr)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	c.conn = conn
-	c.br = br
+	c.pipe = p
 	return nil
 }
 
@@ -185,11 +131,11 @@ func (c *Client) Addr() string {
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil {
+	if c.pipe == nil {
 		return nil
 	}
-	err := c.conn.Close()
-	c.conn, c.dec, c.enc, c.br = nil, nil, nil, nil
+	err := c.pipe.Close()
+	c.pipe = nil
 	return err
 }
 
@@ -242,91 +188,23 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		req.Op, c.addr, p.MaxAttempts, lastErr)
 }
 
-// once performs a single request over the current connection, dialing
-// if needed.
+// once performs a single request over the current pipe, dialing if
+// needed. A reply that does not decode comes back from the pipe as a
+// transport failure, so roundTrip drops the pipe and retries.
 func (c *Client) once(req Request) (Response, error) {
-	if c.conn == nil {
+	if c.pipe == nil {
 		if err := c.dialLocked(); err != nil {
 			return Response{}, err
 		}
 	}
-	if c.proto == ProtoBinary {
-		return c.onceBinary(&req)
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-// onceBinary frames one request into the reused write buffer, sends it
-// as a single write, and reads response frames until the echoed ID
-// matches (stale replies from an abandoned earlier call on the same
-// connection are skipped, defensively — the synchronous client never
-// leaves one behind on a healthy exchange).
-func (c *Client) onceBinary(req *Request) (Response, error) {
-	op, ok := opCodes[req.Op]
-	if !ok {
-		return Response{}, fmt.Errorf("server: unknown op %q", req.Op)
-	}
-	c.nextID++
-	id := c.nextID
-	c.wbuf = beginFrame(c.wbuf[:0], id, op)
-	c.wbuf = appendRequest(c.wbuf, req)
-	c.wbuf = finishFrame(c.wbuf)
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		return Response{}, err
-	}
-	for {
-		rid, _, payload, nbuf, err := readFrame(c.br, c.rbuf)
-		c.rbuf = nbuf
-		if err != nil {
-			return Response{}, err
-		}
-		if rid != id {
-			continue
-		}
-		resp, err := decodeResponse(payload)
-		if err != nil {
-			// The frame was intact but its payload didn't parse: the
-			// stream is suspect. Drop the connection so the next attempt
-			// starts clean, and retry as a transport failure.
-			c.dropConnLocked()
-			return Response{}, fmt.Errorf("%w: %v", io.ErrUnexpectedEOF, err)
-		}
-		return resp, nil
-	}
-}
-
-// call performs req once, dialing first when no connection is held, with
-// timeout as the deadline of the exchange: no retry and no redirect, for
-// a caller that owns retrying (ReplicaClient). An error drops the
-// connection, so the next call redials.
-func (c *Client) call(req Request, timeout time.Duration) (Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		if err := c.dialLocked(); err != nil {
-			return Response{}, err
-		}
-	}
-	c.conn.SetDeadline(time.Now().Add(timeout))
-	resp, err := c.once(req)
-	if err != nil {
-		c.dropConnLocked()
-	}
-	return resp, err
+	return c.pipe.Do(req)
 }
 
 func (c *Client) dropConnLocked() {
-	if c.conn != nil {
-		c.conn.Close()
+	if c.pipe != nil {
+		c.pipe.Close()
 	}
-	c.conn, c.dec, c.enc, c.br = nil, nil, nil, nil
+	c.pipe = nil
 }
 
 // isTransient classifies transport-level failures worth retrying:

@@ -10,14 +10,15 @@ import (
 
 	quantumdb "repro"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
-// This file is the binary wire protocol: length-prefixed CRC-framed
-// request/response encoding, negotiated per connection by a magic
-// preamble (handle peeks; absent magic falls through to JSON lines).
-// The value payloads reuse the WAL's alloc-free binary machinery
-// (value.AppendBinary / value.DecodeBinary), so a row travels in the
-// same form the log stores it.
+// This file is the wire protocol: length-prefixed CRC-framed
+// request/response encoding behind a magic preamble (handle refuses a
+// connection that opens with anything else). The value payloads reuse
+// the WAL's alloc-free binary machinery (value.AppendBinary /
+// value.DecodeBinary), so a row travels in the same form the log
+// stores it.
 //
 // Frame layout (all integers little-endian unless a field says
 // otherwise; values use their own big-endian/uvarint encoding):
@@ -34,14 +35,12 @@ import (
 // them back to calls. The payload is the op-specific field encoding
 // (appendRequest/appendResponse below).
 
-// frameMagic opens a binary-protocol connection: the client sends it
-// immediately after connect, the server echoes it as the accept. A
-// JSON-lines client's first byte is '{' (or whitespace), never 'Q', so
-// the server can sniff the first 4 bytes and fall back transparently.
-// The last byte is the protocol version: 2 since read results travel as
-// one columnar row set, which a version-1 peer cannot parse. A preamble
-// with the prefix but another version is refused in words (handle), not
-// misread as JSON.
+// frameMagic opens a connection: the client sends it immediately after
+// connect, the server echoes it as the accept. The last byte is the
+// protocol version: 2 since read results travel as one columnar row
+// set, which a version-1 peer cannot parse. Any other opening — another
+// version, or a JSON line from a pre-framing client — is refused in
+// words (handle).
 const (
 	magicPrefix = "QDB"
 	frameMagic  = magicPrefix + "\x02"
@@ -417,9 +416,9 @@ const (
 )
 
 // appendResponse encodes resp onto dst. Row results are encoded from
-// resp.rows, the engine's columnar row set, by appendRowSet — never from
-// the JSON path's quoted-string maps. Stats, a rare diagnostic op, rides
-// as a JSON sub-payload rather than earning its own schema.
+// resp.rows, the engine's columnar row set, by appendRowSet. Stats, a
+// rare diagnostic op, rides as a JSON sub-payload rather than earning
+// its own schema.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	var flags byte
 	if resp.OK {
@@ -512,9 +511,8 @@ func appendRowSet(dst []byte, rs *quantumdb.RowSet) []byte {
 }
 
 // decodeResponse parses a frame payload into a Response. Typed row
-// values are materialized back into the quoted-string maps the JSON
-// protocol carries (decodeRowSet), so callers above the transport see
-// identical rows on either protocol.
+// values are materialized into quoted-string maps (decodeRowSet), the
+// text form value.Value.Quoted renders.
 func decodeResponse(payload []byte) (Response, error) {
 	var resp Response
 	r := wireBuf{payload}
@@ -606,7 +604,7 @@ func decodeResponse(payload []byte) (Response, error) {
 		return Response{}, err
 	}
 	if nbatches > 0 {
-		resp.Batches = make([]WireBatch, nbatches)
+		resp.Batches = make([]wal.Batch, nbatches)
 		for i := range resp.Batches {
 			b := &resp.Batches[i]
 			if b.Seq, err = r.uvarint(); err != nil {
@@ -619,7 +617,7 @@ func decodeResponse(payload []byte) (Response, error) {
 			if err != nil {
 				return Response{}, err
 			}
-			b.Records = make([]WireRecord, nrecs)
+			b.Records = make([]wal.Record, nrecs)
 			for j := range b.Records {
 				if b.Records[j].Type, err = r.byteVal(); err != nil {
 					return Response{}, err

@@ -5,22 +5,24 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
 )
 
-// PipeClient is the pipelined form of Client: many goroutines issue
-// requests concurrently over ONE binary connection, each request
-// stamped with a fresh ID, and a reader goroutine demultiplexes the
-// out-of-order response stream back to callers by echoed ID. This is
-// the client shape the server's data plane is built for — a window of
-// requests in flight keeps the dispatch pool fed from a single socket.
+// PipeClient is the client side of the wire protocol and its only
+// frame exchange: many goroutines issue requests concurrently over ONE
+// connection, each request stamped with a fresh ID, and a reader
+// goroutine demultiplexes the out-of-order response stream back to
+// callers by echoed ID. This is the client shape the server's data
+// plane is built for — a window of requests in flight keeps the
+// dispatch pool fed from a single socket.
 //
-// PipeClient is deliberately thinner than Client: no retries, no
-// redirect following, no reconnects. A transport error poisons the
-// whole pipe (every in-flight and future call gets it); the caller —
-// the load generator, a connection pool — replaces the pipe. Shed
+// PipeClient itself has no retries, no redirect following and no
+// reconnects; Client and ReplicaClient layer those policies over one
+// pipe each. A transport error poisons the whole pipe (every in-flight
+// and future call gets it); the caller replaces the pipe. Shed
 // responses (Response.Retry) are returned to the caller undecorated,
 // who decides whether to back off and reissue.
 type PipeClient struct {
@@ -42,7 +44,8 @@ type pipeReply struct {
 	err  error
 }
 
-// DialPipe connects a pipelined binary-protocol client.
+// DialPipe connects a pipelined client: one dial and one magic
+// exchange, each bounded by dialTimeout.
 func DialPipe(addr string) (*PipeClient, error) {
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
@@ -58,14 +61,14 @@ func DialPipe(addr string) (*PipeClient, error) {
 	return p, nil
 }
 
-// handshake performs the binary protocol's magic exchange on a fresh
+// handshake performs the protocol's magic exchange on a fresh
 // connection — send the preamble, require its echo — within dialTimeout,
 // and returns the buffered reader the frames follow on. A server that
 // answers anything else is not speaking this protocol version: a qdb
 // server of another version says so in one line, which is passed on, so
 // the caller sees "protocol version mismatch" rather than a stalled or
-// garbled exchange. There is no silent downgrade, since every server
-// version that frames also still serves JSON on request.
+// garbled exchange. There is nothing to downgrade to: a server speaks
+// one protocol version and refuses every other opening.
 func handshake(conn net.Conn, addr string) (*bufio.Reader, error) {
 	conn.SetDeadline(time.Now().Add(dialTimeout))
 	defer conn.SetDeadline(time.Time{})
@@ -82,7 +85,7 @@ func handshake(conn net.Conn, addr string) (*bufio.Reader, error) {
 	}
 	// The refusal is one line; take what is there of it.
 	rest, _ := br.ReadString('\n')
-	return nil, fmt.Errorf("server: %s did not ack binary protocol %s/%d: %s",
+	return nil, fmt.Errorf("server: %s did not ack protocol %s/%d: %s",
 		addr, magicPrefix, frameMagic[len(magicPrefix)], strings.TrimSpace(string(echo[:])+rest))
 }
 
@@ -91,16 +94,45 @@ func handshake(conn net.Conn, addr string) (*bufio.Reader, error) {
 // completion order, not issue order — the demux hides that from
 // callers.
 func (p *PipeClient) Do(req Request) (Response, error) {
+	_, ch, err := p.send(&req)
+	if err != nil {
+		return Response{}, err
+	}
+	r := <-ch
+	return r.resp, r.err
+}
+
+// doTimeout is Do that stops waiting for the reply after timeout. The
+// request may still be served; its late reply is discarded.
+func (p *PipeClient) doTimeout(req Request, timeout time.Duration) (Response, error) {
+	id, ch, err := p.send(&req)
+	if err != nil {
+		return Response{}, err
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case r := <-ch:
+		return r.resp, r.err
+	case <-t.C:
+		p.forget(id)
+		return Response{}, fmt.Errorf("server: no reply to %s within %v: %w", req.Op, timeout, os.ErrDeadlineExceeded)
+	}
+}
+
+// send registers a reply channel under a fresh ID and writes req's
+// frame as a single conn.Write.
+func (p *PipeClient) send(req *Request) (uint64, chan pipeReply, error) {
 	op, ok := opCodes[req.Op]
 	if !ok {
-		return Response{}, fmt.Errorf("server: unknown op %q", req.Op)
+		return 0, nil, fmt.Errorf("server: unknown op %q", req.Op)
 	}
 	ch := make(chan pipeReply, 1)
 	p.mu.Lock()
 	if p.err != nil {
 		err := p.err
 		p.mu.Unlock()
-		return Response{}, err
+		return 0, nil, err
 	}
 	p.nextID++
 	id := p.nextID
@@ -109,18 +141,23 @@ func (p *PipeClient) Do(req Request) (Response, error) {
 
 	p.wmu.Lock()
 	p.wbuf = beginFrame(p.wbuf[:0], id, op)
-	p.wbuf = appendRequest(p.wbuf, &req)
+	p.wbuf = appendRequest(p.wbuf, req)
 	p.wbuf = finishFrame(p.wbuf)
 	_, err := p.conn.Write(p.wbuf)
 	p.wmu.Unlock()
 	if err != nil {
-		p.mu.Lock()
-		delete(p.pending, id)
-		p.mu.Unlock()
-		return Response{}, err
+		p.forget(id)
+		return 0, nil, err
 	}
-	r := <-ch
-	return r.resp, r.err
+	return id, ch, nil
+}
+
+// forget drops id's reply registration, for a caller that stops
+// waiting; the reader drops it itself when it delivers.
+func (p *PipeClient) forget(id uint64) {
+	p.mu.Lock()
+	delete(p.pending, id)
+	p.mu.Unlock()
 }
 
 // readLoop is the demux: it owns the read half of the connection and
@@ -142,7 +179,11 @@ func (p *PipeClient) readLoop(br *bufio.Reader) {
 		p.mu.Unlock()
 		if ch != nil {
 			if derr != nil {
-				ch <- pipeReply{err: derr}
+				// The frame was intact but its payload did not parse: the
+				// stream is suspect. The error reads as a transport
+				// failure, so Client drops this pipe and retries on a new
+				// one.
+				ch <- pipeReply{err: fmt.Errorf("%w: %v", io.ErrUnexpectedEOF, derr)}
 			} else {
 				ch <- pipeReply{resp: resp}
 			}

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// This file is the pipelined binary connection loop: the server-side
-// half of the binary protocol negotiated in handle. One connection gets
-// three kinds of goroutines —
+// This file is the pipelined connection loop: the server-side half of
+// the protocol a connection enters once handle has checked its
+// preamble. One connection gets three kinds of goroutines —
 //
 //   - the reader (handleBinary itself): reads frames, decodes requests,
 //     admits them into the bounded inflight window (shedding with the
@@ -30,8 +30,7 @@ import (
 // Drain discipline: a dispatched request holds a beginOp slot until its
 // response frame is FLUSHED to the socket (the writer releases slots
 // after each flush), so Shutdown's "in-flight dispatches finish writing
-// their responses" promise holds on the binary path exactly as on the
-// JSON path.
+// their responses" promise holds.
 
 // binResp is one completed response travelling dispatcher → writer.
 type binResp struct {
@@ -73,8 +72,8 @@ func releaseFrame(f *frameBuf) {
 
 func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 	bw := bufio.NewWriter(conn)
-	// Ack the negotiation by echoing the magic: the client knows the
-	// server speaks binary before it sends its first frame.
+	// Ack the preamble by echoing the magic: the client knows the server
+	// speaks its protocol version before it sends its first frame.
 	if _, err := bw.WriteString(frameMagic); err != nil {
 		return
 	}
@@ -136,9 +135,8 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 			}
 		}
 		if !s.beginOp() {
-			// Draining: refuse and stop reading, mirroring the JSON
-			// loop; in-flight dispatchers below still complete and
-			// their responses still flush.
+			// Draining: refuse and stop reading; in-flight dispatchers
+			// below still complete and their responses still flush.
 			<-sem
 			out <- binResp{frame: encodeResponse(id, &Response{Err: ErrShuttingDown.Error()})}
 			break

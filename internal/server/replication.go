@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/replica"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // This file is the network leg of WAL log shipping: the leader serves
@@ -89,95 +88,70 @@ func (s *Server) dispatchFollower(r *serverRole, req Request) Response {
 	}
 }
 
-func toWireBatches(batches []wal.Batch) []WireBatch {
-	out := make([]WireBatch, len(batches))
-	for i, b := range batches {
-		recs := make([]WireRecord, len(b.Records))
-		for j, r := range b.Records {
-			recs[j] = WireRecord{Type: r.Type, Payload: r.Payload}
-		}
-		out[i] = WireBatch{Seq: b.Seq, Term: b.Term, Records: recs}
-	}
-	return out
-}
-
-func fromWireBatches(batches []WireBatch) []wal.Batch {
-	out := make([]wal.Batch, len(batches))
-	for i, b := range batches {
-		recs := make([]wal.Record, len(b.Records))
-		for j, r := range b.Records {
-			recs[j] = wal.Record{Type: r.Type, Payload: r.Payload}
-		}
-		out[i] = wal.Batch{Seq: b.Seq, Term: b.Term, Records: recs}
-	}
-	return out
-}
-
-// ReplicaClient is a replica.Transport that speaks the binary protocol
-// to a leader qdbd over one held connection: a follower pulls after
-// every commit, and a dial, handshake and teardown per pull cost the
-// leader more CPU than serving the pull. A call makes one attempt and
-// never follows redirects — the follower loop owns retrying. Any
-// transport error drops the connection and the next call redials, so a
-// leader restart or a flaky network costs one failed call, not a stuck
-// stream. Calls that overlap (a promotion's fence exchange while a pull
-// is parked at the leader) each get a connection; only one is held
-// between calls. Safe for concurrent use.
+// ReplicaClient is a replica.Transport that speaks to a leader qdbd
+// over one held pipelined connection (PipeClient): a follower pulls
+// after every commit, and a dial, handshake and teardown per pull cost
+// the leader more CPU than serving the pull. Calls that overlap — a
+// promotion's fence exchange while a pull is parked at the leader —
+// share the connection; the server dispatches them concurrently, so the
+// fence does not wait behind the pull. A call makes one attempt and
+// never follows redirects — the follower loop owns retrying. Any error
+// closes the connection and the next call redials, so a leader restart
+// or a flaky network costs one failed call, not a stuck stream. Safe
+// for concurrent use.
 type ReplicaClient struct {
 	Addr string
-	// Timeout bounds one request's exchange on the connection (default
-	// 30s; stretched to cover Wait when long-polling). Dialing is
-	// bounded like any Client's.
+	// Timeout bounds how long one call waits for its reply (default 30s;
+	// stretched to cover Wait when long-polling). Dialing is bounded
+	// like any Client's.
 	Timeout time.Duration
 	// Wait, when positive, asks the leader to long-poll pulls: the
 	// server parks up to Wait for new batches before answering, so
 	// shipping is push-shaped and follower lag drops to a round trip.
 	Wait time.Duration
 
-	mu     sync.Mutex
-	idle   *Client // the held connection; nil while a call is using it
-	closed bool
+	mu   sync.Mutex
+	pipe *PipeClient // the held connection; nil until the next call dials
 }
 
 var _ replica.Transport = (*ReplicaClient)(nil)
 
-// Close drops the held connection. A call in flight finishes and then
-// closes its connection; calls made after Close still work, each over a
-// connection of its own.
+// Close drops the held connection; calls in flight on it fail. A call
+// made after Close dials again.
 func (c *ReplicaClient) Close() error {
 	c.mu.Lock()
-	cl := c.idle
-	c.idle, c.closed = nil, true
+	p := c.pipe
+	c.pipe = nil
 	c.mu.Unlock()
-	if cl == nil {
+	if p == nil {
 		return nil
 	}
-	return cl.Close()
+	return p.Close()
 }
 
-// take hands the caller the held connection, or a new unconnected
-// client when a concurrent call holds it (or none was made yet).
-func (c *ReplicaClient) take() *Client {
+// held returns the held connection, dialing one when there is none.
+func (c *ReplicaClient) held() (*PipeClient, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cl := c.idle; cl != nil {
-		c.idle = nil
-		return cl
+	if c.pipe == nil {
+		p, err := DialPipe(c.Addr)
+		if err != nil {
+			return nil, err
+		}
+		c.pipe = p
 	}
-	return &Client{addr: c.Addr, proto: ProtoBinary}
+	return c.pipe, nil
 }
 
-// put holds cl for the next call, or closes it when another connection
-// is already held or the client was closed.
-func (c *ReplicaClient) put(cl *Client) {
+// drop closes p and forgets it, unless a concurrent call has already
+// replaced it.
+func (c *ReplicaClient) drop(p *PipeClient) {
 	c.mu.Lock()
-	if c.idle == nil && !c.closed {
-		c.idle, cl = cl, nil
+	if c.pipe == p {
+		c.pipe = nil
 	}
 	c.mu.Unlock()
-	if cl != nil {
-		cl.Close()
-	}
+	p.Close()
 }
 
 func (c *ReplicaClient) roundTrip(req Request) (Response, error) {
@@ -188,9 +162,13 @@ func (c *ReplicaClient) roundTrip(req Request) (Response, error) {
 	if c.Wait > 0 && timeout < c.Wait+10*time.Second {
 		timeout = c.Wait + 10*time.Second
 	}
-	cl := c.take()
-	resp, err := cl.call(req, timeout)
-	c.put(cl)
+	p, err := c.held()
+	var resp Response
+	if err == nil {
+		if resp, err = p.doTimeout(req, timeout); err != nil {
+			c.drop(p)
+		}
+	}
 	if err != nil {
 		return Response{}, fmt.Errorf("server: %s to leader %s: %w", req.Op, c.Addr, err)
 	}
@@ -221,7 +199,7 @@ func (c *ReplicaClient) Pull(after, term uint64) (replica.PullResult, error) {
 		return replica.PullResult{}, err
 	}
 	return replica.PullResult{
-		Batches:    fromWireBatches(resp.Batches),
+		Batches:    resp.Batches,
 		LeaderSeq:  resp.Seq,
 		LeaderTerm: resp.Term,
 		Resync:     resp.Resync,

@@ -195,9 +195,9 @@ func (l *acceptLog) accepted() int {
 
 // TestReplicaClientHoldsOneConnection pins the follower's connection
 // discipline: pulls reuse one connection; a call overlapping a parked
-// long-poll gets a connection of its own instead of waiting behind it,
-// and only one connection is held afterwards; a connection the leader
-// drops costs one failed call, and the next call redials.
+// long-poll rides the same connection without waiting behind it; a
+// connection the leader drops costs one failed call, and the next call
+// redials.
 func TestReplicaClientHoldsOneConnection(t *testing.T) {
 	db, err := quantumdb.Open(quantumdb.Options{WALPath: filepath.Join(t.TempDir(), "leader.wal")})
 	if err != nil {
@@ -241,8 +241,8 @@ func TestReplicaClientHoldsOneConnection(t *testing.T) {
 		t.Fatalf("bootstrap and 10 pulls used %d connections, want 1", n)
 	}
 
-	// A long-poll parks at the leader; a bootstrap meanwhile must not
-	// queue behind it.
+	// A long-poll parks at the leader; a bootstrap meanwhile is pipelined
+	// on the same connection and must not queue behind it.
 	rc.Wait = 5 * time.Second
 	done := make(chan error, 1)
 	go func() {
@@ -268,8 +268,8 @@ func TestReplicaClientHoldsOneConnection(t *testing.T) {
 	rc.Wait = 0
 	pull()
 	pull()
-	if n := ln.accepted(); n != 2 {
-		t.Fatalf("%d connections after one overlapping call, want 2", n)
+	if n := ln.accepted(); n != 1 {
+		t.Fatalf("%d connections after one overlapping call, want 1", n)
 	}
 
 	// The leader drops the held connection: one call fails, the next
@@ -283,7 +283,7 @@ func TestReplicaClientHoldsOneConnection(t *testing.T) {
 		t.Fatal("pull over a connection the leader closed succeeded")
 	}
 	pull()
-	if n := ln.accepted(); n != 3 {
-		t.Fatalf("%d connections after a dropped one, want 3", n)
+	if n := ln.accepted(); n != 2 {
+		t.Fatalf("%d connections after a dropped one, want 2", n)
 	}
 }

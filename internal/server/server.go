@@ -6,22 +6,21 @@
 // the read-scale path, which never blocks on (or stalls) concurrent
 // grounding and writes.
 //
-// Two protocols share every port, negotiated per connection. A client
-// that opens with the binary magic preamble (frame.go) gets the
-// length-prefixed CRC-framed binary protocol with request pipelining:
-// frames carry client-chosen request IDs, a bounded per-connection
-// inflight window dispatches ops concurrently onto the engine, and
-// responses return in completion order — out of order — matched back
-// by ID (pipeline.go). Anything else is served the original JSON-lines
-// protocol unchanged: one JSON request object per line, one JSON
-// response per line, strictly in order (no request IDs). See Request
-// and Response for the schema; the JSON protocol is deliberately plain
-// so that non-Go clients can speak it with any JSON library.
+// The server speaks one protocol: a client opens with the magic
+// preamble (frame.go) and gets the length-prefixed CRC-framed binary
+// protocol with request pipelining: frames carry client-chosen request
+// IDs, a bounded per-connection inflight window dispatches ops
+// concurrently onto the engine, and responses return in completion
+// order — out of order — matched back by ID (pipeline.go). A connection
+// that opens with anything else is answered with one line naming the
+// protocol version mismatch and closed. PipeClient is the one client
+// transport; Client (retries, redirects, shed back-off) and
+// ReplicaClient (the follower's link to its leader) are built on it.
 //
-// Requests from different connections — and, on the binary protocol,
-// within one connection — dispatch concurrently: the engine is sharded
-// by partition (each Submit/Ground/Read/Write acquires only the
-// partitions it touches), admissions are optimistic (each Submit's
+// Requests from different connections — and within one connection —
+// dispatch concurrently: the engine is sharded by partition (each
+// Submit/Ground/Read/Write acquires only the partitions it touches),
+// admissions are optimistic (each Submit's
 // chain solve runs outside the admission lock, so submits from many
 // connections overlap end to end unless qdbd runs -serial-admission),
 // the coordinator's registry has its own lock, and GroundAll and read
@@ -36,10 +35,12 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,97 +49,95 @@ import (
 	"repro/internal/core"
 	"repro/internal/replica"
 	"repro/internal/telemetry"
+	"repro/internal/wal"
 )
 
 // Request is one client command.
 type Request struct {
-	// Op is one of: create, exec, txn, etxn, sql, read, snapread,
-	// preview, ground, groundall, pending, stats, ping.
-	Op string `json:"op"`
+	// Op is one of the verbs in opCodes (frame.go).
+	Op string
 	// Txn carries the transaction text (Datalog-like for txn/etxn, SQL
 	// for sql).
-	Txn string `json:"txn,omitempty"`
+	Txn string
 	// Query carries the conjunctive query for read/preview.
-	Query string `json:"query,omitempty"`
+	Query string
 	// Facts carries the signed ground atoms for exec.
-	Facts string `json:"facts,omitempty"`
+	Facts string
 	// Tag and Partner mark entangled submissions (etxn).
-	Tag     string `json:"tag,omitempty"`
-	Partner string `json:"partner,omitempty"`
+	Tag     string
+	Partner string
 	// ID selects the transaction for ground.
-	ID int64 `json:"id,omitempty"`
+	ID int64
 	// Table describes the relation for create.
-	Table *TableSpec `json:"table,omitempty"`
+	Table *TableSpec
 	// After is repl.pull's resume watermark: return batches with
 	// sequence numbers strictly above it.
-	After uint64 `json:"after,omitempty"`
+	After uint64
 	// Term carries the caller's replication term: on repl.pull the
 	// follower's observed term (a leader seeing a higher one demotes
 	// itself), on repl.fence the proposed new term.
-	Term uint64 `json:"term,omitempty"`
+	Term uint64
 	// Addr is the caller's serving address, advertised on repl.fence so
 	// the deposed leader can redirect clients to the winner.
-	Addr string `json:"addr,omitempty"`
+	Addr string
 	// WaitMS asks repl.pull to long-poll: park up to this many
 	// milliseconds for new batches instead of returning empty.
-	WaitMS int64 `json:"wait_ms,omitempty"`
+	WaitMS int64
 	// Force marks a promote that skips the fence exchange (the leader
 	// is known dead and unreachable).
-	Force bool `json:"force,omitempty"`
+	Force bool
 	// Txns carries the transaction texts of a batch submission; the
 	// server admits them through one amortized admission cycle and
 	// answers per-transaction IDs/Errs aligned with this slice.
-	Txns []string `json:"txns,omitempty"`
+	Txns []string
 }
 
 // TableSpec mirrors quantumdb.Table for the wire.
 type TableSpec struct {
-	Name    string   `json:"name"`
-	Columns []string `json:"columns"`
-	Key     []int    `json:"key,omitempty"`
-	Indexes [][]int  `json:"indexes,omitempty"`
+	Name    string
+	Columns []string
+	Key     []int
+	Indexes [][]int
 }
 
 // Response is the server's reply.
 type Response struct {
-	OK      bool                `json:"ok"`
-	Err     string              `json:"err,omitempty"`
-	ID      int64               `json:"id,omitempty"`
-	Rows    []map[string]string `json:"rows,omitempty"`
-	IDs     []int64             `json:"ids,omitempty"`
-	Pending int                 `json:"pending,omitempty"`
-	Stats   *quantumdb.Stats    `json:"stats,omitempty"`
-	// Replication fields. Image is repl.bootstrap's checkpoint payload
-	// (base64 on the wire); Seq is its WAL stamp, and on repl.pull/lag
-	// the leader's current WAL sequence. Batches carries repl.pull's
-	// shipped suffix; Resync demands a fresh bootstrap (the leader
-	// truncated past After). Applied and Lag serve the lag op on both
-	// leader (best subscriber ack) and follower (own watermark).
-	Image   []byte      `json:"image,omitempty"`
-	Seq     uint64      `json:"seq,omitempty"`
-	Batches []WireBatch `json:"batches,omitempty"`
-	Resync  bool        `json:"resync,omitempty"`
-	Applied uint64      `json:"applied,omitempty"`
-	Lag     uint64      `json:"lag,omitempty"`
+	OK      bool
+	Err     string
+	ID      int64
+	Rows    []map[string]string
+	IDs     []int64
+	Pending int
+	Stats   *quantumdb.Stats
+	// Replication fields. Image is repl.bootstrap's checkpoint payload;
+	// Seq is its WAL stamp, and on repl.pull/lag the leader's current
+	// WAL sequence. Batches carries repl.pull's shipped suffix; Resync
+	// demands a fresh bootstrap (the leader truncated past After).
+	// Applied and Lag serve the lag op on both leader (best subscriber
+	// ack) and follower (own watermark).
+	Image   []byte
+	Seq     uint64
+	Batches []wal.Batch
+	Resync  bool
+	Applied uint64
+	Lag     uint64
 	// Failover fields. Term is the responder's replication term (on
 	// repl.pull, repl.fence, promote, lag). Granted reports a fence
 	// exchange's outcome. Redirect rides on refused mutations: the
 	// structured leader-moved hint retrying clients follow.
-	Term     uint64    `json:"term,omitempty"`
-	Granted  bool      `json:"granted,omitempty"`
-	Redirect *Redirect `json:"redirect,omitempty"`
+	Term     uint64
+	Granted  bool
+	Redirect *Redirect
 	// Errs carries batch per-transaction outcomes, aligned with the
 	// request's Txns ("" = admitted, IDs[i] valid). Retry marks a
 	// structured retryable refusal (the server shed the request under
 	// load); clients back off and retry without dropping the
 	// connection.
-	Errs  []string `json:"errs,omitempty"`
-	Retry bool     `json:"retry,omitempty"`
-	// rows carries a read's result as the engine's columnar row set.
-	// The binary encoder appends it to the response frame as is
-	// (appendRowSet); the JSON write path renders Rows from it
-	// (rowsText), so the quoted-string maps are built only for the JSON
-	// wire, and on a binary client's side of the socket.
+	Errs  []string
+	Retry bool
+	// rows carries a read's result as the engine's columnar row set on
+	// the server side. The encoder appends it to the response frame as
+	// is (appendRowSet); the client decodes it into Rows.
 	rows *quantumdb.RowSet
 }
 
@@ -146,32 +145,8 @@ type Response struct {
 // leader serves and at what term. Clients (server.Client) follow it
 // automatically; scripted callers can read it off the error response.
 type Redirect struct {
-	Addr string `json:"addr"`
-	Term uint64 `json:"term"`
-}
-
-// WireBatch mirrors wal.Batch for the JSON wire; record payloads ride
-// as base64. Term is the fencing token the batch was appended under.
-type WireBatch struct {
-	Seq     uint64       `json:"seq"`
-	Term    uint64       `json:"term,omitempty"`
-	Records []WireRecord `json:"records"`
-}
-
-// WireRecord mirrors wal.Record.
-type WireRecord struct {
-	Type    uint8  `json:"type"`
-	Payload []byte `json:"payload,omitempty"`
-}
-
-// ops enumerates the protocol verbs; each gets a request-latency series
-// (qdb_server_op_duration_seconds{op=...}) in the engine's registry.
-// Unknown verbs land in "other".
-var ops = []string{
-	"create", "exec", "txn", "etxn", "sql", "read", "snapread",
-	"preview", "ground", "groundall", "pending", "stats", "ping",
-	"lag", "repl.bootstrap", "repl.pull", "repl.fence", "promote",
-	"batch", "other",
+	Addr string
+	Term uint64
 }
 
 // Server serves one quantum database to many connections. Engine calls
@@ -262,13 +237,15 @@ const (
 
 func newServer(reg *telemetry.Registry) *Server {
 	s := &Server{
-		opHist:      make(map[string]*telemetry.Histogram, len(ops)),
+		opHist:      make(map[string]*telemetry.Histogram, len(opCodes)),
 		listeners:   make(map[net.Listener]struct{}),
 		conns:       make(map[net.Conn]struct{}),
 		maxInflight: defaultMaxInflight,
 		shedWait:    defaultShedWait,
 	}
-	for _, op := range ops {
+	// One request-latency series per protocol verb; decodeRequest refuses
+	// an op code outside opCodes, so every dispatched verb has one.
+	for _, op := range slices.Sorted(maps.Keys(opCodes)) {
 		s.opHist[op] = reg.Seconds("qdb_server_op_duration_seconds",
 			fmt.Sprintf("op=%q", op),
 			"Whole server request latency, decode to response write.")
@@ -299,7 +276,7 @@ func newServer(reg *telemetry.Registry) *Server {
 }
 
 // SetLimits tunes the data-plane backpressure knobs: the per-connection
-// pipelined inflight window (binary protocol), the concurrent
+// pipelined inflight window, the concurrent
 // connection cap (0 = unlimited), and how long a request may queue for
 // a window slot before being shed with ErrOverloaded. Zero or negative
 // maxInflight/shedWait keep the defaults. Call before Serve — the
@@ -390,75 +367,27 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// Protocol negotiation: a binary client's very first bytes are the
-	// magic preamble; a JSON-lines client's first byte is '{' (or
-	// whitespace) and its first request is longer than the magic, so
-	// peeking never stalls either kind. On a match the connection runs
-	// the pipelined binary loop. A preamble of another protocol version
-	// is told so in one line and dropped: its frames must not reach the
-	// JSON decoder. Anything else stays buffered and the JSON loop reads
-	// it as request text.
+	// A client opens with the magic preamble and the connection runs the
+	// pipelined binary loop. Anything else — a preamble of another
+	// protocol version, or a JSON line from a client that predates the
+	// framed protocol — is told so in one line and dropped, so an old
+	// client fails loudly instead of waiting for an answer.
 	br := bufio.NewReader(conn)
-	peek, err := br.Peek(len(frameMagic))
-	switch {
-	case err == nil && string(peek) == frameMagic:
-		br.Discard(len(frameMagic))
-		s.handleBinary(conn, br)
-	case err == nil && string(peek[:len(magicPrefix)]) == magicPrefix:
-		json.NewEncoder(conn).Encode(Response{Err: fmt.Sprintf(
-			"server: protocol version mismatch: this server speaks %s/%d, the client opened with %s/%d",
-			magicPrefix, frameMagic[len(magicPrefix)], magicPrefix, peek[len(magicPrefix)])})
-	default:
-		s.handleJSON(conn, br)
+	var magic [len(frameMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return
 	}
+	if string(magic[:]) != frameMagic {
+		fmt.Fprintf(conn, "server: protocol version mismatch: this server speaks %s/%d, the client opened with %q\n",
+			magicPrefix, frameMagic[len(magicPrefix)], magic[:])
+		return
+	}
+	s.handleBinary(conn, br)
 }
 
-// handleJSON serves the JSON-lines protocol: strictly in-order, one
-// dispatch at a time. Decoder, encoder, response buffer, and the
-// Request are all per-connection, reset per request — the per-op
-// allocation cost is the engine call, not the transport.
-func (s *Server) handleJSON(conn net.Conn, br *bufio.Reader) {
-	dec := json.NewDecoder(br)
-	bw := bufio.NewWriter(conn)
-	enc := json.NewEncoder(bw)
-	var req Request
-	for {
-		req = Request{}
-		if err := dec.Decode(&req); err != nil {
-			return // disconnect or garbage: drop the connection
-		}
-		if !s.beginOp() {
-			// Draining: refuse new work; in-flight dispatches on other
-			// connections still complete and respond.
-			enc.Encode(Response{Err: ErrShuttingDown.Error()})
-			bw.Flush()
-			return
-		}
-		start := time.Now()
-		resp := s.dispatch(req)
-		s.observeOp(req.Op, start)
-		if resp.rows != nil {
-			resp.Rows = rowsText(resp.rows)
-		}
-		err := enc.Encode(resp)
-		if err == nil {
-			err = bw.Flush()
-		}
-		s.endOp()
-		if err != nil {
-			return
-		}
-	}
-}
-
-// observeOp records one dispatch's latency under its verb's series
-// (unknown verbs land in "other").
+// observeOp records one dispatch's latency under its verb's series.
 func (s *Server) observeOp(op string, start time.Time) {
-	if h, ok := s.opHist[op]; ok {
-		h.Observe(time.Since(start))
-	} else {
-		s.opHist["other"].Observe(time.Since(start))
-	}
+	s.opHist[op].Observe(time.Since(start))
 }
 
 // beginOp admits one dispatch into the drain count; it refuses (false)
@@ -570,7 +499,7 @@ func (s *Server) dispatch(req Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Batches: toWireBatches(res.Batches),
+		return Response{OK: true, Batches: res.Batches,
 			Seq: res.LeaderSeq, Resync: res.Resync, Term: res.LeaderTerm}
 	case "repl.fence":
 		res, err := r.shipper.Fence(req.Term, req.Addr)
@@ -689,20 +618,4 @@ func (s *Server) dispatch(req Request) Response {
 	default:
 		return fail(fmt.Errorf("unknown op %q", req.Op))
 	}
-}
-
-// rowsText renders a row set as the JSON wire's quoted-string maps; an
-// unbound cell is absent from its row.
-func rowsText(rs *quantumdb.RowSet) []map[string]string {
-	out := make([]map[string]string, rs.N)
-	for i := range out {
-		m := make(map[string]string, len(rs.Cols))
-		for c, name := range rs.Cols {
-			if v, ok := rs.Cell(i, c); ok {
-				m[name] = v.Quoted()
-			}
-		}
-		out[i] = m
-	}
-	return out
 }
