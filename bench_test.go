@@ -1,14 +1,14 @@
 package quantumdb
 
 // One testing.B benchmark per table and figure of the paper's evaluation,
-// plus ablation benchmarks for the design decisions called out in
-// DESIGN.md. These run at a reduced scale so `go test -bench=.` finishes
-// in minutes; `cmd/qdbbench` regenerates the full paper-scale series.
+// plus ablation benchmarks for the design decisions ARCHITECTURE.md
+// describes. These run at a reduced scale so `go test -bench=.` finishes
+// in minutes; `cmd/qdbbench` regenerates the full paper-scale series
+// (README, "Build, test, bench").
 
 import (
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 	"time"
 
@@ -232,7 +232,7 @@ func BenchmarkGroundAllScaling(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design decisions from DESIGN.md) ----
+// ---- Ablations (design decisions from ARCHITECTURE.md) ----
 
 // ablationStream runs one Random-order entangled stream under the given
 // options and reports coordination as a benchmark metric.
@@ -336,9 +336,7 @@ func BenchmarkAblationSearchDepth(b *testing.B) {
 // concurrent submit storm on disjoint partitions, swept over worker
 // counts — the optimistic-admission headline. Watch submit/s rise with
 // workers (solves overlap outside the admission lock); the serial
-// variant is the ablation baseline at the widest pool. The shapes come
-// from bench.SubmitShapes, shared with the CI trajectory artifact
-// (qdbbench -json), so the two series stay comparable.
+// variant is the ablation baseline at the widest pool.
 func BenchmarkParallelSubmit(b *testing.B) {
 	run := func(c bench.SubmitConfig) func(*testing.B) {
 		return func(b *testing.B) {
@@ -356,19 +354,30 @@ func BenchmarkParallelSubmit(b *testing.B) {
 			b.ReportMetric(float64(submitted)/elapsed.Seconds(), "submit/s")
 		}
 	}
-	for _, s := range bench.SubmitShapes() {
-		b.Run(strings.TrimPrefix(s.Name, "BenchmarkParallelSubmit/"), run(s.Cfg))
+	for _, w := range []int{1, 2, 4, 8} {
+		c := bench.DefaultSubmit()
+		c.Workers = w
+		b.Run(fmt.Sprintf("workers=%d", w), run(c))
 	}
+	serial := bench.DefaultSubmit()
+	serial.Workers, serial.Serial = 8, true
+	b.Run("workers=8/serial-admission", run(serial))
+	// The contended flight is kept satisfiable (8×16 = 128 bookings on
+	// 150 seats): over-capacity submissions to a long composed body pay
+	// the phase transition's exponential unsatisfiability proof, which is
+	// the solver's known hard regime, not an admission-concurrency story.
+	conflict := bench.DefaultSubmit()
+	conflict.Workers, conflict.Overlap, conflict.TxnsPerClient = 8, true, 16
+	b.Run("workers=8/conflict-heavy", run(conflict))
 }
 
 // BenchmarkParallelRead measures collapse-free snapshot-read throughput
 // swept over reader counts while one applier churns blind writes — the
 // lock-free read headline. Watch read/s rise with readers and per-read
-// latency hold near the applier-idle baseline (the last variant):
-// snapshot readers pin a copy-on-write version and never queue behind
-// the store lock's exclusive holders. The shapes come from
-// bench.ReadShapes, shared with the CI trajectory artifact (qdbbench
-// -json, BENCH_read.json), so the two series stay comparable.
+// latency hold near the applier-idle baseline (the last variant; the two
+// must stay within ~2x of each other): snapshot readers pin a
+// copy-on-write version and never queue behind the store lock's
+// exclusive holders.
 func BenchmarkParallelRead(b *testing.B) {
 	run := func(c bench.ReadConfig) func(*testing.B) {
 		return func(b *testing.B) {
@@ -386,21 +395,26 @@ func BenchmarkParallelRead(b *testing.B) {
 			b.ReportMetric(float64(reads)/elapsed.Seconds(), "read/s")
 		}
 	}
-	for _, s := range bench.ReadShapes() {
-		b.Run(strings.TrimPrefix(s.Name, "BenchmarkParallelRead/"), run(s.Cfg))
+	for _, n := range []int{1, 2, 4, 8} {
+		c := bench.DefaultRead()
+		c.Readers = n
+		b.Run(fmt.Sprintf("readers=%d", n), run(c))
 	}
+	idle := bench.DefaultRead()
+	idle.Applier = false
+	b.Run("readers=8/applier-idle", run(idle))
 }
 
 // BenchmarkGroundWALSync measures durable grounding throughput — every
 // grounding batch fsynced before it applies (SyncWAL) — swept over WAL
 // segment counts. One segment is the pre-sharding baseline where all
 // partitions serialize on a single fsync stream; watch txn/s rise with
-// segments as disjoint partitions stop sharing a log. The shapes come
-// from bench.WALSyncShapes, shared with the CI trajectory artifact
-// (qdbbench -json, BENCH_wal.json), so the two series stay comparable.
+// segments as disjoint partitions stop sharing a log.
 func BenchmarkGroundWALSync(b *testing.B) {
-	run := func(c bench.WALSyncConfig) func(*testing.B) {
-		return func(b *testing.B) {
+	for _, segments := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("segments=%d", segments), func(b *testing.B) {
+			c := bench.DefaultWALSync()
+			c.Segments = segments
 			var groundTime time.Duration
 			var grounded int
 			for i := 0; i < b.N; i++ {
@@ -413,21 +427,20 @@ func BenchmarkGroundWALSync(b *testing.B) {
 			}
 			b.ReportMetric(groundTime.Seconds()/float64(b.N), "groundall-s/op")
 			b.ReportMetric(float64(grounded)/groundTime.Seconds(), "txn/s")
-		}
-	}
-	for _, s := range bench.WALSyncShapes() {
-		b.Run(strings.TrimPrefix(s.Name, "BenchmarkGroundWALSync/"), run(s.Cfg))
+		})
 	}
 }
 
 // BenchmarkApplyPinned is one seat flipped in and out of a flight table
-// that a snapshot pins, swept over table sizes (bench.ApplyPinnedShapes,
-// shared with the CI trajectory, BENCH_rowscan.json). Copy-on-write is
+// that a snapshot pins, swept over table sizes. Copy-on-write is
 // page-granular: ns/op and B/op must not follow the row count.
 func BenchmarkApplyPinned(b *testing.B) {
-	for _, s := range bench.ApplyPinnedShapes() {
-		b.Run(strings.TrimPrefix(s.Name, "BenchmarkApplyPinned/"), func(b *testing.B) {
-			a := bench.NewApplyPinned(s.Rows)
+	for _, s := range []struct {
+		name string
+		rows int
+	}{{"rows=1k", 1_000}, {"rows=16k", 16_000}, {"rows=256k", 256_000}} {
+		b.Run(s.name, func(b *testing.B) {
+			a := bench.NewApplyPinned(s.rows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,57 +1,64 @@
 // Command qdbbench regenerates the evaluation of "Quantum Databases"
 // (CIDR 2013): Table 1, Figures 5-6 (arrival orders), Figure 7 + Table 2
-// (scalability vs k), and Figures 8-9 (mixed read workloads).
+// (scalability vs k), and Figures 8-9 (mixed read workloads), plus the
+// durable-grounding segment sweep and the phase sweep.
 //
-//	qdbbench -exp all            # everything at paper scale
-//	qdbbench -exp fig7 -quick    # reduced scale for a fast look
+//	qdbbench -exp all               # everything at paper scale
+//	qdbbench -exp fig7 -quick       # reduced scale for a fast look
+//	qdbbench -exp fig7,fig8 -quick  # several, comma-separated
 //
 // Absolute times depend on the host; the shapes (who wins, slopes,
-// crossovers) are the reproduction target. See EXPERIMENTS.md.
+// crossovers) are the reproduction target. README's "Build, test, bench"
+// section lists these runs next to the reduced-scale Go benchmarks;
+// ARCHITECTURE.md describes the engine they measure.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/bench/serverload"
 )
 
+// experiments are the valid -exp names, in run order.
+var experiments = []string{"table1", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "walsync", "phase", "all"}
+
+// parseExp splits a comma-separated -exp value into the set of
+// experiments to run; "all" selects every one.
+func parseExp(s string) (map[string]bool, error) {
+	want := make(map[string]bool)
+	for _, name := range strings.Split(s, ",") {
+		if !slices.Contains(experiments, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(experiments, "|"))
+		}
+		want[name] = true
+	}
+	if want["all"] {
+		for _, name := range experiments {
+			want[name] = true
+		}
+	}
+	return want, nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7|table2|fig8|fig9|walsync|server|all")
+	exp := flag.String("exp", "all", "experiments, comma-separated: "+strings.Join(experiments, "|"))
 	quick := flag.Bool("quick", false, "run at reduced scale (seconds instead of minutes)")
 	seed := flag.Int64("seed", 1, "workload shuffle seed")
-	jsonDir := flag.String("json", "", "emit the benchmark trajectory (BENCH_fig7.json, BENCH_submit.json, BENCH_read.json, BENCH_wal.json, BENCH_server.json) into this directory and exit")
-
-	// -exp server external mode: drive an already-running qdbd instead
-	// of an in-process sweep, optionally gating on its metrics.
-	addr := flag.String("addr", "", "server experiment: drive this qdbd address instead of booting in-process")
-	conns := flag.Int("conns", 8, "server experiment: connection count")
-	window := flag.Int("window", 4, "server experiment: pipelined requests in flight per connection")
-	batch := flag.Int("batch", 1, "server experiment: transactions per wire request (batch verb when > 1)")
-	rate := flag.Float64("rate", 0, "server experiment: open-loop requests/second across all connections (0 = closed loop)")
-	duration := flag.Duration("duration", 5*time.Second, "server experiment: open-loop run length")
-	metricsURL := flag.String("metrics-url", "", "server experiment: qdbd /debug/vars URL for server-side gates")
-	p99Max := flag.Duration("p99-max", 0, "server experiment: fail if server op p99 exceeds this (0 = no gate)")
-	maxSheds := flag.Int64("max-sheds", -1, "server experiment: fail if qdb_server_shed_total exceeds this (-1 = no gate)")
 	flag.Parse()
 
-	if *jsonDir != "" {
-		if err := emitTrajectory(*jsonDir); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	want := func(name string) bool {
-		return *exp == "all" || strings.Contains(*exp, name)
+	want, err := parseExp(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qdbbench:", err)
+		os.Exit(2)
 	}
 	start := time.Now()
 
-	if want("table1") {
+	if want["table1"] {
 		cfg := bench.DefaultTable1()
 		cfg.Seed = *seed
 		if *quick {
@@ -63,7 +70,7 @@ func main() {
 		fmt.Println()
 	}
 
-	if want("fig5") || want("fig6") {
+	if want["fig5"] || want["fig6"] {
 		cfg := bench.DefaultFig56()
 		cfg.Seed = *seed
 		if *quick {
@@ -71,17 +78,17 @@ func main() {
 		}
 		res, err := bench.RunFig56(cfg)
 		fail(err)
-		if want("fig5") {
+		if want["fig5"] {
 			res.RenderFig5(os.Stdout)
 			fmt.Println()
 		}
-		if want("fig6") {
+		if want["fig6"] {
 			res.RenderFig6(os.Stdout)
 			fmt.Println()
 		}
 	}
 
-	if want("fig7") || want("table2") {
+	if want["fig7"] || want["table2"] {
 		cfg := bench.DefaultFig7()
 		cfg.Seed = *seed
 		if *quick {
@@ -90,17 +97,17 @@ func main() {
 		}
 		res, err := bench.RunFig7(cfg)
 		fail(err)
-		if want("fig7") {
+		if want["fig7"] {
 			res.RenderFig7(os.Stdout)
 			fmt.Println()
 		}
-		if want("table2") {
+		if want["table2"] {
 			res.RenderTable2(os.Stdout)
 			fmt.Println()
 		}
 	}
 
-	if want("fig8") || want("fig9") {
+	if want["fig8"] || want["fig9"] {
 		cfg := bench.DefaultFig89()
 		cfg.Seed = *seed
 		if *quick {
@@ -109,17 +116,17 @@ func main() {
 		}
 		res, err := bench.RunFig89(cfg)
 		fail(err)
-		if want("fig8") {
+		if want["fig8"] {
 			res.RenderFig8(os.Stdout)
 			fmt.Println()
 		}
-		if want("fig9") {
+		if want["fig9"] {
 			res.RenderFig9(os.Stdout)
 			fmt.Println()
 		}
 	}
 
-	if want("walsync") {
+	if want["walsync"] {
 		cfg := bench.DefaultWALSync()
 		if *quick {
 			cfg.Partitions, cfg.TxnsPerPartition, cfg.RowsPerFlight = 4, 3, 10
@@ -130,19 +137,7 @@ func main() {
 		fmt.Println()
 	}
 
-	if *exp == "server" || (want("server") && *exp != "all") {
-		cfg := serverload.ServerConfig{
-			Conns: *conns, Window: *window, Batch: *batch,
-			Rate: *rate, Duration: *duration,
-		}
-		fail(runServerExp(cfg, *addr, *metricsURL, *p99Max, *maxSheds))
-		fmt.Println()
-	} else if want("server") { // -exp all: in-process sweep only
-		fail(renderServerSweep())
-		fmt.Println()
-	}
-
-	if want("phase") {
+	if want["phase"] {
 		cfg := bench.DefaultPhase()
 		cfg.Seed = *seed
 		if *quick {

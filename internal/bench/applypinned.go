@@ -44,22 +44,3 @@ func (a *ApplyPinned) Flip() error {
 	}
 	return a.db.Apply(nil, a.seat)
 }
-
-// CowStats reports the store's cumulative copy-on-write copies and bytes.
-func (a *ApplyPinned) CowStats() (copies, bytes int64) { return a.db.CowStats() }
-
-// ApplyPinnedShape names one table size of the sweep.
-type ApplyPinnedShape struct {
-	Name string
-	Rows int
-}
-
-// ApplyPinnedShapes is the canonical sweep, shared by
-// BenchmarkApplyPinned and the CI trajectory (BENCH_rowscan.json).
-func ApplyPinnedShapes() []ApplyPinnedShape {
-	return []ApplyPinnedShape{
-		{"BenchmarkApplyPinned/rows=1k", 1_000},
-		{"BenchmarkApplyPinned/rows=16k", 16_000},
-		{"BenchmarkApplyPinned/rows=256k", 256_000},
-	}
-}

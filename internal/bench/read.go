@@ -51,8 +51,6 @@ type ReadResult struct {
 	// run shows both sides making progress — neither starves the other.
 	ApplierWrites int
 	Stats         core.Stats
-	// Latencies carries per-op/stage latency quantiles from the storm.
-	Latencies map[string]Quantiles
 }
 
 // Throughput reports snapshot reads per second of storm time.
@@ -166,23 +164,7 @@ func RunParallelRead(cfg ReadConfig) (*ReadResult, error) {
 		Reads:         cfg.Readers * cfg.ReadsPerReader,
 		ApplierWrites: int(applierWrites.Load()),
 		Stats:         q.Stats(),
-		Latencies:     CollectLatencies(q),
 	}, nil
-}
-
-// RunReadSweep measures the same storm at each reader count.
-func RunReadSweep(cfg ReadConfig, readers []int) ([]*ReadResult, error) {
-	out := make([]*ReadResult, 0, len(readers))
-	for _, n := range readers {
-		c := cfg
-		c.Readers = n
-		r, err := RunParallelRead(c)
-		if err != nil {
-			return nil, fmt.Errorf("readers=%d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // RenderRead prints the sweep as a table. Aggregate reads/s should grow
@@ -205,30 +187,4 @@ func RenderRead(w io.Writer, rs []*ReadResult) {
 			r.Config.Readers, r.Elapsed.Round(time.Microsecond), r.Throughput(),
 			r.PerRead().Round(time.Microsecond), r.ApplierWrites)
 	}
-}
-
-// ReadShape names one measured read-storm configuration; the benchmark
-// (BenchmarkParallelRead) and the CI trajectory emitter (qdbbench -json,
-// BENCH_read.json) share the list so the two always measure the same
-// shapes.
-type ReadShape struct {
-	Name string
-	Cfg  ReadConfig
-}
-
-// ReadShapes returns the canonical read sweep: readers 1/2/4/8 racing
-// the applier, plus the applier-idle baseline at the widest shape — the
-// pair whose per-read latencies must stay within ~2x of each other for
-// the lock-free claim to hold.
-func ReadShapes() []ReadShape {
-	var shapes []ReadShape
-	for _, n := range []int{1, 2, 4, 8} {
-		c := DefaultRead()
-		c.Readers = n
-		shapes = append(shapes, ReadShape{fmt.Sprintf("BenchmarkParallelRead/readers=%d", n), c})
-	}
-	idle := DefaultRead()
-	idle.Applier = false
-	shapes = append(shapes, ReadShape{"BenchmarkParallelRead/readers=8/applier-idle", idle})
-	return shapes
 }

@@ -36,9 +36,6 @@ type StreamResult struct {
 	MaxPendingObserved int
 	// Stats is the QDB counter snapshot.
 	Stats core.Stats
-	// Latencies carries the engine's per-op/stage latency quantiles
-	// (nil for baseline runs, which have no quantum engine).
-	Latencies map[string]Quantiles
 }
 
 // Total returns the full execution time of the run.
@@ -106,7 +103,6 @@ func RunQDBStreamOpt(w *workload.World, pairs []workload.Pair, stream []*txn.T, 
 	res.FinalGround = time.Since(start)
 	res.CoordinationPct = workload.CoordinationPercent(world.DB, world.Config, pairs)
 	res.Stats = q.Stats()
-	res.Latencies = CollectLatencies(q)
 	return res, nil
 }
 

@@ -180,8 +180,6 @@ type SubmitResult struct {
 	Accepted  int
 	Rejected  int
 	Stats     core.Stats
-	// Latencies carries per-op/stage latency quantiles from the storm.
-	Latencies map[string]Quantiles
 }
 
 // Throughput reports admissions (accepted or rejected — both are full
@@ -270,7 +268,6 @@ func RunParallelSubmit(cfg SubmitConfig) (*SubmitResult, error) {
 		return nil, fmt.Errorf("submit storm: GroundAll: %w", err)
 	}
 	res.Stats = q.Stats()
-	res.Latencies = CollectLatencies(q)
 	if res.Stats.Grounded != accepted {
 		return nil, fmt.Errorf("submit storm: grounded %d of %d accepted", res.Stats.Grounded, accepted)
 	}
@@ -313,40 +310,4 @@ func RenderSubmit(w io.Writer, rs []*SubmitResult) {
 			r.Workers, r.Elapsed.Round(time.Microsecond), r.Throughput(),
 			base/r.Elapsed.Seconds(), r.Stats.OptimisticAdmissions, r.Stats.AdmissionConflicts)
 	}
-}
-
-// SubmitShape names one measured submit-storm configuration. The
-// benchmark (BenchmarkParallelSubmit) and the CI trajectory emitter
-// (qdbbench -json) share this list, so the BENCH_submit.json series and
-// the in-repo benchmark always measure the same shapes under the same
-// point names — retuning one cannot silently fork the other.
-type SubmitShape struct {
-	Name string
-	Cfg  SubmitConfig
-}
-
-// SubmitShapes returns the canonical parallel-admission sweep: workers
-// 1/2/4/8 on disjoint flights, the serial-admission ablation at the
-// widest pool, and a conflict-heavy variant. The contended flight is
-// kept satisfiable (8×16 = 128 bookings on 150 seats): over-capacity
-// submissions to a long composed body pay the phase transition's
-// exponential unsatisfiability proof, which is the solver's known hard
-// regime, not an admission-concurrency story.
-func SubmitShapes() []SubmitShape {
-	var shapes []SubmitShape
-	for _, w := range []int{1, 2, 4, 8} {
-		c := DefaultSubmit()
-		c.Workers = w
-		shapes = append(shapes, SubmitShape{fmt.Sprintf("BenchmarkParallelSubmit/workers=%d", w), c})
-	}
-	serial := DefaultSubmit()
-	serial.Workers = 8
-	serial.Serial = true
-	shapes = append(shapes, SubmitShape{"BenchmarkParallelSubmit/workers=8/serial-admission", serial})
-	conflict := DefaultSubmit()
-	conflict.Workers = 8
-	conflict.Overlap = true
-	conflict.TxnsPerClient = 16
-	shapes = append(shapes, SubmitShape{"BenchmarkParallelSubmit/workers=8/conflict-heavy", conflict})
-	return shapes
 }

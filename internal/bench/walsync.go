@@ -54,9 +54,6 @@ type WALSyncResult struct {
 	// segments took appends, how many fsyncs ran, how many batches
 	// piggybacked on another appender's fsync.
 	Log wal.SegStats
-	// Latencies carries per-op/stage latency quantiles — the WAL append
-	// and fsync distributions are the interesting ones here.
-	Latencies map[string]Quantiles
 }
 
 // Throughput reports grounded-and-synced transactions per second of
@@ -143,13 +140,12 @@ func RunWALSync(cfg WALSyncConfig) (*WALSyncResult, error) {
 		return nil, fmt.Errorf("walsync: GroundAll: %w", err)
 	}
 	res := &WALSyncResult{
-		Config:    cfg,
-		Workers:   q.Workers(),
-		Load:      load,
-		Ground:    time.Since(groundStart),
-		Grounded:  total,
-		Log:       q.LogStats(),
-		Latencies: CollectLatencies(q),
+		Config:   cfg,
+		Workers:  q.Workers(),
+		Load:     load,
+		Ground:   time.Since(groundStart),
+		Grounded: total,
+		Log:      q.LogStats(),
 	}
 	if n := q.PendingCount(); n != 0 {
 		return nil, fmt.Errorf("walsync: %d transactions still pending", n)
@@ -206,26 +202,4 @@ func RenderWALSync(w io.Writer, rs []*WALSyncResult) {
 			r.Log.Segments, r.Ground.Round(time.Microsecond), r.Throughput(),
 			base/r.Ground.Seconds(), r.ActiveSegments(), syncs, r.Log.GroupCommits)
 	}
-}
-
-// WALSyncShape names one measured segment configuration; the benchmark
-// (BenchmarkGroundWALSync) and the CI trajectory emitter (qdbbench
-// -json, BENCH_wal.json) share the list so the two always measure the
-// same shapes.
-type WALSyncShape struct {
-	Name string
-	Cfg  WALSyncConfig
-}
-
-// WALSyncShapes returns the canonical segment sweep: 1/2/4/8 segments on
-// the default shape. Segment 1 is the pre-sharding baseline (one fsync
-// stream for the whole engine).
-func WALSyncShapes() []WALSyncShape {
-	var shapes []WALSyncShape
-	for _, s := range []int{1, 2, 4, 8} {
-		c := DefaultWALSync()
-		c.Segments = s
-		shapes = append(shapes, WALSyncShape{fmt.Sprintf("BenchmarkGroundWALSync/segments=%d", s), c})
-	}
-	return shapes
 }

@@ -1,10 +1,13 @@
 package quantumdb_test
 
 import (
+	"fmt"
+	"net"
 	"os"
 	"testing"
 
-	"repro/internal/bench/serverload"
+	quantumdb "repro"
+	"repro/internal/server"
 )
 
 // The row plane's allocation ratchet, companion to TestFig7AllocRatchet
@@ -23,27 +26,82 @@ const (
 	snapreadBytesCeiling = 72_000
 )
 
+// snapreadRows is one flight of the rowscan world (150 seats).
+const snapreadRows = 150
+
+// dialSnapread serves three flights of snapreadRows seats each from an
+// in-process server and returns one pipelined binary connection to it.
+// Everything is torn down when tb ends.
+func dialSnapread(tb testing.TB) *server.PipeClient {
+	tb.Helper()
+	db, err := quantumdb.Open(quantumdb.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	if err := db.CreateTable(quantumdb.Table{Name: "Available", Columns: []string{"fno", "sno"}}); err != nil {
+		tb.Fatal(err)
+	}
+	for f := 1; f <= 3; f++ {
+		for i := 0; i < snapreadRows; i++ {
+			if err := db.Exec(fmt.Sprintf("+Available(%d, '%d%c')", f, i/6+1, 'A'+i%6)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	go server.New(db).Serve(ln)
+	pipe, err := server.DialPipe(ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { pipe.Close() })
+	return pipe
+}
+
+// snapreadLoop is the row-heavy read the repository benchmark's
+// rowscan_wire workload is made of, in isolation: a whole-flight
+// snapshot scan, b.N times. Each is a full round trip — request frame,
+// parse, pin, scan into the row set, response frame, client decode into
+// row maps — so its bytes/op and allocs/op are the wire path's.
+func snapreadLoop(pipe *server.PipeClient) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := pipe.Do(server.Request{Op: "snapread", Query: "Available(2, s)"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !resp.OK || len(resp.Rows) != snapreadRows {
+				b.Fatalf("snapread: ok=%v err=%q, %d rows, want %d", resp.OK, resp.Err, len(resp.Rows), snapreadRows)
+			}
+		}
+	}
+}
+
+// BenchmarkSnapreadWire is one 150-row snapshot scan round trip over the
+// binary protocol: watch B/op and allocs/op — the client's one map per
+// row is what is left of them.
+func BenchmarkSnapreadWire(b *testing.B) {
+	b.Run(fmt.Sprintf("rows=%d", snapreadRows), func(b *testing.B) {
+		snapreadLoop(dialSnapread(b))(b)
+	})
+}
+
 // TestSnapreadAllocRatchet fails when the row-heavy read's round trip
 // regresses past the ratchet. Opt-in via RATCHET=1, like its companion.
 func TestSnapreadAllocRatchet(t *testing.T) {
 	if os.Getenv("RATCHET") == "" {
 		t.Skip("set RATCHET=1 to run the allocation ratchet")
 	}
-	s, err := serverload.NewSnapreadWire(serverload.SnapreadRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := s.Read(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	res := testing.Benchmark(snapreadLoop(dialSnapread(t)))
 	t.Logf("%d-row snapread round trip: %d allocs/op, %d B/op over %d runs",
-		serverload.SnapreadRows, res.AllocsPerOp(), res.AllocedBytesPerOp(), res.N)
+		snapreadRows, res.AllocsPerOp(), res.AllocedBytesPerOp(), res.N)
 	if a := res.AllocsPerOp(); a > snapreadAllocCeiling {
 		t.Fatalf("snapread round trip allocs/op = %d, ratchet ceiling %d", a, snapreadAllocCeiling)
 	}
