@@ -161,7 +161,6 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 			q.admitMu.Unlock()
 		}
 		for _, it := range items {
-			q.prep.Evict(it.admitted)
 			errs[it.idx] = err
 		}
 		return true
@@ -329,7 +328,6 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 			q.stats.negHits.Add(1)
 		}
 		q.stats.rejected.Add(1)
-		q.prep.Evict(it.admitted)
 		errs[it.idx] = fmt.Errorf("%w: txn %q", ErrRejected, it.orig.String())
 	}
 	if out.accepts == 0 {
@@ -355,7 +353,6 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 		q.admitMu.Unlock()
 		for i, it := range items {
 			if out.decisions[i].ok {
-				q.prep.Evict(it.admitted)
 				errs[it.idx] = werr
 			}
 		}

@@ -26,7 +26,9 @@ import (
 //     (txn.T.ContentKey), invariant under variable renaming, so a fresh
 //     rename-apart of the same transaction text still hits.
 //   - Cross-solve prepared queries (formula.PrepCache, owned by the QDB
-//     and threaded through ChainOptions.Prep).
+//     and threaded through ChainOptions.Prep), keyed by transaction
+//     shape. A compiled body holds no store state, so it is never
+//     invalidated.
 //
 // Soundness rests on the engine being the store's only writer, and that
 // is enforced, not assumed: New takes the store's ownership latch

@@ -247,7 +247,6 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 	delete(q.byTxn, head.ID)
 	q.idx.remove(head, p.id())
 	q.mu.Unlock()
-	q.prep.Evict(head)
 	p.txns = p.txns[1:]
 	// The tail was solved over the store state that now includes the
 	// replayed head's updates (chain property), so it remains the
@@ -390,9 +389,6 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		q.idx.remove(t, p.id())
 	}
 	q.mu.Unlock()
-	for _, t := range removed {
-		q.prep.Evict(t)
-	}
 	p.txns = rest
 	if q.opt.DisableCache {
 		p.cached = nil

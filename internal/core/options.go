@@ -8,9 +8,10 @@
 // Chain-solve results are cached across operations (the §4 amortization
 // argument taken further): each partition's cached solution replays at
 // grounding time, unsatisfiable solve instances answer repeats by
-// probe, and compiled bodies persist in a QDB-level prepared-query
-// cache — all invalidated by relstore epoch fingerprints rather than
-// per-write hooks. See cache.go and ARCHITECTURE.md.
+// probe — both invalidated by relstore epoch fingerprints rather than
+// per-write hooks — and compiled bodies persist per transaction shape in
+// a QDB-level prepared-query cache, which holds no store state. See
+// cache.go and ARCHITECTURE.md.
 package core
 
 import (

@@ -81,9 +81,10 @@ type QDB struct {
 	byTxn    map[int64]*partition
 	idx      *partIndex
 
-	// prep is the cross-solve compiled-body cache (threaded to the chain
-	// solver via chainOpts); rejects memoizes unsatisfiable solve
-	// instances. Both are epoch-invalidated; see cache.go.
+	// prep is the cross-solve compiled-body cache, keyed by transaction
+	// shape (threaded to the chain solver via chainOpts); rejects
+	// memoizes unsatisfiable solve instances, epoch-invalidated. See
+	// cache.go.
 	prep    *formula.PrepCache
 	rejects rejectCache
 
@@ -685,8 +686,7 @@ func (q *QDB) candidateSnapshot(atoms []logic.Atom) []*partition {
 
 // strip returns the view of t without optional atoms: the admission
 // invariant of §2 covers only non-optional atoms. The view is memoized
-// on t (txn.T.Stripped) so its pointer is stable across solves — the
-// anchor for the cross-solve prepared-query cache.
+// on t (txn.T.Stripped), so its shape is computed once.
 func strip(t *txn.T) *txn.T { return t.Stripped() }
 
 func stripAll(ts []*txn.T) []*txn.T {

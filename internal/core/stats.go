@@ -36,8 +36,9 @@ type Stats struct {
 	// solver entirely.
 	NegativeCacheHits int
 	// PrepCacheHits/PrepCacheMisses count cross-solve reuse of compiled
-	// body queries (the QDB-level prepared-query cache; per-solve reuse
-	// is not counted).
+	// body queries (the QDB-level prepared-query cache, which any
+	// transaction of the same shape reuses; per-solve reuse is not
+	// counted).
 	PrepCacheHits   int
 	PrepCacheMisses int
 	// SemanticReorders counts successful move-to-front groundings;

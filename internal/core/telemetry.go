@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/formula"
 	"repro/internal/telemetry"
 )
 
@@ -133,8 +135,11 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		func() int64 { return atomic.LoadInt64(&c.solverSteps) })
 	hits := func() int64 { h, _ := q.prep.Counters(); return int64(h) }
 	misses := func() int64 { _, m := q.prep.Counters(); return int64(m) }
-	reg.CounterFunc("qdb_prep_cache_hits_total", "Cross-solve compiled-body reuses.", hits)
+	reg.CounterFunc("qdb_prep_cache_hits_total", "Compiled bodies reused across solves by transaction shape.", hits)
 	reg.CounterFunc("qdb_prep_cache_misses_total", "Compiled-body cache misses.", misses)
+	reg.GaugeFunc("qdb_prep_cache_shapes",
+		fmt.Sprintf("Transaction shapes (per optional-subset mask) with cached compiled bodies; all are dropped at %d.", formula.PrepCacheCap),
+		func() int64 { return int64(q.prep.Len()) })
 
 	reg.GaugeFunc("qdb_pending", "Committed-but-unground transactions right now.",
 		func() int64 { return int64(q.PendingCount()) })

@@ -20,11 +20,11 @@
 //
 // SolveChain compiles each transaction body to a relstore.Prepared, and
 // its update atoms to plans over that query's slots, before evaluating
-// it; with ChainOptions.Prep set to a PrepCache, those
-// compilations survive across solves (keyed by the memoized transaction
-// views, invalidated when a transaction leaves the system), eliminating
-// the per-operation compile cost of repeated admission checks and
-// groundings.
+// it; with ChainOptions.Prep set to a PrepCache, those compilations
+// survive across solves, keyed by transaction shape (txn.T.Shape): a
+// transaction rebinds its constants into the body compiled for an
+// earlier one of its shape, so a stream of same-template transactions
+// compiles once per shape rather than once per transaction.
 package formula
 
 import (

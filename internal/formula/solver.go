@@ -78,10 +78,10 @@ type ChainOptions struct {
 	// atomic: independent partitions solve concurrently and may share a
 	// counter.
 	StepCounter *int64
-	// Prep, when non-nil, is a cross-solve cache of compiled bodies: the
-	// solver consults it before compiling a transaction view and stores
-	// fresh compilations into it, so prepared queries survive across
-	// solves. See PrepCache for the sharing and synchronization contract.
+	// Prep, when non-nil, is a cross-solve cache of compiled bodies keyed
+	// by transaction shape: the solver claims a body from it instead of
+	// compiling one, and returns its bodies when the solve ends. See
+	// PrepCache for the sharing and synchronization contract.
 	Prep *PrepCache
 	// skipFirst, when set, rejects candidate groundings of the first
 	// transaction (used by SolveChainVaryingFirst to enumerate distinct
@@ -210,9 +210,11 @@ type chainSolver struct {
 	// grounding of the earlier transactions, so without the cache the
 	// same body would be recompiled for every candidate.
 	prep map[uint64]*body
-	// claimed are the cross-solve cache entries this solve holds
-	// exclusively (looked up or stored); released when run finishes.
-	claimed []*prepEntry
+	// claimed are the cross-solve cache bodies this solve holds
+	// exclusively; released when the solve finishes.
+	claimed []claim
+	// atoms is scratch for the body atoms a cached body is rebound to.
+	atoms []logic.Atom
 }
 
 var solverPool = sync.Pool{New: func() any {
@@ -239,16 +241,33 @@ type updatePlan struct {
 	consts []value.Value
 }
 
-// compileBody compiles t's body under the optional-subset mask.
-func compileBody(t *txn.T, mask uint64, planner relstore.PlannerMode) *body {
-	atoms := t.HardAtoms()
-	if mask != 0 {
-		for b, a := range t.OptionalAtoms() {
-			if mask&(1<<uint(b)) != 0 {
-				atoms = append(atoms, a)
-			}
+// appendBodyAtoms appends the atoms of t's body query under the
+// optional-subset mask: the hard atoms, then the optional atoms the mask
+// selects, each in body order.
+func appendBodyAtoms(dst []logic.Atom, t *txn.T, mask uint64) []logic.Atom {
+	for _, b := range t.Body {
+		if !b.Optional {
+			dst = append(dst, b.Atom)
 		}
 	}
+	if mask == 0 {
+		return dst
+	}
+	opt := 0
+	for _, b := range t.Body {
+		if b.Optional {
+			if mask&(1<<uint(opt)) != 0 {
+				dst = append(dst, b.Atom)
+			}
+			opt++
+		}
+	}
+	return dst
+}
+
+// compileBody compiles t's body under the optional-subset mask.
+func compileBody(t *txn.T, mask uint64, planner relstore.PlannerMode) *body {
+	atoms := appendBodyAtoms(nil, t, mask)
 	b := &body{q: relstore.Query{Atoms: atoms, Planner: planner}.Compile(), upd: make([]updatePlan, len(t.Update))}
 	for _, op := range t.Update {
 		b.nvals += len(op.Atom.Args)
@@ -275,6 +294,24 @@ func compileBody(t *txn.T, mask uint64, planner relstore.PlannerMode) *body {
 	return b
 }
 
+// rebind overwrites b's constants with those of t, which has the shape b
+// was compiled from; atoms is scratch for the body atoms. The update
+// atoms are rebound too, so error text names t.
+func (b *body) rebind(t *txn.T, mask uint64, atoms []logic.Atom) []logic.Atom {
+	atoms = appendBodyAtoms(atoms[:0], t, mask)
+	b.q.Rebind(atoms)
+	for k, op := range t.Update {
+		u := &b.upd[k]
+		u.atom = op.Atom
+		for a, s := range u.slots {
+			if s == -1 {
+				u.consts[a] = op.Atom.Args[a].Value()
+			}
+		}
+	}
+	return atoms
+}
+
 // level is chain position i's scratch, reused across its candidates and
 // across pooled solves: the body being evaluated, the current candidate's
 // grounding (facts backed by vals), and the emit callback, bound once.
@@ -295,26 +332,28 @@ type level struct {
 // chain recursion only ever nests evaluations of strictly later
 // transactions inside an evaluation of transaction i. The per-solve map is
 // an L1 over the optional cross-solve cache (opt.Prep): the shared cache
-// is consulted once per (view, mask) per solve, the L1 absorbs the
-// per-candidate traffic.
+// is claimed from, and a cached body rebound to transaction i, once per
+// (level, mask) per solve; the L1 absorbs the per-candidate traffic.
 func (c *chainSolver) preparedFor(i int, mask uint64) *body {
 	key := uint64(i)<<32 | mask
 	if b, ok := c.prep[key]; ok {
 		return b
 	}
+	t := c.ts[i]
+	var cl claim
 	if c.opt.Prep != nil {
-		if b, e, ok := c.opt.Prep.lookup(c.ts[i], mask); ok {
-			c.prep[key] = b
-			c.claimed = append(c.claimed, e)
-			return b
-		}
+		cl = c.opt.Prep.claim(prepKey{shape: t.Shape(), mask: mask, planner: c.opt.Planner})
 	}
-	b := compileBody(c.ts[i], mask, c.opt.Planner)
-	c.prep[key] = b
-	if c.opt.Prep != nil {
-		c.claimed = append(c.claimed, c.opt.Prep.store(c.ts[i], mask, b))
+	if cl.b != nil {
+		c.atoms = cl.b.rebind(t, mask, c.atoms)
+	} else {
+		cl.b = compileBody(t, mask, c.opt.Planner)
 	}
-	return b
+	if cl.fl != nil {
+		c.claimed = append(c.claimed, cl)
+	}
+	c.prep[key] = cl.b
+	return cl.b
 }
 
 func (c *chainSolver) run() ([]*ChainSolution, error) {
@@ -334,13 +373,14 @@ func (c *chainSolver) run() ([]*ChainSolution, error) {
 	return c.sols, nil
 }
 
-// release returns every claimed cross-solve cache entry, drops the
+// release returns every claimed cross-solve cache body, drops the
 // solve's references and puts the solver back in the pool.
 func (c *chainSolver) release() {
-	for _, e := range c.claimed {
-		e.release()
+	if len(c.claimed) > 0 {
+		c.opt.Prep.release(c.claimed)
 	}
 	clear(c.claimed)
+	clear(c.atoms[:cap(c.atoms)])
 	c.claimed = c.claimed[:0]
 	clear(c.prep)
 	for _, l := range c.levels[:len(c.ts)] {

@@ -195,7 +195,7 @@ type compiledCheck struct {
 
 // Compile resolves q's variables to Env slots and allocates all
 // evaluation scratch up front — from a handful of shared backing arrays,
-// since the chain solver compiles one query per transaction per solve.
+// since the chain solver compiles one query per transaction shape.
 // Query.Eval compiles transparently; callers evaluating the same query
 // many times can compile once and reuse the Prepared.
 func (q Query) Compile() *Prepared {
@@ -259,6 +259,25 @@ func (q Query) Compile() *Prepared {
 	}
 	p.bindFn = p.lookupVar
 	return p
+}
+
+// Rebind overwrites the query's constants with those of atoms, which
+// must have the shape the query was compiled from: the same relations,
+// arities, constant positions and repeated-variable pattern, in the same
+// order (txn.T.Shape). Slots and scratch are kept, so a compiled query
+// serves every transaction of its shape. The variable names stay those
+// the query was compiled with: callers that rebind read solutions by
+// slot, not by name.
+func (p *Prepared) Rebind(atoms []logic.Atom) {
+	for i := range p.atoms {
+		ca := &p.atoms[i]
+		ca.args = atoms[i].Args
+		for j, s := range ca.slots {
+			if s < 0 {
+				ca.consts[j] = ca.args[j].Value()
+			}
+		}
+	}
 }
 
 // Each evaluates the compiled query over src, extending the (possibly

@@ -7,6 +7,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -67,15 +68,15 @@ type T struct {
 	// View memoization. The engine derives solver views of a transaction
 	// — Stripped (optional atoms removed) and Hardened (optional atoms
 	// promoted) — once per transaction and reuses the same *T afterwards,
-	// so caches keyed by view pointer (the cross-solve prepared-query
-	// cache) stay stable across solves. The memos publish by
+	// so each view computes its Shape once. The memos publish by
 	// compare-and-swap: optimistic admissions speculate over partition
 	// snapshots WITHOUT holding the owning partition's shard, so two
 	// goroutines may derive a view of the same transaction concurrently —
 	// both then observe the single published pointer (the loser's copy is
-	// discarded), keeping pointer-keyed caches stable.
+	// discarded).
 	stripped atomic.Pointer[T]
 	hardened atomic.Pointer[T]
+	shape    atomic.Pointer[string]
 	ckey     atomic.Uint64
 	ckeyOK   atomic.Bool
 }
@@ -105,7 +106,8 @@ func (t *T) OptionalAtoms() []logic.Atom {
 // Stripped returns a view of t without optional atoms: the admission
 // invariant of §2 covers only non-optional atoms. When t has no optional
 // atoms the view is t itself; otherwise the copy is memoized, so repeated
-// calls return the same pointer (see the memoization note on T).
+// calls return the same pointer, whose Shape is computed once (see the
+// memoization note on T).
 func (t *T) Stripped() *T {
 	if s := t.stripped.Load(); s != nil {
 		return s
@@ -162,19 +164,63 @@ func (t *T) Hardened() *T {
 	return t.hardened.Load()
 }
 
-// MemoizedViews returns the distinct view pointers materialized for t so
-// far (t itself plus any computed Stripped/Hardened copies), without
-// forcing computation. Caches keyed by view pointer evict these when the
-// transaction leaves the system.
-func (t *T) MemoizedViews() []*T {
-	out := []*T{t}
-	if s := t.stripped.Load(); s != nil && s != t {
-		out = append(out, s)
+// Shape returns the transaction's canonical shape: the transaction with
+// every constant abstracted to a positional parameter. It records, in
+// order, each body atom's optional flag, each update's sign, and per
+// atom the relation name, the arity and, per argument, either a constant
+// marker or the variable's index of first occurrence. Two transactions
+// with equal shapes differ only in their constants and variable names,
+// so a query compiled for one evaluates the other once its constants
+// are rebound. The shape is the full encoding, not a hash: a cache keyed
+// by it can never confuse two shapes. It is memoized; see the
+// synchronization note on T.
+func (t *T) Shape() string {
+	if s := t.shape.Load(); s != nil {
+		return *s
 	}
-	if h := t.hardened.Load(); h != nil && h != t {
-		out = append(out, h)
+	var stack [128]byte
+	buf := stack[:0]
+	idx := make(map[string]int)
+	appendAtom := func(a logic.Atom) {
+		buf = binary.AppendUvarint(buf, uint64(len(a.Rel)))
+		buf = append(buf, a.Rel...)
+		buf = binary.AppendUvarint(buf, uint64(len(a.Args)))
+		for _, arg := range a.Args {
+			if !arg.IsVar() {
+				buf = append(buf, 'c')
+				continue
+			}
+			n, ok := idx[arg.Name()]
+			if !ok {
+				n = len(idx)
+				idx[arg.Name()] = n
+			}
+			buf = append(buf, 'v')
+			buf = binary.AppendUvarint(buf, uint64(n))
+		}
 	}
-	return out
+	for _, b := range t.Body {
+		if b.Optional {
+			buf = append(buf, '?')
+		} else {
+			buf = append(buf, '.')
+		}
+		appendAtom(b.Atom)
+	}
+	buf = append(buf, '|')
+	for _, u := range t.Update {
+		if u.Insert {
+			buf = append(buf, '+')
+		} else {
+			buf = append(buf, '-')
+		}
+		appendAtom(u.Atom)
+	}
+	s := string(buf)
+	if t.shape.CompareAndSwap(nil, &s) {
+		return s
+	}
+	return *t.shape.Load()
 }
 
 // ContentKey returns a structural hash of the transaction that is

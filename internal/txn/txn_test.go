@@ -223,14 +223,14 @@ func TestParseQuery(t *testing.T) {
 
 // TestConcurrentViewMemoization hammers the lazily-memoized views from
 // many goroutines (run under -race): all callers must agree on a single
-// published pointer per view — pointer-keyed caches depend on it — and
-// on the content key.
+// published pointer per view, on the content key and on the shape.
 func TestConcurrentViewMemoization(t *testing.T) {
 	tx := MustParse("-A(f, s), +B('m', f, s) :-1 A(f, s), ?C(s)")
 	const goros = 16
 	stripped := make([]*T, goros)
 	hardened := make([]*T, goros)
 	keys := make([]uint64, goros)
+	shapes := make([]string, goros)
 	var wg sync.WaitGroup
 	for g := 0; g < goros; g++ {
 		wg.Add(1)
@@ -239,6 +239,7 @@ func TestConcurrentViewMemoization(t *testing.T) {
 			stripped[g] = tx.Stripped()
 			hardened[g] = tx.Hardened()
 			keys[g] = tx.ContentKey()
+			shapes[g] = tx.Shape()
 		}(g)
 	}
 	wg.Wait()
@@ -252,8 +253,38 @@ func TestConcurrentViewMemoization(t *testing.T) {
 		if keys[g] != keys[0] {
 			t.Fatalf("goroutine %d saw a different ContentKey", g)
 		}
+		if shapes[g] != shapes[0] {
+			t.Fatalf("goroutine %d saw a different Shape", g)
+		}
 	}
 	if len(stripped[0].Body) != 1 || len(hardened[0].Body) != 2 {
 		t.Fatalf("view shapes wrong: stripped %d atoms, hardened %d", len(stripped[0].Body), len(hardened[0].Body))
+	}
+}
+
+// TestShape: a shape abstracts constants and variable names and keeps
+// everything a compiled body depends on.
+func TestShape(t *testing.T) {
+	const booking = "-Available(f, s), +Bookings('u', f, s) :-1 Available(f, s), ?Bookings('p', f, m), ?Adjacent(f, s, m)"
+	for _, c := range []struct {
+		name, a, b string
+		equal      bool
+	}{
+		{"same text", booking, booking, true},
+		{"renamed variables", booking,
+			"-Available(x, y), +Bookings('u', x, y) :-1 Available(x, y), ?Bookings('p', x, z), ?Adjacent(x, y, z)", true},
+		{"changed constants", booking,
+			"-Available(f, s), +Bookings(7, f, s) :-1 Available(f, s), ?Bookings('q', f, m), ?Adjacent(f, s, m)", true},
+		{"repeated vs distinct variables", "+B(x) :-1 A(x, x)", "+B(x) :-1 A(x, y)", false},
+		{"constant position", "+B(x) :-1 A(1, x)", "+B(x) :-1 A(x, 1)", false},
+		{"arity", "+B(x) :-1 A(x, y)", "+B(x) :-1 A(x, y, z)", false},
+		{"relation", "+B(x) :-1 A(x)", "+B(x) :-1 C(x)", false},
+		{"optional vs hard", "+B(x) :-1 A(x), C(x)", "+B(x) :-1 A(x), ?C(x)", false},
+		{"insert vs delete", "+B(x) :-1 A(x)", "-B(x) :-1 A(x)", false},
+		{"update variable order", "+B(x, y) :-1 A(x, y)", "+B(y, x) :-1 A(x, y)", false},
+	} {
+		if got := MustParse(c.a).Shape() == MustParse(c.b).Shape(); got != c.equal {
+			t.Errorf("%s: %q vs %q: equal shapes = %v, want %v", c.name, c.a, c.b, got, c.equal)
+		}
 	}
 }

@@ -45,20 +45,24 @@
 //     server's read verbs take their solutions as one columnar RowSet
 //     (column names once, values flat; QueryRows returns it as is), so a
 //     row costs its values until a caller asks for []Row maps.
-//   - The chain solver compiles each transaction body once per solve and
-//     recycles delta overlays through a free list; overlay delta maps are
-//     allocated lazily, so rejected candidate groundings cost no maps.
+//   - The chain solver grounds a whole chain on one delta overlay, marking
+//     it before each candidate grounding and undoing back to the mark, and
+//     keeps that overlay and its per-level scratch in a pool across
+//     solves, so a warm solve allocates only the solutions it returns.
 //   - Store and overlay scans build index and tombstone keys in on-stack
 //     buffers, and planner cardinality probes (IndexCount) do not
 //     allocate at all.
 //   - Solve results survive across operations: compiled bodies live in a
-//     database-level prepared-query cache keyed by stable transaction
-//     views, each partition's cached solution replays at grounding time
-//     (an unchanged partition collapses with zero solver work), and
-//     rejected admissions and writes are re-rejected by cache probe.
-//     All three caches are invalidated by store epoch counters — a
+//     database-level prepared-query cache keyed by transaction shape (a
+//     transaction with its constants abstracted), so a body is compiled
+//     once per shape and every later transaction of that shape rebinds
+//     its constants into it; each partition's cached solution replays at
+//     grounding time (an unchanged partition collapses with zero solver
+//     work), and rejected admissions and writes are re-rejected by cache
+//     probe. The last two are invalidated by store epoch counters — a
 //     fingerprint mismatch proves the relevant relations changed and
-//     forces a fresh solve, so a stale grounding can never be served.
+//     forces a fresh solve, so a stale grounding can never be served; a
+//     compiled body holds no store state and needs no invalidation.
 //     Stats reports SolutionReplays, SolutionStale, NegativeCacheHits
 //     and PrepCacheHits/Misses; Options.DisableCache turns the layer
 //     off for ablations.
