@@ -11,11 +11,11 @@ import (
 // Coordinator executes entangled resource transactions (§5.1): resource
 // transactions carrying a PartnerTag are kept pending until the partner —
 // a transaction whose Tag matches — arrives, at which point the pair is
-// grounded together with coordination (the later partner's forward
-// constraints hardened when jointly satisfiable). Transactions whose
-// partner never arrives simply stay pending until another collapse cause
-// fires; their coordination constraints were OPTIONAL, so they are
-// guaranteed a resource regardless.
+// grounded together as a group of two (QDB.GroundGroup: the later
+// partner's forward constraints hardened when jointly satisfiable).
+// Transactions whose partner never arrives simply stay pending until
+// another collapse cause fires; their coordination constraints were
+// OPTIONAL, so they are guaranteed a resource regardless.
 //
 // A Coordinator wraps a QDB; submit entangled work through
 // Coordinator.Submit and everything else through the QDB directly. The
@@ -129,7 +129,7 @@ func (c *Coordinator) Submit(tx *txn.T) (int64, error) {
 // grounded TOGETHER, and inflating it under collapse races would skew
 // the Table 2 metric.
 func (c *Coordinator) groundFoundPair(partnerID, id int64) error {
-	err := c.qdb.GroundPair(partnerID, id)
+	err := c.qdb.GroundGroup([]int64{partnerID, id})
 	if err != nil {
 		if !errors.Is(err, ErrUnknownTxn) {
 			return fmt.Errorf("core: grounding entangled pair (%d, %d): %w", partnerID, id, err)

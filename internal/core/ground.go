@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -123,19 +125,28 @@ func (q *QDB) GroundAll() error {
 	}
 }
 
-// groundLocked collapses p.txns[idx]. Caller holds p's shard. Semantic
-// mode first tries to move the target to the front of the pending order,
-// grounding only it, when the reordered chain stays satisfiable. The
-// prefix path (always used under Strict, and as the semantic fallback)
-// grounds the prefix up to and including the target in arrival order —
-// replaying the partition's cached solution head by head where it is
-// fresh (a cache probe per head, no solve; see replayHead) and solving
-// only the remaining suffix.
+// groundLocked collapses p.txns[idx] alone: Ground's path, taken by
+// GroundAll, reads and k-bound evictions too. Caller holds p's shard.
 func (q *QDB) groundLocked(p *partition, idx int) error {
+	return q.collapseLocked(p, []int{idx}, groundAttempts)
+}
+
+// collapseLocked grounds the members at positions pos (ascending ID) of p
+// together; it is the one collapse routine behind Ground and GroundGroup
+// (§3.2.3). Semantic mode first grounds only the members, moved to the
+// front of the chain, when the rest stays satisfiable; a lone head has no
+// reorder to try. The strict path — Strict mode, and Semantic's counted
+// fallback — grounds the arrival-order prefix through the last member.
+// Each path tries the attempts in turn. A lone member is Ground's path:
+// before its strict solve, the partition's cached solution replays head
+// by head where it is fresh (a cache probe per head, no solve; see
+// replayHead), and only the remaining prefix is solved. Caller holds p's
+// shard.
+func (q *QDB) collapseLocked(p *partition, pos []int, attempts []attempt) error {
 	sp := q.met.ground.Start()
 	defer sp.End()
-	if q.opt.Mode == Semantic && idx > 0 {
-		ok, err := q.trySolveAndApply(p, moveToFront(idx, len(p.txns)), semanticSolver(p, idx), 1, &sp)
+	if q.opt.Mode == Semantic && (len(pos) > 1 || pos[0] > 0) {
+		ok, err := q.tryAttempts(p, pos, true, attempts, &sp)
 		if err != nil {
 			return err
 		}
@@ -145,11 +156,10 @@ func (q *QDB) groundLocked(p *partition, idx int) error {
 		}
 		q.stats.semanticFallbacks.Add(1)
 	}
-	// Prefix grounding proceeds head-first, so drain replayable heads
-	// before solving: each replay is exactly the grounding the strict
-	// chain would assign that head, and only the suffix the cache cannot
-	// cover (optional atoms, staleness, chooser sampling) pays a solve.
-	for idx > 0 {
+	// Each replay is exactly the grounding the strict chain would assign
+	// that head, so only the suffix the cache cannot cover (optional atoms,
+	// staleness, chooser sampling) pays a solve.
+	for len(pos) == 1 {
 		done, err := q.replayHead(p, &sp)
 		if err != nil {
 			return err
@@ -157,28 +167,12 @@ func (q *QDB) groundLocked(p *partition, idx int) error {
 		if !done {
 			break
 		}
-		idx--
-	}
-	if idx == 0 {
-		done, err := q.replayHead(p, &sp)
-		if err != nil {
-			return err
-		}
-		if done {
+		if pos[0] == 0 {
 			return nil
 		}
+		pos[0]--
 	}
-	// Strict path: ground arrival-order prefix 0..idx.
-	order := identityOrder(len(p.txns))
-	solver := make([]*txn.T, len(p.txns))
-	for i, t := range p.txns {
-		if i <= idx {
-			solver[i] = t // optionals maximized at grounding time
-		} else {
-			solver[i] = strip(t)
-		}
-	}
-	ok, err := q.trySolveAndApply(p, order, solver, idx+1, &sp)
+	ok, err := q.tryAttempts(p, pos, false, attempts, &sp)
 	if err != nil {
 		return err
 	}
@@ -263,38 +257,70 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 	return true, nil
 }
 
-// semanticSolver builds the solver view for a move-to-front grounding of
-// p.txns[idx]: the target keeps its optional atoms (maximized), the rest
-// are stripped.
-func semanticSolver(p *partition, idx int) []*txn.T {
-	out := make([]*txn.T, 0, len(p.txns))
-	out = append(out, p.txns[idx])
-	for i, t := range p.txns {
-		if i != idx {
-			out = append(out, strip(t))
-		}
-	}
-	return out
-}
+// attempt is how one collapse attempt presents its members to the
+// solver.
+type attempt uint8
 
-// moveToFront returns the permutation [idx, 0, 1, …] over n positions.
-func moveToFront(idx, n int) []int {
-	order := make([]int, 0, n)
-	order = append(order, idx)
+const (
+	// coordinated hardens every member after the first: a later member's
+	// optional atoms can unify with earlier members' pending inserts, so
+	// the solver backtracks over earlier choices until the members
+	// coordinate (§5.1). On the semantic path the first member is
+	// stripped.
+	coordinated attempt = iota
+	// maximized keeps every member's optional atoms, maximized.
+	maximized
+	// hardened hardens every member.
+	hardened
+)
+
+// The attempts of each collapse entry point, in the order tried.
+var (
+	groundAttempts      = []attempt{maximized}
+	groupAttempts       = []attempt{coordinated, maximized}
+	coordinatedAttempts = []attempt{hardened}
+)
+
+// tryAttempts tries attempts in turn on one path until one grounds the
+// members at positions pos (ascending ID) of p, and reports whether one
+// did. The semantic path solves the members first and every other
+// transaction after them, stripped, and grounds only the members. The
+// strict path solves in arrival order and grounds the prefix through the
+// last member; the non-members in that prefix keep their optionals
+// (maximized), the ones after it are stripped. Caller holds p's shard.
+func (q *QDB) tryAttempts(p *partition, pos []int, semantic bool, attempts []attempt, sp *telemetry.Span) (bool, error) {
+	n := len(p.txns)
+	order, count := make([]int, 0, n), pos[len(pos)-1]+1
+	if semantic {
+		order, count = append(order, pos...), len(pos)
+	}
 	for i := 0; i < n; i++ {
-		if i != idx {
+		if !semantic || !slices.Contains(pos, i) {
 			order = append(order, i)
 		}
 	}
-	return order
-}
-
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	for _, a := range attempts {
+		solver := make([]*txn.T, n)
+		for k, i := range order {
+			t, m := p.txns[i], slices.Index(pos, i)
+			switch {
+			case m < 0:
+				if k >= count {
+					t = strip(t)
+				}
+			case a == hardened || a == coordinated && m > 0:
+				t = harden(t)
+			case a == coordinated && semantic:
+				t = strip(t)
+			}
+			solver[k] = t
+		}
+		ok, err := q.trySolveAndApply(p, order, solver, count, sp)
+		if ok || err != nil {
+			return ok, err
+		}
 	}
-	return order
+	return false, nil
 }
 
 // trySolveAndApply solves the partition's chain in the given order (a
@@ -326,16 +352,15 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		return false, err
 	}
 
-	// Partition split: keep positions not in order[:groundCount].
-	grounded := make(map[int]bool, groundCount)
-	for _, pos := range order[:groundCount] {
-		grounded[pos] = true
-	}
+	// Partition split: keep positions not in order[:groundCount], which
+	// ascend (the members, or the arrival-order prefix).
+	grounded := order[:groundCount]
 	var rest []*txn.T
 	var removed []*txn.T
 	for i, t := range p.txns {
-		if grounded[i] {
+		if len(grounded) > 0 && grounded[0] == i {
 			removed = append(removed, t)
+			grounded = grounded[1:]
 		} else {
 			rest = append(rest, t)
 		}
@@ -394,10 +419,9 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		p.cached = nil
 	} else {
 		// Remaining groundings were solved over the store state that now
-		// includes the executed prefix, but they are ordered by the solve
-		// order; realign to ascending-ID partition order. For the orders
-		// used here (identity or move-to-front) the tail is already in
-		// partition order.
+		// includes the executed prefix, and in the solve order; for the
+		// orders used here (arrival order, or the members first) the tail
+		// is already in ascending-ID partition order.
 		p.cached = append([]formula.Grounding(nil), sol.Groundings[groundCount:]...)
 	}
 	p.version++
@@ -467,9 +491,12 @@ func (q *QDB) solveForGround(v relstore.View, solver []*txn.T, maximize bool) (*
 
 // GroundCoordinated collapses the pending transaction id only if a
 // grounding satisfying ALL its optional atoms exists (they are tried as
-// hard constraints); otherwise it is a no-op. Used on entangled-partner
-// arrival when the partner was already executed — deferral can no longer
-// improve coordination, it can only lose the adjacent resource.
+// hard constraints); otherwise it is a no-op and reports false. Used on
+// entangled-partner arrival when the partner was already executed —
+// deferral can no longer improve coordination, it can only lose the
+// adjacent resource. Semantic mode tries only the reordered grounding: a
+// strict fallback would ground earlier transactions the caller did not
+// ask to collapse, for a coordination that is merely hoped for.
 func (q *QDB) GroundCoordinated(id int64) (bool, error) {
 	if err := q.checkWritable(); err != nil {
 		return false, err
@@ -481,37 +508,95 @@ func (q *QDB) GroundCoordinated(id int64) (bool, error) {
 	defer p.shard.Unlock()
 	sp := q.met.ground.Start()
 	defer sp.End()
-	target := harden(p.txns[idx])
-	if q.opt.Mode == Semantic {
-		solver := make([]*txn.T, 0, len(p.txns))
-		solver = append(solver, target)
+	semantic := q.opt.Mode == Semantic
+	done, err := q.tryAttempts(p, []int{idx}, semantic, coordinatedAttempts, &sp)
+	if done && semantic {
+		q.stats.semanticReorders.Add(1)
+	}
+	return done, err
+}
+
+// GroundGroup collapses a set of pending transactions together: an
+// entangled pair (§5.1, Coordinator) is a group of two, and larger groups
+// are the N-party coordination of the enmeshed-queries direction the
+// paper cites. Members are ordered by arrival; each later member's
+// optional atoms can unify with earlier members' pending inserts, so the
+// first attempt hardens every member after the first and the solver
+// backtracks over earlier choices until the group coordinates. If no
+// coordinated grounding exists the group collapses with optionals merely
+// maximized. A repeated ID names its transaction once.
+//
+// Members in other partitions cannot interact; each partition's members
+// collapse on their own (a lone member exactly as Ground collapses it).
+// Member partitions are locked together in canonical shard order and
+// processed ascending by partition ID.
+func (q *QDB) GroundGroup(ids []int64) error {
+	if err := q.checkWritable(); err != nil {
+		return err
+	}
+	// Pairs are the hot collapse: the small buffers here stay on the stack.
+	ids = append(make([]int64, 0, 4), ids...)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	ps, err := q.lockGroup(ids, make([]*partition, 0, 4))
+	if err != nil {
+		return err
+	}
+	defer unlockPartitions(ps)
+	for _, p := range ps {
+		pos := make([]int, 0, 4)
 		for i, t := range p.txns {
-			if i != idx {
-				solver = append(solver, strip(t))
+			if slices.Contains(ids, t.ID) {
+				pos = append(pos, i)
 			}
 		}
-		done, err := q.trySolveAndApply(p, moveToFront(idx, len(p.txns)), solver, 1, &sp)
-		if err != nil {
-			return false, err
+		attempts := groupAttempts
+		if len(pos) == 1 {
+			attempts = groundAttempts
 		}
-		if done {
-			q.stats.semanticReorders.Add(1)
-		}
-		return done, nil
-	}
-	// Strict: the whole arrival-order prefix must ground.
-	solver := make([]*txn.T, len(p.txns))
-	for i, t := range p.txns {
-		switch {
-		case i == idx:
-			solver[i] = target
-		case i < idx:
-			solver[i] = t
-		default:
-			solver[i] = strip(t)
+		if err := q.collapseLocked(p, pos, attempts); err != nil {
+			return err
 		}
 	}
-	return q.trySolveAndApply(p, identityOrder(len(p.txns)), solver, idx+1, &sp)
+	return nil
+}
+
+// lockGroup locks the partitions holding the given pending transactions
+// (sched.LockOrdered) and returns them ascending by ID in buf, retrying
+// when a merge or collapse re-homes a member between lookup and lock.
+func (q *QDB) lockGroup(ids []int64, buf []*partition) ([]*partition, error) {
+	shards := make([]*sched.Shard, 0, 4)
+	for {
+		ps := buf[:0]
+		q.mu.Lock()
+		for _, id := range ids {
+			p := q.byTxn[id]
+			if p == nil {
+				q.mu.Unlock()
+				return nil, fmt.Errorf("%w: %d", ErrUnknownTxn, id)
+			}
+			if !slices.Contains(ps, p) {
+				ps = append(ps, p)
+			}
+		}
+		q.mu.Unlock()
+		slices.SortFunc(ps, func(a, b *partition) int { return cmp.Compare(a.id(), b.id()) })
+		locked := sched.LockOrdered(shardsOf(shards[:0], ps))
+		ok := true
+		q.mu.Lock()
+		for _, id := range ids {
+			ok = ok && slices.Contains(ps, q.byTxn[id])
+		}
+		q.mu.Unlock()
+		for _, p := range ps {
+			ok = ok && p.shard.Alive()
+		}
+		if ok {
+			return ps, nil
+		}
+		sched.UnlockAll(locked)
+		q.stats.lockWaits.Add(1)
+	}
 }
 
 // Read evaluates a conjunctive query against the quantum database,
@@ -783,157 +868,4 @@ func factAtom(f relstore.GroundFact) logic.Atom {
 		args[i] = logic.Const(v)
 	}
 	return logic.NewAtom(f.Rel, args...)
-}
-
-// GroundPair collapses two pending entangled transactions together
-// (§5.1): the later partner's optional atoms — its forward coordination
-// constraints, which can unify with the earlier partner's pending inserts —
-// are first tried as hard constraints, so the solver backtracks over the
-// earlier partner's grounding until coordination succeeds; only if no
-// coordinated grounding exists does the pair collapse uncoordinated.
-func (q *QDB) GroundPair(id1, id2 int64) error {
-	if err := q.checkWritable(); err != nil {
-		return err
-	}
-	pa, ia, pb, ib, err := q.lockPair(id1, id2)
-	if err != nil {
-		return err
-	}
-	if pa != pb {
-		// Independent transactions cannot coordinate; collapse each.
-		defer pa.shard.Unlock()
-		defer pb.shard.Unlock()
-		if err := q.groundLocked(pa, ia); err != nil {
-			return err
-		}
-		return q.groundLocked(pb, ib)
-	}
-	p := pa
-	defer p.shard.Unlock()
-	sp := q.met.ground.Start()
-	defer sp.End()
-	if p.txns[ia].ID > p.txns[ib].ID {
-		ia, ib = ib, ia
-	}
-	first, second := p.txns[ia], p.txns[ib]
-
-	var done bool
-	if q.opt.Mode == Semantic {
-		order := pairFirstOrder(ia, ib, len(p.txns))
-		// Coordinated attempt: harden the later partner's optionals.
-		solver := pairSolver(p, ia, ib, strip(first), harden(second))
-		done, err = q.trySolveAndApply(p, order, solver, 2, &sp)
-		if err != nil {
-			return err
-		}
-		if !done {
-			// Uncoordinated: maximize both partners' optionals instead.
-			solver = pairSolver(p, ia, ib, first, second)
-			done, err = q.trySolveAndApply(p, order, solver, 2, &sp)
-			if err != nil {
-				return err
-			}
-		}
-		if done {
-			q.stats.semanticReorders.Add(1)
-			return nil
-		}
-		q.stats.semanticFallbacks.Add(1)
-	}
-	// Strict fallback: ground the arrival-order prefix through the later
-	// partner, with the coordinated attempt first.
-	order := identityOrder(len(p.txns))
-	build := func(secondView *txn.T) []*txn.T {
-		solver := make([]*txn.T, len(p.txns))
-		for i, t := range p.txns {
-			switch {
-			case i == ib:
-				solver[i] = secondView
-			case i <= ib:
-				solver[i] = t
-			default:
-				solver[i] = strip(t)
-			}
-		}
-		return solver
-	}
-	done, err = q.trySolveAndApply(p, order, build(harden(second)), ib+1, &sp)
-	if err != nil {
-		return err
-	}
-	if !done {
-		done, err = q.trySolveAndApply(p, order, build(second), ib+1, &sp)
-		if err != nil {
-			return err
-		}
-	}
-	if !done {
-		return ErrInvariantBroken
-	}
-	return nil
-}
-
-// lockPair locks the partition(s) holding two pending transactions in
-// canonical shard order, retrying on stale acquires (merges can re-home
-// either transaction between lookup and lock).
-func (q *QDB) lockPair(id1, id2 int64) (pa *partition, ia int, pb *partition, ib int, err error) {
-	for {
-		q.mu.Lock()
-		pa, pb = q.byTxn[id1], q.byTxn[id2]
-		q.mu.Unlock()
-		if pa == nil {
-			return nil, 0, nil, 0, fmt.Errorf("%w: %d", ErrUnknownTxn, id1)
-		}
-		if pb == nil {
-			return nil, 0, nil, 0, fmt.Errorf("%w: %d", ErrUnknownTxn, id2)
-		}
-		locked := sched.LockOrdered([]*sched.Shard{pa.shard, pb.shard})
-		q.mu.Lock()
-		stillA, stillB := q.byTxn[id1] == pa, q.byTxn[id2] == pb
-		q.mu.Unlock()
-		if pa.shard.Alive() && pb.shard.Alive() && stillA && stillB {
-			ia, ib = txnPos(pa, id1), txnPos(pb, id2)
-			if ia >= 0 && ib >= 0 {
-				return pa, ia, pb, ib, nil
-			}
-		}
-		sched.UnlockAll(locked)
-		q.stats.lockWaits.Add(1)
-	}
-}
-
-// txnPos returns the position of id in p.txns, or -1. Caller holds p's
-// shard.
-func txnPos(p *partition, id int64) int {
-	for i, t := range p.txns {
-		if t.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// pairFirstOrder permutes partition positions so ia then ib come first.
-func pairFirstOrder(ia, ib, n int) []int {
-	order := make([]int, 0, n)
-	order = append(order, ia, ib)
-	for i := 0; i < n; i++ {
-		if i != ia && i != ib {
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
-// pairSolver builds the solver view matching pairFirstOrder: the two
-// partner views first, all other transactions stripped.
-func pairSolver(p *partition, ia, ib int, firstView, secondView *txn.T) []*txn.T {
-	out := make([]*txn.T, 0, len(p.txns))
-	out = append(out, firstView, secondView)
-	for i, t := range p.txns {
-		if i != ia && i != ib {
-			out = append(out, strip(t))
-		}
-	}
-	return out
 }

@@ -140,11 +140,12 @@ func oracleTxn(rng *rand.Rand, user string) *txn.T {
 }
 
 // runOracle drives one engine through a random single-client interleaving
-// of Submit, SubmitBatch, Ground, Read and Write (cancellations keep
-// seats recycling, so admissions keep deciding both ways), checking every admission
-// verdict (and every blind-write verdict) against the oracle, and that
-// the pending chain stays admissible after every step. It returns the
-// allowed gaps it saw.
+// of Submit, SubmitBatch, Ground, GroundGroup, Read and Write
+// (cancellations keep seats recycling, so admissions keep deciding both
+// ways), checking every admission verdict (and every blind-write verdict)
+// against the oracle, and after every step that the pending chain stays
+// admissible and that no user holds two bookings. It returns the allowed
+// gaps it saw.
 //
 // The one allowed gap: serial admission admits a batch member by member,
 // each followed by its k-bound eviction, so a later member is decided
@@ -173,7 +174,7 @@ func runOracle(t *testing.T, seed int64, opt Options, steps int) (gaps int) {
 	}
 	users := 0
 	for step := 0; step < steps; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
 		case op < 4: // Submit, or SubmitBatch of 1–4
 			n, batch := 1, op >= 2
 			if batch {
@@ -227,6 +228,16 @@ func runOracle(t *testing.T, seed int64, opt Options, steps int) (gaps int) {
 			if _, err := q.Read(query); err != nil {
 				t.Fatalf("seed %d step %d: read: %v", seed, step, err)
 			}
+		case op == 7: // 2–3 pending transactions together, an ID sometimes repeated
+			if ids := q.PendingIDs(); len(ids) > 0 {
+				group := make([]int64, 2+rng.Intn(2))
+				for i := range group {
+					group[i] = ids[rng.Intn(len(ids))]
+				}
+				if err := q.GroundGroup(group); err != nil {
+					t.Fatalf("seed %d step %d: ground group %v: %v", seed, step, group, err)
+				}
+			}
 		default: // blind write: take an available seat, cancel a booking, or free a taken seat
 			w := world()
 			f := tup(1+rng.Intn(2), fmt.Sprintf("1%c", 'A'+rng.Intn(3)))
@@ -248,8 +259,16 @@ func runOracle(t *testing.T, seed int64, opt Options, steps int) (gaps int) {
 				t.Fatalf("seed %d step %d (%+v): write %v/%v accepted=%v, oracle says %v", seed, step, opt, ins, del, got, want)
 			}
 		}
-		if !world().admits(chain()) {
+		w := world()
+		if !w.admits(chain()) {
 			t.Fatalf("seed %d step %d (%+v): pending chain has no consistent grounding", seed, step, opt)
+		}
+		holders := map[value.Value]bool{}
+		for _, b := range w["Bookings"] {
+			if holders[b[0]] {
+				t.Fatalf("seed %d step %d (%+v): %v holds two bookings", seed, step, opt, b[0])
+			}
+			holders[b[0]] = true
 		}
 	}
 	return gaps

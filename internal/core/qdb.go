@@ -50,7 +50,7 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	    Cross-partition operations (merging admissions, entangled pairs
 //	    spanning partitions, GroundAll barriers) lock shards in canonical
 //	    ID order, which is deadlock-free by construction. Operations that
-//	    hold no admitMu (Ground, Read, GroundPair) validate after locking
+//	    hold no admitMu (Ground, Read, GroundGroup) validate after locking
 //	    and retry on a stale shard (counted in Stats.LockWaits).
 //	  - mu guards only the partition registry (parts, byTxn, idx, the ID
 //	    counters) and is held for map operations only — never across a
@@ -457,12 +457,12 @@ func unlockPartitions(ps []*partition) {
 	}
 }
 
-func shardsOf(ps []*partition) []*sched.Shard {
-	out := make([]*sched.Shard, len(ps))
-	for i, p := range ps {
-		out[i] = p.shard
+// shardsOf appends the shards of ps to dst.
+func shardsOf(dst []*sched.Shard, ps []*partition) []*sched.Shard {
+	for _, p := range ps {
+		dst = append(dst, p.shard)
 	}
-	return out
+	return dst
 }
 
 // overlaps reports whether any of atoms unifies with any atom of any

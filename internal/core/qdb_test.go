@@ -513,7 +513,7 @@ func TestGroundPairCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.GroundPair(mID, gID); err != nil {
+	if err := q.GroundGroup([]int64{mID, gID}); err != nil {
 		t.Fatal(err)
 	}
 	assertAdjacent(t, db, "Mickey", "Goofy")
@@ -543,7 +543,7 @@ func TestGroundPairBacktracksOverFirstSeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.GroundPair(mID, gID); err != nil {
+	if err := q.GroundGroup([]int64{mID, gID}); err != nil {
 		t.Fatal(err)
 	}
 	assertAdjacent(t, db, "Mickey", "Goofy")
@@ -571,7 +571,7 @@ func TestGroundPairFallsBackWhenCoordinationImpossible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Coordination impossible, but both must still get seats.
-	if err := q.GroundPair(mID, gID); err != nil {
+	if err := q.GroundGroup([]int64{mID, gID}); err != nil {
 		t.Fatal(err)
 	}
 	if q.PendingCount() != 0 {

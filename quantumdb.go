@@ -553,7 +553,7 @@ func (db *DB) SlowOps() *telemetry.SlowLog { return db.q.SlowOps() }
 func (db *DB) SetSlowOpThreshold(d time.Duration) { db.q.SetSlowOpThreshold(d) }
 
 // Engine exposes the underlying quantum engine for advanced use
-// (GroundPair, partition inspection). Its raw store (Engine().Store())
+// (GroundGroup, partition inspection). Its raw store (Engine().Store())
 // is read-only: its row writes return relstore.ErrOwned; write with Exec.
 func (db *DB) Engine() *core.QDB { return db.q }
 
