@@ -9,7 +9,8 @@ import (
 // TestWALSyncStructural is the unconditional (any-core-count) acceptance
 // check for the sharded WAL: a durable multi-partition collapse must
 // spread its batches across segments, every batch must be accounted for
-// (one pending record per submit, one grounding batch per collapse), and
+// (one pending record per submit, one grounding batch per collapse — a
+// GroundAll drain of a partition is one commit unit), and
 // under SyncOnAppend every batch is covered by exactly one fsync — led
 // or piggybacked. RunWALSync additionally recovers from the log and
 // compares stores, so this also proves the sharded log round-trips.
@@ -32,8 +33,8 @@ func TestWALSyncStructural(t *testing.T) {
 		appends += r.Log.Appends[i]
 		syncs += r.Log.Syncs[i]
 	}
-	if want := uint64(2 * total); appends != want {
-		t.Fatalf("%d batches appended, want %d (pending + grounding per txn)", appends, want)
+	if want := uint64(total + cfg.Partitions); appends != want {
+		t.Fatalf("%d batches appended, want %d (pending per txn + one grounding unit per partition drain)", appends, want)
 	}
 	if syncs+r.Log.GroupCommits != appends {
 		t.Fatalf("fsync accounting broken: %d syncs + %d group commits != %d appends",

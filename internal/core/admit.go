@@ -312,9 +312,16 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 // any admission becomes visible — §4's pending-transactions table
 // discipline, so a log failure rejects cleanly instead of leaving an
 // admitted-but-unlogged transaction), merge the overlap set, and install
-// each accept into the survivor. It releases the overlap set and
-// admitMu (the caller holds both), then runs the k-bound eviction with
-// only the surviving partition locked.
+// each accept into the survivor. It releases admitMu (the caller holds
+// it and the overlap set), then runs the k-bound eviction with only the
+// surviving partition locked.
+//
+// The eviction's leading run is known before the batch is written: the
+// install leaves the survivor holding out.finalChain with its cached
+// solution out.finalCached, so the heads the k-bound will replay are
+// finalCached's first groundings. The pending batch carries them after
+// the pending records, and they are applied as one unit once the
+// install is done; enforceK is left only the heads that need a solve.
 func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome, sp *telemetry.Span, ids []int64, errs []error) {
 	for i, it := range items {
 		d := out.decisions[i]
@@ -345,8 +352,12 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 			accepted = append(accepted, it.admitted)
 		}
 	}
+	var evict []formula.Grounding
+	if over := len(out.finalChain) - q.opt.k(); over > 0 {
+		evict = out.finalCached[:q.replayable(out.finalChain, out.finalCached, over)]
+	}
 	walStart := time.Now()
-	werr := q.logPendingBatch(affinity, accepted)
+	n, seq, werr := q.logPendingBatch(affinity, accepted, evict)
 	sp.Add(stageSubmitWAL, time.Since(walStart))
 	if werr != nil {
 		unlockPartitions(locked)
@@ -358,6 +369,7 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 		}
 		return
 	}
+	evict = evict[:n]
 	p := q.mergeLocked(locked)
 	for i, it := range items {
 		if out.decisions[i].ok {
@@ -366,13 +378,46 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 		}
 	}
 	q.admitMu.Unlock()
-	if kerr := q.enforceK(p); kerr != nil {
+	kerr := q.applyEvictions(p, affinity, seq, accepted, evict)
+	if kerr == nil {
+		kerr = q.enforceK(p)
+	} else {
+		p.shard.Unlock()
+	}
+	if kerr != nil {
 		for i, it := range items {
 			if out.decisions[i].ok {
 				errs[it.idx] = kerr
 			}
 		}
 	}
+}
+
+// applyEvictions applies the evictions an admission's pending batch
+// (sequence seq) carried as one unit and retires their transactions from
+// p, which holds them at its head. If the unit no longer applies (a key
+// collision with a commuting write), the store is unchanged and one
+// compensating batch aborts the pending batch and records the admitted
+// transactions pending again, so recovery skips the evictions but keeps
+// the admissions; the cache is dropped and enforceK solves instead.
+// Caller holds p's shard.
+func (q *QDB) applyEvictions(p *partition, affinity int64, seq uint64, admitted []*txn.T, evict []formula.Grounding) error {
+	if len(evict) == 0 {
+		return nil
+	}
+	if err := q.crashApplyPoint(); err != nil {
+		return err
+	}
+	if err := q.applyUnit(evict); err != nil {
+		q.stats.solutionStale.Add(1)
+		p.cached = nil
+		p.version++
+		return q.logAbort(affinity, seq, admitted)
+	}
+	q.stats.forcedByK.Add(int64(len(evict)))
+	q.stats.solutionReplays.Add(int64(len(evict)))
+	q.retireHeads(p, len(evict))
+	return nil
 }
 
 // allCached reports whether every snapshot partition carries a cached

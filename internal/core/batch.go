@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/formula"
 	"repro/internal/logic"
 	"repro/internal/relstore"
@@ -13,13 +15,14 @@ import (
 // admission routine (admit.go). decideBatch plays the decision —
 // negative probe, solution extension, full composed-body solve — over a
 // chain that grows as earlier members are accepted, so a batch of n
-// decides exactly as n sequential Submits would against the same store.
-// What a batch amortizes is everything around the decisions: one
-// overlap snapshot over the union of the batch's atoms, one scheduler
-// slot, one store view for all n solves, one admission-lock critical
-// section, one partition merge, and ONE WAL
-// batch carrying all n pending records (a single group-commit fsync
-// instead of n).
+// decides exactly as n sequential Submits would against the same store
+// (the install does not: see SubmitBatch). What a batch amortizes is
+// everything around the decisions: one overlap snapshot over the union
+// of the batch's atoms, one scheduler slot, one store view for all n
+// solves, one extension overlay, one admission-lock critical section,
+// one partition merge, and ONE WAL batch carrying all n pending records
+// and the evictions they trigger (a single group-commit fsync instead of
+// n).
 //
 // Validation is coarser than per-member validation and therefore sound:
 // the fingerprint taken at solve time covers the UNION of the batch's
@@ -66,8 +69,13 @@ type batchOutcome struct {
 // pipelined data plane feeds it whole windows of submits from one
 // connection). Results align with ts: ids[i] is the assigned ID when
 // errs[i] is nil; members are decided independently, so one rejection
-// does not poison its neighbours — exactly as if each had been
-// Submitted alone, in slice order.
+// does not poison its neighbours, and each accept or reject is the
+// decision Submitting them alone, in slice order, would reach. The
+// partitioning is coarser: the accepted members are installed into one
+// partition merged from every partition any member overlaps
+// (snapshotOverlapBatch), so mutually disjoint members share a
+// partition — and its k-bound — that sequential Submits would have kept
+// apart.
 func (q *QDB) SubmitBatch(ts []*txn.T) ([]int64, []error) {
 	ids := make([]int64, len(ts))
 	errs := make([]error, len(ts))
@@ -145,6 +153,36 @@ func insertByID(dst, chain []*txn.T, t *txn.T) []*txn.T {
 	return append(dst, chain[i:]...)
 }
 
+// overlayList is a locked free list of overlays. Unlike a sync.Pool it
+// never drops an entry, so an admission allocates the same whatever the
+// run (TestAdmissionCostIndependentOfPartitionCount counts, and a
+// sync.Pool drops entries at random under the race detector). It holds
+// at most one overlay per admission cycle ever run at once.
+type overlayList struct {
+	mu   sync.Mutex
+	free []*relstore.Overlay
+}
+
+func (l *overlayList) get() *relstore.Overlay {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		o := l.free[n-1]
+		l.free = l.free[:n-1]
+		return o
+	}
+	return relstore.NewOverlay(nil)
+}
+
+// put resets o, dropping its references to the store and to groundings,
+// and returns it to the list.
+func (l *overlayList) put(o *relstore.Overlay) {
+	o.Reset(nil)
+	l.mu.Lock()
+	l.free = append(l.free, o)
+	l.mu.Unlock()
+}
+
 // decideBatch is THE admission decision procedure: per member in ID
 // order, a negative-cache probe, then the cached-solution extension,
 // then the full composed-body solve, over a chain grown by each accept,
@@ -172,6 +210,19 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 	// with chain.
 	var cached []formula.Grounding
 	known, seeded := false, q.opt.DisableCache || !snap.allCached()
+	// ext is v with cached applied, built once when the extension path
+	// first needs it and extended by each grounding that path accepts, so
+	// a cycle replays the chain into an overlay once rather than once per
+	// member. extBuilt is cleared when the slow path re-seeds cached;
+	// extOK is false once cached no longer applies over v (then no later
+	// member extends until a re-seed, as a fresh replay would also fail).
+	var ext *relstore.Overlay
+	extBuilt, extOK := false, false
+	defer func() {
+		if ext != nil {
+			q.extOverlays.put(ext)
+		}
+	}()
 	scratch := make([]*txn.T, 0, len(snap.merged))
 	for i, it := range items {
 		t := it.admitted
@@ -202,9 +253,15 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			// lock, so an admission with a later ID can install first,
 			// and a solution extended at the END of the chain is only
 			// valid for a member that also sorts last.
-			ov := relstore.NewOverlay(v)
-			if applyGroundings(ov, cached) == nil {
-				sol, ok, err := formula.SolveChain(ov, []*txn.T{strip(t)}, q.chainOpts(false))
+			if !extBuilt {
+				if ext == nil {
+					ext = q.extOverlays.get()
+				}
+				ext.Reset(v)
+				extBuilt, extOK = true, applyGroundings(ext, cached) == nil
+			}
+			if extOK {
+				sol, ok, err := formula.SolveChain(ext, []*txn.T{strip(t)}, q.chainOpts(false))
 				if err != nil {
 					return err
 				}
@@ -213,7 +270,9 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 					d.ok = true
 					out.accepts++
 					chain = append(chain, t)
-					cached = append(cached, sol.Groundings[0])
+					g := sol.Groundings[0]
+					cached = append(cached, g)
+					extOK = ext.ApplyFacts(g.Inserts, g.Deletes) == nil
 					continue
 				}
 			}
@@ -231,7 +290,7 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			if !q.opt.DisableCache {
 				// The full chain solution re-seeds the extension path for
 				// the remaining members.
-				cached, known = sol.Groundings, true
+				cached, known, extBuilt = sol.Groundings, true, false
 			}
 		}
 	}

@@ -16,9 +16,9 @@ import (
 //
 //   - Per-partition solution replay: each partition carries a cached
 //     consistent grounding (partition.cached), kept valid by the engine's
-//     own write paths. Grounding the partition head replays the cached
-//     grounding directly — zero solver work (see QDB.replayHead in
-//     ground.go).
+//     own write paths. Grounding the partition's leading heads replays
+//     their cached groundings directly, as one commit unit — zero solver
+//     work (see QDB.replayRun in ground.go).
 //   - Negative solve cache (rejectCache): unsatisfiable solve instances
 //     (rejected admissions, rejected blind writes, failed reorder
 //     attempts) are remembered; resubmitting the same question against

@@ -38,7 +38,9 @@ import (
 // Stats.CheckpointPauseNs accumulates only the cut time.
 //
 // The stamp is exact: every WAL appender runs under the admission lock
-// or a partition shard and applies before releasing it, so at the cut
+// or a partition shard and applies before releasing it (an admission's
+// carried evictions apply under the survivor's shard, locked before the
+// admission lock is released), so at the cut
 // every batch with Seq <= stamp has its effect in the snapshot, and
 // every later batch — including groundings racing the serialization —
 // is stamped above it and survives truncation for replay.

@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/formula"
@@ -91,12 +93,8 @@ func (q *QDB) GroundAll() error {
 				return nil
 			}
 			q.stats.parallelSolves.Add(1)
-			for len(p.txns) > 0 {
-				if err := q.groundLocked(p, 0); err != nil {
-					return err
-				}
-			}
-			return nil
+			_, err := q.groundHeadsLocked(p, len(p.txns))
+			return err
 		})
 		if err != nil {
 			return err
@@ -126,9 +124,31 @@ func (q *QDB) GroundAll() error {
 }
 
 // groundLocked collapses p.txns[idx] alone: Ground's path, taken by
-// GroundAll, reads and k-bound evictions too. Caller holds p's shard.
+// reads and by the heads GroundAll and the k-bound must solve. Caller
+// holds p's shard.
 func (q *QDB) groundLocked(p *partition, idx int) error {
 	return q.collapseLocked(p, []int{idx}, groundAttempts)
+}
+
+// groundHeadsLocked grounds p's first n transactions in arrival order —
+// GroundAll's drain and the k-bound's eviction — and returns how many it
+// grounded. The leading heads whose cached groundings replay go as one
+// replay run (a commit unit per unitBodyLimit); each head that needs a
+// solve is collapsed alone, as Ground collapses it, and solving it
+// re-seeds the cache for the run after it. Caller holds p's shard.
+func (q *QDB) groundHeadsLocked(p *partition, n int) (int, error) {
+	stop := len(p.txns) - n
+	var err error
+	for err == nil && len(p.txns) > stop {
+		if r := q.replayable(p.txns, p.cached, len(p.txns)-stop); r > 0 {
+			sp := q.met.ground.Start()
+			_, err = q.replayRun(p, r, &sp)
+			sp.End()
+		} else {
+			err = q.groundLocked(p, 0)
+		}
+	}
+	return n - (len(p.txns) - stop), err
 }
 
 // collapseLocked grounds the members at positions pos (ascending ID) of p
@@ -138,10 +158,10 @@ func (q *QDB) groundLocked(p *partition, idx int) error {
 // reorder to try. The strict path — Strict mode, and Semantic's counted
 // fallback — grounds the arrival-order prefix through the last member.
 // Each path tries the attempts in turn. A lone member is Ground's path:
-// before its strict solve, the partition's cached solution replays head
-// by head where it is fresh (a cache probe per head, no solve; see
-// replayHead), and only the remaining prefix is solved. Caller holds p's
-// shard.
+// before its strict solve, the partition's cached solution replays the
+// leading heads through the member where it is fresh (one replay run, no
+// solve; see replayRun), and only the remaining prefix is solved. Caller
+// holds p's shard.
 func (q *QDB) collapseLocked(p *partition, pos []int, attempts []attempt) error {
 	sp := q.met.ground.Start()
 	defer sp.End()
@@ -159,18 +179,17 @@ func (q *QDB) collapseLocked(p *partition, pos []int, attempts []attempt) error 
 	// Each replay is exactly the grounding the strict chain would assign
 	// that head, so only the suffix the cache cannot cover (optional atoms,
 	// staleness, chooser sampling) pays a solve.
-	for len(pos) == 1 {
-		done, err := q.replayHead(p, &sp)
-		if err != nil {
-			return err
+	if len(pos) == 1 {
+		if r := q.replayable(p.txns, p.cached, pos[0]+1); r > 0 {
+			done, err := q.replayRun(p, r, &sp)
+			if err != nil {
+				return err
+			}
+			if done > pos[0] {
+				return nil
+			}
+			pos[0] -= done
 		}
-		if !done {
-			break
-		}
-		if pos[0] == 0 {
-			return nil
-		}
-		pos[0]--
 	}
 	ok, err := q.tryAttempts(p, pos, false, attempts, &sp)
 	if err != nil {
@@ -182,70 +201,108 @@ func (q *QDB) collapseLocked(p *partition, pos []int, attempts []attempt) error 
 	return nil
 }
 
-// replayHead grounds p.txns[0] by replaying the partition's cached
-// consistent grounding instead of solving: the engine is the store's
-// only writer and keeps the cached solution aligned on every write that
-// could affect it, so its head grounding is still consistent and can
-// execute directly. This is the cross-solve solution cache's hit path —
-// a GroundAll drain or k-bound eviction of an unchanged partition
-// performs zero solver work after admission.
+// replayable reports how many of a chain's first limit heads can ground
+// by replaying its cached consistent grounding instead of solving: the
+// engine is the store's only writer and keeps the cached solution
+// aligned on every write that could affect it, so its leading groundings
+// are still consistent and can execute directly. This is the
+// cross-solve solution cache's hit path — a GroundAll drain or k-bound
+// eviction of an unchanged partition performs zero solver work after
+// admission.
 //
-// Replay declines (returns false, letting the solve paths run) when the
-// head has optional atoms (grounding maximizes them; the cached solution
-// was solved over stripped views), when a chooser wants candidates to
-// pick from, or when the cache is disabled or unaligned. Caller holds
-// p's shard.
-func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
-	if q.opt.DisableCache || q.opt.sample() > 1 {
-		return false, nil
+// Replay stops at the first head with optional atoms (grounding
+// maximizes them; the cached solution was solved over stripped views),
+// and takes nothing when a chooser wants candidates to pick from or the
+// cache is disabled or unaligned.
+func (q *QDB) replayable(txns []*txn.T, cached []formula.Grounding, limit int) int {
+	if q.opt.DisableCache || q.opt.sample() > 1 || len(cached) != len(txns) {
+		return 0
 	}
-	if len(p.txns) == 0 || len(p.cached) != len(p.txns) {
-		return false, nil
+	n := 0
+	for n < limit && n < len(txns) && len(txns[n].OptionalAtoms()) == 0 {
+		n++
 	}
-	if len(p.txns[0].OptionalAtoms()) > 0 {
-		return false, nil
-	}
-	g := p.cached[0]
-	// Write-ahead ordering: log+sync the batch with no store lock held (so
-	// replays of partitions on different WAL segments fsync concurrently
-	// and ones sharing a segment group-commit), then apply. Only
-	// groundings of OTHER partitions, which cannot unify with this one and
-	// so commute with its grounding, can land in between.
-	walStart := time.Now()
-	seq, err := q.logGrounding(p.id(), g)
-	sp.Add(stageGroundWAL, time.Since(walStart))
-	if err != nil {
-		return false, err
-	}
-	if err := q.crashApplyPoint(); err != nil {
-		return false, err
-	}
+	return n
+}
 
-	applyStart := time.Now()
-	if err := q.w.Apply(g.Inserts, g.Deletes); err != nil {
-		// The grounding no longer applies (a key collision with a
-		// commuting engine write). Drop the cache and fall back to a
-		// fresh solve; Apply is atomic, so the store is unchanged — but
-		// the batch is already logged, so it must be compensated.
-		q.stats.solutionStale.Add(1)
-		p.cached = nil
-		p.version++
-		return false, q.logAbort(p.id(), seq)
+// replayRun grounds p's first n heads (n from replayable) from the
+// cached solution as a run of commit units — one WAL batch and one
+// atomic store apply each, split only at unitBodyLimit — and returns how
+// many it grounded. Fewer than n means a unit no longer applied (a key
+// collision with a commuting engine write): the store is unchanged by
+// that unit, its batch is compensated, and the cache is dropped so the
+// solve paths take over. Caller holds p's shard.
+func (q *QDB) replayRun(p *partition, n int, sp *telemetry.Span) (int, error) {
+	done := 0
+	for done < n {
+		// Write-ahead ordering: log+sync the unit with no store lock held
+		// (so replays of partitions on different WAL segments fsync
+		// concurrently and ones sharing a segment group-commit), then
+		// apply. Only groundings of OTHER partitions, which cannot unify
+		// with this one and so commute with these groundings, can land in
+		// between.
+		walStart := time.Now()
+		m, seq, err := q.logGroundings(p.id(), p.cached[:n-done], unitBodyLimit)
+		sp.Add(stageGroundWAL, time.Since(walStart))
+		if err != nil {
+			return done, err
+		}
+		if err := q.crashApplyPoint(); err != nil {
+			return done, err
+		}
+		applyStart := time.Now()
+		if err := q.applyUnit(p.cached[:m]); err != nil {
+			q.stats.solutionStale.Add(1)
+			p.cached = nil
+			p.version++
+			return done, q.logAbort(p.id(), seq, nil)
+		}
+		sp.Add(stageGroundApply, time.Since(applyStart))
+		q.stats.solutionReplays.Add(int64(m))
+		// The tail was solved over the store state that now includes the
+		// replayed heads' updates (chain property), so it remains the
+		// partition's cached solution.
+		q.retireHeads(p, m)
+		done += m
 	}
-	sp.Add(stageGroundApply, time.Since(applyStart))
-	q.stats.grounded.Add(1)
-	q.stats.solutionReplays.Add(1)
+	return done, nil
+}
 
-	head := p.txns[0]
+// unitPool recycles applyUnit's unit lists.
+var unitPool = sync.Pool{New: func() any { return new([]relstore.Unit) }}
+
+// applyUnit applies gs, in chain order, to the store as one commit unit:
+// one store-lock acquisition, all or nothing (relstore.Writer.Apply).
+// On success it counts the groundings and the unit.
+func (q *QDB) applyUnit(gs []formula.Grounding) error {
+	up := unitPool.Get().(*[]relstore.Unit)
+	us := (*up)[:0]
+	for _, g := range gs {
+		us = append(us, relstore.Unit{Inserts: g.Inserts, Deletes: g.Deletes})
+	}
+	err := q.w.Apply(us)
+	clear(us)
+	*up = us[:0]
+	unitPool.Put(up)
+	if err == nil {
+		q.stats.grounded.Add(int64(len(gs)))
+		q.stats.groundUnits.Add(1)
+	}
+	return err
+}
+
+// retireHeads removes p's first n transactions, whose groundings the
+// store now holds, along with their cached groundings, and retires p if
+// that empties it. Caller holds p's shard.
+func (q *QDB) retireHeads(p *partition, n int) {
 	q.mu.Lock()
-	delete(q.byTxn, head.ID)
-	q.idx.remove(head, p.id())
+	for _, t := range p.txns[:n] {
+		delete(q.byTxn, t.ID)
+		q.idx.remove(t, p.id())
+	}
 	q.mu.Unlock()
-	p.txns = p.txns[1:]
-	// The tail was solved over the store state that now includes the
-	// replayed head's updates (chain property), so it remains the
-	// partition's cached solution.
-	p.cached = p.cached[1:]
+	p.txns = p.txns[n:]
+	p.cached = p.cached[n:]
 	p.version++
 	if len(p.txns) == 0 {
 		q.mu.Lock()
@@ -254,7 +311,6 @@ func (q *QDB) replayHead(p *partition, sp *telemetry.Span) (bool, error) {
 		p.shard.Retire()
 		q.partVersion.Add(1)
 	}
-	return true, nil
 }
 
 // attempt is how one collapse attempt presents its members to the
@@ -331,11 +387,9 @@ func (q *QDB) tryAttempts(p *partition, pos []int, semantic bool, attempts []att
 //
 // Caller holds p's shard. The negative probe, the solve and the chooser
 // read one store view (QDB.view) — solves of independent partitions
-// still overlap. Each grounding then logs write-ahead with no store lock
-// held and applies on its own: reads see whole groundings, but a
-// multi-transaction prefix is NOT atomic against reads — a read may
-// observe the state between two groundings of the prefix, each of which
-// is a real committed state.
+// still overlap. The grounded transactions then execute as ONE commit
+// unit: one WAL batch, logged write-ahead with no store lock held, and
+// one atomic store apply, so a read sees all of them or none.
 func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groundCount int, sp *telemetry.Span) (bool, error) {
 	maximize := false
 	for _, t := range solver[:groundCount] {
@@ -366,47 +420,39 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		}
 	}
 
-	// Execute the chosen prefix against the store, one grounding — one
-	// WAL batch — at a time, write-ahead: each grounding's batch (facts +
-	// tombstone) is appended and, with SyncWAL, group-commit synced with
-	// no store lock held, and only then applied. Log sequence order stays
-	// consistent with apply order where it matters: same-partition
-	// batches are strictly ordered (the next append happens after the
-	// previous apply, under this shard), and
-	// batches of other partitions commute with these groundings (their
-	// atoms cannot unify; residual key collisions fail closed at Apply
-	// and are compensated with an abort record). A crash between a
-	// batch's sync and its apply is repaired by replay — the recovered
-	// store includes the grounding the live store was about to get.
-	//
-	// A mid-prefix error (log or apply failure for grounding i > 0)
-	// returns with groundings 0..i-1 applied and logged but their
-	// transactions still registered pending — the seed's failure shape,
-	// kept: log errors mean the engine is degraded and WAL recovery is
-	// the story; restructuring per-grounding retirement for a path that
-	// only runs on I/O failure is not worth the bookkeeping.
-	for i := 0; i < groundCount; i++ {
-		g := sol.Groundings[i]
-		walStart := time.Now()
-		seq, err := q.logGrounding(p.id(), g)
-		sp.Add(stageGroundWAL, time.Since(walStart))
-		if err != nil {
-			return false, err
-		}
-		if err := q.crashApplyPoint(); err != nil {
-			return false, err
-		}
-		applyStart := time.Now()
-		if err := q.w.Apply(g.Inserts, g.Deletes); err != nil {
-			err = fmt.Errorf("core: executing grounding of txn %d: %w", g.Txn.ID, err)
-			if aerr := q.logAbort(p.id(), seq); aerr != nil {
-				err = errors.Join(err, aerr)
-			}
-			return false, err
-		}
-		sp.Add(stageGroundApply, time.Since(applyStart))
+	// Execute the grounded transactions as one commit unit, write-ahead:
+	// the unit's batch (each grounding's facts + tombstone, in chain
+	// order) is appended and, with SyncWAL, group-commit synced with no
+	// store lock held, and only then applied, all at once. Log sequence
+	// order stays consistent with apply order where it matters:
+	// same-partition batches are strictly ordered (the next append
+	// happens after the previous apply, under this shard), and batches of
+	// other partitions commute with these groundings (their atoms cannot
+	// unify; residual key collisions fail closed at Apply, which leaves
+	// the store unchanged, and the batch is compensated with an abort
+	// record). A crash between the batch's sync and its apply is repaired
+	// by replay — the recovered store includes every grounding the live
+	// store was about to get. A solved unit is never split: it is applied
+	// whole or not at all, whatever its size.
+	gs := sol.Groundings[:groundCount]
+	walStart := time.Now()
+	_, seq, err := q.logGroundings(p.id(), gs, math.MaxInt)
+	sp.Add(stageGroundWAL, time.Since(walStart))
+	if err != nil {
+		return false, err
 	}
-	q.stats.grounded.Add(int64(groundCount))
+	if err := q.crashApplyPoint(); err != nil {
+		return false, err
+	}
+	applyStart := time.Now()
+	if err := q.applyUnit(gs); err != nil {
+		err = fmt.Errorf("core: executing grounding of txn %d: %w", gs[0].Txn.ID, err)
+		if aerr := q.logAbort(p.id(), seq, nil); aerr != nil {
+			err = errors.Join(err, aerr)
+		}
+		return false, err
+	}
+	sp.Add(stageGroundApply, time.Since(applyStart))
 
 	q.mu.Lock()
 	for _, t := range removed {
@@ -833,10 +879,10 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		return err
 	}
 	applyStart := time.Now()
-	if err := q.w.Apply(inserts, deletes); err != nil {
+	if err := q.w.Apply([]relstore.Unit{{Inserts: inserts, Deletes: deletes}}); err != nil {
 		unlockPartitions(cands)
 		err = fmt.Errorf("core: applying write: %w", err)
-		if aerr := q.logAbort(0, seq); aerr != nil {
+		if aerr := q.logAbort(0, seq, nil); aerr != nil {
 			err = errors.Join(err, aerr)
 		}
 		return err

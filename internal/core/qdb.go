@@ -87,6 +87,8 @@ type QDB struct {
 	// cache.go.
 	prep    *formula.PrepCache
 	rejects rejectCache
+	// extOverlays recycles admission's extension overlays (decideBatch).
+	extOverlays overlayList
 
 	// Optimistic-admission snapshot counters (see admit.go). partVersion
 	// versions the partition SET: bumped on every partition create, merge,
@@ -359,18 +361,22 @@ func (q *QDB) installLocked(p *partition, admitted *txn.T, merged []*txn.T, cach
 }
 
 // enforceK force-grounds oldest transactions while p exceeds the
-// k-bound (§4), then releases p's shard. Only p is locked here, so
-// evictions on independent partitions run concurrently. Caller holds p's
-// shard (and nothing else).
+// k-bound (§4), then releases p's shard: the replayable heads as replay
+// runs, each head that needs a solve on its own (groundHeadsLocked).
+// Only p is locked here, so evictions on independent partitions run
+// concurrently. Caller holds p's shard (and nothing else).
 func (q *QDB) enforceK(p *partition) error {
-	for len(p.txns) > q.opt.k() {
-		q.stats.forcedByK.Add(1)
-		if err := q.groundLocked(p, 0); err != nil {
-			p.shard.Unlock()
-			return fmt.Errorf("core: k-bound forced grounding: %w", err)
-		}
+	defer p.shard.Unlock()
+	over := len(p.txns) - q.opt.k()
+	if over <= 0 {
+		return nil
 	}
-	p.shard.Unlock()
+	n, err := q.groundHeadsLocked(p, over)
+	q.stats.forcedByK.Add(int64(n))
+	if err != nil {
+		q.stats.forcedByK.Add(1) // the head that failed was forced too
+		return fmt.Errorf("core: k-bound forced grounding: %w", err)
+	}
 	return nil
 }
 

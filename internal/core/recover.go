@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -20,12 +21,15 @@ import (
 // extensional store can be rebuilt from the initial database.
 //
 // Records travel in BATCHES (wal.SegmentedLog.AppendBatch): one batch is
-// one commit unit — a pending record, a blind write's facts, or a
-// grounding's facts plus its tombstone — framed and sequence-stamped
-// together, so recovery can never observe half a grounding. The engine
-// appends and syncs a batch BEFORE applying its effects to the store
-// (write-ahead ordering): a crash between log and apply is repaired by
-// replay, never by divergence.
+// one commit unit — an admission's pending records (plus the k-bound
+// evictions it triggers), a blind write's facts, or the groundings one
+// collapse executes — framed and sequence-stamped together, so recovery
+// can never observe part of a unit. Each grounding in a unit is its
+// deletes, then its inserts, then its tombstone, in chain order. The
+// engine appends and syncs a batch BEFORE applying its effects to the
+// store, and applies the whole unit at once (write-ahead ordering): a
+// crash between log and apply is repaired by replay, never by
+// divergence.
 const (
 	recPending  uint8 = 1 // payload: txn.Marshal
 	recGrounded uint8 = 2 // payload: 8-byte big-endian txn ID
@@ -39,34 +43,65 @@ const (
 	recAbort uint8 = 5
 )
 
+// unitBodyLimit bounds the frame body of a batch that carries a run of
+// groundings: the WAL's in-memory tail keeps bodies up to 1 MiB
+// (wal/tail.go), and a larger one would empty it, sending followers back
+// to the segment files. A replay run or an admission's carried
+// evictions that would exceed it are split (see batchEnc.addGroundings).
+const unitBodyLimit = 1 << 20
+
+// batchHeaderMax is the most a frame body adds around its records: seq,
+// term and the uvarint record count.
+const batchHeaderMax = 8 + 8 + binary.MaxVarintLen64
+
 // batchEnc assembles one commit unit's records over a reusable byte
 // arena; payloads are sub-slices of the arena (growing the arena leaves
 // already-taken payload slices pointing at the old backing array, whose
-// contents stay valid). Pooled: grounding batches are built on the hot
-// path, outside any lock.
+// contents stay valid). body counts the records' framed bytes as the WAL
+// writes them. Pooled: grounding batches are built on the hot path,
+// outside any lock.
 type batchEnc struct {
 	buf  []byte
 	recs []wal.Record
+	body int
 }
 
 var batchEncPool = sync.Pool{New: func() any { return &batchEnc{} }}
 
 func getBatchEnc() *batchEnc {
 	e := batchEncPool.Get().(*batchEnc)
-	e.buf, e.recs = e.buf[:0], e.recs[:0]
+	e.buf, e.recs, e.body = e.buf[:0], e.recs[:0], 0
 	return e
+}
+
+// push records the payload e.buf[start:] as a record of type typ.
+func (e *batchEnc) push(typ uint8, start int) {
+	p := e.buf[start:]
+	e.recs = append(e.recs, wal.Record{Type: typ, Payload: p})
+	e.body += 1 + (bits.Len64(uint64(len(p))|1)+6)/7 + len(p)
 }
 
 func (e *batchEnc) addFact(typ uint8, f relstore.GroundFact) {
 	start := len(e.buf)
 	e.buf = appendFact(e.buf, f)
-	e.recs = append(e.recs, wal.Record{Type: typ, Payload: e.buf[start:]})
+	e.push(typ, start)
 }
 
 func (e *batchEnc) addID(typ uint8, id uint64) {
 	start := len(e.buf)
 	e.buf = binary.BigEndian.AppendUint64(e.buf, id)
-	e.recs = append(e.recs, wal.Record{Type: typ, Payload: e.buf[start:]})
+	e.push(typ, start)
+}
+
+func (e *batchEnc) addPending(t *txn.T) error {
+	data, err := t.Marshal()
+	if err != nil {
+		return err
+	}
+	start := len(e.buf)
+	e.buf = append(e.buf, data...)
+	e.push(recPending, start)
+	return nil
 }
 
 func (e *batchEnc) addFacts(inserts, deletes []relstore.GroundFact) {
@@ -78,48 +113,67 @@ func (e *batchEnc) addFacts(inserts, deletes []relstore.GroundFact) {
 	}
 }
 
+// addGroundings appends gs in chain order, each grounding as its
+// deletes, inserts and tombstone, while the frame body stays within
+// maxBody, and returns how many it took. A grounding that would overflow
+// is left out unless the batch was empty before it, so a run always
+// makes progress and a pending batch never grows past the bound for the
+// evictions it carries.
+func (e *batchEnc) addGroundings(gs []formula.Grounding, maxBody int) int {
+	for i, g := range gs {
+		buf, recs, body := len(e.buf), len(e.recs), e.body
+		e.addFacts(g.Inserts, g.Deletes)
+		e.addID(recGrounded, uint64(g.Txn.ID))
+		if recs > 0 && e.body+batchHeaderMax > maxBody {
+			e.buf, e.recs, e.body = e.buf[:buf], e.recs[:recs], body
+			return i
+		}
+	}
+	return len(gs)
+}
+
 // logPendingBatch durably records admitted transactions as ONE WAL
 // batch — one append, one group-commit fsync — BEFORE any of them is
 // installed: the §4 invariant wants the pending-transactions table ahead
-// of any visible effect. affinity routes the batch to the partition's
-// segment. Recovery and follower replay iterate every record of a batch,
-// so a multi-record pending batch replays exactly like the equivalent
-// sequence of single appends.
-func (q *QDB) logPendingBatch(affinity int64, ts []*txn.T) error {
+// of any visible effect. After the pending records it carries the
+// leading groundings of evict (the k-bound evictions the install will
+// trigger) that fit within unitBodyLimit, and returns how many it
+// carried and the batch's sequence number (0 with no log, which carries
+// them all). affinity routes the batch to the partition's segment.
+// Recovery and follower replay iterate every record of a batch in order,
+// so the admissions register before the evictions ground.
+func (q *QDB) logPendingBatch(affinity int64, ts []*txn.T, evict []formula.Grounding) (int, uint64, error) {
 	if q.log == nil {
-		return nil
+		return len(evict), 0, nil
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)
 	for _, t := range ts {
-		data, err := t.Marshal()
-		if err != nil {
-			return err
+		if err := e.addPending(t); err != nil {
+			return 0, 0, err
 		}
-		start := len(e.buf)
-		e.buf = append(e.buf, data...)
-		e.recs = append(e.recs, wal.Record{Type: recPending, Payload: e.buf[start:]})
 	}
-	_, err := q.log.AppendBatch(affinity, e.recs)
-	return q.noteStaleTerm(err)
+	n := e.addGroundings(evict, unitBodyLimit)
+	seq, err := q.log.AppendBatch(affinity, e.recs)
+	return n, seq, q.noteStaleTerm(err)
 }
 
-// logGrounding appends one grounding's whole commit unit — fact records
-// plus the tombstone — as a single batch, returning its sequence number
-// (0 with no log). Called BEFORE the grounding is applied to the store;
-// with SyncWAL the call group-commits, so concurrent groundings of
-// partitions on different segments fsync independently and groundings
-// sharing a segment share one fsync.
-func (q *QDB) logGrounding(affinity int64, g formula.Grounding) (uint64, error) {
+// logGroundings appends the leading groundings of gs, in chain order, as
+// one commit unit, taking as many as fit within maxBody (at least one),
+// and returns how many it took and the batch's sequence number (all of
+// them and 0 with no log). Called BEFORE the groundings are applied to
+// the store; with SyncWAL the call group-commits, so concurrent units of
+// partitions on different segments fsync independently and units sharing
+// a segment share one fsync.
+func (q *QDB) logGroundings(affinity int64, gs []formula.Grounding, maxBody int) (int, uint64, error) {
 	if q.log == nil {
-		return 0, nil
+		return len(gs), 0, nil
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)
-	e.addFacts(g.Inserts, g.Deletes)
-	e.addID(recGrounded, uint64(g.Txn.ID))
+	n := e.addGroundings(gs, maxBody)
 	seq, err := q.log.AppendBatch(affinity, e.recs)
-	return seq, q.noteStaleTerm(err)
+	return n, seq, q.noteStaleTerm(err)
 }
 
 // logWrite appends a blind write's facts as one batch, before they are
@@ -136,22 +190,30 @@ func (q *QDB) logWrite(inserts, deletes []relstore.GroundFact) (uint64, error) {
 }
 
 // logAbort compensates the batch with the given sequence number after
-// its apply failed; replay skips aborted batches entirely. A failing
-// abort append is reported loudly: the log now claims a commit the store
-// rejected, which only a checkpoint can expunge. The same caveat applies
-// to a CRASH between the batch's sync and the abort's — compensation
-// records are not crash-atomic with their targets (the classic CLR
-// window) — in which case recovery replays the batch as committed, with
-// the colliding facts absorbed by the idempotent redo; the window
-// requires an apply-time key collision AND a crash inside this call, and
-// a checkpoint closes it.
-func (q *QDB) logAbort(affinity int64, seq uint64) error {
+// its apply failed; replay skips aborted batches entirely. A pending
+// batch that carried evictions also held admissions the engine keeps:
+// rerecord lists them, and the compensating batch records them pending
+// again, so recovery skips the evictions but still registers the
+// admissions. A failing abort append is reported loudly: the log now
+// claims a commit the store rejected, which only a checkpoint can
+// expunge. The same caveat applies to a CRASH between the batch's sync
+// and the abort's — compensation records are not crash-atomic with
+// their targets (the classic CLR window) — in which case recovery
+// replays the batch as committed, with the colliding facts absorbed by
+// the idempotent redo; the window requires an apply-time key collision
+// AND a crash inside this call, and a checkpoint closes it.
+func (q *QDB) logAbort(affinity int64, seq uint64, rerecord []*txn.T) error {
 	if q.log == nil || seq == 0 {
 		return nil
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)
 	e.addID(recAbort, seq)
+	for _, t := range rerecord {
+		if err := e.addPending(t); err != nil {
+			return fmt.Errorf("core: compensating aborted batch %d: %w", seq, err)
+		}
+	}
 	if _, err := q.log.AppendBatch(affinity, e.recs); err != nil {
 		return fmt.Errorf("core: compensating aborted batch %d: %w", seq, q.noteStaleTerm(err))
 	}

@@ -16,6 +16,10 @@ type Stats struct {
 	// Grounded counts transactions whose values have been fixed and whose
 	// updates have been applied.
 	Grounded int
+	// GroundUnits counts the commit units groundings executed in: one WAL
+	// batch and one atomic store apply each. Grounded/GroundUnits is the
+	// number of groundings per fsync.
+	GroundUnits int
 	// ForcedByK counts groundings forced by the per-partition k-bound.
 	ForcedByK int
 	// ForcedByRead counts groundings forced by read collapse.
@@ -161,6 +165,7 @@ type Stats struct {
 // statistics lock.
 type counters struct {
 	submitted, accepted, rejected, grounded      atomic.Int64
+	groundUnits                                  atomic.Int64
 	forcedByK, forcedByRead                      atomic.Int64
 	cacheHits, cacheMisses                       atomic.Int64
 	solutionReplays, solutionStale, negHits      atomic.Int64
@@ -188,6 +193,7 @@ func (c *counters) snapshot() Stats {
 		Accepted:             int(c.accepted.Load()),
 		Rejected:             int(c.rejected.Load()),
 		Grounded:             int(c.grounded.Load()),
+		GroundUnits:          int(c.groundUnits.Load()),
 		ForcedByK:            int(c.forcedByK.Load()),
 		ForcedByRead:         int(c.forcedByRead.Load()),
 		CacheHits:            int(c.cacheHits.Load()),

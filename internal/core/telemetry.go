@@ -106,6 +106,7 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		{"qdb_accepted_total", "Transactions admitted (committed).", &c.accepted},
 		{"qdb_rejected_total", "Transactions refused at admission.", &c.rejected},
 		{"qdb_grounded_total", "Transactions grounded (values fixed, updates applied).", &c.grounded},
+		{"qdb_ground_units_total", "Commit units groundings executed in (one WAL batch and one atomic apply each).", &c.groundUnits},
 		{"qdb_forced_by_k_total", "Groundings forced by the per-partition k-bound.", &c.forcedByK},
 		{"qdb_forced_by_read_total", "Groundings forced by read collapse.", &c.forcedByRead},
 		{"qdb_cache_hits_total", "Admissions satisfied by extending a cached solution.", &c.cacheHits},

@@ -107,11 +107,19 @@ func (db *DB) lockUnowned() bool {
 	return true
 }
 
-// Apply is DB.Apply for the store's owner.
-func (w *Writer) Apply(inserts, deletes []GroundFact) error {
+// Unit is one commit unit's row changes: its deletes, then its inserts.
+type Unit struct {
+	Inserts, Deletes []GroundFact
+}
+
+// Apply applies units in order, each one's deletes before its inserts,
+// under one acquisition of the store lock, all or nothing: on the first
+// failing row every unit already applied is undone and the store is left
+// unchanged. The owner passes a single write as a one-unit list.
+func (w *Writer) Apply(units []Unit) error {
 	w.db.mu.Lock()
 	defer w.db.mu.Unlock()
-	return w.db.applyLocked(inserts, deletes)
+	return w.db.applyLocked(units)
 }
 
 // newVersion returns a fresh stamp for a table version of this database.
@@ -424,50 +432,69 @@ func (db *DB) Apply(inserts, deletes []GroundFact) error {
 		return ErrOwned
 	}
 	defer db.mu.Unlock()
-	return db.applyLocked(inserts, deletes)
+	return db.applyLocked([]Unit{{Inserts: inserts, Deletes: deletes}})
 }
 
-// applyLocked is Apply's body; the caller holds mu exclusively.
-func (db *DB) applyLocked(inserts, deletes []GroundFact) error {
-	if len(inserts)+len(deletes) > 0 {
-		// Bumped even when the batch rolls back: the compensating table
-		// operations bump the per-table epochs anyway, and over-counting
-		// only costs caches a spurious revalidation.
-		db.epoch++
-	}
-	var done []func()
-	undo := func() {
-		for i := len(done) - 1; i >= 0; i-- {
-			done[i]()
+// undoOp reverses one applied row change: an applied insert is undone by
+// deleting tup, an applied delete by inserting it back.
+type undoOp struct {
+	t        *table
+	tup      value.Tuple
+	inserted bool
+}
+
+// applyLocked is Apply's body; the caller holds mu exclusively. One undo
+// log spans every unit, so a failure in any unit rolls back all of them.
+func (db *DB) applyLocked(units []Unit) error {
+	for _, u := range units {
+		if len(u.Inserts)+len(u.Deletes) > 0 {
+			// Bumped even when the batch rolls back: the compensating
+			// table operations bump the per-table epochs anyway, and
+			// over-counting only costs caches a spurious revalidation.
+			db.epoch++
+			break
 		}
 	}
-	for _, d := range deletes {
-		t, ok := db.mutable(d.Rel)
-		if !ok {
-			undo()
-			return fmt.Errorf("relstore: unknown relation %s", d.Rel)
+	var buf [16]undoOp
+	done := buf[:0]
+	for _, u := range units {
+		for _, d := range u.Deletes {
+			t, ok := db.mutable(d.Rel)
+			if !ok {
+				undo(done)
+				return fmt.Errorf("relstore: unknown relation %s", d.Rel)
+			}
+			if err := t.deleteTuple(d.Tuple); err != nil {
+				undo(done)
+				return err
+			}
+			done = append(done, undoOp{t: t, tup: d.Tuple})
 		}
-		tup := d.Tuple
-		if err := t.deleteTuple(tup); err != nil {
-			undo()
-			return err
+		for _, in := range u.Inserts {
+			t, ok := db.mutable(in.Rel)
+			if !ok {
+				undo(done)
+				return fmt.Errorf("relstore: unknown relation %s", in.Rel)
+			}
+			if err := t.insert(in.Tuple); err != nil {
+				undo(done)
+				return err
+			}
+			done = append(done, undoOp{t: t, tup: in.Tuple, inserted: true})
 		}
-		done = append(done, func() { _ = t.insert(tup) })
-	}
-	for _, in := range inserts {
-		t, ok := db.mutable(in.Rel)
-		if !ok {
-			undo()
-			return fmt.Errorf("relstore: unknown relation %s", in.Rel)
-		}
-		tup := in.Tuple
-		if err := t.insert(tup); err != nil {
-			undo()
-			return err
-		}
-		done = append(done, func() { _ = t.deleteTuple(tup) })
 	}
 	return nil
+}
+
+// undo reverses done, newest change first.
+func undo(done []undoOp) {
+	for i := len(done) - 1; i >= 0; i-- {
+		if op := done[i]; op.inserted {
+			_ = op.t.deleteTuple(op.tup)
+		} else {
+			_ = op.t.insert(op.tup)
+		}
+	}
 }
 
 // GroundFact names a concrete tuple of a relation; the unit of updates.

@@ -43,7 +43,7 @@ func TestOwnedStoreRefusesRowWrites(t *testing.T) {
 		t.Fatalf("refused writes changed the rows: A=%v B=%v", db.All("A"), db.All("B"))
 	}
 	// The owner's Writer still writes.
-	if err := w.Apply([]GroundFact{{Rel: "B", Tuple: two}}, nil); err != nil {
+	if err := w.Apply([]Unit{{Inserts: []GroundFact{{Rel: "B", Tuple: two}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if !db.Contains("B", two) || db.TableEpoch("B") == b {
@@ -86,5 +86,43 @@ func TestCreateTableOnOwnedStoreKeepsEpochs(t *testing.T) {
 	if db.Epoch() != epoch || db.TableEpoch("A") != a || db.TableEpoch("B") != b || db.TableEpoch("C") != c {
 		t.Fatalf("CreateTable moved epochs: %d/%d/%d/%d, want %d/%d/%d/%d",
 			db.Epoch(), db.TableEpoch("A"), db.TableEpoch("B"), db.TableEpoch("C"), epoch, a, b, c)
+	}
+}
+
+// TestWriterApplyUnitsAllOrNothing: the owner's units apply in order
+// under one lock, and a failure in a later unit undoes the earlier ones.
+func TestWriterApplyUnitsAllOrNothing(t *testing.T) {
+	db := flightsDB(t)
+	w, err := db.Own()
+	if err != nil {
+		t.Fatal(err)
+	}
+	book := func(name, seat string) Unit {
+		return Unit{
+			Inserts: []GroundFact{{Rel: "Bookings", Tuple: tup(name, 123, seat)}},
+			Deletes: []GroundFact{{Rel: "Available", Tuple: tup(123, seat)}},
+		}
+	}
+	before := len(db.All("Available"))
+	// The second unit takes the seat the first one booked: its delete
+	// finds the row gone, and the first unit must be undone too.
+	if err := w.Apply([]Unit{book("M", "1A"), book("G", "1A")}); err == nil {
+		t.Fatal("Apply with a failing second unit succeeded")
+	}
+	if got := len(db.All("Available")); got != before || db.Len("Bookings") != 0 {
+		t.Fatalf("rollback failed: %d seats (want %d), %d bookings (want 0)", got, before, db.Len("Bookings"))
+	}
+	// Later units see earlier ones: the second unit deletes what the first
+	// inserted.
+	move := Unit{
+		Inserts: []GroundFact{{Rel: "Bookings", Tuple: tup("M", 123, "1B")}},
+		Deletes: []GroundFact{{Rel: "Bookings", Tuple: tup("M", 123, "1A")}},
+	}
+	if err := w.Apply([]Unit{book("M", "1A"), move}); err != nil {
+		t.Fatal(err)
+	}
+	if db.Contains("Bookings", tup("M", 123, "1A")) || !db.Contains("Bookings", tup("M", 123, "1B")) ||
+		db.Contains("Available", tup(123, "1A")) {
+		t.Fatal("units did not apply in order")
 	}
 }

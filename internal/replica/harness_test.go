@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relstore"
+	"repro/internal/txn"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -260,6 +262,87 @@ func TestReplicationSequentialDeterminism(t *testing.T) {
 	b := encode(t)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical runs produced different follower states")
+	}
+}
+
+// TestReplicationCommitUnits feeds a follower the multi-grounding
+// commit units: with k = 2 most admissions carry the evictions they
+// trigger in their pending batch, windows of submits admit as one batch,
+// pairs collapse as one unit and GroundAll drains each partition as one
+// replay run. The follower, pulling three batches at a time after every
+// operation, must end byte-equal with the leader.
+func TestReplicationCommitUnits(t *testing.T) {
+	world := workload.NewWorld(leaderConfig())
+	q, err := core.New(world.DB, core.Options{
+		WALPath:     filepath.Join(t.TempDir(), "leader.wal"),
+		WALSegments: 2,
+		K:           2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	f := NewFollower(&Shipper{DB: q, MaxBatches: 3})
+	if err := f.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(harnessSeed))
+	ops := workload.MixedStream(leaderConfig(), 64, 20, rng)
+	var window []*txn.T
+	for i, op := range ops {
+		if op.Txn != nil {
+			window = append(window, op.Txn)
+		}
+		if len(window) == 4 || (op.Txn == nil && len(window) > 0) {
+			ids, errs := q.SubmitBatch(window)
+			window = window[:0]
+			var pair []int64
+			pending := q.PendingIDs()
+			for j, err := range errs {
+				if err != nil && !errors.Is(err, core.ErrRejected) {
+					t.Fatalf("op %d: submit: %v", i, err)
+				}
+				if err == nil && slices.Contains(pending, ids[j]) {
+					pair = append(pair, ids[j])
+				}
+			}
+			if len(pair) >= 2 {
+				if err := q.GroundGroup(pair[:2]); err != nil {
+					t.Fatalf("op %d: ground pair: %v", i, err)
+				}
+			}
+		}
+		if op.Txn == nil {
+			if _, err := q.Read(op.ReadQuery()); err != nil {
+				t.Fatalf("op %d: read: %v", i, err)
+			}
+		}
+		if i%16 == 15 {
+			if err := q.GroundAll(); err != nil {
+				t.Fatalf("op %d: ground all: %v", i, err)
+			}
+		}
+		if _, err := f.Sync(); err != nil {
+			t.Fatalf("op %d: sync: %v", i, err)
+		}
+	}
+	if err := q.GroundAll(); err != nil {
+		t.Fatal(err)
+	}
+	catchUp(t, f, q)
+	mustEqualState(t, q, f.State())
+	if got, want := f.State().PendingCount(), q.PendingCount(); got != want {
+		t.Fatalf("follower sees %d pending transactions, leader has %d", got, want)
+	}
+	s := q.Stats()
+	if s.GroundUnits == 0 || s.GroundUnits >= s.Grounded || s.ForcedByK == 0 {
+		t.Fatalf("no multi-grounding units exercised: %d groundings in %d units, %d forced by k",
+			s.Grounded, s.GroundUnits, s.ForcedByK)
+	}
+	t.Logf("%d groundings in %d units, %d forced by k, %d batches replayed",
+		s.Grounded, s.GroundUnits, s.ForcedByK, f.BatchesReplayed())
+	if f.Resyncs() != 0 {
+		t.Fatalf("follower resynced %d times; no unit was aborted", f.Resyncs())
 	}
 }
 

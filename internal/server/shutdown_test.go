@@ -168,6 +168,7 @@ func TestServerMetricsSmoke(t *testing.T) {
 	for _, want := range []string{
 		"qdb_submitted_total 2",
 		"qdb_grounded_total 2",
+		"qdb_ground_units_total 2",
 		"qdb_reads_total 1",
 		`qdb_op_duration_seconds_count{op="submit"} 2`,
 		`qdb_op_stage_duration_seconds_count{op="submit",stage="wal"} 2`,

@@ -153,10 +153,12 @@
 // # Durability
 //
 // Options.WALPath turns on write-ahead logging: every commit unit — an
-// admitted transaction's pending record, a grounding's facts plus
-// tombstone, a blind write — is appended to the log as one framed,
-// sequence-stamped batch BEFORE its effects reach the store, so a crash
-// between log and apply is repaired by replay rather than diverging.
+// admission's pending records plus the k-bound evictions its install
+// triggers, the groundings one collapse executes (each one's facts plus
+// tombstone), a blind write — is appended to the log as one framed,
+// sequence-stamped batch BEFORE its effects reach the store, and then
+// applied to the store all at once, so a crash between log and apply is
+// repaired by replay rather than diverging.
 // Two knobs shape the log:
 //
 //   - Options.SyncWAL acknowledges a batch only after an fsync covering
@@ -322,8 +324,12 @@ func (db *DB) Submit(src string) (int64, error) {
 // see core.SubmitBatch). Results align with srcs: ids[i] is the
 // assigned ID when errs[i] is nil. Members are decided independently —
 // a parse error or rejection in one slot never poisons the others —
-// with the same outcomes sequential Submits in slice order would
-// produce.
+// with the same accept/reject decisions sequential Submits in slice
+// order would make. The partitioning differs: the accepted members are
+// installed into ONE partition, merged from every partition any member
+// overlaps, so members that share no atom end up in one partition (and
+// under one k-bound) where sequential Submits would have kept them
+// apart.
 func (db *DB) SubmitBatch(srcs []string) ([]int64, []error) {
 	ids := make([]int64, len(srcs))
 	errs := make([]error, len(srcs))
