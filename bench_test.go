@@ -120,89 +120,82 @@ func tupleOf(vs ...any) value.Tuple {
 // partition receives the same (rejected) booking over and over. The
 // first rejection pays a full composed-body unsatisfiability proof;
 // every later one is answered from the negative solve cache keyed by
-// (transaction content, store epochs) — watch allocs/op collapse between
-// the cache=off and cache=on variants. The acceptance bar (>=2x fewer
+// (transaction content, store epochs). The acceptance bar (>=2x fewer
 // allocs on the second-and-later solve of an unchanged partition) is
 // asserted in internal/core's TestCacheHitPathAllocs; this benchmark
-// reports the numbers.
+// reports the numbers. The uncached engine's numbers are in ROADMAP
+// ("Recorded ablations").
 func BenchmarkRepeatedAdmission(b *testing.B) {
 	const seats = 6
-	run := func(opt core.Options) func(*testing.B) {
-		return func(b *testing.B) {
-			db := relstore.NewDB()
-			db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
-			db.MustCreateTable(relstore.Schema{Name: "Bookings", Columns: []string{"name", "fno", "sno"}, Key: []int{1, 2}})
-			for i := 0; i < seats; i++ {
-				db.MustInsert("Available", tupleOf(1, fmt.Sprintf("s%d", i)))
-			}
-			q, err := core.New(db, opt)
-			if err != nil {
+	b.Run("cache=on", func(b *testing.B) {
+		db := relstore.NewDB()
+		db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
+		db.MustCreateTable(relstore.Schema{Name: "Bookings", Columns: []string{"name", "fno", "sno"}, Key: []int{1, 2}})
+		for i := 0; i < seats; i++ {
+			db.MustInsert("Available", tupleOf(1, fmt.Sprintf("s%d", i)))
+		}
+		q, err := core.New(db, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer q.Close()
+		mk := func(user string) *txn.T {
+			return txn.MustParse(fmt.Sprintf(
+				"-Available(1, s), +Bookings('%s', 1, s) :-1 Available(1, s)", user))
+		}
+		for i := 0; i < seats; i++ {
+			if _, err := q.Submit(mk(fmt.Sprintf("u%d", i))); err != nil {
 				b.Fatal(err)
 			}
-			defer q.Close()
-			mk := func(user string) *txn.T {
-				return txn.MustParse(fmt.Sprintf(
-					"-Available(1, s), +Bookings('%s', 1, s) :-1 Available(1, s)", user))
-			}
-			for i := 0; i < seats; i++ {
-				if _, err := q.Submit(mk(fmt.Sprintf("u%d", i))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			late := mk("late")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := q.Submit(late); err == nil {
-					b.Fatal("over-full flight accepted a booking")
-				}
+		}
+		late := mk("late")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := q.Submit(late); err == nil {
+				b.Fatal("over-full flight accepted a booking")
 			}
 		}
-	}
-	b.Run("cache=on", run(core.Options{}))
-	b.Run("cache=off", run(core.Options{DisableCache: true}))
+	})
 }
 
 // BenchmarkGroundReplay measures collapse of an unchanged partition: with
 // the cross-solve solution cache, GroundAll replays the admission-time
-// groundings (zero chain solves); without it, every grounding re-solves
-// the remaining chain.
+// groundings (zero chain solves). The numbers for an engine that
+// re-solves the remaining chain per grounding are in ROADMAP ("Recorded
+// ablations").
 func BenchmarkGroundReplay(b *testing.B) {
 	const seats = 6
-	run := func(opt core.Options) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := relstore.NewDB()
-				db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
-				db.MustCreateTable(relstore.Schema{Name: "Bookings", Columns: []string{"name", "fno", "sno"}, Key: []int{1, 2}})
-				for s := 0; s < seats; s++ {
-					db.MustInsert("Available", tupleOf(1, fmt.Sprintf("s%d", s)))
-				}
-				q, err := core.New(db, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for s := 0; s < seats; s++ {
-					tx := txn.MustParse(fmt.Sprintf(
-						"-Available(1, s), +Bookings('u%d', 1, s) :-1 Available(1, s)", s))
-					if _, err := q.Submit(tx); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				if err := q.GroundAll(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				q.Close()
-				b.StartTimer()
+	b.Run("cache=on", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := relstore.NewDB()
+			db.MustCreateTable(relstore.Schema{Name: "Available", Columns: []string{"fno", "sno"}})
+			db.MustCreateTable(relstore.Schema{Name: "Bookings", Columns: []string{"name", "fno", "sno"}, Key: []int{1, 2}})
+			for s := 0; s < seats; s++ {
+				db.MustInsert("Available", tupleOf(1, fmt.Sprintf("s%d", s)))
 			}
+			q, err := core.New(db, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for s := 0; s < seats; s++ {
+				tx := txn.MustParse(fmt.Sprintf(
+					"-Available(1, s), +Bookings('u%d', 1, s) :-1 Available(1, s)", s))
+				if _, err := q.Submit(tx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			if err := q.GroundAll(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			q.Close()
+			b.StartTimer()
 		}
-	}
-	b.Run("cache=on", run(core.Options{}))
-	b.Run("cache=off", run(core.Options{DisableCache: true}))
+	})
 }
 
 // BenchmarkGroundAllScaling measures partition-parallel grounding: N
@@ -234,8 +227,9 @@ func BenchmarkGroundAllScaling(b *testing.B) {
 
 // ---- Ablations (design decisions from ARCHITECTURE.md) ----
 
-// ablationStream runs one Random-order entangled stream under the given
-// options and reports coordination as a benchmark metric.
+// ablationStream runs b.N Random-order entangled streams, stream i under
+// seed i+1, with the given options and reports their mean coordination
+// as a benchmark metric.
 func ablationStream(b *testing.B, opt bench.StreamOptions) {
 	b.Helper()
 	cfg := workload.Config{Flights: 2, RowsPerFlight: 10}
@@ -248,31 +242,18 @@ func ablationStream(b *testing.B, opt bench.StreamOptions) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		coord = r.CoordinationPct
+		coord += r.CoordinationPct
 	}
-	b.ReportMetric(coord, "coordination%")
+	b.ReportMetric(coord/float64(b.N), "coordination%")
 }
 
-// BenchmarkAblationSolutionCache compares admission with and without the
-// solution cache (§4: the cache amortizes satisfiability checks).
+// BenchmarkAblationSolutionCache measures admission with the solution
+// cache (§4: the cache amortizes satisfiability checks). The uncached
+// and one-partition engines' numbers are in ROADMAP ("Recorded
+// ablations").
 func BenchmarkAblationSolutionCache(b *testing.B) {
 	b.Run("cache=on", func(b *testing.B) {
 		ablationStream(b, bench.StreamOptions{Core: core.Options{K: 8}})
-	})
-	b.Run("cache=off", func(b *testing.B) {
-		ablationStream(b, bench.StreamOptions{Core: core.Options{K: 8, DisableCache: true}})
-	})
-}
-
-// BenchmarkAblationPartitioning compares per-flight partitions against a
-// single global composed body (§4-5 credit partitioning for Figure 7's
-// linear scaling).
-func BenchmarkAblationPartitioning(b *testing.B) {
-	b.Run("partitioning=on", func(b *testing.B) {
-		ablationStream(b, bench.StreamOptions{Core: core.Options{K: 8}})
-	})
-	b.Run("partitioning=off", func(b *testing.B) {
-		ablationStream(b, bench.StreamOptions{Core: core.Options{K: 8, DisablePartitioning: true}})
 	})
 }
 
@@ -298,12 +279,15 @@ func BenchmarkAblationSerializability(b *testing.B) {
 }
 
 // BenchmarkAblationChooser compares first-fit collapse against the
-// flexibility-maximizing chooser (§3.2.2) and the eager-coordination
-// extension, reporting achieved coordination.
+// flexibility-maximizing chooser (§3.2.2), each with and without the
+// eager-coordination extension, reporting achieved coordination.
 func BenchmarkAblationChooser(b *testing.B) {
 	k := core.Options{K: 4}
 	b.Run("chooser=firstfit", func(b *testing.B) {
 		ablationStream(b, bench.StreamOptions{Core: k})
+	})
+	b.Run("chooser=firstfit+eager", func(b *testing.B) {
+		ablationStream(b, bench.StreamOptions{Core: k, Eager: true})
 	})
 	b.Run("chooser=flexibility", func(b *testing.B) {
 		opt := k

@@ -52,11 +52,10 @@ import (
 //     admission, which cannot conflict.
 //
 // Serial admission is a mode of the same routine, used for
-// Options.SerialAdmission, Options.DisablePartitioning (one global
-// partition makes every pair of speculations conflict) and the conflict
-// fallback. It admits the members one at a time, holding admitMu from
-// overlap resolution through publish, so the partition set cannot move
-// under the solve and nothing needs revalidating.
+// Options.SerialAdmission and the conflict fallback. It admits the
+// members one at a time, holding admitMu from overlap resolution through
+// publish, so the partition set cannot move under the solve and nothing
+// needs revalidating.
 //
 // Stats: every cycle bumps CacheHits or CacheMisses per solved member,
 // NegativeHits per probe-answered rejection, Accepted/Rejected per
@@ -102,7 +101,7 @@ type partSnap struct {
 // member's idx: optimistic cycles while they validate, serial ones when
 // the options ask for it or the conflict budget is spent.
 func (q *QDB) admit(items []batchItem, ids []int64, errs []error, sp *telemetry.Span) {
-	if q.optimisticEnabled() {
+	if !q.opt.SerialAdmission {
 		for attempt := 0; attempt < maxAdmitAttempts; attempt++ {
 			if q.admitCycle(items, false, ids, errs, sp) {
 				return
@@ -117,14 +116,6 @@ func (q *QDB) admit(items []batchItem, ids []int64, errs []error, sp *telemetry.
 	for i := range items {
 		q.admitCycle(items[i:i+1], true, ids, errs, sp)
 	}
-}
-
-// optimisticEnabled reports whether admission may speculate outside the
-// admission lock. With partitioning disabled every admission overlaps
-// the single global partition, so speculation could only ever conflict;
-// route it straight to serial cycles.
-func (q *QDB) optimisticEnabled() bool {
-	return !q.opt.SerialAdmission && !q.opt.DisablePartitioning
 }
 
 // admitCycle runs one snapshot → decide → publish cycle over items and
@@ -328,11 +319,10 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 		if d.ok {
 			continue
 		}
-		if !q.opt.DisableCache && !d.fromNeg {
-			q.rejects.add(d.negKey, d.negFP)
-		}
 		if d.fromNeg {
 			q.stats.negHits.Add(1)
+		} else {
+			q.rejects.add(d.negKey, d.negFP)
 		}
 		q.stats.rejected.Add(1)
 		errs[it.idx] = fmt.Errorf("%w: txn %q", ErrRejected, it.orig.String())

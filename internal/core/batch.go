@@ -209,7 +209,7 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 	// never pays for the merge); after that each accept keeps it aligned
 	// with chain.
 	var cached []formula.Grounding
-	known, seeded := false, q.opt.DisableCache || !snap.allCached()
+	known, seeded := false, !snap.allCached()
 	// ext is v with cached applied, built once when the extension path
 	// first needs it and extended by each grounding that path accepts, so
 	// a cycle replays the chain into an overlay once rather than once per
@@ -229,18 +229,15 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 		d := &out.decisions[i]
 		scratch = insertByID(scratch[:0], chain, t)
 		views := stripAll(scratch)
-		if !q.opt.DisableCache {
-			// Negative probe: the same composed-body question (up to
-			// variable renaming — ContentKey normalizes the fresh
-			// rename-apart) proven unsatisfiable against these relations
-			// at these epochs rejects by cache probe, skipping both solve
-			// paths.
-			d.negKey = solveKey(views, false, 1, 0)
-			d.negFP = epochFingerprint(v, views)
-			if q.rejects.hit(d.negKey, d.negFP) {
-				d.fromNeg = true
-				continue
-			}
+		// Negative probe: the same composed-body question (up to variable
+		// renaming — ContentKey normalizes the fresh rename-apart) proven
+		// unsatisfiable against these relations at these epochs rejects
+		// by cache probe, skipping both solve paths.
+		d.negKey = solveKey(views, false, 1, 0)
+		d.negFP = epochFingerprint(v, views)
+		if q.rejects.hit(d.negKey, d.negFP) {
+			d.fromNeg = true
+			continue
 		}
 		if !seeded {
 			seeded, known = true, true
@@ -287,11 +284,9 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			d.ok = true
 			out.accepts++
 			chain = append(chain[:0], scratch...)
-			if !q.opt.DisableCache {
-				// The full chain solution re-seeds the extension path for
-				// the remaining members.
-				cached, known, extBuilt = sol.Groundings, true, false
-			}
+			// The full chain solution re-seeds the extension path for the
+			// remaining members.
+			cached, known, extBuilt = sol.Groundings, true, false
 		}
 	}
 	out.finalChain = chain

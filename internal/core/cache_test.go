@@ -374,35 +374,6 @@ func TestCachesUnderConcurrentWriters(t *testing.T) {
 	})
 }
 
-// TestReplayDisabledWithCacheAblation: the DisableCache ablation must
-// keep every new cache off (full solves, no probes), matching the
-// paper's uncached baseline.
-func TestReplayDisabledWithCacheAblation(t *testing.T) {
-	db := worldDB([]int{1}, 3)
-	q := mustQDB(t, db, Options{DisableCache: true})
-	for i := 0; i < 3; i++ {
-		if _, err := q.Submit(book(fmt.Sprintf("u%d", i), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := q.Submit(book("late", 1)); !errors.Is(err, ErrRejected) {
-		t.Fatalf("want ErrRejected, got %v", err)
-	}
-	if _, err := q.Submit(book("late2", 1)); !errors.Is(err, ErrRejected) {
-		t.Fatalf("want ErrRejected, got %v", err)
-	}
-	if err := q.GroundAll(); err != nil {
-		t.Fatal(err)
-	}
-	s := q.Stats()
-	if s.SolutionReplays != 0 || s.NegativeCacheHits != 0 || s.PrepCacheHits != 0 {
-		t.Fatalf("ablation leaked cache activity: %+v", s)
-	}
-	if got := db.Len("Bookings"); got != 3 {
-		t.Fatalf("bookings = %d, want 3", got)
-	}
-}
-
 // TestReplayAfterEvictionResolvesCorrectly: a k-bound eviction replays
 // the cached head; later submissions into the shrunken partition must
 // still extend correctly (the realigned tail + restamped epoch).

@@ -16,10 +16,12 @@ import (
 // reachable over the wire) and takes db.mu exclusively; a chain solve
 // whose evaluator re-entered db.mu's read side from inside a scan
 // callback would park behind that queued writer and never return. The
-// test fails with a goroutine dump when Submit stalls.
+// test fails with a goroutine dump when Submit stalls, and checks from
+// Stats that every Submit ran a solve under a view (the extension over
+// the cached solution or a full solve) rather than a probe answer.
 func TestCreateTableDuringSolves(t *testing.T) {
 	db := worldDB([]int{1}, 300)
-	q := mustQDB(t, db, Options{K: 8, DisableCache: true})
+	q := mustQDB(t, db, Options{K: 8})
 
 	var submitted atomic.Int64
 	done, stop := make(chan struct{}), make(chan struct{})
@@ -55,7 +57,7 @@ func TestCreateTableDuringSolves(t *testing.T) {
 				t.Errorf("CreateTable: %v", err)
 				return
 			}
-			time.Sleep(200 * time.Microsecond)
+			time.Sleep(20 * time.Microsecond)
 		}
 	}()
 
@@ -65,6 +67,11 @@ func TestCreateTableDuringSolves(t *testing.T) {
 		case <-done:
 			close(stop)
 			<-created
+			st := q.Stats()
+			if n := submitted.Load(); int64(st.CacheHits+st.CacheMisses) != n || st.NegativeCacheHits != 0 {
+				t.Fatalf("%d submits, %d extension + %d full solves, %d probe answers: want one solve each",
+					n, st.CacheHits, st.CacheMisses, st.NegativeCacheHits)
+			}
 			return
 		case <-time.After(20 * time.Millisecond):
 		}

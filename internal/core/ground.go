@@ -213,9 +213,9 @@ func (q *QDB) collapseLocked(p *partition, pos []int, attempts []attempt) error 
 // Replay stops at the first head with optional atoms (grounding
 // maximizes them; the cached solution was solved over stripped views),
 // and takes nothing when a chooser wants candidates to pick from or the
-// cache is disabled or unaligned.
+// cache is unaligned.
 func (q *QDB) replayable(txns []*txn.T, cached []formula.Grounding, limit int) int {
-	if q.opt.DisableCache || q.opt.sample() > 1 || len(cached) != len(txns) {
+	if q.opt.sample() > 1 || len(cached) != len(txns) {
 		return 0
 	}
 	n := 0
@@ -461,15 +461,11 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 	}
 	q.mu.Unlock()
 	p.txns = rest
-	if q.opt.DisableCache {
-		p.cached = nil
-	} else {
-		// Remaining groundings were solved over the store state that now
-		// includes the executed prefix, and in the solve order; for the
-		// orders used here (arrival order, or the members first) the tail
-		// is already in ascending-ID partition order.
-		p.cached = append([]formula.Grounding(nil), sol.Groundings[groundCount:]...)
-	}
+	// Remaining groundings were solved over the store state that now
+	// includes the executed prefix, and in the solve order; for the orders
+	// used here (arrival order, or the members first) the tail is already
+	// in ascending-ID partition order.
+	p.cached = append([]formula.Grounding(nil), sol.Groundings[groundCount:]...)
 	p.version++
 	if len(p.txns) == 0 {
 		q.mu.Lock()
@@ -491,15 +487,11 @@ func (q *QDB) solveForGround(v relstore.View, solver []*txn.T, maximize bool) (*
 	// this answers repeated failed reorder and coordination attempts by
 	// cache probe. The view holds writers off, so the fingerprint and the
 	// solve observe the same state.
-	useNeg := !q.opt.DisableCache
-	var negKey, negFP uint64
-	if useNeg {
-		negKey = solveKey(solver, maximize, sample, 0)
-		negFP = epochFingerprint(v, solver)
-		if q.rejects.hit(negKey, negFP) {
-			q.stats.negHits.Add(1)
-			return nil, nil
-		}
+	negKey := solveKey(solver, maximize, sample, 0)
+	negFP := epochFingerprint(v, solver)
+	if q.rejects.hit(negKey, negFP) {
+		q.stats.negHits.Add(1)
+		return nil, nil
 	}
 	var (
 		sols []*formula.ChainSolution
@@ -516,9 +508,7 @@ func (q *QDB) solveForGround(v relstore.View, solver []*txn.T, maximize bool) (*
 		return nil, err
 	}
 	if len(sols) == 0 {
-		if useNeg {
-			q.rejects.add(negKey, negFP)
-		}
+		q.rejects.add(negKey, negFP)
 		return nil, nil
 	}
 	pick := 0
@@ -825,15 +815,11 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		// Negative probe: this write was already proven to empty this
 		// partition's possible worlds at these epochs — re-reject by
 		// probe (a retried rejected write costs no solves).
-		useNeg := !q.opt.DisableCache
-		var negKey, negFP uint64
-		if useNeg {
-			negKey = solveKey(views, false, 1, dk)
-			negFP = epochFingerprint(v, views)
-			if q.rejects.hit(negKey, negFP) {
-				q.stats.negHits.Add(1)
-				return ErrWriteRejected
-			}
+		negKey := solveKey(views, false, 1, dk)
+		negFP := epochFingerprint(v, views)
+		if q.rejects.hit(negKey, negFP) {
+			q.stats.negHits.Add(1)
+			return ErrWriteRejected
 		}
 		ov := relstore.NewOverlay(v)
 		if err := ov.ApplyFacts(inserts, deletes); err != nil {
@@ -844,9 +830,7 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 			return err
 		}
 		if !ok {
-			if useNeg {
-				q.rejects.add(negKey, negFP)
-			}
+			q.rejects.add(negKey, negFP)
 			return ErrWriteRejected
 		}
 		refreshed[i] = sol.Groundings
@@ -894,13 +878,11 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	q.writeSeq.Add(1)
 	sp.Add(stageWriteApply, time.Since(applyStart))
 	for i, p := range affected {
-		if !q.opt.DisableCache {
-			// Refreshed solutions were validated over the store plus this
-			// write, which is now the store, so grounding can replay them.
-			p.cached = refreshed[i]
-		}
-		// Either way the partition's solve-relevant state moved: any
-		// in-flight admission speculation over it must conflict.
+		// Refreshed solutions were validated over the store plus this
+		// write, which is now the store, so grounding can replay them.
+		// The partition's solve-relevant state moved: any in-flight
+		// admission speculation over it must conflict.
+		p.cached = refreshed[i]
 		p.version++
 	}
 	unlockPartitions(cands)

@@ -38,7 +38,7 @@ func runRandomized(t *testing.T, seed int64) {
 	if seed%2 == 0 {
 		mode = Strict
 	}
-	q := mustQDB(t, db, Options{K: 3 + int(seed%4), Mode: mode, DisableCache: seed%3 == 0})
+	q := mustQDB(t, db, Options{K: 3 + int(seed%4), Mode: mode})
 
 	accepted := make(map[string]bool) // user -> accepted
 	users := 0

@@ -62,7 +62,7 @@ func FirstFit([]formula.Grounding, relstore.Source) int { return 0 }
 const DefaultK = 61
 
 // Options configures a quantum database. The zero value is usable:
-// k=DefaultK, semantic serializability, caching and partitioning on.
+// k=DefaultK, semantic serializability, first-fit collapse.
 type Options struct {
 	// K bounds pending transactions per partition; admitting a
 	// transaction that would exceed it force-grounds the oldest pending
@@ -70,26 +70,13 @@ type Options struct {
 	K int
 	// Mode is the serializability discipline for out-of-order grounding.
 	Mode Mode
-	// DisableCache turns off the whole caching layer — the per-partition
-	// solution cache (admission extension and grounding replay), the
-	// negative solve cache, and the cross-solve prepared-query cache —
-	// forcing a full composed-body solve on every admission, grounding,
-	// and write validation (ablation: the paper argues the cache
-	// amortizes satisfiability checks).
-	DisableCache bool
-	// DisablePartitioning maintains one global composed body instead of
-	// independent per-partition bodies (ablation: §4-5 credit partitioning
-	// for scalability).
-	DisablePartitioning bool
 	// SerialAdmission turns off optimistic parallel admission: every
 	// Submit holds the admission lock across its whole chain solve (the
 	// pre-optimistic discipline) instead of solving speculatively against
 	// a partition-set snapshot and validating before install. The ablation
 	// counterpart of qdbd's -serial-admission flag. Optimistic admission
-	// is also bypassed automatically when DisablePartitioning is set (one
-	// global partition makes every pair of admissions conflict, so
-	// speculation could only waste solves) and per-call after repeated
-	// validation conflicts (Stats.SerialFallbacks).
+	// is also bypassed per call after repeated validation conflicts
+	// (Stats.SerialFallbacks).
 	SerialAdmission bool
 	// Planner is forwarded to the conjunctive-query evaluator.
 	Planner relstore.PlannerMode

@@ -274,14 +274,13 @@ func runOracle(t *testing.T, seed int64, opt Options, steps int) (gaps int) {
 	return gaps
 }
 
-// oracleOptions decodes a configuration: K in {1, 2, unbounded}, serial
-// admission on or off, both Modes, and (fuzz only) the cache ablation.
+// oracleOptions decodes one of 12 configurations: K in {1, 2,
+// unbounded}, serial admission on or off, and both Modes.
 func oracleOptions(c uint8) Options {
 	return Options{
 		K:               []int{1, 2, -1}[c%3],
 		SerialAdmission: c/3%2 == 1,
 		Mode:            Mode(c / 6 % 2),
-		DisableCache:    c/12%2 == 1,
 	}
 }
 
@@ -296,6 +295,7 @@ func TestAdmissionMatchesOracle(t *testing.T) {
 }
 
 func FuzzAdmissionOracle(f *testing.F) {
+	// Each of the 12 configurations twice, under distinct stream seeds.
 	for c := uint8(0); c < 24; c++ {
 		f.Add(int64(c), c)
 	}

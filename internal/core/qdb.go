@@ -324,11 +324,11 @@ func (q *QDB) isPending(id int64) bool {
 // against a snapshot of the overlapping partitions, and a short critical
 // section validates the snapshot and installs the result, retrying on
 // conflict with a serial fallback. Submits touching disjoint partitions
-// therefore admit concurrently. Options.SerialAdmission (and
-// DisablePartitioning) selects the serial mode, which holds the
-// admission lock across the whole solve. Either way, the k-bound
-// eviction at the end runs with only the target partition locked, so
-// evictions of different partitions proceed in parallel.
+// therefore admit concurrently. Options.SerialAdmission selects the
+// serial mode, which holds the admission lock across the whole solve.
+// Either way, the k-bound eviction at the end runs with only the target
+// partition locked, so evictions of different partitions proceed in
+// parallel.
 func (q *QDB) Submit(t *txn.T) (int64, error) {
 	var ids [1]int64
 	var errs [1]error
@@ -344,11 +344,7 @@ func (q *QDB) Submit(t *txn.T) (int64, error) {
 // holds admitMu and p's shard.
 func (q *QDB) installLocked(p *partition, admitted *txn.T, merged []*txn.T, cached []formula.Grounding) {
 	p.txns = merged
-	if q.opt.DisableCache {
-		p.cached = nil
-	} else {
-		p.cached = cached
-	}
+	p.cached = cached
 	p.version++
 	q.mu.Lock()
 	q.byTxn[admitted.ID] = p
@@ -394,30 +390,22 @@ func (q *QDB) enforceK(p *partition) error {
 func (q *QDB) view() relstore.View { return q.db.View() }
 
 // chainOpts builds solver options; maximize toggles optional-atom subset
-// search. The cross-solve prepared-query cache rides along unless the
-// caching ablation is on.
+// search. The cross-solve prepared-query cache rides along.
 func (q *QDB) chainOpts(maximize bool) formula.ChainOptions {
-	opts := formula.ChainOptions{
+	return formula.ChainOptions{
 		Planner:           q.opt.Planner,
 		MaximizeOptionals: maximize,
 		MaxSteps:          q.opt.MaxSolverSteps,
 		StepCounter:       &q.stats.solverSteps,
+		Prep:              q.prep,
 	}
-	if !q.opt.DisableCache {
-		opts.Prep = q.prep
-	}
-	return opts
 }
 
 // lockOverlapping locks and returns the live partitions sharing a
-// unifiable atom with t, ascending by partition ID. With partitioning
-// disabled it returns every partition. The caller MUST hold admitMu (see
-// lockOverlappingAtoms); the exact unification test runs on candidates
-// only, under their locks.
+// unifiable atom with t, ascending by partition ID. The caller MUST
+// hold admitMu (see lockOverlappingAtoms); the exact unification test
+// runs on candidates only, under their locks.
 func (q *QDB) lockOverlapping(t *txn.T) []*partition {
-	if q.opt.DisablePartitioning {
-		return q.lockAllPartitions()
-	}
 	atoms := atomsOf(t)
 	cands := q.lockOverlappingAtoms(atoms)
 	out := cands[:0]

@@ -446,35 +446,6 @@ func TestSemanticReorderChecksWholeChain(t *testing.T) {
 	}
 }
 
-func TestDisableCacheStillCorrect(t *testing.T) {
-	db := worldDB([]int{1}, 6)
-	q := mustQDB(t, db, Options{DisableCache: true})
-	for i := 0; i < 4; i++ {
-		if _, err := q.Submit(book(fmt.Sprintf("u%d", i), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := q.Submit(book("u4", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Submit(book("u5", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Submit(book("u6", 1)); !errors.Is(err, ErrRejected) {
-		t.Fatalf("7th on 6 seats: %v, want ErrRejected", err)
-	}
-	st := q.Stats()
-	if st.CacheHits != 0 {
-		t.Fatalf("cache hits with cache disabled: %+v", st)
-	}
-	if err := q.GroundAll(); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.Len("Bookings"); n != 6 {
-		t.Fatalf("bookings = %d, want 6", n)
-	}
-}
-
 func TestCacheHitsOnIndependentSubmissions(t *testing.T) {
 	db := worldDB([]int{1}, 30)
 	q := mustQDB(t, db, Options{})
@@ -486,19 +457,6 @@ func TestCacheHitsOnIndependentSubmissions(t *testing.T) {
 	st := q.Stats()
 	if st.CacheHits < 8 {
 		t.Fatalf("cache hits = %d, want most of 10 admissions", st.CacheHits)
-	}
-}
-
-func TestDisablePartitioningSingleGlobalBody(t *testing.T) {
-	db := worldDB([]int{1, 2, 3}, 3)
-	q := mustQDB(t, db, Options{DisablePartitioning: true})
-	for f := 1; f <= 3; f++ {
-		if _, err := q.Submit(book(fmt.Sprintf("u%d", f), f)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := q.Partitions(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("partitions = %v, want one of size 3", got)
 	}
 }
 

@@ -450,11 +450,7 @@ func (q *QDB) readmit(t *txn.T) error {
 	}
 	p := q.mergeLocked(overlapping)
 	p.txns = merged
-	if q.opt.DisableCache {
-		p.cached = nil
-	} else {
-		p.cached = sol.Groundings
-	}
+	p.cached = sol.Groundings
 	p.version++
 	q.mu.Lock()
 	q.byTxn[t.ID] = p

@@ -64,8 +64,7 @@
 //     forces a fresh solve, so a stale grounding can never be served; a
 //     compiled body holds no store state and needs no invalidation.
 //     Stats reports SolutionReplays, SolutionStale, NegativeCacheHits
-//     and PrepCacheHits/Misses; Options.DisableCache turns the layer
-//     off for ablations.
+//     and PrepCacheHits/Misses.
 //
 // Two join planners are available (relstore.PlanDynamic, the default
 // greedy re-planning mode, and relstore.PlanStatic, a naive fixed order)
