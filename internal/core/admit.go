@@ -411,7 +411,7 @@ func (q *QDB) applyEvictions(p *partition, affinity int64, seq uint64, admitted 
 }
 
 // allCached reports whether every snapshot partition carries a cached
-// solution (mirrors allCached over live partitions).
+// solution (false once a stale apply dropped one).
 func (s *admitSnap) allCached() bool {
 	for _, ps := range s.parts {
 		if ps.cached == nil && len(ps.txns) > 0 {
@@ -422,7 +422,8 @@ func (s *admitSnap) allCached() bool {
 }
 
 // combinedGroundings merges the snapshot partitions' cached groundings
-// in transaction-ID order (mirrors combinedGroundings).
+// in transaction-ID order: the chain solution decideBatch's extension
+// path starts from.
 func (s *admitSnap) combinedGroundings() []formula.Grounding {
 	var all []formula.Grounding
 	for _, ps := range s.parts {

@@ -57,8 +57,10 @@ type batchOutcome struct {
 	fpAll     uint64
 	decisions []batchDecision
 	// finalChain is base plus the accepted members, ascending by ID;
-	// finalCached is its aligned chain solution (nil when the cache is
-	// disabled or no full solution is available).
+	// finalCached is its aligned chain solution (nil when none is known:
+	// every member was answered by the negative probe, or a base
+	// partition's cache was dropped by a stale apply and no full solve
+	// re-seeded it).
 	finalChain  []*txn.T
 	finalCached []formula.Grounding
 	accepts     int

@@ -268,16 +268,19 @@ func (q *QDB) lockAllPartitions() []*partition {
 
 // RecoverCheckpoint rebuilds a quantum database from a checkpoint file
 // plus the WAL suffix written after it. The schema and base rows come
-// from the checkpoint, so no initial database is needed.
+// from the checkpoint, so no initial database is needed: recovery starts
+// the replay state from the decoded cut — store, pending table, nextID,
+// stamp and term — and replays the log over it (recoverOnto).
 //
 // Replay skips every batch at or below the checkpoint's WAL sequence
-// stamp: those are covered by the cut by construction. The skip is
-// load-bearing, not just an optimization — WAL truncation after a fuzzy
-// checkpoint rewrites segment files one at a time, so a crash mid-
-// truncation can leave a commit unit's pending record on one segment
-// while its grounding tombstone (also below the stamp) is already gone
-// from another; replaying that orphaned prefix record would resurrect
-// a grounded transaction. The stamp rules the whole prefix out at once.
+// stamp, abort records included: those are covered by the cut by
+// construction. The skip is load-bearing, not just an optimization —
+// WAL truncation after a fuzzy checkpoint rewrites segment files one at
+// a time, so a crash mid-truncation can leave a commit unit's pending
+// record on one segment while its grounding tombstone (also below the
+// stamp) is already gone from another; replaying that orphaned prefix
+// record would resurrect a grounded transaction. The stamp rules the
+// whole prefix out at once.
 func RecoverCheckpoint(checkpointPath string, opt Options) (*QDB, error) {
 	if opt.WALPath == "" {
 		return nil, fmt.Errorf("core: RecoverCheckpoint requires Options.WALPath")
@@ -287,22 +290,9 @@ func RecoverCheckpoint(checkpointPath string, opt Options) (*QDB, error) {
 		return nil, fmt.Errorf("core: open checkpoint: %w", err)
 	}
 	defer f.Close()
-	store, nextID, walSeq, term, pending, err := decodeCheckpoint(f)
+	st, err := decodeReplicaState(f)
 	if err != nil {
 		return nil, err
 	}
-
-	// Recover replays the post-stamp WAL suffix over the snapshot store
-	// and re-admits the suffix's still-pending transactions; the
-	// checkpoint's own pending set is re-admitted first. The cut's
-	// replication term is restored too (the WAL suffix may raise it
-	// further — recoverOnto keeps the max).
-	q, err := recoverOnto(store, pending, walSeq, term, opt)
-	if err != nil {
-		return nil, err
-	}
-	if nextID > q.nextID {
-		q.nextID = nextID
-	}
-	return q, nil
+	return recoverOnto(st, opt)
 }

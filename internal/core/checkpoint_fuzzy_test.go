@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/relstore"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -316,5 +318,99 @@ func TestRecoverCheckpointSkipsOrphanedPrefixRecords(t *testing.T) {
 	}
 	if id <= 1 {
 		t.Fatalf("recovered instance reissued ID %d", id)
+	}
+}
+
+// TestRecoverCheckpointSkipsOrphanedAbort is the abort half of the same
+// hazard: truncation can crash having pruned the segment holding a
+// batch while the segment holding that batch's abort compensation
+// survives. Both are below the stamp, so the checkpoint already covers
+// what the abort says; replay must not read it, or it would report the
+// cut as diverged from a batch the cut never applied.
+func TestRecoverCheckpointSkipsOrphanedAbort(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "qdb.wal")
+	ckpt := filepath.Join(dir, "qdb.ckpt")
+
+	l, err := wal.OpenSegmented(walPath, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A blind write's batch on segment 0 whose apply failed, and the
+	// abort compensating it on segment 1.
+	e := getBatchEnc()
+	e.addFacts(
+		[]relstore.GroundFact{{Rel: "Bookings", Tuple: tup("A", 1, "1A")}},
+		[]relstore.GroundFact{{Rel: "Available", Tuple: tup(1, "1A")}})
+	target, err := l.AppendBatch(0, e.recs)
+	batchEncPool.Put(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = getBatchEnc()
+	e.addID(recAbort, target)
+	stamp, err := l.AppendBatch(1, e.recs)
+	batchEncPool.Put(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The checkpoint cut covered both batches: the aborted write never
+	// reached its store, and one transaction was pending.
+	pend := book("P", 1)
+	pend.ID = 1
+	pend = pend.RenamedApart()
+	db := worldDB([]int{1}, 3)
+	snap := db.Snapshot()
+	var want bytes.Buffer
+	if err := snap.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	err = writeCheckpointFile(ckpt, checkpointCut{snap: snap, nextID: 2, stamp: stamp, pending: []*txn.T{pend}})
+	snap.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash mid-truncation: the target's segment is gone, the abort's
+	// segment untouched.
+	if err := os.Remove(walPath + ".0"); err != nil {
+		t.Fatal(err)
+	}
+	surviving, err := wal.ReadAll(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(surviving) != 1 || surviving[0].Records[0].Type != recAbort {
+		t.Fatalf("setup broken: surviving log = %d batches, want the orphaned abort", len(surviving))
+	}
+
+	r, err := RecoverCheckpoint(ckpt, Options{WALPath: walPath, WALSegments: 2})
+	if err != nil {
+		t.Fatalf("orphaned abort below the stamp: %v", err)
+	}
+	defer r.Close()
+	got := r.Snapshot()
+	var have bytes.Buffer
+	err = got.Encode(&have)
+	got.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(have.Bytes(), want.Bytes()) {
+		t.Fatalf("recovered store is not the checkpoint's: %d vs %d canonical bytes", have.Len(), want.Len())
+	}
+	if ids := fmt.Sprint(r.PendingIDs()); ids != "[1]" {
+		t.Fatalf("recovered pending IDs %s, want the checkpoint's [1]", ids)
+	}
+	id, err := r.Submit(book("B", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 2 {
+		t.Fatalf("next Submit got ID %d, want the checkpoint's nextID 2", id)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/formula"
 	"repro/internal/txn"
 )
 
@@ -137,11 +138,12 @@ func (q *QDB) WaitForWALSeq(after uint64, timeout time.Duration) uint64 {
 }
 
 // PromoteReplica turns a caught-up, sealed follower state into a live
-// leader engine at the given term: RecoverCheckpoint from memory. The
-// replica already holds everything recovery needs — store, pending set,
-// applied watermark — so promotion is "open a fresh WAL positioned at
-// the watermark, re-install the pending transactions, start admitting".
-// No replay runs: the store IS the replayed state.
+// leader engine at the given term: RecoverCheckpoint from memory, as
+// recovery is promotion from disk. The replica already holds everything
+// recovery needs — store, pending set, applied watermark — so promotion
+// is "open a fresh WAL positioned at the watermark, re-install the
+// pending transactions, start admitting". No replay runs: the store IS
+// the replayed state.
 //
 // st must be Sealed first (Seal-then-promote is enforced here to make
 // the ordering impossible to get wrong) and opt.WALPath must name a
@@ -155,6 +157,27 @@ func PromoteReplica(st *ReplicaState, term uint64, opt Options) (*QDB, error) {
 	if opt.WALPath == "" {
 		return nil, fmt.Errorf("core: PromoteReplica requires Options.WALPath")
 	}
+	q, err := st.promote(opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := q.log.Position(st.AppliedSeq(), term); err != nil {
+		q.Close()
+		return nil, fmt.Errorf("core: promotion WAL: %w", err)
+	}
+	return q, nil
+}
+
+// promote seals st and hands its store to a live engine: New over the
+// store, resume ID issue at the state's nextID, then re-install the
+// pending set in ID order with original IDs and without re-logging (the
+// records already live in the replayed log). The invariant held on the
+// engine that wrote that log and the store is its exact replayed image,
+// so re-admission must succeed; failure means a corrupt log or image, or
+// a wrong initial database. Shared by PromoteReplica and recovery, which
+// then differ only in how they position the engine's log; nothing is
+// appended before they do.
+func (st *ReplicaState) promote(opt Options) (*QDB, error) {
 	st.Seal()
 	st.mu.Lock()
 	nextID := st.nextID
@@ -169,23 +192,47 @@ func PromoteReplica(st *ReplicaState, term uint64, opt Options) (*QDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := q.log.Position(st.AppliedSeq(), term); err != nil {
-		q.Close()
-		return nil, fmt.Errorf("core: promotion WAL: %w", err)
-	}
 	q.mu.Lock()
 	q.nextID = nextID
 	q.mu.Unlock()
-	// Re-install the pending set with original IDs, without re-logging
-	// (the records live in the old leader's log; durability here comes
-	// from the post-promotion checkpoint). The invariant held on the
-	// leader and the store is its exact replayed image, so re-admission
-	// must succeed; failure means a corrupt image.
 	for _, t := range pending {
 		if err := q.readmit(t); err != nil {
 			q.Close()
-			return nil, fmt.Errorf("core: promotion re-admission of txn %d: %w", t.ID, err)
+			return nil, fmt.Errorf("core: re-admission of txn %d: %w", t.ID, err)
 		}
 	}
 	return q, nil
+}
+
+// readmit re-installs one replayed pending transaction with its
+// original ID, without re-logging it; promote's caller guarantees it
+// admits (ErrInvariantBroken otherwise).
+func (q *QDB) readmit(t *txn.T) error {
+	q.admitMu.Lock()
+	defer q.admitMu.Unlock()
+	overlapping := q.lockOverlapping(t)
+	merged := mergedTxns(overlapping, t)
+	sol, ok, err := formula.SolveChain(q.view(), stripAll(merged), q.chainOpts(false))
+	q.db.EndView()
+	if err != nil {
+		unlockPartitions(overlapping)
+		return err
+	}
+	if !ok {
+		unlockPartitions(overlapping)
+		return ErrInvariantBroken
+	}
+	p := q.mergeLocked(overlapping)
+	p.txns = merged
+	p.cached = sol.Groundings
+	p.version++
+	q.mu.Lock()
+	q.byTxn[t.ID] = p
+	q.idx.add(t, p.id())
+	q.mu.Unlock()
+	q.admitSeq.Add(1)
+	q.partVersion.Add(1)
+	q.noteHighWater(p)
+	p.shard.Unlock()
+	return nil
 }

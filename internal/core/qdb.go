@@ -151,7 +151,8 @@ type partition struct {
 	txns []*txn.T
 	// cached holds one consistent grounding per pending transaction,
 	// aligned with txns, valid over the current extensional store. nil
-	// only when the cache is disabled.
+	// once a stale apply dropped it, until a solve over the partition
+	// refills it.
 	cached []formula.Grounding
 	// version counts mutations of txns/cached (written under
 	// shard). Optimistic admission snapshots it and re-checks it at

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"repro/internal/formula"
@@ -289,29 +288,19 @@ func decodeFact(data []byte) (relstore.GroundFact, error) {
 // partitions and caches. For long-lived databases, pair with
 // QDB.Checkpoint and RecoverCheckpoint to bound replay length.
 func Recover(initial *relstore.DB, opt Options) (*QDB, error) {
-	return recoverOnto(initial, nil, 0, 0, opt)
+	return recoverOnto(newReplicaState(initial, 1, 0, 0, nil), opt)
 }
 
-// recoverOnto replays the WAL over a store, seeding the pending set with
-// checkpointed transactions (the log may ground them later). Batches
-// with sequence numbers at or below minSeq are skipped entirely: they
-// are covered by the checkpoint cut the store came from, and after a
-// crash mid-way through the fuzzy checkpoint's segment-by-segment WAL
-// truncation they may survive only partially (a pending record whose
-// grounding tombstone is already gone would replay as a resurrection).
-//
-// All segments are merged into one sequence-ordered stream (wal.ReadAll)
-// and replayed in two passes: the first collects abort compensations,
-// the second applies every non-aborted batch above minSeq. The fact
-// redo is
-// IDEMPOTENT: with write-ahead ordering a crash can sit between a
-// batch's sync and its store apply, and partial-durability orders under
-// SyncWAL=false can surface a logged batch whose neighbours were
-// dropped, so an insert that finds its key present or a delete that
-// finds its tuple absent is detected and skipped rather than fatal —
-// set semantics make the skip exact (the mutation's effect is already
-// there or already gone).
-func recoverOnto(initial *relstore.DB, checkpointPending []*txn.T, minSeq, minTerm uint64, opt Options) (*QDB, error) {
+// recoverOnto is promotion from disk: st (the initial store, or a
+// decoded checkpoint stamped at its cut) is a follower fed the whole
+// surviving log, merged across segments into one sequence-ordered
+// stream (wal.ReadAll), through the one replay routine
+// (ReplicaState.ApplyBatches), and is then promoted in place over the
+// reopened log. OpenSegmented already restored the highest term in the
+// surviving frames; SetTerm adds the checkpoint's cut term, which
+// covers the truncated prefix (an empty suffix carries no frames at
+// all) — a reopen is never a demotion.
+func recoverOnto(st *ReplicaState, opt Options) (*QDB, error) {
 	if opt.WALPath == "" {
 		return nil, fmt.Errorf("core: Recover requires Options.WALPath")
 	}
@@ -319,146 +308,16 @@ func recoverOnto(initial *relstore.DB, checkpointPending []*txn.T, minSeq, minTe
 	if err != nil {
 		return nil, fmt.Errorf("core: recovery replay: %w", err)
 	}
-	aborted := make(map[uint64]bool)
-	for _, b := range batches {
-		for _, r := range b.Records {
-			if r.Type == recAbort {
-				if len(r.Payload) != 8 {
-					return nil, fmt.Errorf("core: recovery replay: bad abort record")
-				}
-				aborted[binary.BigEndian.Uint64(r.Payload)] = true
-			}
-		}
+	if _, err := st.ApplyBatches(batches); err != nil {
+		return nil, fmt.Errorf("core: recovery replay: %w", err)
 	}
-	pending := make(map[int64]*txn.T)
-	var maxID int64
-	for _, t := range checkpointPending {
-		pending[t.ID] = t
-		if t.ID > maxID {
-			maxID = t.ID
-		}
+	if n := st.RedoSkips(); n > 0 {
+		log.Printf("core: recovery skipped %d already-redone fact mutations (idempotent redo)", n)
 	}
-	redoSkips := 0
-	for _, b := range batches {
-		if b.Seq <= minSeq || aborted[b.Seq] {
-			continue
-		}
-		for _, r := range b.Records {
-			switch r.Type {
-			case recPending:
-				t, err := txn.Unmarshal(r.Payload)
-				if err != nil {
-					return nil, fmt.Errorf("core: recovery replay: %w", err)
-				}
-				pending[t.ID] = t
-				if t.ID > maxID {
-					maxID = t.ID
-				}
-			case recGrounded:
-				if len(r.Payload) != 8 {
-					return nil, fmt.Errorf("core: recovery replay: bad grounded record")
-				}
-				id := int64(binary.BigEndian.Uint64(r.Payload))
-				delete(pending, id)
-				// A tombstone also witnesses the ID was issued: without
-				// SyncWAL a partial-durability order can keep a grounding
-				// whose pending record was dropped, and the recovered
-				// instance must still never reissue that ID.
-				if id > maxID {
-					maxID = id
-				}
-			case recInsert:
-				f, err := decodeFact(r.Payload)
-				if err != nil {
-					return nil, fmt.Errorf("core: recovery replay: %w", err)
-				}
-				if err := initial.Insert(f.Rel, f.Tuple); err != nil {
-					if errors.Is(err, relstore.ErrDuplicateKey) {
-						redoSkips++
-						continue
-					}
-					return nil, fmt.Errorf("core: recovery replay batch %d: %w", b.Seq, err)
-				}
-			case recDelete:
-				f, err := decodeFact(r.Payload)
-				if err != nil {
-					return nil, fmt.Errorf("core: recovery replay: %w", err)
-				}
-				if err := initial.Delete(f.Rel, f.Tuple); err != nil {
-					if errors.Is(err, relstore.ErrAbsentTuple) {
-						redoSkips++
-						continue
-					}
-					return nil, fmt.Errorf("core: recovery replay batch %d: %w", b.Seq, err)
-				}
-			case recAbort:
-				// Collected in the first pass.
-			default:
-				return nil, fmt.Errorf("core: recovery replay: unknown WAL record type %d", r.Type)
-			}
-		}
-	}
-	if redoSkips > 0 {
-		log.Printf("core: recovery skipped %d already-redone fact mutations (idempotent redo)", redoSkips)
-	}
-
-	q, err := New(initial, opt)
+	q, err := st.promote(opt)
 	if err != nil {
 		return nil, err
 	}
-	// OpenSegmented already restored the max term seen in surviving
-	// frames; the checkpoint's cut term covers the truncated prefix (an
-	// empty post-checkpoint suffix carries no frames at all). SetTerm
-	// keeps whichever is higher — a reopen is never a demotion.
-	q.log.SetTerm(minTerm)
-	q.mu.Lock()
-	q.nextID = maxID + 1
-	q.mu.Unlock()
-
-	ids := make([]int64, 0, len(pending))
-	for id := range pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if err := q.readmit(pending[id]); err != nil {
-			q.Close()
-			return nil, fmt.Errorf("core: recovery of txn %d: %w", id, err)
-		}
-	}
+	q.log.SetTerm(st.Term())
 	return q, nil
-}
-
-// readmit re-installs a recovered pending transaction with its original
-// ID, without re-logging it. The invariant held at crash time and base
-// state is replayed exactly, so admission must succeed; failure indicates
-// a corrupted log or a wrong initial database.
-func (q *QDB) readmit(t *txn.T) error {
-	q.admitMu.Lock()
-	defer q.admitMu.Unlock()
-	overlapping := q.lockOverlapping(t)
-	merged := mergedTxns(overlapping, t)
-	sol, ok, err := formula.SolveChain(q.view(), stripAll(merged), q.chainOpts(false))
-	q.db.EndView()
-	if err != nil {
-		unlockPartitions(overlapping)
-		return err
-	}
-	if !ok {
-		unlockPartitions(overlapping)
-		return ErrInvariantBroken
-	}
-	p := q.mergeLocked(overlapping)
-	p.txns = merged
-	p.cached = sol.Groundings
-	p.version++
-	q.mu.Lock()
-	q.byTxn[t.ID] = p
-	q.idx.add(t, p.id())
-	q.mu.Unlock()
-	q.admitSeq.Add(1)
-	q.partVersion.Add(1)
-	q.noteHighWater(p)
-	p.shard.Unlock()
-	return nil
 }

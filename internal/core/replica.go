@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,13 +18,15 @@ import (
 )
 
 // This file is the engine half of WAL log shipping (internal/replica
-// holds the transport and the follower loop). The leader side hands out
-// a checkpoint image to bootstrap from plus sequence-bounded WAL
-// suffixes to tail; the follower side (ReplicaState) replays those
-// batches through the same record switch recovery uses, so a replica is
-// literally a recovery that never finishes — every invariant the crash
-// path earned (idempotent redo, abort compensation, stamp-bounded skip)
-// is inherited rather than re-proven.
+// holds the transport and the follower loop) and the one replay routine.
+// The leader side hands out a checkpoint image to bootstrap from plus
+// sequence-bounded WAL suffixes to tail; the follower side (ReplicaState)
+// replays those batches through ApplyBatches. Crash recovery is the same
+// follower fed the whole surviving log in one chunk and then promoted in
+// place, so a replica is literally a recovery that never finishes — every
+// record rule (idempotent redo, abort compensation, stamp-bounded skip,
+// the term gate) is written once and serves recovery, replication and
+// failover alike.
 
 // ErrReplicaDiverged reports a replay stream that contradicts state the
 // replica already applied — an abort compensation targeting a batch
@@ -126,33 +129,62 @@ type ReplicaState struct {
 // stamp: every batch at or below it is covered by the cut and will be
 // skipped if redelivered.
 func BootReplica(image []byte) (*ReplicaState, error) {
-	store, nextID, walSeq, term, pending, err := decodeCheckpoint(bytes.NewReader(image))
+	st, err := decodeReplicaState(bytes.NewReader(image))
 	if err != nil {
 		return nil, fmt.Errorf("core: replica bootstrap: %w", err)
 	}
-	r := &ReplicaState{db: store, nextID: nextID, pending: make(map[int64]*txn.T)}
-	for _, t := range pending {
-		r.pending[t.ID] = t
-		if t.ID >= r.nextID {
-			r.nextID = t.ID + 1
-		}
-	}
-	r.applied.Store(walSeq)
-	r.term.Store(term)
-	return r, nil
+	return st, nil
 }
 
-// ApplyBatches replays a chunk of shipped batches in sequence order,
-// returning the count actually applied. It is recovery's record switch
-// run incrementally: per chunk, a first pass collects abort
-// compensations, a second applies every non-aborted batch above the
-// applied watermark (redelivered batches at or below it are skipped —
-// pull resumption after a follower crash redelivers a suffix). Fact
-// redo is idempotent exactly as in recovery. An abort targeting a
-// batch below the watermark that this chunk did not itself carry means
-// the follower applied state the leader then compensated — that is
-// divergence (ErrReplicaDiverged), not repair, because the follower
-// cannot un-apply.
+// decodeReplicaState reads a checkpoint stream (writeCheckpointTo) into a
+// replay state stamped at the cut's sequence number and term. Shared by
+// BootReplica (a shipped image) and RecoverCheckpoint (a file).
+func decodeReplicaState(r io.Reader) (*ReplicaState, error) {
+	store, nextID, walSeq, term, pending, err := decodeCheckpoint(r)
+	if err != nil {
+		return nil, err
+	}
+	return newReplicaState(store, nextID, walSeq, term, pending), nil
+}
+
+// newReplicaState starts replay over store: every batch with Seq <= stamp
+// is already reflected in it, pending is its pending-transactions table,
+// and no ID below nextID may be issued again.
+func newReplicaState(store *relstore.DB, nextID int64, stamp, term uint64, pending []*txn.T) *ReplicaState {
+	r := &ReplicaState{db: store, nextID: nextID, pending: make(map[int64]*txn.T, len(pending))}
+	for _, t := range pending {
+		r.pending[t.ID] = t
+		r.noteID(t.ID)
+	}
+	r.applied.Store(stamp)
+	r.term.Store(term)
+	return r
+}
+
+// noteID records that id was issued, so it is never reissued.
+func (r *ReplicaState) noteID(id int64) {
+	if id >= r.nextID {
+		r.nextID = id + 1
+	}
+}
+
+// ApplyBatches replays a chunk of batches in sequence order, returning
+// the count actually applied: the one replay routine, run incrementally
+// by a follower and once over the whole merged log by recovery.
+// Batches at or below the applied watermark are skipped entirely, abort
+// records included: the bootstrap cut or a prior chunk covers them, and
+// after a crash mid-way through a checkpoint's segment-by-segment
+// truncation they may survive only partially (a pending record whose
+// tombstone is gone would resurrect its transaction; an abort whose
+// target is gone proves nothing). An abort above the watermark skips
+// its target batch. Fact redo is IDEMPOTENT: a crash can sit between a
+// batch's sync and its store apply, and without SyncWAL a logged batch
+// can survive its dropped neighbours, so an insert that finds its key
+// present or a delete that finds its tuple absent is counted
+// (RedoSkips) and skipped — set semantics make the skip exact. An abort
+// of a batch below the watermark that this chunk did not itself carry
+// means the state holds what the leader then compensated: divergence
+// (ErrReplicaDiverged), not repair, because replay cannot un-apply.
 func (r *ReplicaState) ApplyBatches(batches []wal.Batch) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -162,7 +194,8 @@ func (r *ReplicaState) ApplyBatches(batches []wal.Batch) (int, error) {
 	// Term gate: a batch stamped below the replica's observed term is a
 	// deposed leader's late ship — refuse the whole chunk before any of
 	// it applies. Higher terms are adopted: a promotion happened
-	// upstream and this follower now tails the new leader's log.
+	// upstream and this follower now tails the new leader's log. Terms
+	// only rise along one log, so recovery's single chunk never trips it.
 	for _, b := range batches {
 		if cur := r.term.Load(); b.Term < cur {
 			r.staleRefusals.Add(1)
@@ -172,23 +205,27 @@ func (r *ReplicaState) ApplyBatches(batches []wal.Batch) (int, error) {
 			r.term.Store(b.Term)
 		}
 	}
-	aborted := make(map[uint64]bool)
-	inChunk := make(map[uint64]bool)
-	for _, b := range batches {
-		inChunk[b.Seq] = true
-		for _, rec := range b.Records {
-			if rec.Type == recAbort {
-				if len(rec.Payload) != 8 {
-					return 0, fmt.Errorf("core: replica replay: bad abort record")
-				}
-				aborted[binary.BigEndian.Uint64(rec.Payload)] = true
-			}
-		}
-	}
 	watermark := r.applied.Load()
-	for seq := range aborted {
-		if seq <= watermark && !inChunk[seq] {
-			return 0, fmt.Errorf("%w (abort of applied batch %d)", ErrReplicaDiverged, seq)
+	var aborted map[uint64]bool
+	for _, b := range batches {
+		if b.Seq <= watermark {
+			continue
+		}
+		for _, rec := range b.Records {
+			if rec.Type != recAbort {
+				continue
+			}
+			if len(rec.Payload) != 8 {
+				return 0, fmt.Errorf("core: replay: bad abort record")
+			}
+			seq := binary.BigEndian.Uint64(rec.Payload)
+			if seq <= watermark && !slices.ContainsFunc(batches, func(b wal.Batch) bool { return b.Seq == seq }) {
+				return 0, fmt.Errorf("%w (abort of applied batch %d)", ErrReplicaDiverged, seq)
+			}
+			if aborted == nil {
+				aborted = make(map[uint64]bool)
+			}
+			aborted[seq] = true
 		}
 	}
 	applied := 0
@@ -210,57 +247,56 @@ func (r *ReplicaState) ApplyBatches(batches []wal.Batch) (int, error) {
 	return applied, nil
 }
 
-// applyBatchLocked replays one batch's records; the switch mirrors
-// recoverOnto.
+// applyBatchLocked replays one batch's records: the one place the record
+// types are dispatched.
 func (r *ReplicaState) applyBatchLocked(b wal.Batch) error {
 	for _, rec := range b.Records {
 		switch rec.Type {
 		case recPending:
 			t, err := txn.Unmarshal(rec.Payload)
 			if err != nil {
-				return fmt.Errorf("core: replica replay: %w", err)
+				return fmt.Errorf("core: replay: %w", err)
 			}
 			r.pending[t.ID] = t
-			if t.ID >= r.nextID {
-				r.nextID = t.ID + 1
-			}
+			r.noteID(t.ID)
 		case recGrounded:
 			if len(rec.Payload) != 8 {
-				return fmt.Errorf("core: replica replay: bad grounded record")
+				return fmt.Errorf("core: replay: bad grounded record")
 			}
 			id := int64(binary.BigEndian.Uint64(rec.Payload))
 			delete(r.pending, id)
-			if id >= r.nextID {
-				r.nextID = id + 1
-			}
+			// A tombstone also witnesses the ID was issued: without
+			// SyncWAL a partial-durability order can keep a grounding
+			// whose pending record was dropped.
+			r.noteID(id)
 		case recInsert:
 			f, err := decodeFact(rec.Payload)
 			if err != nil {
-				return fmt.Errorf("core: replica replay: %w", err)
+				return fmt.Errorf("core: replay: %w", err)
 			}
 			if err := r.db.Insert(f.Rel, f.Tuple); err != nil {
 				if errors.Is(err, relstore.ErrDuplicateKey) {
 					r.redoSkips.Add(1)
 					continue
 				}
-				return fmt.Errorf("core: replica replay batch %d: %w", b.Seq, err)
+				return fmt.Errorf("core: replay batch %d: %w", b.Seq, err)
 			}
 		case recDelete:
 			f, err := decodeFact(rec.Payload)
 			if err != nil {
-				return fmt.Errorf("core: replica replay: %w", err)
+				return fmt.Errorf("core: replay: %w", err)
 			}
 			if err := r.db.Delete(f.Rel, f.Tuple); err != nil {
 				if errors.Is(err, relstore.ErrAbsentTuple) {
 					r.redoSkips.Add(1)
 					continue
 				}
-				return fmt.Errorf("core: replica replay batch %d: %w", b.Seq, err)
+				return fmt.Errorf("core: replay batch %d: %w", b.Seq, err)
 			}
 		case recAbort:
-			// Collected in the first pass.
+			// Read by ApplyBatches before any batch applies.
 		default:
-			return fmt.Errorf("core: replica replay: unknown WAL record type %d", rec.Type)
+			return fmt.Errorf("core: replay: unknown WAL record type %d", rec.Type)
 		}
 	}
 	return nil

@@ -99,7 +99,8 @@ func addPending(t *testing.T, q *core.QDB) int {
 // while the old leader refuses every mutation with ErrDemoted and
 // points at the winner.
 func TestFailoverFencedPromotionZeroLoss(t *testing.T) {
-	q := newLeader(t, 3)
+	leaderWAL := leaderOpts(t, 3)
+	q := newLeaderAt(t, leaderWAL)
 	f := NewFollower(&Shipper{DB: q, MaxBatches: 4})
 	if err := f.Bootstrap(); err != nil {
 		t.Fatal(err)
@@ -162,6 +163,40 @@ func TestFailoverFencedPromotionZeroLoss(t *testing.T) {
 	// A second local promotion attempt must refuse — the latch holds.
 	if _, err := f.Promote(PromoteConfig{WAL: promoteOpts(t), Force: true}); err == nil {
 		t.Fatal("double local promotion succeeded")
+	}
+
+	// Recovery is promotion from disk: replaying the deposed leader's
+	// whole log over the same initial world lands on the promoted engine
+	// — the same bytes, the same pending IDs, the same next ID.
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fromDisk, err := core.Recover(workload.NewWorld(leaderConfig()).DB, leaderWAL)
+	if err != nil {
+		t.Fatalf("recover the deposed leader's log: %v", err)
+	}
+	defer fromDisk.Close()
+	mustEqualEngines(t, p, fromDisk)
+	if got, want := fmt.Sprint(fromDisk.PendingIDs()), fmt.Sprint(p.PendingIDs()); got != want {
+		t.Fatalf("recovered pending IDs %s, promoted %s", got, want)
+	}
+	seat := relstore.GroundFact{Rel: workload.RelAvailable, Tuple: value.Tuple{
+		value.NewInt(1), value.NewString("NEXT"),
+	}}
+	next := txn.MustParse(fmt.Sprintf(
+		"-%s(1, 'NEXT'), +%s('NEXT', 1, 'NEXT') :-1 %s(1, 'NEXT')",
+		workload.RelAvailable, workload.RelBookings, workload.RelAvailable))
+	var ids [2]int64
+	for i, e := range []*core.QDB{p, fromDisk} {
+		if err := e.Write([]relstore.GroundFact{seat}, nil); err != nil {
+			t.Fatalf("replenish seat: %v", err)
+		}
+		if ids[i], err = e.Submit(next); err != nil {
+			t.Fatalf("next submit: %v", err)
+		}
+	}
+	if ids[0] != ids[1] {
+		t.Fatalf("next Submit: promoted engine issued ID %d, recovered %d", ids[0], ids[1])
 	}
 
 	// The promoted engine is live: it admits and grounds at the new term.

@@ -35,11 +35,23 @@ func leaderConfig() workload.Config { return workload.Config{Flights: 4, RowsPer
 // newLeader builds a WAL-backed engine over a fresh travel world.
 func newLeader(t *testing.T, segments int) *core.QDB {
 	t.Helper()
-	world := workload.NewWorld(leaderConfig())
-	q, err := core.New(world.DB, core.Options{
+	return newLeaderAt(t, leaderOpts(t, segments))
+}
+
+// leaderOpts names a leader WAL in a fresh directory.
+func leaderOpts(t *testing.T, segments int) core.Options {
+	return core.Options{
 		WALPath:     filepath.Join(t.TempDir(), "leader.wal"),
 		WALSegments: segments,
-	})
+	}
+}
+
+// newLeaderAt builds a leader over a fresh travel world logging to
+// opt's WAL; core.Recover over the same world and opt replays it.
+func newLeaderAt(t *testing.T, opt core.Options) *core.QDB {
+	t.Helper()
+	world := workload.NewWorld(leaderConfig())
+	q, err := core.New(world.DB, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
