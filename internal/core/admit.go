@@ -20,13 +20,15 @@ import (
 // instead of serializing. The optimistic protocol is snapshot /
 // speculate / validate+publish:
 //
-//  1. Snapshot: resolve the partitions the batch overlaps (without
-//     admitMu — lockCandidates validates set stability and the final say
-//     belongs to step 3) and record, per partition, the pending chain,
-//     the cached solution, and the partition's version counter; plus the database-wide partition-set version and
-//     admission sequence. The counters are read BEFORE the index walk and
-//     bumped by installers AFTER publication, so counter equality later
-//     proves the snapshot missed no install.
+//  1. Snapshot: lock the partitions the batch overlaps through
+//     lockOverlap (without admitMu — the locator's re-read keeps the set
+//     internally consistent, and the final say belongs to step 3) and
+//     record, per partition, the pending chain, the cached solution, and
+//     the partition's version counter; plus the database-wide
+//     partition-set version and admission sequence. The counters are
+//     read BEFORE the index walk and bumped by installers AFTER
+//     publication, so counter equality later proves the snapshot missed
+//     no install.
 //  2. Speculate: on the scheduler pool (one worker slot per cycle,
 //     bounding concurrent solves machine-wide), through one store view
 //     (QDB.view), decide each member in ID order — negative-cache probe,
@@ -129,7 +131,7 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 	var locked []*partition
 	if serial {
 		q.admitMu.Lock()
-		locked = q.lockOverlapping(items[0].admitted)
+		locked = q.lockOverlap(batchAtoms(items))
 		snap = buildSnapBatch(locked, items)
 	} else {
 		snap = q.snapshotOverlapBatch(items)
@@ -183,26 +185,7 @@ func (q *QDB) snapshotOverlapBatch(items []batchItem) *admitSnap {
 	// install is either in this snapshot or did not happen.
 	partVersion := q.partVersion.Load()
 	admitSeq := q.admitSeq.Load()
-	// One pass over the index's candidates, without lockCandidates'
-	// stability validation: a candidate that appears mid-walk (a
-	// concurrent install) is exactly what revalidateBatch exists to
-	// catch, so the snapshot may be cheerfully stale — it must only be
-	// internally consistent, which the shard locks give per partition.
-	atoms := batchAtoms(items)
-	ps := q.candidateSnapshot(atoms)
-	locked := ps[:0]
-	for _, p := range ps {
-		p.shard.Lock()
-		if !p.shard.Alive() {
-			p.shard.Unlock()
-			continue
-		}
-		if len(p.txns) == 0 || !overlaps(p, atoms) {
-			p.shard.Unlock()
-			continue
-		}
-		locked = append(locked, p)
-	}
+	locked := q.lockOverlap(batchAtoms(items))
 	snap := buildSnapBatch(locked, items)
 	unlockPartitions(locked)
 	snap.partVersion, snap.admitSeq = partVersion, admitSeq
@@ -261,16 +244,7 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 			}
 		}
 	} else {
-		atoms := batchAtoms(items)
-		cands := q.lockOverlappingAtoms(atoms)
-		locked = cands[:0]
-		for _, p := range cands {
-			if overlaps(p, atoms) {
-				locked = append(locked, p)
-			} else {
-				p.shard.Unlock()
-			}
-		}
+		locked = q.lockOverlap(batchAtoms(items))
 		same := len(locked) == len(snap.parts)
 		for i := 0; same && i < len(locked); i++ {
 			same = locked[i] == snap.parts[i].p && locked[i].version == snap.parts[i].version

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/relstore"
+	"repro/internal/txn"
 )
 
 // TestCreateTableDuringSolves races a Submit stream against CreateTable
@@ -85,5 +86,60 @@ func TestCreateTableDuringSolves(t *testing.T) {
 			close(stop)
 			t.Fatalf("no Submit progress for 2s after %d submits:\n%s", last, buf)
 		}
+	}
+}
+
+// TestWriteReleasesUntouchedPartitions holds a blind write between its
+// WAL append and its apply, then grounds a pending transaction whose
+// partition the overlap index lists as a candidate for the write but
+// which the write cannot touch: Pair(x, x) holds variables where the
+// write's Pair(2, 3) holds constants, and only the exact unification
+// test sees the repeated x. The write must have released that partition
+// before logging, so the Ground finishes while the write is held.
+func TestWriteReleasesUntouchedPartitions(t *testing.T) {
+	db := relstore.NewDB()
+	db.MustCreateTable(relstore.Schema{Name: "Pair", Columns: []string{"a", "b"}})
+	db.MustCreateTable(relstore.Schema{Name: "Taken", Columns: []string{"a"}})
+	db.MustInsert("Pair", tup(1, 1))
+	q := mustQDB(t, db, Options{})
+	id, err := q.Submit(txn.MustParse("-Pair(x, x), +Taken(x) :-1 Pair(x, x)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var first atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	q.testCrashApply = func() error {
+		if first.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+		return nil
+	}
+	wrote := make(chan error, 1)
+	go func() { wrote <- q.Write([]relstore.GroundFact{{Rel: "Pair", Tuple: tup(2, 3)}}, nil) }()
+	<-held
+	grounded := make(chan error, 1)
+	go func() { grounded <- q.Ground(id) }()
+	var gerr error
+	select {
+	case gerr = <-grounded:
+		close(release)
+	case <-time.After(2 * time.Second):
+		close(release)
+		<-wrote
+		<-grounded
+		t.Fatal("Ground blocked for 2s behind a write that cannot touch its partition")
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	q.testCrashApply = nil
+	if gerr != nil {
+		t.Fatalf("Ground: %v", gerr)
+	}
+	if q.PendingCount() != 0 || q.Store().Len("Taken") != 1 || q.Store().Len("Pair") != 1 {
+		t.Fatalf("pending %d, Taken %d rows, Pair %d rows; want 0, 1 and 1",
+			q.PendingCount(), q.Store().Len("Taken"), q.Store().Len("Pair"))
 	}
 }

@@ -210,8 +210,8 @@ func (st *ReplicaState) promote(opt Options) (*QDB, error) {
 func (q *QDB) readmit(t *txn.T) error {
 	q.admitMu.Lock()
 	defer q.admitMu.Unlock()
-	overlapping := q.lockOverlapping(t)
-	merged := mergedTxns(overlapping, t)
+	overlapping := q.lockOverlap(atomsOf(t))
+	merged := buildSnapBatch(overlapping, []batchItem{{admitted: t}}).merged
 	sol, ok, err := formula.SolveChain(q.view(), stripAll(merged), q.chainOpts(false))
 	q.db.EndView()
 	if err != nil {

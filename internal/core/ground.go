@@ -32,18 +32,8 @@ var ErrWriteRejected = errors.New("core: write rejected: it would empty the set 
 // strict serializability (or as a fallback) every earlier transaction in
 // its partition is grounded first (§3.2.3). Only the transaction's
 // partition is locked; groundings of independent partitions proceed in
-// parallel.
-func (q *QDB) Ground(id int64) error {
-	if err := q.checkWritable(); err != nil {
-		return err
-	}
-	p, idx, err := q.lockTxn(id)
-	if err != nil {
-		return err
-	}
-	defer p.shard.Unlock()
-	return q.groundLocked(p, idx)
-}
+// parallel. Ground is GroundGroup of one.
+func (q *QDB) Ground(id int64) error { return q.GroundGroup([]int64{id}) }
 
 // GroundAll collapses every transaction pending at the time of the call;
 // the database is fully extensional afterwards unless concurrent
@@ -106,17 +96,9 @@ func (q *QDB) GroundAll() error {
 			// Every partition holding work was busy under another
 			// operation. Block on the oldest pending transaction directly
 			// — from this goroutine, never from a pool task — so the loop
-			// always makes progress.
-			p, idx, err := q.lockTxn(oldest)
-			if err != nil {
-				if errors.Is(err, ErrUnknownTxn) {
-					continue // grounded concurrently; re-examine
-				}
-				return err
-			}
-			err = q.groundLocked(p, idx)
-			p.shard.Unlock()
-			if err != nil {
+			// always makes progress; one grounded concurrently is simply
+			// re-examined.
+			if err := q.Ground(oldest); err != nil && !errors.Is(err, ErrUnknownTxn) {
 				return err
 			}
 		}
@@ -537,11 +519,13 @@ func (q *QDB) GroundCoordinated(id int64) (bool, error) {
 	if err := q.checkWritable(); err != nil {
 		return false, err
 	}
-	p, idx, err := q.lockTxn(id)
+	ps, err := q.lockGroup([]int64{id}, make([]*partition, 0, 1))
 	if err != nil {
 		return false, err
 	}
+	p := ps[0]
 	defer p.shard.Unlock()
+	idx := slices.IndexFunc(p.txns, func(t *txn.T) bool { return t.ID == id })
 	sp := q.met.ground.Start()
 	defer sp.End()
 	semantic := q.opt.Mode == Semantic
@@ -563,7 +547,7 @@ func (q *QDB) GroundCoordinated(id int64) (bool, error) {
 // maximized. A repeated ID names its transaction once.
 //
 // Members in other partitions cannot interact; each partition's members
-// collapse on their own (a lone member exactly as Ground collapses it).
+// collapse on their own, a lone member with Ground's attempts.
 // Member partitions are locked together in canonical shard order and
 // processed ascending by partition ID.
 func (q *QDB) GroundGroup(ids []int64) error {
@@ -598,8 +582,10 @@ func (q *QDB) GroundGroup(ids []int64) error {
 }
 
 // lockGroup locks the partitions holding the given pending transactions
-// (sched.LockOrdered) and returns them ascending by ID in buf, retrying
-// when a merge or collapse re-homes a member between lookup and lock.
+// (sched.LockOrdered) and returns them ascending by ID in buf: the one
+// locator by pending IDs (lockOverlap is the one by atoms). It retries,
+// counted in LockWaits, when a merge or collapse re-homes a member
+// between lookup and lock; ErrUnknownTxn when a member is not pending.
 func (q *QDB) lockGroup(ids []int64, buf []*partition) ([]*partition, error) {
 	shards := make([]*sched.Shard, 0, 4)
 	for {
@@ -642,7 +628,7 @@ func (q *QDB) lockGroup(ids []int64, buf []*partition) ([]*partition, error) {
 // repeatable: the returned values are fixed in the store.
 //
 // Affected partitions are collapsed in parallel on the worker pool; the
-// final evaluation runs on a snapshot pinned while the candidate
+// final evaluation runs on a snapshot pinned while the overlapping
 // partitions are locked, so a transaction admitted mid-read stays pending
 // (the read linearizes before it) and the result set is cut at a single
 // store state. The collapse is bounded to transactions pending when the
@@ -663,7 +649,7 @@ func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 	maxID := q.nextID - 1
 	q.mu.Unlock()
 	for {
-		ps := q.lockCandidates(query)
+		ps := q.lockOverlap(query)
 		var affected []*partition
 		for _, p := range ps {
 			if partitionAffected(p, query, maxID) >= 0 {
@@ -672,7 +658,7 @@ func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 		}
 		if len(affected) == 0 {
 			// No pending transaction the read must observe can touch the
-			// query: pin a snapshot (while the candidate partitions are
+			// query: pin a snapshot (while the overlapping partitions are
 			// still locked, so no affected grounding can slip between the
 			// check and the pin), then release everything and evaluate
 			// lock-free — a long read never stalls appliers, and appliers
@@ -718,7 +704,7 @@ func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 // is conservative and momentary — by the time the read is issued, more
 // transactions may have arrived.
 func (q *QDB) PreviewRead(query []logic.Atom) []int64 {
-	ps := q.lockCandidates(query)
+	ps := q.lockOverlap(query)
 	var ids []int64
 	for _, p := range ps {
 		for _, t := range p.txns {
@@ -790,15 +776,9 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		return fmt.Errorf("core: invalid write: %w", err)
 	}
 
-	// Under admitMu the candidate set can only shrink; lock candidates
-	// and keep those the write actually touches.
-	cands := q.lockOverlappingAtoms(factAtoms)
-	var affected []*partition
-	for _, p := range cands {
-		if overlaps(p, factAtoms) {
-			affected = append(affected, p)
-		}
-	}
+	// Only the partitions the write touches stay locked through its WAL
+	// append and apply; groundings of the rest proceed meanwhile.
+	affected := q.lockOverlap(factAtoms)
 
 	dk := deltaKey(inserts, deletes)
 	refreshed := make([][]formula.Grounding, len(affected))
@@ -838,7 +818,7 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	})
 	sp.Stage(stageWriteValidate)
 	if err != nil {
-		unlockPartitions(cands)
+		unlockPartitions(affected)
 		if errors.Is(err, ErrWriteRejected) {
 			q.stats.writesRejected.Add(1)
 			return ErrWriteRejected
@@ -855,16 +835,16 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	seq, err := q.logWrite(inserts, deletes)
 	sp.Add(stageWriteWAL, time.Since(walStart))
 	if err != nil {
-		unlockPartitions(cands)
+		unlockPartitions(affected)
 		return err
 	}
 	if err := q.crashApplyPoint(); err != nil {
-		unlockPartitions(cands)
+		unlockPartitions(affected)
 		return err
 	}
 	applyStart := time.Now()
 	if err := q.w.Apply([]relstore.Unit{{Inserts: inserts, Deletes: deletes}}); err != nil {
-		unlockPartitions(cands)
+		unlockPartitions(affected)
 		err = fmt.Errorf("core: applying write: %w", err)
 		if aerr := q.logAbort(0, seq, nil); aerr != nil {
 			err = errors.Join(err, aerr)
@@ -885,7 +865,7 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		p.cached = refreshed[i]
 		p.version++
 	}
-	unlockPartitions(cands)
+	unlockPartitions(affected)
 	q.stats.writesAccepted.Add(1)
 	return nil
 }

@@ -39,19 +39,23 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	  - admitMu serializes changes to the partition SET: admission
 //	    installs (which can create and merge partitions), blind writes,
 //	    and checkpoints. While held, no partition appears or gains atoms,
-//	    so an overlap snapshot stays a sound superset without a retry
-//	    loop. Submit holds it only for the short validate-and-install
-//	    critical section by default — the chain solve runs BEFORE it,
-//	    against a versioned snapshot of the overlapping partitions, and
-//	    the snapshot is revalidated under the lock before anything is
-//	    published (optimistic admission, admit.go). SerialAdmission
-//	    restores the classic hold-across-the-solve discipline.
+//	    so lockOverlap's first pass stands. Submit holds it only for the
+//	    short validate-and-install critical section by default — the
+//	    chain solve runs BEFORE it, against a versioned snapshot of the
+//	    overlapping partitions, and the snapshot is revalidated under the
+//	    lock before anything is published (optimistic admission,
+//	    admit.go). SerialAdmission restores the classic
+//	    hold-across-the-solve discipline.
 //	  - each partition's shard guards its txns and cached groundings.
-//	    Cross-partition operations (merging admissions, entangled pairs
-//	    spanning partitions, GroundAll barriers) lock shards in canonical
-//	    ID order, which is deadlock-free by construction. Operations that
-//	    hold no admitMu (Ground, Read, GroundGroup) validate after locking
-//	    and retry on a stale shard (counted in Stats.LockWaits).
+//	    Two locators, and nothing else, turn a key into locked
+//	    partitions, in ascending ID order (deadlock-free by
+//	    construction): lockOverlap by atoms and lockGroup by pending IDs.
+//	    Both validate after locking under one rule — the key must still
+//	    resolve inside the locked set — and retry otherwise (counted in
+//	    Stats.LockWaits). Beside them only the checkpoint cut
+//	    (lockAllPartitions), optimistic admission's re-lock of its own
+//	    snapshot (revalidateBatch) and GroundAll's pool-task TryLock take
+//	    shards in order (Partitions holds one at a time, alone).
 //	  - mu guards only the partition registry (parts, byTxn, idx, the ID
 //	    counters) and is held for map operations only — never across a
 //	    solve.
@@ -402,48 +406,60 @@ func (q *QDB) chainOpts(maximize bool) formula.ChainOptions {
 	}
 }
 
-// lockOverlapping locks and returns the live partitions sharing a
-// unifiable atom with t, ascending by partition ID. The caller MUST
-// hold admitMu (see lockOverlappingAtoms); the exact unification test
-// runs on candidates only, under their locks.
-func (q *QDB) lockOverlapping(t *txn.T) []*partition {
-	atoms := atomsOf(t)
-	cands := q.lockOverlappingAtoms(atoms)
-	out := cands[:0]
-	for _, p := range cands {
-		if overlaps(p, atoms) {
-			out = append(out, p)
-		} else {
-			// Index false positive: routine sound-superset slack, not
-			// contention — released without touching LockWaits.
-			p.shard.Unlock()
+// lockOverlap locks and returns the live partitions holding an atom
+// unifiable with one of atoms, ascending by partition ID: the one locator
+// by atoms (lockGroup is the one by pending IDs). It locks the index's
+// live candidates, then re-reads the index under mu; a candidate that
+// appeared in between (an install or merge, which only a caller without
+// admitMu can race) means a retry, counted in LockWaits. Under admitMu
+// the candidate set can only shrink, so the first pass stands. The exact
+// unification test then runs under the locks, and the index's false
+// positives are released before returning.
+func (q *QDB) lockOverlap(atoms []logic.Atom) []*partition {
+	for {
+		cands := q.candidateSnapshot(atoms)
+		locked := cands[:0]
+		for _, p := range cands {
+			p.shard.Lock()
+			if p.shard.Alive() {
+				locked = append(locked, p)
+			} else {
+				p.shard.Unlock()
+			}
 		}
+		if q.covers(locked, atoms) {
+			out := locked[:0]
+			for _, p := range locked {
+				if overlaps(p, atoms) {
+					out = append(out, p)
+				} else {
+					p.shard.Unlock()
+				}
+			}
+			return out
+		}
+		unlockPartitions(locked)
+		q.stats.lockWaits.Add(1)
+		runtime.Gosched()
 	}
-	return out
 }
 
-// lockOverlappingAtoms locks and returns the live candidate partitions
-// for a bare atom set, ascending by partition ID. The caller MUST hold
-// admitMu: the candidate set can then only shrink (no admissions run),
-// so one pass suffices — candidates that died between snapshot and lock
-// are dropped (a stale acquire, counted in LockWaits).
-func (q *QDB) lockOverlappingAtoms(atoms []logic.Atom) []*partition {
-	cands := q.candidateSnapshot(atoms)
-	out := cands[:0]
-	for _, p := range cands {
-		p.shard.Lock()
-		if !p.shard.Alive() {
-			p.shard.Unlock()
-			q.stats.lockWaits.Add(1)
-			continue
+// covers reports whether every current index candidate for atoms is in
+// locked (ascending by ID). It compares IDs against the index's own
+// buffer, so the re-read allocates nothing.
+func (q *QDB) covers(locked []*partition, atoms []logic.Atom) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	i := 0
+	for _, pid := range q.idx.candidates(atoms) {
+		for i < len(locked) && locked[i].id() < pid {
+			i++
 		}
-		if len(p.txns) == 0 {
-			p.shard.Unlock()
-			continue
+		if i == len(locked) || locked[i].id() != pid {
+			return false
 		}
-		out = append(out, p)
 	}
-	return out
+	return true
 }
 
 func unlockPartitions(ps []*partition) {
@@ -499,20 +515,6 @@ func atomsOf(t *txn.T) []logic.Atom {
 		out = append(out, u.Atom)
 	}
 	return out
-}
-
-// mergedTxns concatenates the partitions' transactions plus the new one,
-// ascending by ID (arrival order).
-func mergedTxns(ps []*partition, extra *txn.T) []*txn.T {
-	var all []*txn.T
-	for _, p := range ps {
-		all = append(all, p.txns...)
-	}
-	if extra != nil {
-		all = append(all, extra)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	return all
 }
 
 // applyGroundings plays groundings onto the overlay in order.
@@ -585,83 +587,6 @@ func (q *QDB) noteHighWater(p *partition) {
 		}
 	}
 	raiseMax(&q.stats.maxComposed, int64(atoms))
-}
-
-// lockTxn resolves a pending transaction ID to its current partition and
-// position, with the shard locked. When the partition merged away,
-// drained, or re-homed the transaction between lookup and lock (a stale
-// acquire), it retries; ErrUnknownTxn when the transaction is gone.
-func (q *QDB) lockTxn(id int64) (*partition, int, error) {
-	for {
-		q.mu.Lock()
-		p := q.byTxn[id]
-		q.mu.Unlock()
-		if p == nil {
-			return nil, 0, fmt.Errorf("%w: %d", ErrUnknownTxn, id)
-		}
-		p.shard.Lock()
-		if p.shard.Alive() {
-			q.mu.Lock()
-			cur := q.byTxn[id]
-			q.mu.Unlock()
-			if cur == p {
-				for i, t := range p.txns {
-					if t.ID == id {
-						return p, i, nil
-					}
-				}
-			}
-			if cur == nil {
-				p.shard.Unlock()
-				return nil, 0, fmt.Errorf("%w: %d", ErrUnknownTxn, id)
-			}
-		}
-		p.shard.Unlock()
-		q.stats.lockWaits.Add(1)
-		runtime.Gosched()
-	}
-}
-
-// lockCandidates locks the live partitions that MIGHT contain an atom
-// unifiable with the given atoms (the index's sound superset), ascending
-// by ID, validating that no new candidate appeared between snapshot and
-// lock (admissions run concurrently here — unlike lockOverlapping, the
-// caller does not hold admitMu). Retries on a stale set.
-func (q *QDB) lockCandidates(atoms []logic.Atom) []*partition {
-	for {
-		snap := q.candidateSnapshot(atoms)
-		locked := snap[:0]
-		for _, p := range snap {
-			p.shard.Lock()
-			if !p.shard.Alive() {
-				p.shard.Unlock()
-				continue
-			}
-			locked = append(locked, p)
-		}
-		// Validate: every current candidate must be in the locked set.
-		if subsetByID(q.candidateSnapshot(atoms), locked) {
-			return locked
-		}
-		unlockPartitions(locked)
-		q.stats.lockWaits.Add(1)
-		runtime.Gosched()
-	}
-}
-
-// subsetByID reports whether every partition of sub is in set; both
-// ascend by ID.
-func subsetByID(sub, set []*partition) bool {
-	i := 0
-	for _, p := range sub {
-		for i < len(set) && set[i].id() < p.id() {
-			i++
-		}
-		if i == len(set) || set[i].id() != p.id() {
-			return false
-		}
-	}
-	return true
 }
 
 // candidateSnapshot resolves the index's candidate partitions under the

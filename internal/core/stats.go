@@ -88,10 +88,12 @@ type Stats struct {
 	// worker pool: GroundAll partition drains, read-collapse tasks,
 	// blind-write validation solves, and speculative admission solves.
 	ParallelSolves int
-	// LockWaits counts lock-order waits: stale shard acquisitions (the
-	// partition merged, drained, or re-homed its transactions between
-	// lookup and lock, forcing a retry) plus GroundAll TryLock skips of
-	// busy partitions.
+	// LockWaits counts locator retries and TryLock skips: a retry is a
+	// lockOverlap or lockGroup pass whose key no longer resolved inside
+	// the locked set (a new index candidate, or a member re-homed by a
+	// merge or collapse between lookup and lock); a skip is a GroundAll
+	// pool task passing a busy partition. A dead candidate dropped
+	// without a retry is not counted.
 	LockWaits int
 	// SnapshotReads counts read evaluations served lock-free against a
 	// copy-on-write snapshot (Read's collapse-free path plus every

@@ -125,7 +125,7 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		{"qdb_admission_retries_total", "Optimistic admissions re-speculated after a conflict.", &c.admissionRetries},
 		{"qdb_serial_fallbacks_total", "Admissions that fell back to the serial discipline.", &c.serialFallbacks},
 		{"qdb_parallel_solves_total", "Partition tasks executed on the worker pool.", &c.parallelSolves},
-		{"qdb_lock_waits_total", "Lock-order waits: stale shard acquires and TryLock skips.", &c.lockWaits},
+		{"qdb_lock_waits_total", "Partition locator retries and GroundAll TryLock skips.", &c.lockWaits},
 		{"qdb_snapshot_reads_total", "Read evaluations served lock-free from a COW snapshot.", &c.snapshotReads},
 		{"qdb_checkpoint_pause_ns_total", "Nanoseconds Checkpoint held the engine's locks (the cut only).", &c.checkpointPauseNs},
 	} {

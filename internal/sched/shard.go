@@ -7,15 +7,18 @@
 //
 // Locking discipline (enforced by convention across internal/core):
 //
-//   - Shards are always acquired in ascending ID order; cross-partition
-//     operations (admission merges, entangled pairs spanning partitions,
-//     GroundAll barriers) multi-lock via LockOrdered, which sorts and
-//     deduplicates, so the ordering is deadlock-free by construction.
+//   - Shards are always acquired in ascending ID order, so the ordering
+//     is deadlock-free by construction. The engine turns a key into
+//     locked shards through two locators: one by atoms, which locks the
+//     partition index's candidates in ID order, and one by pending
+//     transaction IDs, which multi-locks via LockOrdered (it sorts and
+//     deduplicates).
 //   - A shard outlives its partition: when partitions merge or drain
-//     empty, the losing shard is Retired under its own lock. Waiters that
-//     blocked on a retired shard observe !Alive() and re-resolve their
-//     target through the registry (a stale acquire, counted by the
-//     engine's LockWaits stat).
+//     empty, the losing shard is Retired under its own lock, and a
+//     waiter that blocked on it observes !Alive(). Both locators then
+//     follow one validation rule: after locking, the key must still
+//     resolve inside the locked set, through the registry, or they
+//     unlock and retry (counted by the engine's LockWaits stat).
 //   - Pool tasks must never block-acquire a shard (TryLock and skip, or
 //     receive the shard pre-locked by the dispatching goroutine);
 //     otherwise a task waiting for a shard held by a goroutine that is

@@ -145,7 +145,7 @@
 //
 // Stats reports the scheduler's behaviour: ParallelSolves counts
 // partition tasks executed on the pool (including speculative admission
-// solves), LockWaits counts stale lock acquisitions and skips,
+// solves), LockWaits counts partition-locator retries and TryLock skips,
 // PartitionMerges counts admission-time merges. cmd/qdbd exposes the
 // serial-admission ablation as -serial-admission.
 //
