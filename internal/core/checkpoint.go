@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"repro/internal/relstore"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // Checkpoint bounds recovery time: it writes a consistent cut of the
@@ -203,48 +203,15 @@ func decodeCheckpoint(r io.Reader) (store *relstore.DB, nextID int64, walSeq, te
 	return store, int64(id), walSeq, term, pending, nil
 }
 
-// writeCheckpointFile serializes a checkpoint durably and atomically:
-// temp file, fsync, rename over path, fsync of the parent directory
-// (without which a crash right after the rename could lose the
-// directory entry — and with it the checkpoint the WAL truncation is
-// about to rely on).
+// writeCheckpointFile serializes a checkpoint durably and atomically
+// through wal.ReplaceFile: a crash mid-write leaves the previous
+// checkpoint intact, and one right after the rename cannot lose the
+// directory entry the WAL truncation is about to rely on.
 func writeCheckpointFile(path string, cut checkpointCut) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := wal.ReplaceFile(path, func(w io.Writer) error {
+		return writeCheckpointTo(w, cut)
+	}); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	defer os.Remove(tmp)
-	if err := writeCheckpointTo(f, cut); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("core: checkpoint rename: %w", err)
-	}
-	return syncParentDir(path)
-}
-
-// syncParentDir fsyncs the directory containing path so a just-renamed
-// entry survives a crash.
-func syncParentDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("core: checkpoint dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("core: checkpoint dir sync: %w", err)
 	}
 	return nil
 }

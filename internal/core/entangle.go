@@ -31,9 +31,13 @@ type Coordinator struct {
 	// arrives whose partner was ALREADY executed (for example force-
 	// grounded by the k-bound), collapse it immediately if a grounding
 	// satisfying all its coordination constraints exists — deferral can
-	// only lose the adjacent resource. Off by default to match the
-	// prototype's behaviour (the Table 2 k-sensitivity depends on it);
-	// the ablation benchmarks quantify the improvement.
+	// only lose the adjacent resource. Off by default, because always-
+	// eager lost on the repository benchmark (5 alternating pairs, 15 s,
+	// 2 cores): paper_mixed op_p50_us 26.2 → 32.4 µs (+23.7 %, worse in
+	// 5/5) and ops_per_s 23,544 → 22,218 (−5.6 %, 5/5), for
+	// coordination_ratio 0.636 → 0.652; booking_wire coordination_ratio
+	// 0.843 → 0.871 (5/5), ops_per_s unresolved. internal/bench sets it
+	// per stream; the facade exposes it as Coordinator.SetEager.
 	EagerCoordination bool
 
 	mu sync.Mutex

@@ -637,7 +637,7 @@ func (q *QDB) lockGroup(ids []int64, buf []*partition) ([]*partition, error) {
 // read. The result is a columnar row set, as for QueryAt.
 func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 	// Collapsing reads mutate (they may force groundings), so a demoted
-	// leader refuses them too; snapshot reads (QueryAt/QuerySnapshot)
+	// leader refuses them too; snapshot reads (Snapshot/QueryAt)
 	// remain available — the demoted engine is exactly a follower.
 	if err := q.checkWritable(); err != nil {
 		return nil, err

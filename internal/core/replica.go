@@ -364,8 +364,8 @@ func (r *ReplicaState) Snapshot() *relstore.Snapshot { return r.db.Snapshot() }
 
 // QuerySnapshot is the follower's one-shot read: pin, evaluate,
 // release. Results reflect replayed committed state only — the same
-// collapse-free semantics as the leader's QuerySnapshot, at the
-// replica's applied watermark.
+// collapse-free semantics as the leader's QueryAt over a fresh
+// Snapshot, at the replica's applied watermark.
 func (r *ReplicaState) QuerySnapshot(query []logic.Atom) (*relstore.RowSet, error) {
 	snap := r.db.Snapshot()
 	defer snap.Release()

@@ -132,7 +132,9 @@ func TestSlowSnapshotReadDoesNotDelayGround(t *testing.T) {
 		t.Fatalf("pinned snapshot sees the post-pin booking (%+v, err %v)", sols, err)
 	}
 	// A fresh snapshot sees the collapsed world.
-	if sols, err := q.QuerySnapshot(booked); err != nil || sols.N != 1 {
+	fresh := q.Snapshot()
+	defer fresh.Release()
+	if sols, err := q.QueryAt(fresh, booked); err != nil || sols.N != 1 {
 		t.Fatalf("fresh snapshot: %+v, err %v, want 1 booking", sols, err)
 	}
 }

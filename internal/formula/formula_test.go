@@ -412,10 +412,14 @@ func TestChainSolutionFacts(t *testing.T) {
 	if len(ins) != 3 || len(dels) != 3 {
 		t.Fatalf("facts: %d inserts %d deletes, want 3/3", len(ins), len(dels))
 	}
-	// Applying the solution in chain order must succeed and leave no
-	// Available seats (both seats consumed, one freed and re-consumed).
-	if err := sol.ApplyTo(db); err != nil {
-		t.Fatalf("applying chain solution: %v", err)
+	// Applying the solution grounding by grounding in chain order must
+	// succeed and leave no Available seats (both seats consumed, one freed
+	// and re-consumed). The flattened facts cannot be applied as one unit:
+	// T2 deletes the seat T1 inserts.
+	for _, g := range sol.Groundings {
+		if err := db.Apply(g.Inserts, g.Deletes); err != nil {
+			t.Fatalf("applying grounding of txn %d: %v", g.Txn.ID, err)
+		}
 	}
 	if n := db.Len("A"); n != 0 {
 		t.Errorf("Available rows after execution = %d, want 0", n)

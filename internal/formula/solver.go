@@ -35,28 +35,14 @@ type ChainSolution struct {
 
 // Facts flattens the solution into the insert and delete fact lists. Note
 // that cross-transaction ordering is lost: when a later transaction
-// consumes a tuple an earlier one inserted, apply the solution with
-// ApplyTo instead.
+// consumes a tuple an earlier one inserted, apply the Groundings one by
+// one in chain order instead.
 func (cs *ChainSolution) Facts() (inserts, deletes []relstore.GroundFact) {
 	for _, g := range cs.Groundings {
 		inserts = append(inserts, g.Inserts...)
 		deletes = append(deletes, g.Deletes...)
 	}
 	return inserts, deletes
-}
-
-// ApplyTo executes the solution against db: transaction by transaction in
-// chain order, each applied atomically (deletes then inserts). On error
-// the already-applied prefix remains — callers validate solutions against
-// the same store state beforehand, so an error here indicates the store
-// changed concurrently.
-func (cs *ChainSolution) ApplyTo(db *relstore.DB) error {
-	for _, g := range cs.Groundings {
-		if err := db.Apply(g.Inserts, g.Deletes); err != nil {
-			return fmt.Errorf("formula: applying grounding of txn %d: %w", g.Txn.ID, err)
-		}
-	}
-	return nil
 }
 
 // ChainOptions tunes SolveChain.

@@ -8,18 +8,19 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 )
 
 // The persistent follower cache: the replica's current image (store,
 // pending set, applied watermark, term — the same wire format a
 // leader's CheckpointImage ships) spilled to CacheDir, so a restarted
 // follower resumes by tailing the leader from its local stamp instead
-// of re-pulling the full image over the network. The spill uses the
-// checkpoint discipline — temp file, fsync, rename, parent-directory
-// fsync — so a crash mid-spill leaves the previous image intact and a
-// crash after the rename cannot lose the directory entry. The cache is
-// an optimization, never an authority: a stamp the leader has
-// checkpointed past simply resyncs over the network as usual.
+// of re-pulling the full image over the network. The spill goes through
+// wal.ReplaceFile, as checkpoints do, so a crash mid-spill leaves the
+// previous image intact and a crash after the rename cannot lose the
+// directory entry. The cache is an optimization, never an authority: a
+// stamp the leader has checkpointed past simply resyncs over the network
+// as usual.
 
 // cacheFileName is the spilled image inside CacheDir.
 const cacheFileName = "follower.image"
@@ -45,28 +46,8 @@ func (f *Follower) SaveCache() error {
 	if err := os.MkdirAll(f.CacheDir, 0o755); err != nil {
 		return fmt.Errorf("replica: cache dir: %w", err)
 	}
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
+	if err := wal.ReplaceFile(path, st.EncodeImage); err != nil {
 		return fmt.Errorf("replica: cache spill: %w", err)
-	}
-	defer os.Remove(tmp)
-	if err := st.EncodeImage(file); err != nil {
-		file.Close()
-		return fmt.Errorf("replica: cache spill: %w", err)
-	}
-	if err := file.Sync(); err != nil {
-		file.Close()
-		return fmt.Errorf("replica: cache spill: %w", err)
-	}
-	if err := file.Close(); err != nil {
-		return fmt.Errorf("replica: cache spill: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("replica: cache spill rename: %w", err)
-	}
-	if err := syncDir(f.CacheDir); err != nil {
-		return err
 	}
 	f.cacheSpills.Add(1)
 	return nil
@@ -126,19 +107,3 @@ func (f *Follower) BootstrapOrResume() error {
 
 // CacheResumes counts bootstraps served from the local cache.
 func (f *Follower) CacheResumes() int64 { return f.cacheResumes.Load() }
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("replica: cache dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("replica: cache dir sync: %w", err)
-	}
-	return nil
-}

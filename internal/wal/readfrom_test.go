@@ -99,15 +99,15 @@ func TestReadFromTruncatedResume(t *testing.T) {
 	if len(bs) != 3 {
 		t.Fatalf("ReadFrom(cut) returned %d batches, want the 3 survivors", len(bs))
 	}
-	// A full Truncate invalidates every resume point below Seq().
-	if err := l.Truncate(); err != nil {
+	// Truncating through Seq() invalidates every resume point below it.
+	if err := l.TruncateBefore(l.Seq()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.ReadFrom(seqs[6], 0); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("ReadFrom after full Truncate: err = %v, want ErrTruncated", err)
+		t.Fatalf("ReadFrom after TruncateBefore(Seq()): err = %v, want ErrTruncated", err)
 	}
 	if bs, err := l.ReadFrom(seqs[7], 0); err != nil || len(bs) != 0 {
-		t.Fatalf("ReadFrom(Seq()) after Truncate = %v, %v; want empty, nil", bs, err)
+		t.Fatalf("ReadFrom(Seq()) after TruncateBefore(Seq()) = %v, %v; want empty, nil", bs, err)
 	}
 }
 

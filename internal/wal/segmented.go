@@ -126,11 +126,10 @@ type SegmentedLog struct {
 	seq atomic.Uint64
 	// truncatedBelow is the highest sequence number any truncation may
 	// have removed from the files: raised to the cut at the START of
-	// TruncateBefore and to Seq() at the start of Truncate, before any
-	// file is touched. ReadFrom checks it before and after scanning, so a
-	// streaming reader whose resume point falls below it learns its tail
-	// is gone (ErrTruncated) instead of silently skipping batches a
-	// concurrent rewrite deleted mid-scan.
+	// TruncateBefore, before any file is touched. ReadFrom checks it
+	// before and after scanning, so a streaming reader whose resume point
+	// falls below it learns its tail is gone (ErrTruncated) instead of
+	// silently skipping batches a concurrent rewrite deleted mid-scan.
 	truncatedBelow atomic.Uint64
 	// tailFloor is the resume point at or above which the segments'
 	// in-memory tails hold every batch ReadFrom must return: a batch
@@ -210,7 +209,8 @@ type segment struct {
 // files rooted at path. Existing segments are scanned so the global
 // sequence counter resumes past every batch already on disk — including
 // batches in segments beyond n left over from a run with a larger
-// segment count (replay still reads them; Truncate removes them).
+// segment count (replay still reads them; TruncateBefore removes them
+// once nothing in them survives).
 func OpenSegmented(path string, n int) (*SegmentedLog, error) {
 	if n < 1 {
 		n = 1
@@ -243,8 +243,9 @@ func OpenSegmented(path string, n int) (*SegmentedLog, error) {
 	// does not persist its directory entry, so without a parent-directory
 	// sync a machine crash can make a fully-synced segment vanish — and
 	// ReadAll would silently treat it as empty. Once per open suffices:
-	// the files exist for the life of the log (Truncate empties, never
-	// unlinks, the configured segments).
+	// the files exist for the life of the log (TruncateBefore replaces,
+	// never unlinks, the configured segments, and ReplaceFile syncs the
+	// directory itself).
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		for _, open := range l.segs {
 			open.f.Close()
@@ -268,6 +269,36 @@ func syncDir(dir string) error {
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
 	return nil
+}
+
+// ReplaceFile durably and atomically replaces the file at path with the
+// bytes write produces: it writes path+".tmp", fsyncs and closes it,
+// renames it over path, then fsyncs the parent directory (without which
+// a crash right after the rename could lose the new directory entry).
+// On any failure the temp file is removed and the file at path is left
+// as it was. Checkpoints, the follower cache and segment rewrites all
+// put their files on disk through it.
+func ReplaceFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 func segmentPath(path string, i int) string {
@@ -644,55 +675,6 @@ func (l *SegmentedLog) Abandon() {
 	}
 }
 
-// Truncate discards every batch: the configured segments are reset to
-// empty (header only) and leftover segment files beyond the configured
-// count — from a previous run with more segments — are deleted. Used
-// after a checkpoint has made the logged state redundant. The sequence
-// counter is NOT reset; it is monotone for the life of the log.
-//
-// Truncate also UN-POISONS failed segments: buffered bytes are
-// deliberately discarded (never flushed — the writer may hold a latched
-// error and half a frame), the file is cut back to its header, and the
-// segment accepts appends again. This is the "a checkpoint closes it"
-// escape hatch — after an I/O failure the checkpoint captures the true
-// state and the emptied log is consistent with it by construction.
-func (l *SegmentedLog) Truncate() error {
-	raiseSeqWatermark(&l.truncatedBelow, l.seq.Load())
-	for _, s := range l.segs {
-		s.mu.Lock()
-		if s.f == nil {
-			s.mu.Unlock()
-			return errors.New("wal: truncate on closed log")
-		}
-		err := s.f.Truncate(int64(len(segMagic)))
-		if err == nil {
-			_, err = s.f.Seek(0, io.SeekEnd)
-		}
-		if err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("wal: truncate: %w", err)
-		}
-		s.w.Reset(s.f)
-		s.failed = nil
-		// No batch is buffered or unsynced anymore; close the ticket gap
-		// so nothing can mistake pre-truncate tickets for pending work.
-		s.synced = s.appends
-		s.mu.Unlock()
-	}
-	paths, err := segmentPaths(l.path)
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if p.index >= len(l.segs) {
-			if err := os.Remove(p.path); err != nil {
-				return fmt.Errorf("wal: truncate stale segment: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // Seq returns the most recently assigned batch sequence number (0 when
 // no batch was ever appended to this log's files). With every appender
 // excluded — as under the engine's checkpoint cut — it names an exact
@@ -875,22 +857,25 @@ func decodeBodies(bodies [][]byte, max int) ([]Batch, error) {
 }
 
 // TruncateBefore discards every batch with sequence number <= cut and
-// keeps the tail above it. Unlike Truncate it is safe to call while
-// appenders are running: the engine's fuzzy checkpoint stamps its
-// consistent cut with Seq(), releases its locks, and then truncates the
-// now-redundant prefix concurrently with new appends (which all carry
-// sequence numbers above the cut). Each segment file is rewritten —
-// temp file, fsync, rename, parent-directory fsync — under its segment
-// lock, so appenders to that segment stall only for one rewrite of its
-// surviving tail; other segments proceed. Leftover segment files beyond
-// the configured count are filtered the same way and deleted when
-// nothing in them survives.
+// keeps the tail above it; it is the log's only truncation. It is safe to
+// call while appenders are running: the engine's fuzzy checkpoint stamps
+// its consistent cut with Seq(), releases its locks, and then truncates
+// the now-redundant prefix concurrently with new appends (which all carry
+// sequence numbers above the cut). Each segment file is rewritten through
+// ReplaceFile under its segment lock, so appenders to that segment stall
+// only for one rewrite of its surviving tail; other segments proceed.
+// Leftover segment files beyond the configured count are filtered the
+// same way and deleted when nothing in them survives.
 //
-// Poisoned segments are un-poisoned like Truncate, with one exception:
-// if flushing a healthy segment's buffer fails here, the segment is
-// left poisoned — group-commit waiters buffered behind the failed flush
-// cannot be acknowledged off a rewrite that may have dropped their
-// frames.
+// It also UN-POISONS failed segments: their buffered bytes are discarded
+// unflushed (the writer may hold a latched error and half a frame), the
+// file is rewritten from its intact frames, and the segment accepts
+// appends again. TruncateBefore(Seq()) is the escape hatch after an I/O
+// failure: the checkpoint captures the true state and the emptied log is
+// consistent with it by construction. One exception: if flushing a
+// healthy segment's buffer fails here, the segment is left poisoned —
+// group-commit waiters buffered behind the failed flush cannot be
+// acknowledged off a rewrite that may have dropped their frames.
 func (l *SegmentedLog) TruncateBefore(cut uint64) error {
 	raiseSeqWatermark(&l.truncatedBelow, cut)
 	for _, s := range l.segs {
@@ -944,7 +929,7 @@ func (s *segment) truncateBefore(l *SegmentedLog, cut uint64) error {
 			// The buffer may have landed partially; a waiter's frame could be
 			// the torn one and the rewrite would silently drop it. Poison the
 			// segment so those waiters error out instead of being
-			// acknowledged; a full Truncate (or reopen) clears it.
+			// acknowledged; the next TruncateBefore (or a reopen) clears it.
 			s.poison(l, err)
 			return fmt.Errorf("wal: truncate: %w", err)
 		}
@@ -970,8 +955,8 @@ func (s *segment) truncateBefore(l *SegmentedLog, cut uint64) error {
 }
 
 // filterSegmentFile atomically rewrites the segment at path keeping
-// only intact frames with sequence numbers above cut (temp file, fsync,
-// rename, parent-directory fsync) and reports how many frames survived.
+// only intact frames with sequence numbers above cut (through
+// ReplaceFile) and reports how many frames survived.
 func filterSegmentFile(path string, cut uint64) (kept int, err error) {
 	content := []byte(segMagic)
 	if err := scanSegment(path, func(body []byte) bool {
@@ -987,26 +972,10 @@ func filterSegmentFile(path string, cut uint64) (kept int, err error) {
 	}); err != nil {
 		return 0, err
 	}
-	tmp := path + ".rewrite"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	_, err = f.Write(content)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := ReplaceFile(path, func(w io.Writer) error {
+		_, err := w.Write(content)
+		return err
+	}); err != nil {
 		return 0, err
 	}
 	return kept, nil
@@ -1131,7 +1100,7 @@ func segmentPaths(path string) ([]segmentRef, error) {
 	for _, m := range matches {
 		idx, err := strconv.Atoi(m[len(path)+1:])
 		if err != nil || idx < 0 {
-			continue // not a segment (e.g. a checkpoint named <path>.ckpt)
+			continue // not a segment (a checkpoint <path>.ckpt, a rewrite's <path>.N.tmp)
 		}
 		out = append(out, segmentRef{path: m, index: idx})
 	}

@@ -178,7 +178,7 @@ func TestSegmentedTruncateClearsAllSegmentsAndStaleFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := l2.Truncate(); err != nil {
+	if err := l2.TruncateBefore(l2.Seq()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAll(path)
@@ -218,9 +218,9 @@ func TestSegmentedTruncateUnpoisonsFailedSegment(t *testing.T) {
 	if _, err := l.AppendBatch(0, []Record{rec(1, "refused")}); err == nil {
 		t.Fatal("append to poisoned segment succeeded")
 	}
-	// Truncate is the checkpoint's escape hatch: the emptied segment is
-	// consistent again and must accept appends.
-	if err := l.Truncate(); err != nil {
+	// TruncateBefore(Seq()) is the checkpoint's escape hatch: the emptied
+	// segment is consistent again and must accept appends.
+	if err := l.TruncateBefore(l.Seq()); err != nil {
 		t.Fatalf("truncate of poisoned segment: %v", err)
 	}
 	if _, err := l.AppendBatch(0, []Record{rec(2, "after")}); err != nil {

@@ -102,9 +102,10 @@ func (m *tailModel) run(prog []byte) {
 				m.tb.Fatalf("TruncateBefore: %v", err)
 			}
 		case op == 12:
-			// A poisoned segment's closed descriptor makes Truncate fail
-			// part-way; the log must stay consistent regardless.
-			m.l.Truncate()
+			// A poisoned segment's closed descriptor can make truncating
+			// through Seq() fail part-way; the log must stay consistent
+			// regardless.
+			m.l.TruncateBefore(m.l.Seq())
 		case op == 13:
 			if m.l.Seq() == 0 {
 				if err := m.l.Position(uint64(arg), uint64(arg%4)); err != nil {

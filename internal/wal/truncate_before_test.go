@@ -115,8 +115,8 @@ func TestTruncateBeforeEverything(t *testing.T) {
 	}
 }
 
-// TestTruncateBeforeRemovesStaleSegments reproduces the reconfiguration
-// shape Truncate also handles: a log reopened with fewer segments still
+// TestTruncateBeforeRemovesStaleSegments reproduces a reconfiguration
+// shape: a log reopened with fewer segments still
 // owns old higher-index segment files. TruncateBefore must filter those
 // too — covered batches in a stale file would otherwise resurrect on
 // recovery — and remove the ones left empty.

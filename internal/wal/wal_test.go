@@ -3,7 +3,9 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,7 +130,7 @@ func TestTruncate(t *testing.T) {
 	if _, err := l.AppendBatch(0, []Record{rec(1, "x")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.TruncateBefore(l.Seq()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.AppendBatch(0, []Record{rec(2, "y")}); err != nil {
@@ -151,7 +153,7 @@ func TestClosedLogErrors(t *testing.T) {
 	if err := l.Sync(); err == nil {
 		t.Error("sync on closed log succeeded")
 	}
-	if err := l.Truncate(); err == nil {
+	if err := l.TruncateBefore(l.Seq()); err == nil {
 		t.Error("truncate on closed log succeeded")
 	}
 	if err := l.Close(); err != nil {
@@ -208,4 +210,59 @@ func TestQuickRoundTripArbitraryPayloads(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestReplaceFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "image")
+	write := func(data string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, data)
+			return err
+		}
+	}
+	noTemp := func(p string) {
+		t.Helper()
+		if _, err := os.Stat(p + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temp file of %s left behind: %v", p, err)
+		}
+	}
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplaceFile(path, write("new")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("after replace: %q, %v; want %q", got, err, "new")
+	}
+	noTemp(path)
+
+	// A failing write leaves the old file intact and no temp file.
+	boom := errors.New("boom")
+	err := ReplaceFile(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write: err = %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("after failed write: %q, %v; want the old %q", got, err, "new")
+	}
+	noTemp(path)
+
+	// A failing rename (the target is a non-empty directory) leaves the
+	// target as it was and no temp file either.
+	target := filepath.Join(dir, "occupied")
+	if err := os.MkdirAll(filepath.Join(target, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplaceFile(target, write("new")); err == nil {
+		t.Fatal("replace over a non-empty directory succeeded")
+	}
+	if st, err := os.Stat(filepath.Join(target, "child")); err != nil || !st.IsDir() {
+		t.Fatalf("target directory disturbed: %v", err)
+	}
+	noTemp(target)
 }

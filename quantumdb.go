@@ -376,20 +376,6 @@ func (db *DB) schemaLookup(rel string) ([]string, bool) {
 	return sch.Columns, true
 }
 
-// SubmitTagged is Submit for entangled resource transactions: tag names
-// this user; partner names the coordination partner whose transaction
-// will arrive separately (§5.1). Use a Coordinator to ground pairs on
-// partner arrival.
-func (db *DB) SubmitTagged(src, tag, partner string) (int64, error) {
-	t, err := txn.Parse(src)
-	if err != nil {
-		return 0, err
-	}
-	t.Tag = tag
-	t.PartnerTag = partner
-	return db.q.Submit(t)
-}
-
 // Query evaluates a conjunctive read query, e.g.
 //
 //	Bookings('Mickey', f, s)
@@ -452,7 +438,7 @@ func rowMaps(rs *RowSet) []Row {
 // table's size; Stats.CowCopies/CowBytes count them).
 type Snapshot struct {
 	db *DB
-	s  *core.Snapshot
+	s  *relstore.Snapshot
 }
 
 // Snapshot pins the current committed state. O(tables), never O(rows).

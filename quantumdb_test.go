@@ -258,7 +258,4 @@ func TestFacadeBadInputs(t *testing.T) {
 	if err := db.CreateTable(Table{Name: "Available", Columns: []string{"x"}}); err == nil {
 		t.Error("duplicate table accepted")
 	}
-	if _, err := db.SubmitTagged("nope", "a", "b"); err == nil {
-		t.Error("bad tagged txn accepted")
-	}
 }
