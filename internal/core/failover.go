@@ -49,10 +49,6 @@ func (q *QDB) Term() uint64 {
 	return q.currentTermLocked()
 }
 
-// ReadOnly reports whether the engine has been demoted to read-only
-// follower mode by a newer term.
-func (q *QDB) ReadOnly() bool { return q.readOnly.Load() }
-
 // LeaderHint returns the address of the leader this engine last ceded
 // to (empty if it has never been demoted) and the effective term — the
 // payload of a leader-moved redirect.

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"repro/internal/relstore"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 func TestRecoverRebuildsPendingState(t *testing.T) {
@@ -117,6 +122,55 @@ func TestRecoverWrongInitialDBFails(t *testing.T) {
 	// invariant.
 	if _, err := Recover(worldDB([]int{1}, 0), Options{WALPath: walPath}); err == nil {
 		t.Fatal("recovery over wrong initial DB succeeded")
+	}
+}
+
+// TestRecoverRefusesUndecodableBatch: a CRC-valid frame whose body does
+// not decode is not a torn tail, so recovery refuses the log with
+// wal.ErrCorrupt instead of recovering without that batch.
+func TestRecoverRefusesUndecodableBatch(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "qdb.wal")
+	mk := func() *relstore.DB { return worldDB([]int{1}, 3) }
+	q, err := New(mk(), Options{WALPath: walPath, WALSegments: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"A", "B"} {
+		if _, err := q.Submit(book(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reseal the last frame (B's admission) with one trailing byte in its
+	// body: its CRC verifies, its body does not decode.
+	batches, err := wal.ReadAll(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := wal.AppendBatchBody(nil, batches[len(batches)-1])
+	seg := walPath + ".0"
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = data[:len(data)-len(body)-8]
+	body = append(body, 0)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
+	data = append(data, body...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Recover(mk(), Options{WALPath: walPath, WALSegments: 1})
+	if err == nil {
+		defer r.Close()
+		t.Fatalf("Recover succeeded with %d pending; want wal.ErrCorrupt", r.PendingCount())
+	}
+	if !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("Recover = %v, want wal.ErrCorrupt", err)
 	}
 }
 

@@ -308,22 +308,11 @@ func (r *ReplicaState) applyBatchLocked(b wal.Batch) error {
 // acks upstream.
 func (r *ReplicaState) AppliedSeq() uint64 { return r.applied.Load() }
 
-// Term reports the highest replication term the replica has observed
-// (bootstrap image, replayed batches, or AdoptTerm).
+// Term reports the highest replication term the replica has observed:
+// its bootstrap image's, raised by the batches it replays. Nothing else
+// raises it, so a follower about to be promoted still accepts the
+// fenced leader's old-term batches while it drains them.
 func (r *ReplicaState) Term() uint64 { return r.term.Load() }
-
-// AdoptTerm raises the replica's observed term (never lowers it) — the
-// follower loop calls it when a pull response or fence exchange reveals
-// a newer leader, so late batches from the old one are refused even if
-// they arrive before any batch stamped with the new term.
-func (r *ReplicaState) AdoptTerm(t uint64) {
-	for {
-		cur := r.term.Load()
-		if t <= cur || r.term.CompareAndSwap(cur, t) {
-			return
-		}
-	}
-}
 
 // Seal permanently stops replay: every later ApplyBatches returns
 // ErrReplicaSealed. Promotion seals first, then hands the store to a

@@ -37,13 +37,13 @@ import (
 
 // frameMagic opens a connection: the client sends it immediately after
 // connect, the server echoes it as the accept. The last byte is the
-// protocol version: 2 since read results travel as one columnar row
-// set, which a version-1 peer cannot parse. Any other opening — another
-// version, or a JSON line from a pre-framing client — is refused in
-// words (handle).
+// protocol version: 3 since repl.pull batches travel as WAL batch bodies
+// (wal.AppendBatchBody), which a version-2 peer would misparse. Any
+// other opening — another version, or a JSON line from a pre-framing
+// client — is refused in words (handle).
 const (
 	magicPrefix = "QDB"
-	frameMagic  = magicPrefix + "\x02"
+	frameMagic  = magicPrefix + "\x03"
 )
 
 // maxFrameBody bounds one frame's declared body length; a length field
@@ -418,7 +418,9 @@ const (
 // appendResponse encodes resp onto dst. Row results are encoded from
 // resp.rows, the engine's columnar row set, by appendRowSet. Stats, a
 // rare diagnostic op, rides as a JSON sub-payload rather than earning
-// its own schema.
+// its own schema. Batches travel as nbatches | (body bytes)..., each
+// body in the WAL's own layout (wal.AppendBatchBody), so the log's
+// codec is the only one a batch has.
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	var flags byte
 	if resp.OK {
@@ -468,14 +470,10 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	}
 	dst = appendWireBytes(dst, resp.Image)
 	dst = binary.AppendUvarint(dst, uint64(len(resp.Batches)))
+	var body []byte
 	for _, b := range resp.Batches {
-		dst = binary.AppendUvarint(dst, b.Seq)
-		dst = binary.AppendUvarint(dst, b.Term)
-		dst = binary.AppendUvarint(dst, uint64(len(b.Records)))
-		for _, rec := range b.Records {
-			dst = append(dst, rec.Type)
-			dst = appendWireBytes(dst, rec.Payload)
-		}
+		body = wal.AppendBatchBody(body[:0], b)
+		dst = appendWireBytes(dst, body)
 	}
 	return appendRowSet(dst, resp.rows), nil
 }
@@ -599,32 +597,23 @@ func decodeResponse(payload []byte) (Response, error) {
 	if resp.Image, err = r.bytes(); err != nil {
 		return Response{}, err
 	}
-	nbatches, err := r.count(3)
+	// A batch costs its length byte and a body of at least 17 bytes (seq,
+	// term, record count).
+	nbatches, err := r.count(18)
 	if err != nil {
 		return Response{}, err
 	}
 	if nbatches > 0 {
 		resp.Batches = make([]wal.Batch, nbatches)
 		for i := range resp.Batches {
-			b := &resp.Batches[i]
-			if b.Seq, err = r.uvarint(); err != nil {
-				return Response{}, err
-			}
-			if b.Term, err = r.uvarint(); err != nil {
-				return Response{}, err
-			}
-			nrecs, err := r.count(2)
+			// bytes copies the body out of the frame buffer; the records'
+			// payloads alias that copy.
+			body, err := r.bytes()
 			if err != nil {
 				return Response{}, err
 			}
-			b.Records = make([]wal.Record, nrecs)
-			for j := range b.Records {
-				if b.Records[j].Type, err = r.byteVal(); err != nil {
-					return Response{}, err
-				}
-				if b.Records[j].Payload, err = r.bytes(); err != nil {
-					return Response{}, err
-				}
+			if resp.Batches[i], err = wal.DecodeBatch(body); err != nil {
+				return Response{}, fmt.Errorf("server: frame decode: %w", err)
 			}
 		}
 	}

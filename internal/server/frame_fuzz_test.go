@@ -8,6 +8,7 @@ import (
 
 	quantumdb "repro"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the wire decoder stack:
@@ -56,6 +57,13 @@ func FuzzFrameDecode(f *testing.F) {
 	// decoder must refuse before sizing anything by the claimed counts.
 	for _, rowSet := range rowSetSeeds() {
 		f.Add(finishFrame(append(rowSetPrefix(), rowSet...)))
+	}
+
+	// Seeds 13-15: a repl.pull response whose batches travel as WAL
+	// bodies, sound, with a body that lies about its record count, and
+	// with a batch count beyond the payload.
+	for _, batches := range batchSeeds() {
+		f.Add(finishFrame(append(batchPrefix(), batches...)))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -107,6 +115,37 @@ func rowSetSeeds() [][]byte {
 	}
 }
 
+// pullBatches are two batches as repl.pull ships them: one record with
+// an empty payload, and several records.
+var pullBatches = []wal.Batch{
+	{Seq: 4, Term: 2, Records: []wal.Record{{Type: 1}}},
+	{Seq: 9, Term: 3, Records: []wal.Record{
+		{Type: 3, Payload: []byte("insert fact")},
+		{Type: 4, Payload: []byte("delete fact")},
+		{Type: 2, Payload: []byte{0, 0, 0, 0, 0, 0, 0, 7}},
+	}},
+}
+
+// batchPrefix is a response frame up to where its batches start.
+func batchPrefix() []byte {
+	b, _ := appendResponse(beginFrame(nil, 6, 0), &Response{OK: true})
+	return b[:len(b)-3] // drop the batch count and the empty row set
+}
+
+// batchSeeds returns batch encodings followed by an empty row set: one
+// valid, the rest corrupt.
+func batchSeeds() [][]byte {
+	full, _ := appendResponse(nil, &Response{OK: true, Batches: pullBatches})
+	valid := full[len(batchPrefix())-4-frameHeader:]
+	lying := wal.AppendBatchBody(nil, pullBatches[0])
+	lying[16] = 5 // five records claimed, one present
+	return [][]byte{
+		valid,
+		append(appendWireBytes([]byte{1}, lying), 0, 0),
+		append(binary.AppendUvarint(nil, 1<<40), 0, 0),
+	}
+}
+
 // TestRowSetDecodeRejectsCorruptCounts pins what the fuzzer probes
 // statistically: every corrupt row-set seed is an error, and the sound
 // one decodes.
@@ -136,8 +175,9 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip: encode → decode over every op code with a loaded
-// request, and a response with every flag set, survives byte-exact.
+// TestFrameRoundTrip: a loaded request, and a repl.pull response
+// carrying two batches, survive encode → decode; the corrupt batch
+// seeds are refused.
 func TestFrameRoundTrip(t *testing.T) {
 	req := Request{
 		Op: "etxn", Txn: "+A(1)", Tag: "tag", Partner: "p",
@@ -167,5 +207,33 @@ func TestFrameRoundTrip(t *testing.T) {
 		len(got.Table.Columns) != 2 || len(got.Table.Key) != 1 ||
 		len(got.Txns) != 2 || got.Txns[1] != "+Y(2)" {
 		t.Fatalf("request round trip mismatch: %+v", got)
+	}
+
+	for i, batches := range batchSeeds() {
+		payload := append(batchPrefix()[4+frameHeader:], batches...)
+		resp, err := decodeResponse(payload)
+		if i > 0 {
+			if err == nil {
+				t.Fatalf("corrupt batch seed %d decoded: %+v", i, resp.Batches)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Batches) != len(pullBatches) {
+			t.Fatalf("decoded %d batches, want %d", len(resp.Batches), len(pullBatches))
+		}
+		for j, want := range pullBatches {
+			got := resp.Batches[j]
+			if got.Seq != want.Seq || got.Term != want.Term || len(got.Records) != len(want.Records) {
+				t.Fatalf("batch %d: got seq %d term %d with %d records, want %+v", j, got.Seq, got.Term, len(got.Records), want)
+			}
+			for k, r := range want.Records {
+				if got.Records[k].Type != r.Type || !bytes.Equal(got.Records[k].Payload, r.Payload) {
+					t.Fatalf("batch %d record %d: got %+v, want %+v", j, k, got.Records[k], r)
+				}
+			}
+		}
 	}
 }

@@ -150,6 +150,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	for name, opener := range map[string][]byte{
 		// A version-1 client: preamble, then a frame straight behind it.
 		"version 1": append([]byte("QDB\x01"), finishFrame(appendRequest(beginFrame(nil, 1, opCodes["ping"]), &Request{Op: "ping"}))...),
+		"version 2": append([]byte("QDB\x02"), finishFrame(appendRequest(beginFrame(nil, 1, opCodes["ping"]), &Request{Op: "ping"}))...),
 		"JSON line": []byte(`{"op":"ping"}` + "\n"),
 	} {
 		conn, err := net.Dial("tcp", addr)
@@ -188,7 +189,7 @@ func TestProtocolVersionMismatch(t *testing.T) {
 				return
 			}
 			bufio.NewReader(c).Discard(len(frameMagic))
-			io.WriteString(c, `{"ok":false,"err":"server: protocol version mismatch: this server speaks QDB/3"}`+"\n")
+			io.WriteString(c, `{"ok":false,"err":"server: protocol version mismatch: this server speaks QDB/4"}`+"\n")
 			c.Close()
 		}
 	}()

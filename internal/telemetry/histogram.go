@@ -99,16 +99,6 @@ type HistSnapshot struct {
 	Count   int64
 }
 
-// Merge folds other into s, for aggregating per-shard or per-run
-// histograms into one distribution.
-func (s *HistSnapshot) Merge(other HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += other.Buckets[i]
-	}
-	s.Sum += other.Sum
-	s.Count += other.Count
-}
-
 // Mean returns the average observed value, 0 when empty.
 func (s HistSnapshot) Mean() float64 {
 	if s.Count == 0 {

@@ -1,6 +1,6 @@
 // Package telemetry is the engine's dependency-free observability
-// layer: a metrics registry of atomic counters, gauges, and lock-free
-// log-spaced latency histograms, a stack-allocated Span stage timer for
+// layer: a metrics registry of counters and gauges read from the
+// engine's own atomics, lock-free log-spaced latency histograms, a stack-allocated Span stage timer for
 // per-op tracing, a threshold-gated slow-op ring buffer, and exposition
 // in Prometheus text format and JSON over HTTP. Everything is stdlib
 // only and built so the record path costs a handful of atomic adds: the
@@ -12,33 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 type metricKind int
 
@@ -85,28 +60,13 @@ func (r *Registry) register(m *metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Counter registers and returns a new owned counter. Counter names
-// should end in _total per Prometheus convention; the name is exposed
-// exactly as given.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(&metric{name: name, help: help, kind: kindCounter, read: c.Value})
-	return c
-}
-
 // CounterFunc registers a counter whose value is read from fn at
-// exposition time. This is how pre-existing engine atomics fold into
-// the registry without moving: the atomic stays the single source of
-// truth and the registry just reads it.
+// exposition time. This is how the engine's atomics fold into the
+// registry without moving: the atomic stays the single source of truth
+// and the registry just reads it. Counter names should end in _total
+// per Prometheus convention; the name is exposed exactly as given.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.register(&metric{name: name, help: help, kind: kindCounter, read: fn})
-}
-
-// Gauge registers and returns a new owned gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{name: name, help: help, kind: kindGauge, read: g.Value})
-	return g
 }
 
 // GaugeFunc registers a gauge read from fn at exposition time.

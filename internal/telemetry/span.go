@@ -43,9 +43,6 @@ func (r *Registry) Tracer(name, stageName, op, help string, stages []string, slo
 // Op returns the operation name the tracer was registered under.
 func (t *Tracer) Op() string { return t.op }
 
-// StageNames returns the stage names in index order.
-func (t *Tracer) StageNames() []string { return t.names }
-
 // Span is a per-operation stage timer. It is a plain value: callers
 // keep it on the stack (var sp = tr.Start(); defer is fine since the
 // method set is on *Span and the address of a stack variable passed to

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -48,17 +49,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := &Histogram{}, &Histogram{}
-	a.Record(100)
-	b.Record(100000)
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 2 || s.Sum != 100100 {
-		t.Fatalf("merged count=%d sum=%d", s.Count, s.Sum)
-	}
-}
-
 func TestNilHistogramSafe(t *testing.T) {
 	var h *Histogram
 	h.Record(5)
@@ -71,21 +61,23 @@ func TestNilHistogramSafe(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	var x atomic.Int64
+	r.CounterFunc("x_total", "", x.Load)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Counter("x_total", "")
+	r.CounterFunc("x_total", "", x.Load)
 }
 
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("qdb_test_ops_total", "Ops processed.")
+	var c, g atomic.Int64
+	r.CounterFunc("qdb_test_ops_total", "Ops processed.", c.Load)
 	c.Add(7)
-	g := r.Gauge("qdb_test_depth", "Current depth.")
-	g.Set(3)
+	r.GaugeFunc("qdb_test_depth", "Current depth.", g.Load)
+	g.Store(3)
 	r.CounterFunc("qdb_test_fn_total", "From a func.", func() int64 { return 42 })
 	h := r.Seconds("qdb_test_latency_seconds", `op="x"`, "Latency.")
 	h.Observe(1500 * time.Nanosecond)
@@ -132,7 +124,9 @@ func TestCheckExpositionCatchesMissing(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("qdb_test_h_total", "h").Inc()
+	var c atomic.Int64
+	r.CounterFunc("qdb_test_h_total", "h", c.Load)
+	c.Add(1)
 	slow := NewSlowLog(4)
 	h := r.Handler(slow)
 
@@ -213,7 +207,8 @@ func TestNilSpanSafe(t *testing.T) {
 // exposition reads never conflict.
 func TestConcurrentScrapeStress(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("stress_ops_total", "")
+	var c atomic.Int64
+	r.CounterFunc("stress_ops_total", "", c.Load)
 	h := r.Seconds("stress_latency_seconds", "", "")
 	slow := NewSlowLog(16)
 	slow.SetThreshold(1)
@@ -248,7 +243,7 @@ func TestConcurrentScrapeStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Record(int64(i))
 				sp := tr.Start()
 				sp.Stage(0)
@@ -261,7 +256,7 @@ func TestConcurrentScrapeStress(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 	go func() {
 		// Let writers finish, then release the scraper.
-		for c.Value() < writers*perWriter {
+		for c.Load() < writers*perWriter {
 			time.Sleep(time.Millisecond)
 		}
 		close(stop)
@@ -271,8 +266,8 @@ func TestConcurrentScrapeStress(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("stress test wedged")
 	}
-	if c.Value() != writers*perWriter {
-		t.Fatalf("counter = %d, want %d", c.Value(), writers*perWriter)
+	if c.Load() != writers*perWriter {
+		t.Fatalf("counter = %d, want %d", c.Load(), writers*perWriter)
 	}
 	if got := h.Snapshot().Count; got != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d", got, writers*perWriter)

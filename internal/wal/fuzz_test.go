@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 // tombstone, an abort) for the fuzz corpus.
 func seedFrames() [][]byte {
 	mk := func(seq uint64, recs []Record) []byte {
-		return appendBatchFrame(nil, seq, seq%3, recs)
+		return sealFrame(AppendBatchBody(make([]byte, 4), Batch{Seq: seq, Term: seq % 3, Records: recs}), 0)
 	}
 	return [][]byte{
 		mk(1, []Record{{Type: 1, Payload: []byte("pending txn payload")}}),
@@ -32,10 +33,11 @@ func seedFrames() [][]byte {
 // fuzz input is interpreted as raw segment-file content after the magic,
 // covering truncated, bit-flipped, duplicated, and wholly synthetic
 // frames. Invariants: the frame walker and body decoder never panic,
-// never return an error from the walk itself (corruption ends a segment
-// silently — it is a torn tail by definition), and every batch they DO
-// yield came from a CRC-intact frame whose body round-trips through the
-// encoder byte for byte.
+// the walk itself never returns an error (frame-level corruption, a bad
+// length or CRC, ends a segment silently: it is a torn tail by
+// definition), every batch they DO yield came from a CRC-intact frame
+// whose body round-trips through the encoder, and ReadAll refuses the
+// file with ErrCorrupt exactly when a CRC-intact body does not decode.
 func FuzzBatchDecode(f *testing.F) {
 	frames := seedFrames()
 	var all []byte
@@ -55,9 +57,8 @@ func FuzzBatchDecode(f *testing.F) {
 		// it accepts must survive an encode/decode round trip unchanged
 		// (byte equality is too strict: uvarints admit non-minimal forms).
 		if len(data) >= 16 {
-			if b, err := decodeBatchBody(data); err == nil {
-				reencoded := appendBatchFrame(nil, b.Seq, b.Term, b.Records)
-				b2, err := decodeBatchBody(reencoded[4 : len(reencoded)-4])
+			if b, err := DecodeBatch(data); err == nil {
+				b2, err := DecodeBatch(AppendBatchBody(nil, b))
 				if err != nil {
 					t.Fatalf("re-encoded accepted batch fails to decode: %v", err)
 				}
@@ -75,7 +76,8 @@ func FuzzBatchDecode(f *testing.F) {
 		// The frame walker over a synthetic segment file must neither
 		// panic nor propagate corruption as an error, and each delivered
 		// body must carry a valid CRC in the file.
-		path := filepath.Join(t.TempDir(), "fuzz.wal.0")
+		root := filepath.Join(t.TempDir(), "fuzz.wal")
+		path := root + ".0"
 		if err := os.WriteFile(path, append([]byte(segMagic), data...), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -104,10 +106,15 @@ func FuzzBatchDecode(f *testing.F) {
 			}
 			off += 4 + len(body) + 4
 		}
-		// And batches decoded from delivered bodies must decode cleanly
-		// or be rejected — never panic (exercised implicitly above).
+		// A delivered body that does not decode is refused, not skipped.
+		undecodable := false
 		for _, body := range bodies {
-			decodeBatchBody(body)
+			if _, err := DecodeBatch(body); err != nil {
+				undecodable = true
+			}
+		}
+		if _, err := ReadAll(root); undecodable != (err != nil) || err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("ReadAll = %v with an undecodable body: %v", err, undecodable)
 		}
 	})
 }

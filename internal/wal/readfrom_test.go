@@ -3,6 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,5 +218,58 @@ func TestReadFromConcurrentAppend(t *testing.T) {
 		if !seenSet[s] {
 			t.Fatalf("committed seq %d never delivered", s)
 		}
+	}
+}
+
+// TestReadFromAndReadAllRefuseUndecodableFrame: a CRC-valid frame whose
+// body does not decode (here: one trailing byte) is not a torn tail.
+// Recovery (ReadAll) and log shipping (ReadFrom's file path) both refuse
+// the log with ErrCorrupt naming the batch, rather than one of them
+// dropping it and the batches after it in its segment.
+func TestReadFromAndReadAllRefuseUndecodableFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.wal")
+	l, err := OpenSegmented(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(0, []Record{rec(1, "good")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := AppendBatchBody(make([]byte, 4), Batch{Seq: 2, Records: []Record{rec(1, "bad")}})
+	f, err := os.OpenFile(path+".0", os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(sealFrame(append(bad, 0), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = OpenSegmented(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := l.AppendBatch(0, []Record{rec(1, "after")}); err != nil || seq != 3 {
+		t.Fatalf("append after the bad frame = %d, %v; want seq 3", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if l, err = OpenSegmented(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if bs, err := ReadAll(path); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "batch 2") {
+		t.Fatalf("ReadAll = %d batches, %v; want ErrCorrupt naming batch 2", len(bs), err)
+	}
+	if bs, err := l.ReadFrom(0, 0); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "batch 2") {
+		t.Fatalf("ReadFrom(0, 0) = %d batches, %v; want ErrCorrupt naming batch 2", len(bs), err)
+	}
+	if l.Stats().FileScans != 1 {
+		t.Fatalf("ReadFrom(0, 0) on a reopened log should read the files, FileScans = %d", l.Stats().FileScans)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -59,8 +60,9 @@ type Record struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt is wrapped by batch-decoding errors caused by a torn or
-// corrupted frame body.
+// ErrCorrupt is wrapped by the error for a batch body that fails to
+// decode (DecodeBatch). A body read from a CRC-valid frame that fails is
+// not a torn tail: ReadAll and ReadFrom both refuse it.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // segMagic identifies a segment file; it doubles as a format version so
@@ -374,7 +376,8 @@ func (l *SegmentedLog) AppendBatch(affinity int64, recs []Record) (uint64, error
 		return 0, fmt.Errorf("%w (term %d, fenced at %d)", ErrStaleTerm, term, f)
 	}
 	seq := l.seq.Add(1)
-	s.scratch = appendBatchFrame(s.scratch[:0], seq, term, recs)
+	s.scratch = AppendBatchBody(append(s.scratch[:0], 0, 0, 0, 0), Batch{Seq: seq, Term: term, Records: recs})
+	s.scratch = sealFrame(s.scratch, 0)
 	l.BatchBytes.Record(int64(len(s.scratch)))
 	if _, err := s.w.Write(s.scratch); err != nil {
 		s.poison(l, err)
@@ -794,11 +797,10 @@ func (l *SegmentedLog) tailBodies(after, high uint64, max int) (bodies [][]byte,
 }
 
 // fileBodies flushes every healthy segment, so each batch with seq <=
-// high is file-visible, and collects the intact frame bodies with
-// sequence numbers in (after, high] from every segment file. Poisoned
-// segments are not flushed: their buffer may end in a torn frame, and
-// every batch acknowledged before the poison was already flushed by its
-// own append or group-commit round.
+// high is file-visible, and reads the files through segmentBodies.
+// Poisoned segments are not flushed: their buffer may end in a torn
+// frame, and every batch acknowledged before the poison was already
+// flushed by its own append or group-commit round.
 func (l *SegmentedLog) fileBodies(after, high uint64) ([][]byte, error) {
 	for _, s := range l.segs {
 		s.mu.Lock()
@@ -815,26 +817,14 @@ func (l *SegmentedLog) fileBodies(after, high uint64) ([][]byte, error) {
 		}
 		s.mu.Unlock()
 	}
-	paths, err := segmentPaths(l.path)
-	if err != nil {
-		return nil, err
-	}
-	var bodies [][]byte
-	for _, p := range paths {
-		if err := scanSegment(p.path, func(body []byte) bool {
-			if seq := binary.LittleEndian.Uint64(body); seq > after && seq <= high {
-				bodies = append(bodies, body)
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return bodies, nil
+	return segmentBodies(l.path, after, high)
 }
 
 // decodeBodies sorts frame bodies by sequence number and decodes the
 // first max of them (max <= 0: all). The records' payloads alias bodies.
+// A body that fails DecodeBatch is an ErrCorrupt error naming its
+// sequence number: its frame's CRC verified, so it is not a torn tail,
+// and skipping it would drop a batch that may have been acknowledged.
 func decodeBodies(bodies [][]byte, max int) ([]Batch, error) {
 	if len(bodies) == 0 {
 		return nil, nil
@@ -847,7 +837,7 @@ func decodeBodies(bodies [][]byte, max int) ([]Batch, error) {
 	}
 	out := make([]Batch, len(bodies))
 	for i, body := range bodies {
-		b, err := decodeBatchBody(body)
+		b, err := DecodeBatch(body)
 		if err != nil {
 			return nil, fmt.Errorf("wal: read batch %d: %w", binary.LittleEndian.Uint64(body), err)
 		}
@@ -962,10 +952,7 @@ func filterSegmentFile(path string, cut uint64) (kept int, err error) {
 	if err := scanSegment(path, func(body []byte) bool {
 		if binary.LittleEndian.Uint64(body) > cut {
 			start := len(content)
-			content = append(content, 0, 0, 0, 0)
-			binary.LittleEndian.PutUint32(content[start:], uint32(len(body)))
-			content = append(content, body...)
-			content = binary.LittleEndian.AppendUint32(content, crc32.Checksum(body, crcTable))
+			content = sealFrame(append(append(content, 0, 0, 0, 0), body...), start)
 			kept++
 		}
 		return true
@@ -980,9 +967,6 @@ func filterSegmentFile(path string, cut uint64) (kept int, err error) {
 	}
 	return kept, nil
 }
-
-// Path returns the root path of the log (segment i lives at <path>.<i>).
-func (l *SegmentedLog) Path() string { return l.path }
 
 // Segments reports the configured segment count.
 func (l *SegmentedLog) Segments() int { return len(l.segs) }
@@ -1005,31 +989,42 @@ func (l *SegmentedLog) Stats() SegStats {
 	return st
 }
 
-// appendBatchFrame encodes one batch frame into buf:
+// AppendBatchBody appends b's body, the bytes a frame carries between
+// its length and its CRC, to buf:
 //
-//	4-byte LE body length | body | 4-byte CRC32C(body)
 //	body = 8-byte LE seq | 8-byte LE term | uvarint record count | records
 //	record = 1-byte type | uvarint payload length | payload
-func appendBatchFrame(buf []byte, seq, term uint64, recs []Record) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length, patched below
-	bodyStart := len(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, term)
-	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	for _, r := range recs {
+//
+// It is the one batch encoding: segment files frame it (sealFrame), and
+// repl.pull responses carry it as it is. DecodeBatch parses it.
+func AppendBatchBody(buf []byte, b Batch) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, b.Seq)
+	buf = binary.LittleEndian.AppendUint64(buf, b.Term)
+	buf = binary.AppendUvarint(buf, uint64(len(b.Records)))
+	for _, r := range b.Records {
 		buf = append(buf, r.Type)
 		buf = binary.AppendUvarint(buf, uint64(len(r.Payload)))
 		buf = append(buf, r.Payload...)
 	}
-	body := buf[bodyStart:]
+	return buf
+}
+
+// sealFrame turns buf[start:], a 4-byte length placeholder followed by a
+// body, into a segment frame: it patches the body's length in and
+// appends its CRC32C.
+//
+//	4-byte LE body length | body | 4-byte LE CRC32C(body)
+func sealFrame(buf []byte, start int) []byte {
+	body := buf[start+4:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(body)))
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, crcTable))
 }
 
-// decodeBatchBody parses a CRC-verified batch body. The returned record
-// payloads alias data.
-func decodeBatchBody(data []byte) (Batch, error) {
+// DecodeBatch parses a batch body (AppendBatchBody). The returned record
+// payloads alias data. Counts and lengths are untrusted: each is checked
+// against the bytes left before anything is sized by it, and every
+// failure wraps ErrCorrupt.
+func DecodeBatch(data []byte) (Batch, error) {
 	if len(data) < 16 {
 		return Batch{}, fmt.Errorf("%w: short batch body", ErrCorrupt)
 	}
@@ -1115,7 +1110,9 @@ func segmentPaths(path string) ([]segmentRef, error) {
 // without error: everything after the first bad frame of a segment is
 // unacknowledged by construction, because a batch is only acknowledged
 // once synced and every synced batch sits before any torn bytes in its
-// file. Missing files read as empty.
+// file. A CRC-valid frame whose body does not decode is no torn tail, and
+// ReadAll refuses the log with an ErrCorrupt error, as ReadFrom does.
+// Missing files read as empty.
 //
 // The whole log is materialized and sorted in memory: simple, and
 // bounded in practice because checkpoints truncate the log (a k-way
@@ -1126,20 +1123,34 @@ func ReadAll(path string) ([]Batch, error) {
 	if err := rejectLegacy(path); err != nil {
 		return nil, err
 	}
+	bodies, err := segmentBodies(path, 0, math.MaxUint64)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBodies(bodies, 0)
+}
+
+// segmentBodies collects the intact frame bodies with sequence numbers
+// in (after, high] from every segment file of the log rooted at path. It
+// is the log's one reader: recovery (ReadAll) and log shipping's file
+// path (fileBodies) both read through it and decode with decodeBodies.
+func segmentBodies(path string, after, high uint64) ([][]byte, error) {
 	paths, err := segmentPaths(path)
 	if err != nil {
 		return nil, err
 	}
-	var out []Batch
+	var bodies [][]byte
 	for _, p := range paths {
-		bs, err := readSegment(p.path)
-		if err != nil {
+		if err := scanSegment(p.path, func(body []byte) bool {
+			if seq := binary.LittleEndian.Uint64(body); seq > after && seq <= high {
+				bodies = append(bodies, body)
+			}
+			return true
+		}); err != nil {
 			return nil, err
 		}
-		out = append(out, bs...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
+	return bodies, nil
 }
 
 // maxSegmentSeq scans every existing segment for the highest batch
@@ -1167,21 +1178,6 @@ func maxSegmentSeq(path string) (maxSeq, maxTerm uint64, err error) {
 		}
 	}
 	return maxSeq, maxTerm, nil
-}
-
-// readSegment reads one segment's intact batches in file order, stopping
-// silently at the first torn or corrupt frame (see ReadAll).
-func readSegment(path string) ([]Batch, error) {
-	var out []Batch
-	err := scanSegment(path, func(body []byte) bool {
-		b, err := decodeBatchBody(body)
-		if err != nil {
-			return false // malformed body despite CRC: treat as torn tail
-		}
-		out = append(out, b)
-		return true
-	})
-	return out, err
 }
 
 // scanSegment walks one segment's CRC-intact frame bodies in file order,
