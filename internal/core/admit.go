@@ -131,7 +131,13 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 	var locked []*partition
 	if serial {
 		q.admitMu.Lock()
-		locked = q.lockOverlap(batchAtoms(items))
+		atoms := batchAtoms(items)
+		// A blind write between its append and its apply that unifies with
+		// the batch is missing from the store the decisions would read.
+		for len(q.writes) > 0 && q.writeUnifies(atoms) {
+			q.writeDone.Wait()
+		}
+		locked = q.lockOverlap(atoms)
 		snap = buildSnapBatch(locked, items)
 	} else {
 		snap = q.snapshotOverlapBatch(items)
@@ -254,14 +260,26 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 			return nil, false
 		}
 	}
+	// A blind write between its append and its apply (Write) is in no
+	// store the decisions read. One whose facts unify with the batch's
+	// atoms could create or destroy their groundings, so it is a conflict
+	// (the serial fallback waits for it); one that does not commutes with
+	// the batch, as groundings of non-overlapping partitions do. With
+	// nothing in flight this costs one length test.
+	if len(q.writes) > 0 && q.writeUnifies(batchAtoms(items)) {
+		unlockPartitions(locked)
+		return nil, false
+	}
 	// The store: either bit-identical to the solve's over every relation
 	// of merged (every decision's basis is a subset), or moved past it
 	// only by groundings of non-overlapping partitions, which cannot
 	// unify with any of merged's atoms and so preserve every solution and
 	// rejection proof verbatim. Epochs only grow, so a fingerprint equal
 	// to fpAll, even read table by table, proves the relations were all
-	// unchanged when the first was read; admitMu keeps writeSeq and
-	// admitSeq still.
+	// unchanged when the first was read. admitMu keeps admitSeq still; a
+	// write can move writeSeq meanwhile only if it registered in flight
+	// before this validation, and the check above either refused the
+	// batch for it or proved it commutes.
 	ok := epochFingerprint(q.db, snap.merged) == out.fpAll ||
 		(q.writeSeq.Load() == out.writeSeq && q.admitSeq.Load() == snap.admitSeq)
 	if !ok {
@@ -271,22 +289,43 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 	return locked, true
 }
 
-// publish makes a decided cycle visible, in one critical section:
-// record each rejection's unsatisfiability proof, then log every
-// accepted pending record as ONE WAL batch write-ahead (durable BEFORE
-// any admission becomes visible — §4's pending-transactions table
-// discipline, so a log failure rejects cleanly instead of leaving an
-// admitted-but-unlogged transaction), merge the overlap set, and install
-// each accept into the survivor. It releases admitMu (the caller holds
-// it and the overlap set), then runs the k-bound eviction with only the
-// surviving partition locked.
+// publish makes a decided cycle visible. In one critical section under
+// admitMu it records each rejection's unsatisfiability proof, appends
+// every accepted pending record as ONE WAL batch, merges the overlap set
+// and installs each accept into the survivor; then it releases admitMu
+// (the caller holds it and the overlap set) and, still holding the
+// survivor's shard, waits for the batch to be durable before anything
+// is acknowledged (§4's pending-transactions table is written ahead).
+// After the wait it runs the k-bound eviction with only the survivor
+// locked.
+//
+// Holding the survivor through the wait is what makes waiting outside
+// admitMu safe. Every locator blocks on that shard (lockOverlap,
+// lockGroup, revalidateBatch's re-lock, lockAllPartitions), so nothing
+// reads, grounds or extends the partition before its batch is durable,
+// and a batch that depends on it — the next admission into it, a
+// grounding of it, a write it constrains — is appended only afterwards,
+// whatever segment either batch lands on. So a crash can never keep a
+// dependent batch and lose its predecessor: a merge logging to
+// locked[0]'s segment while the merged partitions' earlier batches sit
+// on other segments finds those batches durable already, and recovery
+// re-admits every record (readmit). A follower may pull the batch from
+// the in-memory tail before it is durable, as it could before the wait
+// moved out of admitMu. A checkpoint cut blocks on the shard too, so its
+// stamp never covers an install that is not yet in its snapshot.
+//
+// A failed wait means the members are installed but not durable: under
+// the still-held shard the install is undone (uninstallLocked), the
+// merge is kept — a coarser partition is always correct — and each
+// member gets the log's error, so a log failure rejects cleanly instead
+// of leaving an admitted-but-unlogged transaction.
 //
 // The eviction's leading run is known before the batch is written: the
 // install leaves the survivor holding out.finalChain with its cached
 // solution out.finalCached, so the heads the k-bound will replay are
 // finalCached's first groundings. The pending batch carries them after
 // the pending records, and they are applied as one unit once the
-// install is done; enforceK is left only the heads that need a solve.
+// batch is durable; enforceK is left only the heads that need a solve.
 func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome, sp *telemetry.Span, ids []int64, errs []error) {
 	for i, it := range items {
 		d := out.decisions[i]
@@ -321,16 +360,12 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 		evict = out.finalCached[:q.replayable(out.finalChain, out.finalCached, over)]
 	}
 	walStart := time.Now()
-	n, seq, werr := q.logPendingBatch(affinity, accepted, evict)
-	sp.Add(stageSubmitWAL, time.Since(walStart))
+	n, tk, werr := q.logPendingBatch(affinity, accepted, evict)
 	if werr != nil {
+		sp.Add(stageSubmitWAL, time.Since(walStart))
 		unlockPartitions(locked)
 		q.admitMu.Unlock()
-		for i, it := range items {
-			if out.decisions[i].ok {
-				errs[it.idx] = werr
-			}
-		}
+		setAcceptedErr(items, out, errs, werr)
 		return
 	}
 	evict = evict[:n]
@@ -342,17 +377,30 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 		}
 	}
 	q.admitMu.Unlock()
-	kerr := q.applyEvictions(p, affinity, seq, accepted, evict)
+	werr = q.waitLog(tk)
+	sp.Add(stageSubmitWAL, time.Since(walStart))
+	if werr != nil {
+		q.uninstallLocked(p, accepted)
+		p.shard.Unlock()
+		setAcceptedErr(items, out, errs, werr)
+		return
+	}
+	kerr := q.applyEvictions(p, affinity, tk.Seq, accepted, evict)
 	if kerr == nil {
 		kerr = q.enforceK(p)
 	} else {
 		p.shard.Unlock()
 	}
 	if kerr != nil {
-		for i, it := range items {
-			if out.decisions[i].ok {
-				errs[it.idx] = kerr
-			}
+		setAcceptedErr(items, out, errs, kerr)
+	}
+}
+
+// setAcceptedErr reports err to every accepted member of a cycle.
+func setAcceptedErr(items []batchItem, out *batchOutcome, errs []error, err error) {
+	for i, it := range items {
+		if out.decisions[i].ok {
+			errs[it.idx] = err
 		}
 	}
 }

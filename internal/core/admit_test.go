@@ -307,7 +307,10 @@ func TestAdmissionCostIndependentOfPartitionCount(t *testing.T) {
 	smallA, smallB := cost(10)
 	bigA, bigB := cost(1000)
 	t.Logf("per Submit on a fresh flight: %.0f allocs, %.0f B with 10 partitions pending; %.0f allocs, %.0f B with 1000", smallA, smallB, bigA, bigB)
-	if bigA > smallA+2 || bigB > 1.5*smallB {
+	// Under -race the alloc count is not compared: sync.Pool drops pooled
+	// solvers at random there, and refilling them varies the window's
+	// count by more than the bound.
+	if (bigA > smallA+2 && !raceEnabled) || bigB > 1.5*smallB {
 		t.Fatalf("admission cost grows with the pending set: %.0f allocs / %.0f B at 10 partitions, %.0f allocs / %.0f B at 1000", smallA, smallB, bigA, bigB)
 	}
 }

@@ -37,13 +37,18 @@ import (
 // new appends above it.
 // Stats.CheckpointPauseNs accumulates only the cut time.
 //
-// The stamp is exact: every WAL appender runs under the admission lock
-// or a partition shard and applies before releasing it (an admission's
-// carried evictions apply under the survivor's shard, locked before the
-// admission lock is released), so at the cut
-// every batch with Seq <= stamp has its effect in the snapshot, and
-// every later batch — including groundings racing the serialization —
-// is stamped above it and survives truncation for replay.
+// The stamp is exact: at the cut every batch with Seq <= stamp has its
+// effect in the snapshot, and every later batch — including groundings
+// racing the serialization — is stamped above it and survives truncation
+// for replay. A grounding appends, waits and applies under its
+// partition's shard. An admission appends and installs under admitMu and
+// then holds its survivor's shard through its WAL wait and its carried
+// evictions, so the cut, which takes every live shard, sees either all of
+// it or none. A blind write appends under admitMu and applies after its
+// wait holding only the shards it affects — none, for a write no pending
+// transaction unifies with — so the cut also waits, under admitMu, until
+// no write is in flight; new writes wait while a cut does, so a stream of
+// writes cannot starve it.
 func (q *QDB) Checkpoint(path string) error {
 	if q.log == nil {
 		return fmt.Errorf("core: Checkpoint requires a WAL-backed database")
@@ -95,6 +100,14 @@ type checkpointCut struct {
 // nothing). Stats.CheckpointPauseNs accumulates the hold time.
 func (q *QDB) checkpointCut() checkpointCut {
 	q.admitMu.Lock()
+	if len(q.writes) > 0 {
+		q.cutsWaiting++
+		for len(q.writes) > 0 {
+			q.writeDone.Wait()
+		}
+		q.cutsWaiting--
+		q.writeDone.Broadcast()
+	}
 	cutStart := time.Now()
 	locked := q.lockAllPartitions()
 	q.mu.Lock()

@@ -16,6 +16,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // ErrInvariantBroken reports that a grounding the invariant promised could
@@ -751,6 +752,18 @@ func partitionAffected(p *partition, query []logic.Atom, maxID int64) int {
 // affected partition satisfiable over the modified store, or they are
 // rejected (§3.2.2 "Writes"). Validation solves of independent affected
 // partitions run in parallel on the worker pool.
+//
+// Under admitMu a write only validates and appends: the structural
+// check, lockOverlap, the validation solves and the WAL append. It then
+// registers as in flight and releases admitMu; it waits for its batch to
+// be durable holding only the affected partitions' shards, applies, and
+// deregisters. Three rules make the window between append and apply
+// safe: an admission whose atoms unify with an in-flight write does not
+// publish a decision made without it (revalidateBatch, admitCycle); a
+// write waits for in-flight writes on its relations before its
+// structural check, which must see them; and the checkpoint cut waits
+// until no write is in flight (checkpointCut), so its stamp never covers
+// a write its snapshot lacks.
 func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	if err := q.checkWritable(); err != nil {
 		return err
@@ -764,20 +777,25 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	}
 
 	q.admitMu.Lock()
-	defer q.admitMu.Unlock()
 	sp := q.met.write.Start()
 	defer sp.End()
+	// A checkpoint cut waiting for in-flight writes to drain goes first,
+	// so a stream of writes cannot starve it.
+	for q.cutsWaiting > 0 || q.writeSharesRelation(factAtoms) {
+		q.writeDone.Wait()
+	}
 
 	// Structural validation of the write itself (arity, delete-of-absent,
 	// duplicate keys) on a scratch overlay over a store view.
 	err := relstore.NewOverlay(q.view()).ApplyFacts(inserts, deletes)
 	q.db.EndView()
 	if err != nil {
+		q.admitMu.Unlock()
 		return fmt.Errorf("core: invalid write: %w", err)
 	}
 
 	// Only the partitions the write touches stay locked through its WAL
-	// append and apply; groundings of the rest proceed meanwhile.
+	// wait and apply; groundings of the rest proceed meanwhile.
 	affected := q.lockOverlap(factAtoms)
 
 	dk := deltaKey(inserts, deletes)
@@ -819,6 +837,7 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	sp.Stage(stageWriteValidate)
 	if err != nil {
 		unlockPartitions(affected)
+		q.admitMu.Unlock()
 		if errors.Is(err, ErrWriteRejected) {
 			q.stats.writesRejected.Add(1)
 			return ErrWriteRejected
@@ -826,27 +845,51 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		return err
 	}
 
-	// Write-ahead: the write's batch is logged (and synced, with SyncWAL)
-	// before it mutates the store — still under admitMu, so it is
-	// serialized against admissions exactly as before, but with no store
-	// lock held, so groundings of unaffected partitions proceed during
+	// Write-ahead: the write's batch is appended under admitMu, which
+	// orders it against admissions, and is durable before it mutates the
+	// store; the wait runs with no store lock and without admitMu, so
+	// admissions and groundings of unaffected partitions proceed during
 	// the fsync.
 	walStart := time.Now()
-	seq, err := q.logWrite(inserts, deletes)
-	sp.Add(stageWriteWAL, time.Since(walStart))
+	tk, err := q.logWrite(inserts, deletes)
 	if err != nil {
 		unlockPartitions(affected)
+		q.admitMu.Unlock()
+		sp.Add(stageWriteWAL, time.Since(walStart))
+		return err
+	}
+	w := &inflightWrite{atoms: factAtoms}
+	q.writes = append(q.writes, w)
+	q.admitMu.Unlock()
+	err = q.applyWrite(tk, inserts, deletes, affected, refreshed, &sp, walStart)
+	unlockPartitions(affected)
+	q.admitMu.Lock()
+	q.writes = slices.DeleteFunc(q.writes, func(x *inflightWrite) bool { return x == w })
+	q.writeDone.Broadcast()
+	q.admitMu.Unlock()
+	if err != nil {
+		return err
+	}
+	q.stats.writesAccepted.Add(1)
+	return nil
+}
+
+// applyWrite is Write's second half, after its batch tk is appended:
+// wait for durability, apply, and refresh the affected partitions'
+// caches. Caller holds the affected shards and not admitMu.
+func (q *QDB) applyWrite(tk wal.Ticket, inserts, deletes []relstore.GroundFact, affected []*partition, refreshed [][]formula.Grounding, sp *telemetry.Span, walStart time.Time) error {
+	err := q.waitLog(tk)
+	sp.Add(stageWriteWAL, time.Since(walStart))
+	if err != nil {
 		return err
 	}
 	if err := q.crashApplyPoint(); err != nil {
-		unlockPartitions(affected)
 		return err
 	}
 	applyStart := time.Now()
 	if err := q.w.Apply([]relstore.Unit{{Inserts: inserts, Deletes: deletes}}); err != nil {
-		unlockPartitions(affected)
 		err = fmt.Errorf("core: applying write: %w", err)
-		if aerr := q.logAbort(0, seq, nil); aerr != nil {
+		if aerr := q.logAbort(0, tk.Seq, nil); aerr != nil {
 			err = errors.Join(err, aerr)
 		}
 		return err
@@ -865,9 +908,39 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 		p.cached = refreshed[i]
 		p.version++
 	}
-	unlockPartitions(affected)
-	q.stats.writesAccepted.Add(1)
 	return nil
+}
+
+// inflightWrite is a blind write between its WAL append and its apply
+// (QDB.writes): the atoms of its facts.
+type inflightWrite struct{ atoms []logic.Atom }
+
+// writeUnifies reports whether an atom of atoms unifies with a fact of
+// an in-flight write. Caller holds admitMu.
+func (q *QDB) writeUnifies(atoms []logic.Atom) bool {
+	for _, w := range q.writes {
+		for _, a := range w.atoms {
+			if unifiesAny(a, atoms) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// writeSharesRelation reports whether an in-flight write has a fact on a
+// relation of atoms. Caller holds admitMu.
+func (q *QDB) writeSharesRelation(atoms []logic.Atom) bool {
+	for _, w := range q.writes {
+		for _, a := range w.atoms {
+			for _, b := range atoms {
+				if a.Rel == b.Rel {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func factAtom(f relstore.GroundFact) logic.Atom {

@@ -102,8 +102,10 @@ type Options struct {
 	// store.
 	WALPath string
 	// SyncWAL makes every logged batch fsync before it is acknowledged
-	// (group commit: concurrent appenders to the same segment share one
-	// fsync). Off, batches are flushed to the OS but a machine crash may
+	// or applied (group commit: concurrent appenders to the same segment
+	// share one fsync). Admissions and blind writes wait for that fsync
+	// after releasing the admission lock, so they share fsyncs too, with
+	// each other and with groundings. Off, batches are flushed to the OS but a machine crash may
 	// lose the unsynced tail: with one segment recovery still sees a
 	// consistent prefix, while with WALSegments > 1 each segment loses an
 	// independent tail, so recovery is best-effort convergence (the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,13 +41,19 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	    installs (which can create and merge partitions), blind writes,
 //	    and checkpoints. While held, no partition appears or gains atoms,
 //	    so lockOverlap's first pass stands. Submit holds it only for the
-//	    short validate-and-install critical section by default — the
+//	    short validate-append-install critical section by default — the
 //	    chain solve runs BEFORE it, against a versioned snapshot of the
 //	    overlapping partitions, and the snapshot is revalidated under the
 //	    lock before anything is published (optimistic admission,
 //	    admit.go). SerialAdmission restores the classic
-//	    hold-across-the-solve discipline.
+//	    hold-across-the-solve discipline. admitMu is never held across a
+//	    WAL wait: admissions and blind writes append under it and wait
+//	    for their fsync after releasing it (publish, Write).
 //	  - each partition's shard guards its txns and cached groundings.
+//	    A shard MAY be held across a WAL wait: an admission holds its
+//	    survivor's shard, and a blind write its affected shards, until
+//	    the batch is durable, so nothing reads or extends the partition
+//	    before then (see publish).
 //	    Two locators, and nothing else, turn a key into locked
 //	    partitions, in ascending ID order (deadlock-free by
 //	    construction): lockOverlap by atoms and lockGroup by pending IDs.
@@ -110,12 +117,22 @@ type QDB struct {
 	admitSeq    atomic.Uint64
 	writeSeq    atomic.Uint64
 
+	// writes lists the blind writes between their WAL append and their
+	// apply (Write), and cutsWaiting counts checkpoint cuts waiting for
+	// them to drain; both are guarded by admitMu. writeDone, a condition
+	// over admitMu, is broadcast whenever either shrinks.
+	writes      []*inflightWrite
+	cutsWaiting int
+	writeDone   sync.Cond
+
 	// log is the segmented write-ahead log (nil without Options.WALPath);
 	// immutable after New, internally synchronized. Every durability path
 	// follows write-ahead ordering: the commit unit's batch is appended
-	// (and, with SyncWAL, group-commit fsynced) BEFORE the store apply,
-	// so a crash between the two is repaired by replay instead of
-	// diverging. See recover.go.
+	// and waited for (with SyncWAL, until a group-commit fsync covers it)
+	// BEFORE the store apply and the acknowledgement, so a crash between
+	// the two is repaired by replay instead of diverging. The wait runs
+	// under the partition shards the batch touched, never under admitMu.
+	// See recover.go.
 	log *wal.SegmentedLog
 	// testCrashApply, when non-nil, injects a failure between a batch's
 	// WAL sync and its store apply (crashApplyPoint); test-only.
@@ -190,6 +207,7 @@ func New(db *relstore.DB, opt Options) (*QDB, error) {
 		prep:   formula.NewPrepCache(),
 		start:  time.Now(),
 	}
+	q.writeDone.L = &q.admitMu
 	q.met = newEngineMetrics(q)
 	q.pool.QueueHist = q.met.poolQueue
 	if opt.SlowOpThreshold > 0 {
@@ -359,6 +377,38 @@ func (q *QDB) installLocked(p *partition, admitted *txn.T, merged []*txn.T, cach
 	q.partVersion.Add(1)
 	q.stats.accepted.Add(1)
 	q.noteHighWater(p)
+}
+
+// uninstallLocked undoes the install of admitted, the accepted members
+// of one admission whose pending batch did not become durable (publish):
+// they leave p, the registry and the overlap index, p's cached solution
+// (which grounds them) is dropped, the partition-set counter advances,
+// and Stats.Accepted gives them back. What stays in p is the partitions
+// the admission merged, each satisfiable on its own and, being mutually
+// non-unifiable, together; p is retired if nothing stays. Caller holds
+// p's shard.
+func (q *QDB) uninstallLocked(p *partition, admitted []*txn.T) {
+	keep := make([]*txn.T, 0, len(p.txns))
+	q.mu.Lock()
+	for _, t := range p.txns {
+		if slices.Contains(admitted, t) {
+			delete(q.byTxn, t.ID)
+			q.idx.remove(t, p.id())
+		} else {
+			keep = append(keep, t)
+		}
+	}
+	if len(keep) == 0 {
+		delete(q.parts, p.id())
+	}
+	q.mu.Unlock()
+	p.txns, p.cached = keep, nil
+	p.version++
+	if len(keep) == 0 {
+		p.shard.Retire()
+	}
+	q.partVersion.Add(1)
+	q.stats.accepted.Add(-int64(len(admitted)))
 }
 
 // enforceK force-grounds oldest transactions while p exceeds the

@@ -19,16 +19,19 @@ import (
 // the pending/grounded record pairs; base writes are logged so the
 // extensional store can be rebuilt from the initial database.
 //
-// Records travel in BATCHES (wal.SegmentedLog.AppendBatch): one batch is
-// one commit unit — an admission's pending records (plus the k-bound
+// Records travel in BATCHES (wal.SegmentedLog.Append): one batch is one
+// commit unit — an admission's pending records (plus the k-bound
 // evictions it triggers), a blind write's facts, or the groundings one
 // collapse executes — framed and sequence-stamped together, so recovery
 // can never observe part of a unit. Each grounding in a unit is its
 // deletes, then its inserts, then its tombstone, in chain order. The
-// engine appends and syncs a batch BEFORE applying its effects to the
-// store, and applies the whole unit at once (write-ahead ordering): a
-// crash between log and apply is repaired by replay, never by
-// divergence.
+// engine appends a batch and waits for it to be durable BEFORE applying
+// its effects to the store or acknowledging it, and applies the whole
+// unit at once (write-ahead ordering): a crash between log and apply is
+// repaired by replay, never by divergence. Admissions and blind writes
+// append under admitMu and wait after releasing it, still holding the
+// partition shards their batch touched (see publish and Write);
+// groundings append and wait under their partition's shard alone.
 const (
 	recPending  uint8 = 1 // payload: txn.Marshal
 	recGrounded uint8 = 2 // payload: 8-byte big-endian txn ID
@@ -131,30 +134,31 @@ func (e *batchEnc) addGroundings(gs []formula.Grounding, maxBody int) int {
 	return len(gs)
 }
 
-// logPendingBatch durably records admitted transactions as ONE WAL
-// batch — one append, one group-commit fsync — BEFORE any of them is
-// installed: the §4 invariant wants the pending-transactions table ahead
-// of any visible effect. After the pending records it carries the
-// leading groundings of evict (the k-bound evictions the install will
-// trigger) that fit within unitBodyLimit, and returns how many it
-// carried and the batch's sequence number (0 with no log, which carries
-// them all). affinity routes the batch to the partition's segment.
-// Recovery and follower replay iterate every record of a batch in order,
-// so the admissions register before the evictions ground.
-func (q *QDB) logPendingBatch(affinity int64, ts []*txn.T, evict []formula.Grounding) (int, uint64, error) {
+// logPendingBatch appends admitted transactions as ONE WAL batch before
+// any of them is installed, and the caller waits for it (waitLog) before
+// any of them is acknowledged: the §4 invariant wants the
+// pending-transactions table durable ahead of any acknowledged effect.
+// After the pending records it carries the leading groundings of evict
+// (the k-bound evictions the install will trigger) that fit within
+// unitBodyLimit, and returns how many it carried and the batch's ticket
+// (the zero ticket with no log, which carries them all). affinity routes
+// the batch to the partition's segment. Recovery and follower replay
+// iterate every record of a batch in order, so the admissions register
+// before the evictions ground.
+func (q *QDB) logPendingBatch(affinity int64, ts []*txn.T, evict []formula.Grounding) (int, wal.Ticket, error) {
 	if q.log == nil {
-		return len(evict), 0, nil
+		return len(evict), wal.Ticket{}, nil
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)
 	for _, t := range ts {
 		if err := e.addPending(t); err != nil {
-			return 0, 0, err
+			return 0, wal.Ticket{}, err
 		}
 	}
 	n := e.addGroundings(evict, unitBodyLimit)
-	seq, err := q.log.AppendBatch(affinity, e.recs)
-	return n, seq, q.noteStaleTerm(err)
+	tk, err := q.log.Append(affinity, e.recs)
+	return n, tk, q.noteStaleTerm(err)
 }
 
 // logGroundings appends the leading groundings of gs, in chain order, as
@@ -175,17 +179,26 @@ func (q *QDB) logGroundings(affinity int64, gs []formula.Grounding, maxBody int)
 	return n, seq, q.noteStaleTerm(err)
 }
 
-// logWrite appends a blind write's facts as one batch, before they are
-// applied.
-func (q *QDB) logWrite(inserts, deletes []relstore.GroundFact) (uint64, error) {
+// logWrite appends a blind write's facts as one batch and returns its
+// ticket; the caller waits for it (waitLog) before applying them.
+func (q *QDB) logWrite(inserts, deletes []relstore.GroundFact) (wal.Ticket, error) {
 	if q.log == nil {
-		return 0, nil
+		return wal.Ticket{}, nil
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)
 	e.addFacts(inserts, deletes)
-	seq, err := q.log.AppendBatch(0, e.recs)
-	return seq, q.noteStaleTerm(err)
+	tk, err := q.log.Append(0, e.recs)
+	return tk, q.noteStaleTerm(err)
+}
+
+// waitLog returns once the batch tk names is durable (wal.Wait; at once
+// with no log or without SyncWAL).
+func (q *QDB) waitLog(tk wal.Ticket) error {
+	if q.log == nil {
+		return nil
+	}
+	return q.log.Wait(tk)
 }
 
 // logAbort compensates the batch with the given sequence number after

@@ -23,7 +23,8 @@ import (
 const (
 	// submit: snapshot the overlap set, speculative/serial chain solve,
 	// validate critical section (optimistic cycles only); wal is the
-	// pending-record append, timed inside the install by publish.
+	// pending-record append under the admission lock plus the wait for
+	// its fsync after it, timed by publish.
 	stageSubmitSnapshot = iota
 	stageSubmitSolve
 	stageSubmitValidate
@@ -47,7 +48,8 @@ const (
 )
 
 const (
-	// write: parallel validation solves, write-ahead append, store apply.
+	// write: parallel validation solves, write-ahead append and the wait
+	// for its fsync, store apply.
 	stageWriteValidate = iota
 	stageWriteWAL
 	stageWriteApply
@@ -213,7 +215,7 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 	m.poolQueue = reg.Seconds("qdb_pool_queue_wait_seconds", "",
 		"Waits for a worker-pool slot when the pool was saturated.")
 	m.walAppend = reg.Seconds("qdb_wal_append_duration_seconds", "",
-		"Whole WAL AppendBatch calls, including any group-commit fsync wait.")
+		"WAL batches from append to durable, including any group-commit fsync wait.")
 	m.walSync = reg.Seconds("qdb_wal_sync_duration_seconds", "",
 		"Individual WAL flush+fsync rounds.")
 	m.walBytes = reg.Histogram("qdb_wal_batch_bytes", "",

@@ -1,0 +1,377 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/relstore"
+	"repro/internal/txn"
+	"repro/internal/value"
+	"repro/internal/wal"
+)
+
+// Tests for the window between an admission's or a blind write's WAL
+// append and the end of its wait for durability. Each drives the window
+// deterministically: a hook holds the next appended batch in its Wait,
+// after its fsync, until the test releases it.
+
+// holdNextWait makes the next batch appended to q's log block in its
+// Wait until release is called; held delivers its sequence number once
+// it blocks. Call before starting the operation to hold.
+func holdNextWait(q *QDB) (held <-chan uint64, release func()) {
+	var target atomic.Uint64
+	var armed atomic.Bool
+	armed.Store(true)
+	h := make(chan uint64, 1)
+	rel := make(chan struct{})
+	q.log.Hooks.AfterAppend = func(seq uint64) error {
+		if armed.CompareAndSwap(true, false) {
+			target.Store(seq)
+		}
+		return nil
+	}
+	q.log.Hooks.AfterSync = func(seq uint64) error {
+		if seq == target.Load() {
+			h <- seq
+			<-rel
+		}
+		return nil
+	}
+	return h, func() { close(rel) }
+}
+
+// notYet fails the test if any of chs delivers within a short grace
+// period: the operations behind them must still be blocked.
+func notYet(t *testing.T, what string, chs ...<-chan error) {
+	t.Helper()
+	deadline := time.After(50 * time.Millisecond)
+	for {
+		for _, ch := range chs {
+			select {
+			case err := <-ch:
+				t.Fatalf("%s returned (%v) while the held batch waits", what, err)
+			default:
+			}
+		}
+		select {
+		case <-deadline:
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
+func submitAsync(q *QDB, user string, f int) <-chan error {
+	ch := make(chan error, 1)
+	go func() {
+		_, err := q.Submit(book(user, f))
+		ch <- err
+	}()
+	return ch
+}
+
+// TestAdmitMuFreeDuringWait: while one admission waits for its fsync it
+// holds its partition's shard but not admitMu. A Submit on another flight
+// admits meanwhile; a Submit and a collapsing Read on the same flight
+// wait until the held batch is durable.
+func TestAdmitMuFreeDuringWait(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1, 2}, 6), Options{
+		WALPath: filepath.Join(t.TempDir(), "qdb.wal"), SyncWAL: true,
+	})
+	held, release := holdNextWait(q)
+	first := submitAsync(q, "A", 1)
+	<-held
+	if _, err := q.Submit(book("B", 2)); err != nil {
+		t.Fatalf("Submit on another flight while A waits: %v", err)
+	}
+	same := submitAsync(q, "C", 1)
+	read := make(chan error, 1)
+	go func() {
+		_, err := q.Read(seatQuery(1))
+		read <- err
+	}()
+	notYet(t, "an operation on A's flight", first, same, read)
+	release()
+	for _, ch := range []<-chan error{first, same, read} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bookingsOf(q, "A") != 1 {
+		t.Fatal("the collapsing read grounded nothing")
+	}
+}
+
+// TestCrashMergingAdmissionAcrossSegments: two partitions live on
+// different WAL segments and a third admission merges them, logging to
+// the first partition's segment while the second partition's batch is
+// still waiting for its fsync on the other. The merge cannot append
+// before that batch is durable (it blocks on the partition's shard), so
+// a crash between the merge's Append and its Wait — or after its fsync —
+// leaves a log that recovers, with readmit accepting every record, to
+// the fault-free reference.
+func TestCrashMergingAdmissionAcrossSegments(t *testing.T) {
+	mk := func() *relstore.DB { return worldDB([]int{1, 2}, 6) }
+	for _, at := range []string{"append", "sync"} {
+		t.Run(at, func(t *testing.T) {
+			walPath := filepath.Join(t.TempDir(), "qdb.wal")
+			opts := Options{WALPath: walPath, SyncWAL: true, WALSegments: 2}
+			q, err := New(mk(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A partition's first batch logs to segment 0 (it has no ID
+			// yet when its batch is appended); later ones to its own
+			// segment, here 1 for flight 2's partition.
+			for _, tx := range []*txn.T{book("A", 1), book("B0", 2)} {
+				if _, err := q.Submit(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held, release := holdNextWait(q)
+			b := submitAsync(q, "B", 2)
+			seqB := <-held
+			merge := make(chan error, 1)
+			go func() {
+				_, err := q.Submit(bookBoth("M"))
+				merge <- err
+			}()
+			notYet(t, "the merging admission", merge)
+			if got := q.log.Seq(); got != seqB {
+				t.Fatalf("log seq = %d while B waits, want %d: the merge appended before B was durable", got, seqB)
+			}
+			// The merge's batch is the next one: fail it at the chosen point.
+			q.log.Hooks.AfterAppend = func(seq uint64) error {
+				if at == "append" && seq == seqB+1 {
+					return errInjectedCrash
+				}
+				return nil
+			}
+			hold := q.log.Hooks.AfterSync
+			q.log.Hooks.AfterSync = func(seq uint64) error {
+				if at == "sync" && seq == seqB+1 {
+					return errInjectedCrash
+				}
+				return hold(seq)
+			}
+			release()
+			if err := <-b; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-merge; !errors.Is(err, errInjectedCrash) {
+				t.Fatalf("merging Submit = %v, want injected crash", err)
+			}
+			st := q.LogStats()
+			if st.Appends[0] != 3 || st.Appends[1] != 1 {
+				t.Fatalf("appends per segment = %v, want [3 1] (A, B0 and the merge on 0, B on 1)", st.Appends)
+			}
+			if ids := fmt.Sprint(q.PendingIDs()); ids != "[1 2 3]" {
+				t.Fatalf("live pending after the failed merge = %s, want [1 2 3]", ids)
+			}
+			q.log.Abandon()
+
+			ref := mustQDB(t, mk(), Options{})
+			for _, tx := range []*txn.T{book("A", 1), book("B0", 2), book("B", 2)} {
+				if _, err := ref.Submit(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if at == "sync" {
+				// The merge's batch was fsynced before the crash: it is
+				// committed, as TestCrashAfterSync's batches are.
+				if _, err := ref.Submit(bookBoth("M")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r, err := Recover(mk(), opts)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer r.Close()
+			if got, want := stateOf(r), stateOf(ref); got != want {
+				t.Errorf("recovered state:\n got %+v\nwant %+v", got, want)
+			}
+			if err := r.GroundAll(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// bookBoth books one seat on each of flights 1 and 2: its atoms unify
+// with both flights' partitions, so admitting it merges them.
+func bookBoth(user string) *txn.T {
+	t := txn.MustParse(fmt.Sprintf(
+		"-Available(1, s), -Available(2, r), +Bookings('%s', 1, s), +Bookings('%s', 2, r) :-1 Available(1, s), Available(2, r)",
+		user, user))
+	t.Tag = user
+	return t
+}
+
+// TestFailedWaitUninstalls: an admission whose WAL wait fails is
+// installed but not durable, and is taken back out — from the pending
+// set, the partition and Stats.Accepted — while a merge it made stays.
+// The flight then admits again and grounds to the expected seats.
+func TestFailedWaitUninstalls(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1, 2, 3}, 3), Options{
+		WALPath: filepath.Join(t.TempDir(), "qdb.wal"), SyncWAL: true, K: -1,
+	})
+	for _, f := range []int{1, 2} {
+		if _, err := q.Submit(book(fmt.Sprintf("u%d", f), f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failNext := func() {
+		var target atomic.Uint64
+		q.log.Hooks.AfterAppend = func(seq uint64) error {
+			target.CompareAndSwap(0, seq)
+			return nil
+		}
+		q.log.Hooks.AfterSync = func(seq uint64) error {
+			if seq == target.Load() {
+				return errInjectedCrash
+			}
+			return nil
+		}
+	}
+	accepted := q.Stats().Accepted
+	// A merging admission and one on a flight with nothing pending.
+	for _, tx := range []*txn.T{bookBoth("M"), book("N", 3)} {
+		failNext()
+		if _, err := q.Submit(tx); !errors.Is(err, errInjectedCrash) {
+			t.Fatalf("Submit(%s) = %v, want the wait's error", tx.Tag, err)
+		}
+	}
+	q.log.Hooks = wal.Hooks{}
+	if got := fmt.Sprint(q.PendingIDs()); got != "[1 2]" {
+		t.Fatalf("pending after failed waits = %s, want [1 2]", got)
+	}
+	if got := q.Stats().Accepted; got != accepted {
+		t.Fatalf("Accepted = %d after failed waits, want %d", got, accepted)
+	}
+	if got := fmt.Sprint(q.Partitions()); got != "[2]" {
+		t.Fatalf("partitions = %s, want [2] (the merge is kept, N's partition retired)", got)
+	}
+	for _, tx := range []*txn.T{bookBoth("M2"), book("N2", 3)} {
+		if _, err := q.Submit(tx); err != nil {
+			t.Fatalf("Submit(%s) after the failed wait: %v", tx.Tag, err)
+		}
+	}
+	if err := q.GroundAll(); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]int{"u1": 1, "u2": 1, "M2": 2, "N2": 1, "M": 0, "N": 0} {
+		if got := bookingsOf(q, name); got != n {
+			t.Errorf("%s holds %d seats, want %d", name, got, n)
+		}
+	}
+}
+
+// bookingsOf counts name's rows in Bookings.
+func bookingsOf(q *QDB, name string) int {
+	n := 0
+	for _, row := range q.Store().All("Bookings") {
+		if row[0] == value.NewString(name) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWriteInFlight: while a blind write waits for its fsync, an
+// admission its fact unifies with does not publish a decision made
+// without it — here the written seat is the flight's only one, so the
+// admission is accepted only because it waited — while an admission on
+// another flight publishes. A checkpoint started meanwhile completes
+// only after the write's apply, and the image alone holds the write.
+func TestWriteInFlight(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{WALPath: filepath.Join(dir, "qdb.wal"), SyncWAL: true}
+	ckpt := filepath.Join(dir, "qdb.ckpt")
+	q, err := New(worldDB([]int{1, 2}, 3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seat := []relstore.GroundFact{{Rel: "Available", Tuple: tup(9, "9Z")}}
+	held, release := holdNextWait(q)
+	write := make(chan error, 1)
+	go func() { write <- q.Write(seat, nil) }()
+	<-held
+	if _, err := q.Submit(book("B", 2)); err != nil {
+		t.Fatalf("non-unifying Submit while the write waits: %v", err)
+	}
+	unifying := submitAsync(q, "N", 9)
+	checkpoint := make(chan error, 1)
+	go func() { checkpoint <- q.Checkpoint(ckpt) }()
+	notYet(t, "the unifying Submit or the Checkpoint", unifying, checkpoint, write)
+	if q.Store().Contains("Available", tup(9, "9Z")) {
+		t.Fatal("the write applied before its batch was durable")
+	}
+	release()
+	for what, ch := range map[string]<-chan error{"Write": write, "unifying Submit": unifying, "Checkpoint": checkpoint} {
+		if err := <-ch; err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	q.log.Abandon()
+
+	// The image alone, over an empty log, holds the write: the cut waited
+	// for its apply.
+	alone, err := RecoverCheckpoint(ckpt, Options{WALPath: filepath.Join(dir, "empty.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alone.Close()
+	withLog, err := RecoverCheckpoint(ckpt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer withLog.Close()
+	for _, r := range []*QDB{alone, withLog} {
+		if !r.Store().Contains("Available", tup(9, "9Z")) {
+			t.Fatal("recovered state lost the in-flight write")
+		}
+	}
+	if got := fmt.Sprint(withLog.PendingIDs()); got != "[1 2]" {
+		t.Fatalf("recovered pending = %s, want [1 2] (B and N)", got)
+	}
+}
+
+// TestWriteWaitsForInFlightWriteOnItsRelation: a blind write's
+// structural check must see an earlier write on the same relation that
+// is still waiting for its fsync. The second write, which reuses the
+// first one's key, waits for it and is then refused as invalid before
+// anything of it is logged.
+func TestWriteWaitsForInFlightWriteOnItsRelation(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1}, 3), Options{
+		WALPath: filepath.Join(t.TempDir(), "qdb.wal"), SyncWAL: true,
+	})
+	held, release := holdNextWait(q)
+	first := make(chan error, 1)
+	go func() {
+		first <- q.Write([]relstore.GroundFact{{Rel: "Bookings", Tuple: tup("X", 1, "9Z")}}, nil)
+	}()
+	<-held
+	second := make(chan error, 1)
+	go func() {
+		second <- q.Write([]relstore.GroundFact{{Rel: "Bookings", Tuple: tup("Y", 1, "9Z")}}, nil)
+	}()
+	notYet(t, "a write on the in-flight write's relation", second)
+	appends := q.LogStats().Appends[0]
+	release()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	err := <-second
+	if err == nil || !strings.Contains(err.Error(), "invalid write") {
+		t.Fatalf("second write = %v, want it refused as invalid (duplicate key)", err)
+	}
+	if got := q.LogStats().Appends[0]; got != appends {
+		t.Fatalf("appends %d -> %d: the refused write was logged", appends, got)
+	}
+}

@@ -73,7 +73,7 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 const segMagic = "QDBWSEG2"
 
 // Batch is one replayed commit unit: the records appended together by a
-// single AppendBatch call, with the global sequence number and the
+// single Append call, with the global sequence number and the
 // replication term they were stamped with. The term is the fencing
 // token of leader failover: a batch logged under term T was appended by
 // the leader of term T, and replicas refuse batches from terms below
@@ -104,16 +104,16 @@ type SegStats struct {
 }
 
 // Hooks are crash-injection points for the durability test harness. Each
-// hook may return an error, which AppendBatch propagates as if the write
-// failed at that point; the engine then behaves exactly as it would on a
-// real log failure, and the test "crashes" the instance by abandoning it.
-// Nil hooks cost one nil check. Not for production use.
+// hook may return an error, which Append or Wait propagates as if the
+// write failed at that point; the engine then behaves exactly as it would
+// on a real log failure, and the test "crashes" the instance by
+// abandoning it. Nil hooks cost one nil check. Not for production use.
 type Hooks struct {
-	// AfterAppend fires after the batch is buffered (counted as the Nth
-	// append overall) but before any flush or sync.
+	// AfterAppend fires in Append, after the batch is buffered (counted
+	// as the Nth append overall) but before any flush or sync.
 	AfterAppend func(seq uint64) error
-	// AfterSync fires after the fsync covering the batch completed, before
-	// the append is acknowledged to the caller.
+	// AfterSync fires in Wait, after the fsync covering the batch
+	// completed and before Wait returns to the caller.
 	AfterSync func(seq uint64) error
 }
 
@@ -149,7 +149,7 @@ type SegmentedLog struct {
 	// (a legitimate term adoption), but Fence raises only the fence: the
 	// whole log is then poisoned for appends — the deposed leader's own
 	// stamp stays below the fence, so every in-flight mutation that
-	// reaches AppendBatch after demotion is refused with ErrStaleTerm
+	// reaches Append after demotion is refused with ErrStaleTerm
 	// instead of committing behind the new leader's back.
 	term  atomic.Uint64
 	fence atomic.Uint64
@@ -159,18 +159,19 @@ type SegmentedLog struct {
 	waitMu    sync.Mutex
 	waitCh    chan struct{}
 	hasWaiter atomic.Bool
-	// SyncOnAppend makes AppendBatch acknowledge a batch only after an
-	// fsync covering it (group commit). Set once after Open, before use.
+	// SyncOnAppend makes Wait (and so AppendBatch) return only after an
+	// fsync covering the batch (group commit). Set once after Open, before
+	// use.
 	SyncOnAppend bool
 	// Hooks inject failures for crash tests; see Hooks.
 	Hooks Hooks
 
 	// Optional instrumentation, set once after Open, before use (all
-	// nil-safe when unwired): AppendHist times whole AppendBatch calls —
-	// with SyncOnAppend that includes the group-commit wait, i.e. the
-	// durability latency a committer actually experiences; SyncHist times
-	// individual flush+fsync rounds; BatchBytes records encoded frame
-	// sizes.
+	// nil-safe when unwired): AppendHist times each batch from the start
+	// of its Append to the end of its Wait — with SyncOnAppend that
+	// includes the group-commit wait, i.e. the durability latency a
+	// committer actually experiences; SyncHist times individual
+	// flush+fsync rounds; BatchBytes records encoded frame sizes.
 	AppendHist *telemetry.Histogram
 	SyncHist   *telemetry.Histogram
 	BatchBytes *telemetry.Histogram
@@ -350,30 +351,59 @@ func openSegment(path string) (*segment, error) {
 
 // AppendBatch appends recs as one atomic commit unit to the segment
 // chosen by the affinity key (callers pass their partition ID, so a
-// partition's batches always land on one segment in order). It returns
-// the batch's global sequence number. With SyncOnAppend set the call
-// returns only after an fsync covering the batch (group commit);
-// otherwise the buffer is flushed to the OS but not synced.
+// partition's batches always land on one segment in order) and returns
+// the batch's global sequence number. It is Append then Wait: with
+// SyncOnAppend set the call returns only after an fsync covering the
+// batch (group commit); otherwise the buffer is flushed to the OS but not
+// synced.
 func (l *SegmentedLog) AppendBatch(affinity int64, recs []Record) (uint64, error) {
+	t, err := l.Append(affinity, recs)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Wait(t); err != nil {
+		return 0, err
+	}
+	return t.Seq, nil
+}
+
+// Ticket names one appended batch for Wait. The zero Ticket (an empty
+// batch) is durable by definition.
+type Ticket struct {
+	// Seq is the batch's global sequence number (0 for an empty batch).
+	Seq uint64
+	seg *segment
+	// n is the batch's place in its segment: durable once seg.synced >= n.
+	n     uint64
+	start time.Time
+}
+
+// Append fixes recs' place in the log without waiting for durability: it
+// frames the batch under the next sequence number, buffers it into the
+// affinity's segment, adds it to the in-memory tail (so log shipping can
+// serve it at once) and takes the segment's sync ticket. Without
+// SyncOnAppend it also flushes the buffer to the OS. Hooks.AfterAppend
+// fires here. A caller that must not acknowledge before the batch is
+// durable passes the ticket to Wait, typically after releasing whatever
+// lock ordered the append: a segment's fsync covers a prefix of its
+// appends, so batches appended in order become durable in order.
+func (l *SegmentedLog) Append(affinity int64, recs []Record) (Ticket, error) {
 	if len(recs) == 0 {
-		return 0, nil
+		return Ticket{}, nil
 	}
 	start := time.Now()
 	s := l.segs[uint64(affinity)%uint64(len(l.segs))]
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.f == nil {
-		s.mu.Unlock()
-		return 0, errors.New("wal: append to closed log")
+		return Ticket{}, errors.New("wal: append to closed log")
 	}
 	if s.failed != nil {
-		err := s.failed
-		s.mu.Unlock()
-		return 0, fmt.Errorf("wal: segment failed by earlier error: %w", err)
+		return Ticket{}, fmt.Errorf("wal: segment failed by earlier error: %w", s.failed)
 	}
 	term := l.term.Load()
 	if f := l.fence.Load(); f > term {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w (term %d, fenced at %d)", ErrStaleTerm, term, f)
+		return Ticket{}, fmt.Errorf("%w (term %d, fenced at %d)", ErrStaleTerm, term, f)
 	}
 	seq := l.seq.Add(1)
 	s.scratch = AppendBatchBody(append(s.scratch[:0], 0, 0, 0, 0), Batch{Seq: seq, Term: term, Records: recs})
@@ -381,18 +411,16 @@ func (l *SegmentedLog) AppendBatch(affinity int64, recs []Record) (uint64, error
 	l.BatchBytes.Record(int64(len(s.scratch)))
 	if _, err := s.w.Write(s.scratch); err != nil {
 		s.poison(l, err)
-		s.mu.Unlock()
-		return 0, fmt.Errorf("wal: append: %w", err)
+		return Ticket{}, fmt.Errorf("wal: append: %w", err)
 	}
 	if evicted := s.tail.add(seq, s.scratch[4:len(s.scratch)-4]); evicted != 0 {
 		raiseSeqWatermark(&l.tailFloor, evicted)
 	}
 	s.appends++
-	ticket := s.appends
+	t := Ticket{Seq: seq, seg: s, n: s.appends, start: start}
 	if h := l.Hooks.AfterAppend; h != nil {
 		if err := h(seq); err != nil {
-			s.mu.Unlock()
-			return 0, err
+			return Ticket{}, err
 		}
 	}
 	if !l.SyncOnAppend {
@@ -400,28 +428,40 @@ func (l *SegmentedLog) AppendBatch(affinity int64, recs []Record) (uint64, error
 		// nothing, a machine crash may lose the unsynced tail).
 		if err := s.w.Flush(); err != nil {
 			s.poison(l, err)
-			s.mu.Unlock()
-			return 0, fmt.Errorf("wal: flush: %w", err)
-		}
-		s.mu.Unlock()
-		l.wakeWaiters()
-		l.AppendHist.Observe(time.Since(start))
-		return seq, nil
-	}
-	if err := s.groupSync(l, ticket); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	if h := l.Hooks.AfterSync; h != nil {
-		if err := h(seq); err != nil {
-			s.mu.Unlock()
-			return 0, err
+			return Ticket{}, fmt.Errorf("wal: flush: %w", err)
 		}
 	}
-	s.mu.Unlock()
+	return t, nil
+}
+
+// Wait returns once the batch t names is durable: with SyncOnAppend it
+// runs the segment's group commit until a successful fsync covers the
+// batch, then fires Hooks.AfterSync (outside the segment lock, so a hook
+// that blocks stalls only its own caller). A batch whose covering round
+// failed gets the poisoning error, never a stale success. Wait then wakes
+// WaitForSeq waiters and records AppendHist, which so times a batch from
+// its append to its durability.
+func (l *SegmentedLog) Wait(t Ticket) error {
+	s := t.seg
+	if s == nil {
+		return nil
+	}
+	if l.SyncOnAppend {
+		s.mu.Lock()
+		err := s.groupSync(l, t.n)
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if h := l.Hooks.AfterSync; h != nil {
+			if err := h(t.Seq); err != nil {
+				return err
+			}
+		}
+	}
 	l.wakeWaiters()
-	l.AppendHist.Observe(time.Since(start))
-	return seq, nil
+	l.AppendHist.Observe(time.Since(t.start))
+	return nil
 }
 
 // ErrStaleTerm reports an append refused by the fence: the log's stamp
@@ -446,7 +486,7 @@ func (l *SegmentedLog) SetTerm(t uint64) {
 }
 
 // Fence raises only the fence: if t exceeds the log's own term, every
-// subsequent AppendBatch fails with ErrStaleTerm until SetTerm adopts a
+// subsequent Append fails with ErrStaleTerm until SetTerm adopts a
 // term at or above the fence. This is the demotion primitive — fencing a
 // deposed leader's log refuses its in-flight mutations at the last
 // possible moment before durability, with no cooperation needed from
@@ -539,6 +579,9 @@ func (s *segment) groupSync(l *SegmentedLog, ticket uint64) error {
 	for {
 		if s.synced >= ticket {
 			return nil
+		}
+		if s.f == nil {
+			return errors.New("wal: wait on closed log")
 		}
 		if s.failed != nil {
 			return fmt.Errorf("wal: sync: %w", s.failed)

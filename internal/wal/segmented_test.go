@@ -418,3 +418,93 @@ func TestAppendAllocFree(t *testing.T) {
 		t.Errorf("SegmentedLog.AppendBatch allocates %.1f per batch, want 0", allocs)
 	}
 }
+
+// TestAppendThenWaitSharesOneFsync: two Appends to one segment, then both
+// Waits. The first Wait's round flushes and fsyncs both batches, so the
+// second rides it: one fsync, one group commit. AfterSync fires in Wait,
+// once per batch, never in Append.
+func TestAppendThenWaitSharesOneFsync(t *testing.T) {
+	l, path := openSeg(t, 1)
+	l.SyncOnAppend = true
+	var synced []uint64
+	l.Hooks.AfterSync = func(seq uint64) error {
+		synced = append(synced, seq)
+		return nil
+	}
+	a, err := l.Append(0, []Record{rec(1, "a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.Append(0, []Record{rec(1, "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 0 {
+		t.Fatalf("AfterSync fired in Append for %v", synced)
+	}
+	before := l.Stats()
+	if err := l.Wait(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Wait(b); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if d := st.Syncs[0] - before.Syncs[0]; d != 1 {
+		t.Errorf("fsyncs for two waited appends = %d, want 1", d)
+	}
+	if d := st.GroupCommits - before.GroupCommits; d != 1 {
+		t.Errorf("group commits = %d, want 1", d)
+	}
+	if fmt.Sprint(synced) != fmt.Sprint([]uint64{a.Seq, b.Seq}) {
+		t.Errorf("AfterSync saw %v, want [%d %d]", synced, a.Seq, b.Seq)
+	}
+	l.Abandon()
+	got, err := ReadAll(path)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("after abandon: %d batches (%v), want 2", len(got), err)
+	}
+}
+
+// TestWaitAfterFailedRoundErrors: a Wait whose covering round fails
+// returns the poisoning error, as does every later Wait or Append on the
+// segment, while a batch an earlier successful round covered still
+// waits successfully — the error is attributed exactly, never a stale
+// success.
+func TestWaitAfterFailedRoundErrors(t *testing.T) {
+	l, _ := openSeg(t, 1)
+	l.SyncOnAppend = true
+	a, err := l.Append(0, []Record{rec(1, "a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Wait(a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.Append(0, []Record{rec(1, "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := l.Append(0, []Record{rec(1, "c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fail the next round: its flush writes to a closed descriptor.
+	s := l.segs[0]
+	s.mu.Lock()
+	s.f.Close()
+	s.mu.Unlock()
+	errB := l.Wait(b)
+	if errB == nil {
+		t.Fatal("Wait succeeded although its round failed")
+	}
+	if err := l.Wait(c); err == nil {
+		t.Fatal("Wait on a batch the failed round covered succeeded")
+	}
+	if _, err := l.Append(0, []Record{rec(1, "d")}); err == nil {
+		t.Fatal("Append on a poisoned segment succeeded")
+	}
+	if err := l.Wait(a); err != nil {
+		t.Fatalf("Wait on a batch synced before the failure: %v", err)
+	}
+}
