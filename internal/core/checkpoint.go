@@ -53,12 +53,17 @@ func (q *QDB) Checkpoint(path string) error {
 	if q.log == nil {
 		return fmt.Errorf("core: Checkpoint requires a WAL-backed database")
 	}
+	q.checkpointMu.Lock()
+	defer q.checkpointMu.Unlock()
 	sp := q.met.checkpoint.Start()
 	defer sp.End()
 	sp.Mark()
 	cut := q.checkpointCut()
 	sp.Stage(stageCheckpointCut)
 	defer cut.snap.Release()
+	if h := q.testCheckpointCut; h != nil {
+		h()
+	}
 
 	// Everything below runs with the engine live. Pending *txn.T are
 	// immutable after admission, so marshaling the cut's pointers is safe

@@ -414,3 +414,175 @@ func TestRecoverCheckpointSkipsOrphanedAbort(t *testing.T) {
 		t.Fatalf("next Submit got ID %d, want the checkpoint's nextID 2", id)
 	}
 }
+
+// TestConcurrentCheckpointsRecover runs checkpoints into one file at the
+// same time as each other and as admissions. First it forces the
+// dangerous interleaving: checkpoint A is held between its cut and its
+// file write while the engine commits a booking and checkpoint B starts.
+// Were B to cut, write and truncate the log below its newer stamp inside
+// that window, A's older file would replace B's and recovery would lose
+// the booking. Checkpoints are serialized, so B waits for A instead.
+// Then two checkpointers loop against an admitting client. Either way,
+// recovery from the file must reproduce the live state exactly.
+func TestConcurrentCheckpointsRecover(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "qdb.ckpt")
+	opts := Options{WALPath: filepath.Join(dir, "qdb.wal"), WALSegments: 2}
+	q, err := New(worldDB([]int{1, 2, 3}, 30), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Submit(book("A", 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	var once sync.Once
+	second := make(chan error, 1)
+	q.testCheckpointCut = func() {
+		once.Do(func() {
+			id, err := q.Submit(book("B", 2))
+			if err == nil {
+				err = q.Ground(id)
+			}
+			if err != nil {
+				t.Errorf("booking inside the first checkpoint: %v", err)
+			}
+			go func() { second <- q.Checkpoint(ckpt) }()
+			// Give the second checkpoint the whole window, had it no
+			// checkpoint to wait for.
+			select {
+			case err := <-second:
+				second <- err
+			case <-time.After(200 * time.Millisecond):
+			}
+		})
+	}
+	if err := q.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	q.testCheckpointCut = nil
+	if n := q.Store().Len("Bookings"); n != 1 {
+		t.Fatalf("%d bookings before recovery, want 1", n)
+	}
+	checkRecovers := func(phase string) {
+		t.Helper()
+		want := stateOf(q)
+		q.Close()
+		r, err := RecoverCheckpoint(ckpt, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		if got := stateOf(r); got != want {
+			t.Fatalf("%s: recovered state:\n got %+v\nwant %+v", phase, got, want)
+		}
+		q = r
+	}
+	checkRecovers("forced interleaving")
+
+	stop := make(chan struct{})
+	var checkpointers, client sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		checkpointers.Add(1)
+		go func() {
+			defer checkpointers.Done()
+			for i := 0; i < 5; i++ {
+				if err := q.Checkpoint(ckpt); err != nil {
+					t.Errorf("checkpointer %d: %v", c, err)
+					return
+				}
+			}
+		}()
+	}
+	client.Add(1)
+	go func() {
+		defer client.Done()
+		// Each booking is grounded as soon as it is admitted, and the
+		// client stops at the end of the checkpoints or of the seats.
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id, err := q.Submit(book(fmt.Sprint("u", i), 1+i%3))
+			if errors.Is(err, ErrRejected) {
+				return
+			}
+			if err == nil {
+				err = q.Ground(id)
+			}
+			if err != nil {
+				t.Errorf("client: %v", err)
+				return
+			}
+		}
+	}()
+	checkpointers.Wait()
+	close(stop)
+	client.Wait()
+	checkRecovers("concurrent checkpointers")
+	q.Close()
+}
+
+// TestCheckpointAfterChurnIsCanonical: a second checkpoint, encoded
+// incrementally from the first one's cached rows after admissions,
+// groundings and writes, holds exactly the bytes a full encode of the
+// same store writes, and recovers to the live state.
+func TestCheckpointAfterChurnIsCanonical(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "qdb.ckpt")
+	opts := Options{WALPath: filepath.Join(dir, "qdb.wal"), WALSegments: 2}
+	q, err := New(worldDB([]int{1, 2, 3}, 60), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { q.Close() }()
+	for round := 0; round < 3; round++ {
+		if err := q.Checkpoint(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			id, err := q.Submit(book(fmt.Sprint("r", round, "u", i), 1+i%3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 {
+				if err := q.Ground(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		seat := []relstore.GroundFact{{Rel: "Available", Tuple: tup(9, fmt.Sprint("x", round))}}
+		if err := q.Write(seat, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	snap := q.Store().Clone().Snapshot() // never encoded: a full sort
+	err = snap.Encode(&full)
+	snap.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(file, full.Bytes()) {
+		t.Fatal("checkpoint's store image differs from a full encode of the same store")
+	}
+	want := stateOf(q)
+	q.Close()
+	if q, err = RecoverCheckpoint(ckpt, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateOf(q); got != want {
+		t.Fatalf("recovered state:\n got %+v\nwant %+v", got, want)
+	}
+}

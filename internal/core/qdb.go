@@ -35,8 +35,10 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 // operations acquire only the partitions they touch. Lock order, outermost
 // first:
 //
-//		admitMu → partition shards (ascending ID) → mu | db.mu
+//		checkpointMu → admitMu → partition shards (ascending ID) → mu | db.mu
 //
+//	  - checkpointMu serializes checkpoints, cut through truncation, and
+//	    is held by nothing else.
 //	  - admitMu serializes changes to the partition SET: admission
 //	    installs (which can create and merge partitions), blind writes,
 //	    and checkpoints. While held, no partition appears or gains atoms,
@@ -137,10 +139,18 @@ type QDB struct {
 	// testCrashApply, when non-nil, injects a failure between a batch's
 	// WAL sync and its store apply (crashApplyPoint); test-only.
 	testCrashApply func() error
+	// checkpointMu serializes Checkpoint from its cut through its WAL
+	// truncation, so a checkpoint file is never replaced by an older cut
+	// after a newer one truncated the log below its own stamp. Outermost:
+	// a checkpoint takes it before admitMu, and nothing else takes it.
+	checkpointMu sync.Mutex
 	// testCheckpointCrash, when non-nil, injects a failure between a
 	// checkpoint's durable rename and its WAL truncation — the widest
-	// window of the fuzzy scheme; test-only.
+	// window of the fuzzy scheme; test-only. testCheckpointCut, when
+	// non-nil, runs between a checkpoint's cut and its file write;
+	// test-only.
 	testCheckpointCrash func() error
+	testCheckpointCut   func()
 	stats               counters
 
 	// start anchors Stats.StartUnixNano/UptimeNs and the registry's

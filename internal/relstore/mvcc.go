@@ -95,10 +95,18 @@ func (s *Snapshot) Release() {
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // Encode serializes the snapshot in the canonical snapshot format
-// (snapshot.go) that DecodeSnapshot reads. It takes no locks: the pinned
-// versions are frozen, so serialization can run concurrently with live
-// mutations — this is what makes fuzzy checkpoints possible.
+// (snapshot.go) that DecodeSnapshot reads. It takes no store lock: the
+// pinned versions are frozen, so serialization can run concurrently with
+// live mutations — this is what makes fuzzy checkpoints possible.
+//
+// Encoding is incremental. Encoding a relation turns on its change
+// journal, and each Encode keeps the row sections it produced, so a
+// later one sorts only the keys written in between and merges them in.
+// The bytes are those a full encode writes.
 func (s *Snapshot) Encode(w io.Writer) error {
+	for _, t := range s.catalog {
+		t.enc.journaling.Store(true)
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapMagic); err != nil {
 		return err
@@ -111,8 +119,9 @@ func (s *Snapshot) Encode(w io.Writer) error {
 
 // mutable returns the named table's writable version: the catalog entry
 // itself when nothing pins it, or a freshly installed copy-on-write
-// successor when live snapshots hold the current version. Callers must
-// hold db.mu exclusively.
+// successor when live snapshots hold the current version. Once the
+// relation has been encoded, it also starts the version's change
+// journal if it has none. Callers must hold db.mu exclusively.
 func (db *DB) mutable(rel string) (*table, bool) {
 	t, ok := db.tables[rel]
 	if !ok {
@@ -121,6 +130,9 @@ func (db *DB) mutable(rel string) (*table, bool) {
 	if t.snapRefs.Load() > 0 {
 		t = t.cowClone(db.newVersion())
 		db.tables[rel] = t
+	}
+	if t.journal == nil && t.enc.journaling.Load() {
+		t.journal, t.jbase = make([]string, 0, 64), t.epoch
 	}
 	return t, true
 }

@@ -61,6 +61,17 @@ type table struct {
 	// misses a change). Cross-solve caches key their entries on it: an
 	// unchanged epoch proves the relation's content is unchanged.
 	epoch uint64
+	// journal, while non-nil, holds the primary key of every mutation
+	// since epoch jbase: journal[i] is the key mutation jbase+i+1
+	// changed, so len(journal) == epoch-jbase. An incremental encode
+	// merges those keys into a cached encoding (snapshot.go). Only the
+	// writable version appends; a pinned version's slice header is
+	// frozen, and its successor, sharing the backing array, writes only
+	// past that length.
+	journal []string
+	jbase   uint64
+	// enc is the relation's cached encoding, shared by all its versions.
+	enc *encCache
 	// snapRefs counts live snapshots pinning this exact version. Pins are
 	// taken under the owning DB's mu held shared and dropped with no lock
 	// at all; mutators read it under mu held exclusively, so no pin can
@@ -90,6 +101,7 @@ func newTable(s Schema, v version) *table {
 		index:    make([]cowMap[*bucket], s.Arity()),
 		comp:     make([]cowMap[*bucket], len(s.Indexes)),
 		snapRefs: new(atomic.Int32),
+		enc:      new(encCache),
 	}
 	for i := range t.index {
 		t.index[i] = newCowMap[*bucket](&v)
@@ -177,7 +189,40 @@ func (t *table) insert(tup value.Tuple) error {
 		t.addToBucket(&t.comp[i], tup.AppendKey(kb[:0], cols), tup, loc+1+len(tup)+i)
 	}
 	t.epoch++
+	t.note(k)
 	return nil
+}
+
+// journalSlack is how far a journal may outgrow its table's row count
+// before it is dropped: past about one entry per row, merging the
+// changed keys costs what a full sort does, and the journal would only
+// grow on a store that is no longer encoded. The floor keeps small
+// tables from dropping their journal on every burst of churn.
+const journalSlack = 1024
+
+// note journals key k for the mutation that just bumped the epoch.
+// Before the journal grows, or when it reaches its bound, the entries
+// the cached encoding already covers are cut off into a fresh array (the
+// old one may be shared with pinned versions). A journal still past its
+// bound is dropped, which sends the next encode back to a full sort;
+// DB.mutable starts a fresh one at the next write.
+func (t *table) note(k string) {
+	if t.journal == nil {
+		return
+	}
+	bound := t.rows.n + journalSlack
+	if len(t.journal) == cap(t.journal) || len(t.journal) >= bound {
+		if c := t.enc.epoch.Load(); c > t.jbase {
+			live := t.journal[c-t.jbase:]
+			t.journal = append(make([]string, 0, max(64, 2*len(live))), live...)
+			t.jbase = c
+		}
+		if len(t.journal) >= bound {
+			t.journal = nil
+			return
+		}
+	}
+	t.journal = append(t.journal, k)
 }
 
 // addToBucket appends tup to the bucket for key in m and records its
@@ -224,6 +269,7 @@ func (t *table) deleteTuple(tup value.Tuple) error {
 	t.locs.set(v, loc, t.freeRow)
 	t.freeRow = rid
 	t.epoch++
+	t.note(k)
 	return nil
 }
 
