@@ -345,7 +345,9 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 		q.admitMu.Unlock()
 		return
 	}
-	var affinity int64
+	// The batch goes to its partition's segment. A fresh partition's ID
+	// is the one mergeLocked will give it, which admitMu keeps fixed.
+	affinity := q.nextPart
 	if len(locked) > 0 {
 		affinity = locked[0].id()
 	}

@@ -88,7 +88,9 @@ type QDB struct {
 	opt  Options
 	pool *sched.Pool
 
-	nextID   int64
+	nextID int64
+	// nextPart is the ID the next fresh partition gets; it changes only
+	// in mergeLocked, under admitMu and mu.
 	nextPart int64
 	parts    map[int64]*partition
 	byTxn    map[int64]*partition

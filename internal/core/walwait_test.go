@@ -125,9 +125,8 @@ func TestCrashMergingAdmissionAcrossSegments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A partition's first batch logs to segment 0 (it has no ID
-			// yet when its batch is appended); later ones to its own
-			// segment, here 1 for flight 2's partition.
+			// A partition's batches log to its own segment, its first
+			// one included: 0 for flight 1's partition, 1 for flight 2's.
 			for _, tx := range []*txn.T{book("A", 1), book("B0", 2)} {
 				if _, err := q.Submit(tx); err != nil {
 					t.Fatal(err)
@@ -167,8 +166,8 @@ func TestCrashMergingAdmissionAcrossSegments(t *testing.T) {
 				t.Fatalf("merging Submit = %v, want injected crash", err)
 			}
 			st := q.LogStats()
-			if st.Appends[0] != 3 || st.Appends[1] != 1 {
-				t.Fatalf("appends per segment = %v, want [3 1] (A, B0 and the merge on 0, B on 1)", st.Appends)
+			if st.Appends[0] != 2 || st.Appends[1] != 2 {
+				t.Fatalf("appends per segment = %v, want [2 2] (A and the merge on 0, B0 and B on 1)", st.Appends)
 			}
 			if ids := fmt.Sprint(q.PendingIDs()); ids != "[1 2 3]" {
 				t.Fatalf("live pending after the failed merge = %s, want [1 2 3]", ids)
