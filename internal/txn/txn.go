@@ -79,6 +79,10 @@ type T struct {
 	shape    atomic.Pointer[string]
 	ckey     atomic.Uint64
 	ckeyOK   atomic.Bool
+	// wire memoizes Marshal the same way: an admitted transaction is
+	// marshaled into its WAL record and again by every checkpoint that
+	// finds it pending.
+	wire atomic.Pointer[[]byte]
 }
 
 // HardAtoms returns the non-optional body atoms.
@@ -391,9 +395,19 @@ type envelope struct {
 	Text       string `json:"text"`
 }
 
-// Marshal serializes t for the WAL-backed pending table.
+// Marshal serializes t for the WAL-backed pending table. The bytes are
+// computed once per *T and shared by later calls, so t must not change
+// after its first Marshal, and callers must not modify the result.
 func (t *T) Marshal() ([]byte, error) {
-	return json.Marshal(envelope{ID: t.ID, Tag: t.Tag, PartnerTag: t.PartnerTag, Text: t.String()})
+	if b := t.wire.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := json.Marshal(envelope{ID: t.ID, Tag: t.Tag, PartnerTag: t.PartnerTag, Text: t.String()})
+	if err != nil {
+		return nil, err
+	}
+	t.wire.CompareAndSwap(nil, &b)
+	return b, nil
 }
 
 // Unmarshal reconstructs a transaction serialized by Marshal.

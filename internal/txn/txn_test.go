@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,29 @@ func TestMarshalUnmarshal(t *testing.T) {
 	if got.String() != tx.String() {
 		t.Errorf("body changed: %q vs %q", got.String(), tx.String())
 	}
+}
+
+// TestMarshalMemoizedConcurrent: concurrent Marshals of one transaction
+// (a checkpoint and a replica image at once) all return the same bytes.
+func TestMarshalMemoizedConcurrent(t *testing.T) {
+	tx, ref := MustParse(mickey), MustParse(mickey)
+	tx.ID, ref.ID = 7, 7
+	want, err := ref.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := tx.Marshal()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("Marshal = %s, %v; want %s", got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestUnmarshalErrors(t *testing.T) {
