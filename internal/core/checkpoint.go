@@ -37,6 +37,18 @@ import (
 // new appends above it.
 // Stats.CheckpointPauseNs accumulates only the cut time.
 //
+// Serialization is incremental (relstore.Snapshot.Encode): the store
+// keeps each relation's canonical rows from the previous encode and
+// journals the keys written since, so a checkpoint sorts and encodes only
+// those, O(changed keys · log + bytes) rather than a full sort of every
+// row, and writes the same bytes a full encode would. Pending
+// transactions are immutable, and each marshals once (txn.T.Marshal).
+//
+// Checkpoints are serialized, cut through truncation (checkpointMu).
+// Two at once would share the temp file, and an older cut could replace
+// the file of a newer one after that one truncated the log below its own
+// stamp, losing every batch between the two stamps.
+//
 // The stamp is exact: at the cut every batch with Seq <= stamp has its
 // effect in the snapshot, and every later batch — including groundings
 // racing the serialization — is stamped above it and survives truncation
