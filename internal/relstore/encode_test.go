@@ -157,7 +157,7 @@ func runEncodeModel(t testing.TB, steps int, pick func(int) int) {
 
 // TestEncodeIncrementalModel runs the encode model over fixed seeds.
 func TestEncodeIncrementalModel(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
+	for seed := int64(0); seed < 100; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		runEncodeModel(t, 150, r.Intn)
 	}
