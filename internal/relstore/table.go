@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"unsafe"
 
@@ -189,7 +190,9 @@ func (t *table) insert(tup value.Tuple) error {
 		t.addToBucket(&t.comp[i], tup.AppendKey(kb[:0], cols), tup, loc+1+len(tup)+i)
 	}
 	t.epoch++
-	t.note(k)
+	if t.journal != nil {
+		t.note(k)
+	}
 	return nil
 }
 
@@ -200,16 +203,13 @@ func (t *table) insert(tup value.Tuple) error {
 // tables from dropping their journal on every burst of churn.
 const journalSlack = 1024
 
-// note journals key k for the mutation that just bumped the epoch.
-// Before the journal grows, or when it reaches its bound, the entries
-// the cached encoding already covers are cut off into a fresh array (the
-// old one may be shared with pinned versions). A journal still past its
-// bound is dropped, which sends the next encode back to a full sort;
-// DB.mutable starts a fresh one at the next write.
+// note journals key k for the mutation that just bumped the epoch; t
+// has a journal. Before the journal grows, or when it reaches its bound,
+// the entries the cached encoding already covers are cut off into a
+// fresh array (the old one may be shared with pinned versions). A
+// journal still past its bound is dropped, which sends the next encode
+// back to a full sort; DB.mutable starts a fresh one at the next write.
 func (t *table) note(k string) {
-	if t.journal == nil {
-		return
-	}
 	bound := t.rows.n + journalSlack
 	if len(t.journal) == cap(t.journal) || len(t.journal) >= bound {
 		if c := t.enc.epoch.Load(); c > t.jbase {
@@ -269,7 +269,10 @@ func (t *table) deleteTuple(tup value.Tuple) error {
 	t.locs.set(v, loc, t.freeRow)
 	t.freeRow = rid
 	t.epoch++
-	t.note(k)
+	if t.journal != nil {
+		// A copy, so that k stays off the heap when nothing journals.
+		t.note(strings.Clone(k))
+	}
 	return nil
 }
 
