@@ -11,7 +11,8 @@ import (
 
 // encodeFresh is the reference encoding of s: its rows copied into a
 // store that has never been encoded, so nothing is cached and nothing
-// is journaled, and encoded there in full.
+// is journaled, and encoded there in full. It reports a failure with
+// t.Error, so goroutines may call it.
 func encodeFresh(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	fresh := NewDB()
@@ -24,7 +25,7 @@ func encodeFresh(t testing.TB, s *Snapshot) []byte {
 	}
 	var buf bytes.Buffer
 	if err := encodeLive(fresh, &buf); err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 	return buf.Bytes()
 }
@@ -197,7 +198,7 @@ func TestEncodeIncrementalMergesJournal(t *testing.T) {
 	defer s.Release()
 	for _, name := range []string{"Available", "Bookings"} {
 		tab := s.catalog[name]
-		c := tab.enc.cur
+		c := tab.enc.cur.Load()
 		if c == nil || tab.journal == nil || tab.jbase > c.epoch || c.epoch >= tab.epoch {
 			t.Fatalf("%s: no merge path: cache %v, journal %d entries from epoch %d, table epoch %d",
 				name, c != nil, len(tab.journal), tab.jbase, tab.epoch)
@@ -211,10 +212,57 @@ func TestEncodeIncrementalMergesJournal(t *testing.T) {
 		t.Fatal("merged encode differs from a full encode")
 	}
 	for _, name := range []string{"Available", "Bookings"} {
-		if c := s.catalog[name].enc.cur; c.epoch != s.catalog[name].epoch {
+		if c := s.catalog[name].enc.cur.Load(); c.epoch != s.catalog[name].epoch {
 			t.Fatalf("%s: cache at epoch %d, snapshot at %d", name, c.epoch, s.catalog[name].epoch)
 		}
 	}
+}
+
+// TestEncodeConcurrent: encodes from several goroutines, of snapshots
+// taken while a writer churns, share and advance one cache; each must
+// equal a full encode of its own snapshot.
+func TestEncodeConcurrent(t *testing.T) {
+	db := encodeBenchDB(3_000, 300)
+	stop := make(chan struct{})
+	writer := make(chan struct{})
+	go func() {
+		defer close(writer)
+		rng := rand.New(rand.NewSource(1))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				churnBookings(db, rng, 3_000, 5)
+			}
+		}
+	}()
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		go func() {
+			for i := 0; i < 10; i++ {
+				s := db.Snapshot()
+				var got bytes.Buffer
+				err := s.Encode(&got)
+				if err == nil && !bytes.Equal(got.Bytes(), encodeFresh(t, s)) {
+					err = fmt.Errorf("encode %d differs from a full encode", i)
+				}
+				s.Release()
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 3; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	<-writer
 }
 
 // TestJournalBoundedWithoutEncodes: a store encoded once and then
@@ -332,7 +380,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 				s := db.Snapshot()
 				if mode == "full" {
 					for _, t := range s.catalog {
-						t.enc.cur = nil
+						t.enc.cur.Store(nil)
 					}
 				}
 				buf.Reset()

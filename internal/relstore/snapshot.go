@@ -9,7 +9,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/value"
@@ -220,11 +219,9 @@ func (c *encoding) advance(t *table) (*encoding, error) {
 // every version of a relation (cowClone copies the pointer), so it
 // outlives the versions it was built from.
 type encCache struct {
-	mu  sync.Mutex
-	cur *encoding
-	// epoch is cur's epoch, read without mu by writers cutting their
-	// journal down to what cur does not cover.
-	epoch atomic.Uint64
+	// cur is the newest encoding; writers read its epoch to cut their
+	// journal down to what it does not cover.
+	cur atomic.Pointer[encoding]
 	// journaling is set once the relation is first encoded; from then
 	// on its writable versions journal the keys they change.
 	journaling atomic.Bool
@@ -236,9 +233,7 @@ type encCache struct {
 // in full; the result replaces the cache only when it is newer, so
 // encodes taken out of order never move it back.
 func (ec *encCache) get(t *table) (*encoding, error) {
-	ec.mu.Lock()
-	c := ec.cur
-	ec.mu.Unlock()
+	c := ec.cur.Load()
 	var e *encoding
 	var err error
 	switch {
@@ -253,12 +248,11 @@ func (ec *encCache) get(t *table) (*encoding, error) {
 	if err != nil {
 		return nil, err
 	}
-	ec.mu.Lock()
-	if ec.cur == nil || ec.cur.epoch < e.epoch {
-		ec.cur = e
-		ec.epoch.Store(e.epoch)
+	for c := ec.cur.Load(); c == nil || c.epoch < e.epoch; c = ec.cur.Load() {
+		if ec.cur.CompareAndSwap(c, e) {
+			break
+		}
 	}
-	ec.mu.Unlock()
 	return e, nil
 }
 

@@ -212,10 +212,10 @@ const journalSlack = 1024
 func (t *table) note(k string) {
 	bound := t.rows.n + journalSlack
 	if len(t.journal) == cap(t.journal) || len(t.journal) >= bound {
-		if c := t.enc.epoch.Load(); c > t.jbase {
-			live := t.journal[c-t.jbase:]
+		if c := t.enc.cur.Load(); c != nil && c.epoch > t.jbase {
+			live := t.journal[c.epoch-t.jbase:]
 			t.journal = append(make([]string, 0, max(64, 2*len(live))), live...)
-			t.jbase = c
+			t.jbase = c.epoch
 		}
 		if len(t.journal) >= bound {
 			t.journal = nil
