@@ -44,14 +44,14 @@ import (
 //     fingerprint of the whole would-be chain's relations must equal the
 //     speculation's (bit-identical tables ⇒ every decision reproduces),
 //     OR every store mutation since must provably come from groundings
-//     of NON-overlapping partitions (no blind writes, no admission
-//     installs — the engine is the store's only writer), which cannot
-//     unify with the batch's atoms and so can neither create nor destroy
-//     its groundings. On success every
-//     outcome — accepts and rejections alike, both are user-visible
-//     decisions — is published; on conflict the whole cycle retries, and
-//     after maxAdmitAttempts conflicts the call falls back to serial
-//     admission, which cannot conflict.
+//     of NON-overlapping partitions (admitSeq, which counts admission
+//     installs and blind-write registrations, unchanged — the engine is
+//     the store's only writer), which cannot unify with the batch's
+//     atoms and so can neither create nor destroy its groundings. On
+//     success every outcome — accepts and rejections alike, both are
+//     user-visible decisions — is published; on conflict the whole cycle
+//     retries, and after maxAdmitAttempts conflicts the call falls back
+//     to serial admission, which cannot conflict.
 //
 // Serial admission is a mode of the same routine, used for
 // Options.SerialAdmission and the conflict fallback. It admits the
@@ -131,13 +131,7 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 	var locked []*partition
 	if serial {
 		q.admitMu.Lock()
-		atoms := batchAtoms(items)
-		// A blind write between its append and its apply that unifies with
-		// the batch is missing from the store the decisions would read.
-		for len(q.writes) > 0 && q.writeUnifies(atoms) {
-			q.writeDone.Wait()
-		}
-		locked = q.lockOverlap(atoms)
+		locked = q.lockOverlap(batchAtoms(items))
 		snap = buildSnapBatch(locked, items)
 	} else {
 		snap = q.snapshotOverlapBatch(items)
@@ -165,6 +159,9 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 		return true
 	}
 	if !serial {
+		if h := q.testAdmitDecided; h != nil {
+			h()
+		}
 		q.admitMu.Lock()
 		var ok bool
 		locked, ok = q.revalidateBatch(snap, items, out)
@@ -260,28 +257,19 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 			return nil, false
 		}
 	}
-	// A blind write between its append and its apply (Write) is in no
-	// store the decisions read. One whose facts unify with the batch's
-	// atoms could create or destroy their groundings, so it is a conflict
-	// (the serial fallback waits for it); one that does not commutes with
-	// the batch, as groundings of non-overlapping partitions do. With
-	// nothing in flight this costs one length test.
-	if len(q.writes) > 0 && q.writeUnifies(batchAtoms(items)) {
-		unlockPartitions(locked)
-		return nil, false
-	}
 	// The store: either bit-identical to the solve's over every relation
 	// of merged (every decision's basis is a subset), or moved past it
 	// only by groundings of non-overlapping partitions, which cannot
 	// unify with any of merged's atoms and so preserve every solution and
 	// rejection proof verbatim. Epochs only grow, so a fingerprint equal
 	// to fpAll, even read table by table, proves the relations were all
-	// unchanged when the first was read. admitMu keeps admitSeq still; a
-	// write can move writeSeq meanwhile only if it registered in flight
-	// before this validation, and the check above either refused the
-	// batch for it or proved it commutes.
+	// unchanged when the first was read. admitMu keeps admitSeq still. A
+	// blind write registered since the snapshot moved it and partVersion,
+	// so the re-lock above waited on its home if it unifies with the
+	// batch, and the fingerprint decides; one registered before was
+	// waited for by the snapshot or commutes with the batch.
 	ok := epochFingerprint(q.db, snap.merged) == out.fpAll ||
-		(q.writeSeq.Load() == out.writeSeq && q.admitSeq.Load() == snap.admitSeq)
+		q.admitSeq.Load() == snap.admitSeq
 	if !ok {
 		unlockPartitions(locked)
 		return nil, false
@@ -313,6 +301,9 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 // the in-memory tail before it is durable, as it could before the wait
 // moved out of admitMu. A checkpoint cut blocks on the shard too, so its
 // stamp never covers an install that is not yet in its snapshot.
+//
+// The held shard orders blind writes too: a write holds its home's
+// shard, its keys filed under it, from its append to its apply (Write).
 //
 // A failed wait means the members are installed but not durable: under
 // the still-held shard the install is undone (uninstallLocked), the

@@ -47,9 +47,6 @@ type batchDecision struct {
 
 // batchOutcome is what one cycle's decisions learned.
 type batchOutcome struct {
-	// writeSeq is the accepted-blind-write count at solve time, read
-	// inside the solve's store view (see QDB.view).
-	writeSeq uint64
 	// fpAll fingerprints the relations of the full would-be chain
 	// (snap.merged) at solve time. Every per-member decision's relation
 	// set is a subset of merged's, so fpAll equality at validation
@@ -200,7 +197,6 @@ func (l *overlayList) put(o *relstore.Overlay) {
 func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome) error {
 	v := q.view()
 	defer q.db.EndView()
-	out.writeSeq = q.writeSeq.Load()
 	out.fpAll = epochFingerprint(v, snap.merged)
 	out.decisions = make([]batchDecision, len(items))
 

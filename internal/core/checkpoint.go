@@ -56,11 +56,12 @@ import (
 // partition's shard. An admission appends and installs under admitMu and
 // then holds its survivor's shard through its WAL wait and its carried
 // evictions, so the cut, which takes every live shard, sees either all of
-// it or none. A blind write appends under admitMu and applies after its
-// wait holding only the shards it affects — none, for a write no pending
-// transaction unifies with — so the cut also waits, under admitMu, until
-// no write is in flight; new writes wait while a cut does, so a stream of
-// writes cannot starve it.
+// it or none. A blind write does the same with its home: it appends and
+// registers under admitMu and holds the home — a fresh, empty partition
+// when no pending transaction unifies with it — and its other affected
+// shards until its apply, so the cut waits for every write in flight.
+// It waits under admitMu, so no new write starts meanwhile and a stream
+// of writes cannot starve it.
 func (q *QDB) Checkpoint(path string) error {
 	if q.log == nil {
 		return fmt.Errorf("core: Checkpoint requires a WAL-backed database")
@@ -117,14 +118,6 @@ type checkpointCut struct {
 // nothing). Stats.CheckpointPauseNs accumulates the hold time.
 func (q *QDB) checkpointCut() checkpointCut {
 	q.admitMu.Lock()
-	if len(q.writes) > 0 {
-		q.cutsWaiting++
-		for len(q.writes) > 0 {
-			q.writeDone.Wait()
-		}
-		q.cutsWaiting--
-		q.writeDone.Broadcast()
-	}
 	cutStart := time.Now()
 	locked := q.lockAllPartitions()
 	q.mu.Lock()

@@ -288,12 +288,18 @@ func (q *QDB) retireHeads(p *partition, n int) {
 	p.cached = p.cached[n:]
 	p.version++
 	if len(p.txns) == 0 {
-		q.mu.Lock()
-		delete(q.parts, p.id())
-		q.mu.Unlock()
-		p.shard.Retire()
-		q.partVersion.Add(1)
+		q.retireLocked(p)
 	}
+}
+
+// retireLocked removes the emptied p from the registry and retires its
+// shard. Caller holds p's shard.
+func (q *QDB) retireLocked(p *partition) {
+	q.mu.Lock()
+	delete(q.parts, p.id())
+	q.mu.Unlock()
+	p.shard.Retire()
+	q.partVersion.Add(1)
 }
 
 // attempt is how one collapse attempt presents its members to the
@@ -451,11 +457,7 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 	p.cached = append([]formula.Grounding(nil), sol.Groundings[groundCount:]...)
 	p.version++
 	if len(p.txns) == 0 {
-		q.mu.Lock()
-		delete(q.parts, p.id())
-		q.mu.Unlock()
-		p.shard.Retire()
-		q.partVersion.Add(1)
+		q.retireLocked(p)
 	}
 	return true, nil
 }
@@ -753,17 +755,14 @@ func partitionAffected(p *partition, query []logic.Atom, maxID int64) int {
 // rejected (§3.2.2 "Writes"). Validation solves of independent affected
 // partitions run in parallel on the worker pool.
 //
-// Under admitMu a write only validates and appends: the structural
-// check, lockOverlap, the validation solves and the WAL append. It then
-// registers as in flight and releases admitMu; it waits for its batch to
-// be durable holding only the affected partitions' shards, applies, and
-// deregisters. Three rules make the window between append and apply
-// safe: an admission whose atoms unify with an in-flight write does not
-// publish a decision made without it (revalidateBatch, admitCycle); a
-// write waits for in-flight writes on its relations before its
-// structural check, which must see them; and the checkpoint cut waits
-// until no write is in flight (checkpointCut), so its stamp never covers
-// a write its snapshot lacks.
+// Under admitMu a write locks the partitions it affects, checks itself,
+// validates, appends, and files its key atoms (keyAtoms) in the overlap
+// index under its home: the first affected partition, or a fresh empty
+// one (never a merge). It then waits, applies and files the keys out
+// holding those shards but not admitMu. Whatever depends on the write —
+// an admission, a collapsing read, a later write on a key it writes,
+// the checkpoint cut — blocks on the home, as on an admission's
+// survivor (publish).
 func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	if err := q.checkWritable(); err != nil {
 		return err
@@ -779,24 +778,24 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	q.admitMu.Lock()
 	sp := q.met.write.Start()
 	defer sp.End()
-	// A checkpoint cut waiting for in-flight writes to drain goes first,
-	// so a stream of writes cannot starve it.
-	for q.cutsWaiting > 0 || q.writeSharesRelation(factAtoms) {
-		q.writeDone.Wait()
-	}
+	// Locking first waits out any write in flight on these keys, so the
+	// structural check below sees it.
+	affected := q.lockOverlap(factAtoms)
 
 	// Structural validation of the write itself (arity, delete-of-absent,
 	// duplicate keys) on a scratch overlay over a store view.
-	err := relstore.NewOverlay(q.view()).ApplyFacts(inserts, deletes)
+	v := q.view()
+	err := relstore.NewOverlay(v).ApplyFacts(inserts, deletes)
+	var keys []logic.Atom
+	if err == nil {
+		keys = keyAtoms(v, factAtoms)
+	}
 	q.db.EndView()
 	if err != nil {
+		unlockPartitions(affected)
 		q.admitMu.Unlock()
 		return fmt.Errorf("core: invalid write: %w", err)
 	}
-
-	// Only the partitions the write touches stay locked through its WAL
-	// wait and apply; groundings of the rest proceed meanwhile.
-	affected := q.lockOverlap(factAtoms)
 
 	dk := deltaKey(inserts, deletes)
 	refreshed := make([][]formula.Grounding, len(affected))
@@ -846,27 +845,41 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	}
 
 	// Write-ahead: the write's batch is appended under admitMu, which
-	// orders it against admissions, and is durable before it mutates the
-	// store; the wait runs with no store lock and without admitMu, so
-	// admissions and groundings of unaffected partitions proceed during
-	// the fsync.
+	// orders it against admissions, to its home's segment (a fresh home
+	// gets nextPart, which admitMu keeps fixed), and is durable before it
+	// mutates the store; the wait runs with no store lock and without
+	// admitMu.
+	var home *partition
+	affinity := q.nextPart
+	if len(affected) > 0 {
+		home = affected[0]
+		affinity = home.id()
+	}
 	walStart := time.Now()
-	tk, err := q.logWrite(inserts, deletes)
+	tk, err := q.logWrite(affinity, inserts, deletes)
 	if err != nil {
 		unlockPartitions(affected)
 		q.admitMu.Unlock()
 		sp.Add(stageWriteWAL, time.Since(walStart))
 		return err
 	}
-	w := &inflightWrite{atoms: factAtoms}
-	q.writes = append(q.writes, w)
+	if home == nil {
+		home = q.mergeLocked(nil)
+	}
+	q.fileKeys(keys, home, 1)
+	// Bumped after the keys are filed (QDB's counters): an admission
+	// decided without the write re-locks, finds the home, and fails the
+	// store check once the write has applied (revalidateBatch).
+	q.admitSeq.Add(1)
+	q.partVersion.Add(1)
 	q.admitMu.Unlock()
-	err = q.applyWrite(tk, inserts, deletes, affected, refreshed, &sp, walStart)
+	err = q.applyWrite(tk, affinity, inserts, deletes, affected, refreshed, &sp, walStart)
+	q.fileKeys(keys, home, -1)
+	if len(affected) == 0 {
+		q.retireLocked(home)
+		home.shard.Unlock()
+	}
 	unlockPartitions(affected)
-	q.admitMu.Lock()
-	q.writes = slices.DeleteFunc(q.writes, func(x *inflightWrite) bool { return x == w })
-	q.writeDone.Broadcast()
-	q.admitMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -874,10 +887,11 @@ func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	return nil
 }
 
-// applyWrite is Write's second half, after its batch tk is appended:
-// wait for durability, apply, and refresh the affected partitions'
-// caches. Caller holds the affected shards and not admitMu.
-func (q *QDB) applyWrite(tk wal.Ticket, inserts, deletes []relstore.GroundFact, affected []*partition, refreshed [][]formula.Grounding, sp *telemetry.Span, walStart time.Time) error {
+// applyWrite is Write's second half, after its batch tk is appended to
+// the segment of affinity: wait for durability, apply, and refresh the
+// affected partitions' caches. Caller holds the affected shards and not
+// admitMu.
+func (q *QDB) applyWrite(tk wal.Ticket, affinity int64, inserts, deletes []relstore.GroundFact, affected []*partition, refreshed [][]formula.Grounding, sp *telemetry.Span, walStart time.Time) error {
 	err := q.waitLog(tk)
 	sp.Add(stageWriteWAL, time.Since(walStart))
 	if err != nil {
@@ -889,16 +903,11 @@ func (q *QDB) applyWrite(tk wal.Ticket, inserts, deletes []relstore.GroundFact, 
 	applyStart := time.Now()
 	if err := q.w.Apply([]relstore.Unit{{Inserts: inserts, Deletes: deletes}}); err != nil {
 		err = fmt.Errorf("core: applying write: %w", err)
-		if aerr := q.logAbort(0, tk.Seq, nil); aerr != nil {
+		if aerr := q.logAbort(affinity, tk.Seq, nil); aerr != nil {
 			err = errors.Join(err, aerr)
 		}
 		return err
 	}
-	// Blind writes are the one engine mutation optimistic admission can
-	// never attribute to a non-overlapping partition; the sequence number
-	// lets validations detect that one landed mid-speculation. It moves
-	// only after Apply returns (QDB.view).
-	q.writeSeq.Add(1)
 	sp.Add(stageWriteApply, time.Since(applyStart))
 	for i, p := range affected {
 		// Refreshed solutions were validated over the store plus this
@@ -911,36 +920,37 @@ func (q *QDB) applyWrite(tk wal.Ticket, inserts, deletes []relstore.GroundFact, 
 	return nil
 }
 
-// inflightWrite is a blind write between its WAL append and its apply
-// (QDB.writes): the atoms of its facts.
-type inflightWrite struct{ atoms []logic.Atom }
-
-// writeUnifies reports whether an atom of atoms unifies with a fact of
-// an in-flight write. Caller holds admitMu.
-func (q *QDB) writeUnifies(atoms []logic.Atom) bool {
-	for _, w := range q.writes {
-		for _, a := range w.atoms {
-			if unifiesAny(a, atoms) {
-				return true
-			}
+// keyAtoms returns each fact's key atom: its key columns as constants,
+// every other column a variable (the whole fact for a nil Key), so a
+// later write on the same key finds an in-flight write's home.
+func keyAtoms(src relstore.Source, facts []logic.Atom) []logic.Atom {
+	out := make([]logic.Atom, len(facts))
+	for i, a := range facts {
+		s, _ := src.SchemaOf(a.Rel)
+		if s.Key == nil {
+			out[i] = a
+			continue
 		}
+		args := make([]logic.Term, len(a.Args))
+		for j := range args {
+			args[j] = logic.Var(s.Columns[j])
+		}
+		for _, j := range s.Key {
+			args[j] = a.Args[j]
+		}
+		out[i] = logic.NewAtom(a.Rel, args...)
 	}
-	return false
+	return out
 }
 
-// writeSharesRelation reports whether an in-flight write has a fact on a
-// relation of atoms. Caller holds admitMu.
-func (q *QDB) writeSharesRelation(atoms []logic.Atom) bool {
-	for _, w := range q.writes {
-		for _, a := range w.atoms {
-			for _, b := range atoms {
-				if a.Rel == b.Rel {
-					return true
-				}
-			}
-		}
+// fileKeys files a write's key atoms under its home in the overlap
+// index (delta 1) or out of it (-1). Caller holds the home's shard.
+func (q *QDB) fileKeys(keys []logic.Atom, home *partition, delta int) {
+	q.mu.Lock()
+	for _, a := range keys {
+		q.idx.updateAtom(a, home.id(), delta)
 	}
-	return false
+	q.mu.Unlock()
 }
 
 func factAtom(f relstore.GroundFact) logic.Atom {

@@ -48,14 +48,15 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	    overlapping partitions, and the snapshot is revalidated under the
 //	    lock before anything is published (optimistic admission,
 //	    admit.go). SerialAdmission restores the classic
-//	    hold-across-the-solve discipline. admitMu is never held across a
-//	    WAL wait: admissions and blind writes append under it and wait
-//	    for their fsync after releasing it (publish, Write).
+//	    hold-across-the-solve discipline. admitMu is never held across its
+//	    holder's own WAL wait: admissions and blind writes append under
+//	    it and wait for their fsync after releasing it (publish, Write).
 //	  - each partition's shard guards its txns and cached groundings.
-//	    A shard MAY be held across a WAL wait: an admission holds its
-//	    survivor's shard, and a blind write its affected shards, until
-//	    the batch is durable, so nothing reads or extends the partition
-//	    before then (see publish).
+//	    A shard MAY be held across a WAL wait, and is the one thing
+//	    waited on while a batch is in flight: an admission holds its
+//	    survivor's shard until the batch is durable, and a blind write
+//	    its affected shards and home, which files its keys in the index,
+//	    until it has applied (see publish and Write).
 //	    Two locators, and nothing else, turn a key into locked
 //	    partitions, in ascending ID order (deadlock-free by
 //	    construction): lockOverlap by atoms and lockGroup by pending IDs.
@@ -107,27 +108,18 @@ type QDB struct {
 
 	// Optimistic-admission snapshot counters (see admit.go). partVersion
 	// versions the partition SET: bumped on every partition create, merge,
-	// retire, and admission install — always AFTER the registry and index
-	// reflect the change, so a snapshot that read the counter BEFORE
-	// walking the index observes every install the counter covers, and
-	// counter equality at validation proves the snapshot's overlap set is
-	// still the true one. admitSeq counts admission installs alone and
-	// writeSeq accepted blind writes (bumped after their Apply returns);
-	// since the engine is the store's only writer, they let a validation
-	// accept a snapshot whose relevant table epochs moved only by
-	// groundings of non-overlapping partitions, which cannot unify with
-	// the admission's atoms and so cannot invalidate its solve.
+	// retire, admission install and blind-write registration — always
+	// AFTER the registry and index reflect the change, so a snapshot that
+	// read the counter BEFORE walking the index observes every install the
+	// counter covers, and counter equality at validation proves the
+	// snapshot's overlap set is still the true one. admitSeq counts
+	// admission installs and blind-write registrations; since the engine
+	// is the store's only writer, it lets a validation accept a snapshot
+	// whose relevant table epochs moved only by groundings of
+	// non-overlapping partitions, which cannot unify with the admission's
+	// atoms and so cannot invalidate its solve.
 	partVersion atomic.Uint64
 	admitSeq    atomic.Uint64
-	writeSeq    atomic.Uint64
-
-	// writes lists the blind writes between their WAL append and their
-	// apply (Write), and cutsWaiting counts checkpoint cuts waiting for
-	// them to drain; both are guarded by admitMu. writeDone, a condition
-	// over admitMu, is broadcast whenever either shrinks.
-	writes      []*inflightWrite
-	cutsWaiting int
-	writeDone   sync.Cond
 
 	// log is the segmented write-ahead log (nil without Options.WALPath);
 	// immutable after New, internally synchronized. Every durability path
@@ -150,9 +142,11 @@ type QDB struct {
 	// checkpoint's durable rename and its WAL truncation — the widest
 	// window of the fuzzy scheme; test-only. testCheckpointCut, when
 	// non-nil, runs between a checkpoint's cut and its file write;
-	// test-only.
+	// test-only. testAdmitDecided, when non-nil, runs between an
+	// optimistic cycle's decisions and its revalidation; test-only.
 	testCheckpointCrash func() error
 	testCheckpointCut   func()
+	testAdmitDecided    func()
 	stats               counters
 
 	// start anchors Stats.StartUnixNano/UptimeNs and the registry's
@@ -219,7 +213,6 @@ func New(db *relstore.DB, opt Options) (*QDB, error) {
 		prep:   formula.NewPrepCache(),
 		start:  time.Now(),
 	}
-	q.writeDone.L = &q.admitMu
 	q.met = newEngineMetrics(q)
 	q.pool.QueueHist = q.met.poolQueue
 	if opt.SlowOpThreshold > 0 {
@@ -410,16 +403,14 @@ func (q *QDB) uninstallLocked(p *partition, admitted []*txn.T) {
 			keep = append(keep, t)
 		}
 	}
-	if len(keep) == 0 {
-		delete(q.parts, p.id())
-	}
 	q.mu.Unlock()
 	p.txns, p.cached = keep, nil
 	p.version++
 	if len(keep) == 0 {
-		p.shard.Retire()
+		q.retireLocked(p)
+	} else {
+		q.partVersion.Add(1)
 	}
-	q.partVersion.Add(1)
 	q.stats.accepted.Add(-int64(len(admitted)))
 }
 
@@ -444,16 +435,11 @@ func (q *QDB) enforceK(p *partition) error {
 }
 
 // view takes the store's read side for one solve (relstore.DB.View);
-// q.db.EndView drops it. Two rules bind a holder until then:
-//
-//   - It never waits on a pool slot, a shard, admitMu or any q.db
-//     method: their holders may be appliers queued on db.mu behind it.
-//     So the solver, its overlays, the chooser and epochFingerprint get
-//     the view, never q.db, and Write takes one view per validation
-//     task, never one across pool.Map.
-//   - decideBatch reads writeSeq inside its view and Write bumps writeSeq
-//     only after Apply returns, so a blind write a decision's writeSeq
-//     counts was in its solve.
+// q.db.EndView drops it. Until then the holder never waits on a pool
+// slot, a shard, admitMu or any q.db method: their holders may be
+// appliers queued on db.mu behind it. So the solver, its overlays, the
+// chooser, epochFingerprint and keyAtoms get the view, never q.db, and
+// Write takes one view per validation task, never one across pool.Map.
 func (q *QDB) view() relstore.View { return q.db.View() }
 
 // chainOpts builds solver options; maximize toggles optional-atom subset

@@ -179,16 +179,17 @@ func (q *QDB) logGroundings(affinity int64, gs []formula.Grounding, maxBody int)
 	return n, seq, q.noteStaleTerm(err)
 }
 
-// logWrite appends a blind write's facts as one batch and returns its
-// ticket; the caller waits for it (waitLog) before applying them.
-func (q *QDB) logWrite(inserts, deletes []relstore.GroundFact) (wal.Ticket, error) {
+// logWrite appends a blind write's facts as one batch to the segment of
+// affinity, the write's home partition, and returns its ticket; the
+// caller waits for it (waitLog) before applying them.
+func (q *QDB) logWrite(affinity int64, inserts, deletes []relstore.GroundFact) (wal.Ticket, error) {
 	if q.log == nil {
 		return wal.Ticket{}, nil
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)
 	e.addFacts(inserts, deletes)
-	tk, err := q.log.Append(0, e.recs)
+	tk, err := q.log.Append(affinity, e.recs)
 	return tk, q.noteStaleTerm(err)
 }
 

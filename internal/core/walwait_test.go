@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -372,5 +373,129 @@ func TestWriteWaitsForInFlightWriteOnItsRelation(t *testing.T) {
 	}
 	if got := q.LogStats().Appends[0]; got != appends {
 		t.Fatalf("appends %d -> %d: the refused write was logged", appends, got)
+	}
+}
+
+// TestWriteOnAnotherKeyPassesInFlightWrite: a blind write waits only for
+// in-flight writes on its keys. While one Bookings write waits for its
+// fsync, a Bookings write on another seat completes.
+func TestWriteOnAnotherKeyPassesInFlightWrite(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1}, 3), Options{
+		WALPath: filepath.Join(t.TempDir(), "qdb.wal"), SyncWAL: true,
+	})
+	held, release := holdNextWait(q)
+	first := make(chan error, 1)
+	go func() {
+		first <- q.Write([]relstore.GroundFact{{Rel: "Bookings", Tuple: tup("X", 1, "9Z")}}, nil)
+	}()
+	<-held
+	second := make(chan error, 1)
+	go func() {
+		second <- q.Write([]relstore.GroundFact{{Rel: "Bookings", Tuple: tup("Y", 1, "9Y")}}, nil)
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatalf("write on another key while the first waits: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("a write on another key waited for the in-flight write")
+	}
+	if q.Store().Contains("Bookings", tup("X", 1, "9Z")) {
+		t.Fatal("the held write applied before its batch was durable")
+	}
+	release()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOrphanWriteLeavesNoPartition: a blind write no pending transaction
+// unifies with gets a fresh home for its wait and leaves nothing behind:
+// the partitions are as before, and once everything is grounded the
+// registry and the overlap index are empty.
+func TestOrphanWriteLeavesNoPartition(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1, 2}, 3), Options{})
+	if _, err := q.Submit(book("A", 1)); err != nil {
+		t.Fatal(err)
+	}
+	before := fmt.Sprint(q.Partitions())
+	if err := q.Write([]relstore.GroundFact{{Rel: "Available", Tuple: tup(9, "9Z")}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(q.Partitions()); got != before {
+		t.Fatalf("partitions after the orphan write = %s, want %s", got, before)
+	}
+	if err := q.GroundAll(); err != nil {
+		t.Fatal(err)
+	}
+	q.mu.Lock()
+	parts, rels := len(q.parts), len(q.idx.rel)
+	q.mu.Unlock()
+	if parts != 0 || rels != 0 {
+		t.Fatalf("after GroundAll: %d partitions registered, %d relations indexed, want none", parts, rels)
+	}
+}
+
+// TestBlindWriteLogsToItsPartitionSegment: a blind write logs to its
+// home's segment — the first partition it affects, or the fresh one it
+// gets when it affects none — not to segment 0.
+func TestBlindWriteLogsToItsPartitionSegment(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1, 2, 3}, 3), Options{
+		WALPath: filepath.Join(t.TempDir(), "qdb.wal"), SyncWAL: true, WALSegments: 2,
+	})
+	// Partitions 0, 1 and 2: flights 1, 2 and 3.
+	for f := 1; f <= 3; f++ {
+		if _, err := q.Submit(book(fmt.Sprintf("u%d", f), f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []struct {
+		what string
+		seat relstore.GroundFact
+	}{
+		{"a seat on flight 2 (partition 1)", relstore.GroundFact{Rel: "Available", Tuple: tup(2, "9Z")}},
+		{"an orphan seat (fresh partition 3)", relstore.GroundFact{Rel: "Available", Tuple: tup(9, "9Z")}},
+	} {
+		before := slices.Clone(q.LogStats().Appends)
+		if err := q.Write([]relstore.GroundFact{w.seat}, nil); err != nil {
+			t.Fatal(err)
+		}
+		after := q.LogStats().Appends
+		if after[0] != before[0] || after[1] != before[1]+1 {
+			t.Errorf("%s: appends per segment %v -> %v, want one more on segment 1", w.what, before, after)
+		}
+	}
+}
+
+// TestWriteBetweenDecideAndPublish: an optimistic admission decided
+// before a blind write does not publish after the write applied. The
+// write deletes the flight's one free seat between the admission's
+// decision and its revalidation; the admission conflicts, is decided
+// again without the seat and rejected, and grounding everything finds
+// every pending transaction a grounding.
+func TestWriteBetweenDecideAndPublish(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1}, 1), Options{})
+	var werr error
+	written := false
+	q.testAdmitDecided = func() {
+		if !written {
+			written = true
+			werr = q.Write(nil, []relstore.GroundFact{{Rel: "Available", Tuple: tup(1, "1A")}})
+		}
+	}
+	_, err := q.Submit(book("A", 1))
+	if werr != nil {
+		t.Fatalf("write between decision and revalidation: %v", werr)
+	}
+	if !errors.Is(err, ErrRejected) {
+		t.Fatalf("Submit = %v, want ErrRejected (its seat was written away)", err)
+	}
+	if got := q.Stats().AdmissionConflicts; got != 1 {
+		t.Errorf("AdmissionConflicts = %d, want 1", got)
+	}
+	if err := q.GroundAll(); err != nil {
+		t.Fatal(err)
 	}
 }
