@@ -1,24 +1,30 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/formula"
+	"repro/internal/logic"
+	"repro/internal/relstore"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
 )
 
-// This file implements admission — ONE routine behind both Submit (a
-// batch of one) and SubmitBatch. Each cycle runs the decision procedure
-// (decideBatch, batch.go) over a snapshot of the partitions the batch
-// overlaps, then publishes every member's outcome in one critical
+// This file implements admission — ONE routine behind Submit (a batch of
+// one), SubmitBatch and Write (a batch of one blind write, a member that
+// carries facts and admits no transaction). Each cycle runs the decision
+// procedure (decideBatch, batch.go) over a snapshot of the partitions the
+// batch overlaps, then publishes every member's outcome in one critical
 // section under admitMu. By default the chain solve — the dominant cost
 // of the whole hot path — runs OUTSIDE the admission lock, so concurrent
-// clients whose transactions touch disjoint partitions admit in parallel
-// instead of serializing. The optimistic protocol is snapshot /
-// speculate / validate+publish:
+// clients whose transactions or writes touch disjoint partitions admit
+// in parallel instead of serializing. The optimistic protocol is
+// snapshot / speculate / validate+publish:
 //
 //  1. Snapshot: lock the partitions the batch overlaps through
 //     lockOverlap (without admitMu — the locator's re-read keeps the set
@@ -31,9 +37,11 @@ import (
 //     no install.
 //  2. Speculate: on the scheduler pool (one worker slot per cycle,
 //     bounding concurrent solves machine-wide), through one store view
-//     (QDB.view), decide each member in ID order — negative-cache probe,
-//     solution-extension fast path, or full composed-body solve — over a
-//     chain that grows with each accepted member, against immutable
+//     (QDB.view), decide each member in order — a write's structural
+//     check, negative-cache probe, solution-extension fast path, or full
+//     composed-body solve — over a chain that grows with each accepted
+//     transaction and a base store that grows with each accepted write's
+//     facts, against immutable
 //     inputs: *txn.T values are never mutated once published and
 //     partition slices are replaced, not written in place, so the
 //     snapshot needs no copies.
@@ -41,11 +49,11 @@ import (
 //     check it is EXACTLY the snapshot (same partitions at the same
 //     versions — a new overlapping partition, a merge, a grounding, or a
 //     cache refresh all change it), then check the store: the epoch
-//     fingerprint of the whole would-be chain's relations must equal the
-//     speculation's (bit-identical tables ⇒ every decision reproduces),
-//     OR every store mutation since must provably come from groundings
-//     of NON-overlapping partitions (admitSeq, which counts admission
-//     installs and blind-write registrations, unchanged — the engine is
+//     fingerprint of the relations of the whole would-be chain and of
+//     the writes' facts must equal the speculation's (bit-identical
+//     tables ⇒ every decision reproduces), OR every store mutation since
+//     must provably come from groundings of NON-overlapping partitions
+//     (admitSeq, which counts published cycles, unchanged — the engine is
 //     the store's only writer), which cannot unify with the batch's
 //     atoms and so can neither create nor destroy its groundings. On
 //     success every outcome — accepts and rejections alike, both are
@@ -59,13 +67,16 @@ import (
 // publish, so the partition set cannot move under the solve and nothing
 // needs revalidating.
 //
-// Stats: every cycle bumps CacheHits or CacheMisses per solved member,
-// NegativeHits per probe-answered rejection, Accepted/Rejected per
-// outcome. Optimistic cycles add ParallelSolves (one per cycle),
-// OptimisticAdmissions (per member of a validated cycle) and
-// AdmissionConflicts; a conflict then counts AdmissionRetries or, once
-// the budget is spent, SerialFallbacks (so conflicts = retries +
-// fallbacks). Serial cycles add none of those.
+// Stats: the per-transaction counters count transactions only: every
+// cycle bumps CacheHits or CacheMisses per solved transaction and
+// Accepted/Rejected per outcome, and a validated cycle
+// OptimisticAdmissions per transaction. A write counts WritesAccepted or
+// WritesRejected instead. NegativeHits counts every probe-answered
+// refusal. The cycle counters count a write's cycle too: optimistic
+// cycles add ParallelSolves (one per cycle) and AdmissionConflicts; a
+// conflict then counts AdmissionRetries or, once the budget is spent,
+// SerialFallbacks (so conflicts = retries + fallbacks). Serial cycles
+// add none of those.
 //
 // The same key-collision caveat the sharded scheduler already accepts
 // applies here: "independent" partitions can still collide on update
@@ -136,7 +147,7 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 	} else {
 		snap = q.snapshotOverlapBatch(items)
 	}
-	sp.Stage(stageSubmitSnapshot)
+	sp.Stage(stageAdmitSnapshot)
 	out := &batchOutcome{}
 	var err error
 	if serial {
@@ -147,7 +158,7 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 			return q.decideBatch(snap, items, out)
 		})
 	}
-	sp.Stage(stageSubmitSolve)
+	sp.Stage(stageAdmitSolve)
 	if err != nil {
 		if serial {
 			unlockPartitions(locked)
@@ -165,12 +176,16 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 		q.admitMu.Lock()
 		var ok bool
 		locked, ok = q.revalidateBatch(snap, items, out)
-		sp.Stage(stageSubmitValidate)
+		sp.Stage(stageAdmitValidate)
 		if !ok {
 			q.admitMu.Unlock()
 			return false
 		}
-		q.stats.optimisticAdmissions.Add(int64(len(items)))
+		for _, it := range items {
+			if it.admitted != nil {
+				q.stats.optimisticAdmissions.Add(1)
+			}
+		}
 	}
 	q.publish(items, locked, out, sp, ids, errs)
 	return true
@@ -216,15 +231,19 @@ func buildSnapBatch(ps []*partition, items []batchItem) *admitSnap {
 	for _, s := range snap.parts {
 		snap.base = append(snap.base, s.txns...)
 	}
-	sort.Slice(snap.base, func(i, j int) bool { return snap.base[i].ID < snap.base[j].ID })
+	slices.SortFunc(snap.base, byID)
 	snap.merged = make([]*txn.T, 0, n+len(items))
 	snap.merged = append(snap.merged, snap.base...)
 	for _, it := range items {
-		snap.merged = append(snap.merged, it.admitted)
+		if it.admitted != nil {
+			snap.merged = append(snap.merged, it.admitted)
+		}
 	}
-	sort.Slice(snap.merged, func(i, j int) bool { return snap.merged[i].ID < snap.merged[j].ID })
+	slices.SortFunc(snap.merged, byID)
 	return snap
 }
+
+func byID(a, b *txn.T) int { return cmp.Compare(a.ID, b.ID) }
 
 // revalidateBatch re-checks an optimistic snapshot under admitMu (the
 // caller holds it). First the partitions: fast path, admitMu excludes
@@ -264,11 +283,11 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 	// rejection proof verbatim. Epochs only grow, so a fingerprint equal
 	// to fpAll, even read table by table, proves the relations were all
 	// unchanged when the first was read. admitMu keeps admitSeq still. A
-	// blind write registered since the snapshot moved it and partVersion,
-	// so the re-lock above waited on its home if it unifies with the
-	// batch, and the fingerprint decides; one registered before was
-	// waited for by the snapshot or commutes with the batch.
-	ok := epochFingerprint(q.db, snap.merged) == out.fpAll ||
+	// write published since the snapshot moved it and partVersion, so
+	// the re-lock above waited on its home if it unifies with the batch
+	// and has not applied, and the fingerprint decides; one published
+	// before was waited for by the snapshot or commutes with the batch.
+	ok := cycleFingerprint(q.db, snap.merged, items) == out.fpAll ||
 		q.admitSeq.Load() == snap.admitSeq
 	if !ok {
 		unlockPartitions(locked)
@@ -278,58 +297,81 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 }
 
 // publish makes a decided cycle visible. In one critical section under
-// admitMu it records each rejection's unsatisfiability proof, appends
-// every accepted pending record as ONE WAL batch, merges the overlap set
-// and installs each accept into the survivor; then it releases admitMu
-// (the caller holds it and the overlap set) and, still holding the
-// survivor's shard, waits for the batch to be durable before anything
-// is acknowledged (§4's pending-transactions table is written ahead).
-// After the wait it runs the k-bound eviction with only the survivor
-// locked.
+// admitMu it reports each refusal (recording its unsatisfiability
+// proof), appends ONE WAL batch — the accepted writes' facts, every
+// accepted pending record, then the evictions they trigger — merges the
+// overlap set and installs the cycle into the survivor; then it releases
+// admitMu (the caller holds it and the overlap set) and, still holding
+// the survivor's shard, waits for the batch to be durable before
+// anything is applied or acknowledged (§4's pending-transactions table
+// is written ahead). After the wait it applies the carried unit and runs
+// the rest of the k-bound with only the survivor locked.
 //
 // Holding the survivor through the wait is what makes waiting outside
 // admitMu safe. Every locator blocks on that shard (lockOverlap,
 // lockGroup, revalidateBatch's re-lock, lockAllPartitions), so nothing
-// reads, grounds or extends the partition before its batch is durable,
-// and a batch that depends on it — the next admission into it, a
-// grounding of it, a write it constrains — is appended only afterwards,
-// whatever segment either batch lands on. So a crash can never keep a
-// dependent batch and lose its predecessor: a merge logging to
-// locked[0]'s segment while the merged partitions' earlier batches sit
-// on other segments finds those batches durable already, and recovery
-// re-admits every record (readmit). A follower may pull the batch from
-// the in-memory tail before it is durable, as it could before the wait
-// moved out of admitMu. A checkpoint cut blocks on the shard too, so its
-// stamp never covers an install that is not yet in its snapshot.
+// reads, grounds or extends the partition before its batch is durable
+// and applied, and a batch that depends on it — the next admission into
+// it, a grounding of it, a write it constrains — is appended only
+// afterwards, whatever segment either batch lands on. So a crash can
+// never keep a dependent batch and lose its predecessor: a merge logging
+// to locked[0]'s segment while the merged partitions' earlier batches
+// sit on other segments finds those batches durable already, and
+// recovery re-admits every record (readmit). A follower may pull the
+// batch from the in-memory tail before it is durable, as it could before
+// the wait moved out of admitMu. A checkpoint cut blocks on the shard
+// too, so its stamp never covers an install that is not yet in its
+// snapshot.
 //
-// The held shard orders blind writes too: a write holds its home's
-// shard, its keys filed under it, from its append to its apply (Write).
+// The survivor is an accepted write's home: its key atoms (keyAtoms) are
+// filed under it from the install until its facts have applied, so a
+// later write on the same key, which may unify with no pending
+// transaction, finds the home and blocks on it as well.
 //
 // A failed wait means the members are installed but not durable: under
-// the still-held shard the install is undone (uninstallLocked), the
-// merge is kept — a coarser partition is always correct — and each
-// member gets the log's error, so a log failure rejects cleanly instead
-// of leaving an admitted-but-unlogged transaction.
+// the still-held shard the writes' keys are filed out and the install is
+// undone (uninstallLocked), the merge is kept — a coarser partition is
+// always correct — and each member gets the log's error, so a log
+// failure rejects cleanly instead of leaving an admitted-but-unlogged
+// transaction or an unlogged write.
 //
 // The eviction's leading run is known before the batch is written: the
 // install leaves the survivor holding out.finalChain with its cached
 // solution out.finalCached, so the heads the k-bound will replay are
-// finalCached's first groundings. The pending batch carries them after
-// the pending records, and they are applied as one unit once the
-// batch is durable; enforceK is left only the heads that need a solve.
+// finalCached's first groundings. The batch carries them after the
+// pending records, and they are applied with the writes' facts as one
+// unit once the batch is durable (applyCarried); enforceK is left only
+// the heads that need a solve.
 func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome, sp *telemetry.Span, ids []int64, errs []error) {
+	var accepted []*txn.T
+	var c carried
 	for i, it := range items {
 		d := out.decisions[i]
-		if d.ok {
+		switch {
+		case d.ok:
+			if it.admitted != nil {
+				accepted = append(accepted, it.admitted)
+			}
+			if len(it.inserts)+len(it.deletes) > 0 {
+				c.writes = append(c.writes, relstore.Unit{Inserts: it.inserts, Deletes: it.deletes})
+			}
+			c.keys = append(c.keys, d.keys...)
 			continue
-		}
-		if d.fromNeg {
+		case d.err != nil:
+			errs[it.idx] = d.err
+			continue
+		case d.fromNeg:
 			q.stats.negHits.Add(1)
-		} else {
+		default:
 			q.rejects.add(d.negKey, d.negFP)
 		}
-		q.stats.rejected.Add(1)
-		errs[it.idx] = fmt.Errorf("%w: txn %q", ErrRejected, it.orig.String())
+		if it.admitted == nil {
+			q.stats.writesRejected.Add(1)
+			errs[it.idx] = ErrWriteRejected
+		} else {
+			q.stats.rejected.Add(1)
+			errs[it.idx] = fmt.Errorf("%w: txn %q", ErrRejected, it.orig.String())
+		}
 	}
 	if out.accepts == 0 {
 		unlockPartitions(locked)
@@ -342,43 +384,42 @@ func (q *QDB) publish(items []batchItem, locked []*partition, out *batchOutcome,
 	if len(locked) > 0 {
 		affinity = locked[0].id()
 	}
-	accepted := make([]*txn.T, 0, out.accepts)
-	for i, it := range items {
-		if out.decisions[i].ok {
-			accepted = append(accepted, it.admitted)
-		}
-	}
-	var evict []formula.Grounding
 	if over := len(out.finalChain) - q.opt.k(); over > 0 {
-		evict = out.finalCached[:q.replayable(out.finalChain, out.finalCached, over)]
+		c.evict = out.finalCached[:q.replayable(out.finalChain, out.finalCached, over)]
 	}
 	walStart := time.Now()
-	n, tk, werr := q.logPendingBatch(affinity, accepted, evict)
+	n, tk, werr := q.logPendingBatch(affinity, accepted, &c)
 	if werr != nil {
-		sp.Add(stageSubmitWAL, time.Since(walStart))
+		sp.Add(stageAdmitWAL, time.Since(walStart))
 		unlockPartitions(locked)
 		q.admitMu.Unlock()
 		setAcceptedErr(items, out, errs, werr)
 		return
 	}
-	evict = evict[:n]
+	c.evict = c.evict[:n]
 	p := q.mergeLocked(locked)
+	q.installLocked(p, accepted, c.keys, out.finalChain, out.finalCached)
+	q.stats.accepted.Add(int64(len(accepted)))
 	for i, it := range items {
-		if out.decisions[i].ok {
-			q.installLocked(p, it.admitted, out.finalChain, out.finalCached)
+		if out.decisions[i].ok && it.admitted != nil {
 			ids[it.idx] = it.admitted.ID
 		}
 	}
 	q.admitMu.Unlock()
 	werr = q.waitLog(tk)
-	sp.Add(stageSubmitWAL, time.Since(walStart))
+	sp.Add(stageAdmitWAL, time.Since(walStart))
 	if werr != nil {
+		q.unfileKeys(c.keys, p)
 		q.uninstallLocked(p, accepted)
 		p.shard.Unlock()
 		setAcceptedErr(items, out, errs, werr)
 		return
 	}
-	kerr := q.applyEvictions(p, affinity, tk.Seq, accepted, evict)
+	applyStart := time.Now()
+	kerr := q.applyCarried(p, affinity, tk.Seq, accepted, &c)
+	if len(c.writes)+len(c.evict) > 0 {
+		sp.Add(stageAdmitApply, time.Since(applyStart))
+	}
 	if kerr == nil {
 		kerr = q.enforceK(p)
 	} else {
@@ -398,31 +439,54 @@ func setAcceptedErr(items []batchItem, out *batchOutcome, errs []error, err erro
 	}
 }
 
-// applyEvictions applies the evictions an admission's pending batch
-// (sequence seq) carried as one unit and retires their transactions from
-// p, which holds them at its head. If the unit no longer applies (a key
-// collision with a commuting write), the store is unchanged and one
-// compensating batch aborts the pending batch and records the admitted
-// transactions pending again, so recovery skips the evictions but keeps
-// the admissions; the cache is dropped and enforceK solves instead.
-// Caller holds p's shard.
-func (q *QDB) applyEvictions(p *partition, affinity int64, seq uint64, admitted []*txn.T, evict []formula.Grounding) error {
-	if len(evict) == 0 {
-		return nil
+// carried is what a cycle's pending batch carries beside its pending
+// records: the accepted writes' facts ahead of them and the k-bound
+// evictions after them, applied as one unit once the batch is durable.
+// keys are the writes' key atoms, filed under the survivor meanwhile.
+type carried struct {
+	writes []relstore.Unit
+	keys   []logic.Atom
+	evict  []formula.Grounding
+}
+
+// applyCarried applies the unit a cycle's pending batch (sequence seq)
+// carried — the writes' facts, then the evictions — files the writes'
+// keys out, and retires the evicted heads from p, which holds them at
+// its head; an emptied fresh home retires with them. If the unit does
+// not apply (a key collision with a commuting write) or the crash
+// injection point fires, the store is unchanged and p's cached solution,
+// which assumed the unit, is dropped. After a collision one compensating
+// batch aborts the pending batch and records the admitted transactions
+// pending again, so recovery skips the unit but keeps the admissions,
+// which stand (enforceK solves instead); a write gets the error. Caller
+// holds p's shard.
+func (q *QDB) applyCarried(p *partition, affinity int64, seq uint64, admitted []*txn.T, c *carried) error {
+	applied := len(c.writes)+len(c.evict) == 0
+	var err error
+	if !applied {
+		if err = q.crashApplyPoint(); err == nil {
+			aerr := q.applyUnit(c.writes, c.evict)
+			applied = aerr == nil
+			if !applied {
+				if len(c.evict) > 0 {
+					q.stats.solutionStale.Add(1)
+				}
+				err = q.logAbort(affinity, seq, admitted)
+				if len(c.writes) > 0 {
+					err = errors.Join(fmt.Errorf("core: applying write: %w", aerr), err)
+				}
+			}
+		}
 	}
-	if err := q.crashApplyPoint(); err != nil {
-		return err
+	q.unfileKeys(c.keys, p)
+	n := len(c.evict)
+	if !applied {
+		p.cached, n = nil, 0
 	}
-	if err := q.applyUnit(evict); err != nil {
-		q.stats.solutionStale.Add(1)
-		p.cached = nil
-		p.version++
-		return q.logAbort(affinity, seq, admitted)
-	}
-	q.stats.forcedByK.Add(int64(len(evict)))
-	q.stats.solutionReplays.Add(int64(len(evict)))
-	q.retireHeads(p, len(evict))
-	return nil
+	q.stats.forcedByK.Add(int64(n))
+	q.stats.solutionReplays.Add(int64(n))
+	q.retireHeads(p, n)
+	return err
 }
 
 // allCached reports whether every snapshot partition carries a cached

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/formula"
@@ -12,9 +13,12 @@ import (
 // This file holds the admission entry points' shared front half and THE
 // decision procedure. Submit is a batch of one: both entry points
 // validate, ID-stamp and rename apart through submit, then run the one
-// admission routine (admit.go). decideBatch plays the decision —
-// negative probe, solution extension, full composed-body solve — over a
-// chain that grows as earlier members are accepted, so a batch of n
+// admission routine (admit.go). A blind write (Write, ground.go) runs
+// the same routine as a member that carries facts and admits no
+// transaction. decideBatch plays the decision — structural check of a
+// write's facts, negative probe, solution extension, full composed-body
+// solve — over a chain that grows as earlier transactions are accepted
+// and a base store that grows as earlier writes are, so a batch of n
 // decides exactly as n sequential Submits would against the same store
 // (the install does not: see SubmitBatch). What a batch amortizes is
 // everything around the decisions: one overlap snapshot over the union
@@ -30,12 +34,19 @@ import (
 // install time revalidates every decision at once — at worst it
 // conflicts spuriously, never falsely validates.
 
-// batchItem pairs one member's caller-visible form with its admitted
-// (ID-stamped, renamed-apart) form and its index in the caller's slices.
+// batchItem is one member of an admission cycle at its index in the
+// caller's slices. A transaction pairs its caller-visible form with its
+// admitted (ID-stamped, renamed-apart) form. A blind write has neither
+// (admitted is nil): it carries facts, applied below the pending chains.
+// Write admits its item alone, so a cycle carries facts or pending
+// records, never both. atoms are the member's atoms, its transaction's
+// or its facts': the overlap-resolution key.
 type batchItem struct {
-	idx      int
-	orig     *txn.T
-	admitted *txn.T
+	idx              int
+	orig             *txn.T
+	admitted         *txn.T
+	inserts, deletes []relstore.GroundFact
+	atoms            []logic.Atom
 }
 
 // batchDecision is one member's admission decision, pending validation.
@@ -43,6 +54,11 @@ type batchDecision struct {
 	ok            bool
 	fromNeg       bool // unsatisfiability answered by negative-cache probe
 	negKey, negFP uint64
+	// err refuses a write whose facts do not apply (core: invalid write).
+	err error
+	// keys are a write's key atoms (keyAtoms), filed under its home in
+	// the overlap index from its install to its apply.
+	keys []logic.Atom
 }
 
 // batchOutcome is what one cycle's decisions learned.
@@ -54,10 +70,10 @@ type batchOutcome struct {
 	fpAll     uint64
 	decisions []batchDecision
 	// finalChain is base plus the accepted members, ascending by ID;
-	// finalCached is its aligned chain solution (nil when none is known:
-	// every member was answered by the negative probe, or a base
-	// partition's cache was dropped by a stale apply and no full solve
-	// re-seeded it).
+	// finalCached is its aligned chain solution over the store plus the
+	// accepted writes' facts (nil when none is known: every member was
+	// answered by the negative probe, or a base partition's cache was
+	// dropped by a stale apply and no full solve re-seeded it).
 	finalChain  []*txn.T
 	finalCached []formula.Grounding
 	accepts     int
@@ -121,6 +137,9 @@ func (q *QDB) submit(ts []*txn.T, ids []int64, errs []error, batched bool) {
 		items[i].admitted = admitted.RenamedApart()
 	}
 	q.mu.Unlock()
+	for i := range items {
+		items[i].atoms = atomsOf(items[i].admitted)
+	}
 
 	sp := q.met.submit.Start()
 	defer sp.End()
@@ -131,18 +150,21 @@ func (q *QDB) submit(ts []*txn.T, ids []int64, errs []error, batched bool) {
 // overlap-resolution key.
 func batchAtoms(items []batchItem) []logic.Atom {
 	if len(items) == 1 {
-		return atomsOf(items[0].admitted)
+		return items[0].atoms
 	}
 	var out []logic.Atom
 	for _, it := range items {
-		out = append(out, atomsOf(it.admitted)...)
+		out = append(out, it.atoms...)
 	}
 	return out
 }
 
 // insertByID writes chain plus t into dst (reset by the caller),
-// ascending by ID, and returns it.
+// ascending by ID, and returns it; a nil t (a write) copies chain.
 func insertByID(dst, chain []*txn.T, t *txn.T) []*txn.T {
+	if t == nil {
+		return append(dst, chain...)
+	}
 	i := len(chain)
 	for i > 0 && chain[i-1].ID > t.ID {
 		i--
@@ -182,38 +204,48 @@ func (l *overlayList) put(o *relstore.Overlay) {
 	l.mu.Unlock()
 }
 
-// decideBatch is THE admission decision procedure: per member in ID
-// order, a negative-cache probe, then the cached-solution extension,
-// then the full composed-body solve, over a chain grown by each accept,
-// through ONE store view. A member decided after an accepted
-// predecessor sees that predecessor in its chain — byte for
-// byte the question sequential Submits would have asked — and a
-// rejected member leaves the chain untouched, so later members decide
-// as if it never arrived. Every solve and fingerprint reads one store
-// view (QDB.view), which holds writers off and so fixes the epochs: the
-// fingerprints recorded in out describe precisely the store state the
-// decisions saw. It takes no shard and no admission lock itself: a
-// serial caller holds both, an optimistic one validates afterwards.
+// decideBatch is THE admission decision procedure: per member in order
+// (ascending ID for transactions), a write's structural check, a negative-cache probe, then (for
+// a transaction) the cached-solution extension, then the full
+// composed-body solve, over a chain grown by each accepted transaction
+// and a base grown by each accepted write's facts, through ONE store
+// view. A member decided after an accepted predecessor sees that
+// predecessor — byte for byte the question sequential calls would have
+// asked — and a refused member leaves chain and base untouched, so later
+// members decide as if it never arrived. A write is a member whose facts
+// apply below the chain: it is accepted when the chain keeps a grounding
+// over base plus its facts (§3.2.2). Every solve and fingerprint reads
+// one store view (QDB.view), which holds writers off and so fixes the
+// epochs: the fingerprints recorded in out describe precisely the store
+// state the decisions saw. It takes no shard and no admission lock
+// itself: a serial caller holds both, an optimistic one validates
+// afterwards.
 func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome) error {
 	v := q.view()
 	defer q.db.EndView()
-	out.fpAll = epochFingerprint(v, snap.merged)
+	out.fpAll = cycleFingerprint(v, snap.merged, items)
 	out.decisions = make([]batchDecision, len(items))
 
 	chain := append(make([]*txn.T, 0, len(snap.merged)), snap.base...)
-	// cached is the chain's solution when known is set (an empty chain's
-	// is nil). The snapshot's combined solution is fetched when a member
-	// first gets past the negative probe (a probe-answered rejection
-	// never pays for the merge); after that each accept keeps it aligned
-	// with chain.
+	// base is v plus the facts of every write accepted so far, and delta
+	// keys those facts for the negative cache (0 while there are none, so
+	// a transaction's key is the plain chain question's).
+	base := relstore.Source(v)
+	var delta uint64
+	// cached is the chain's solution over base when known is set (an
+	// empty chain's is nil). The snapshot's combined solution is fetched
+	// when a transaction first gets past the negative probe (a
+	// probe-answered rejection never pays for the merge); after that each
+	// accept keeps it aligned with chain.
 	var cached []formula.Grounding
 	known, seeded := false, !snap.allCached()
-	// ext is v with cached applied, built once when the extension path
-	// first needs it and extended by each grounding that path accepts, so
-	// a cycle replays the chain into an overlay once rather than once per
-	// member. extBuilt is cleared when the slow path re-seeds cached;
-	// extOK is false once cached no longer applies over v (then no later
-	// member extends until a re-seed, as a fresh replay would also fail).
+	// ext is base with cached applied, built once when the extension
+	// path first needs it and extended by each grounding that path
+	// accepts, so a cycle replays the chain into an overlay once rather
+	// than once per member. extBuilt is cleared when the slow path
+	// re-seeds cached; extOK is false once cached no longer applies over
+	// base (then no later member extends until a re-seed, as a fresh
+	// replay would also fail).
 	var ext *relstore.Overlay
 	extBuilt, extOK := false, false
 	defer func() {
@@ -225,56 +257,71 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 	for i, it := range items {
 		t := it.admitted
 		d := &out.decisions[i]
+		// src is the store this member's question is asked over: base,
+		// plus its facts when it is a write. Applying them is the write's
+		// structural check (arity, delete of an absent row, duplicate key).
+		src, dk := base, deltaKey(delta, it.inserts, it.deletes)
+		if len(it.inserts)+len(it.deletes) > 0 {
+			ov := relstore.NewOverlay(base)
+			if err := ov.ApplyFacts(it.inserts, it.deletes); err != nil {
+				d.err = fmt.Errorf("core: invalid write: %w", err)
+				continue
+			}
+			src = ov
+			d.keys = keyAtoms(v, it.atoms)
+		}
 		scratch = insertByID(scratch[:0], chain, t)
 		views := stripAll(scratch)
 		// Negative probe: the same composed-body question (up to variable
-		// renaming — ContentKey normalizes the fresh rename-apart) proven
-		// unsatisfiable against these relations at these epochs rejects
-		// by cache probe, skipping both solve paths.
-		d.negKey = solveKey(views, false, 1, 0)
+		// renaming — ContentKey normalizes the fresh rename-apart) over the
+		// same facts, proven unsatisfiable against these relations at
+		// these epochs, is refused by cache probe, skipping every solve.
+		d.negKey = solveKey(views, false, 1, dk)
 		d.negFP = epochFingerprint(v, views)
 		if q.rejects.hit(d.negKey, d.negFP) {
 			d.fromNeg = true
 			continue
 		}
-		if !seeded {
-			seeded, known = true, true
-			cached = snap.combinedGroundings()
-		}
-		if known && (len(chain) == 0 || chain[len(chain)-1].ID < t.ID) {
-			// Extension fast path: ground just this member over the
-			// chain's solution. The ID guard keeps the extension aligned
-			// with the chain order: IDs are assigned before any admission
-			// lock, so an admission with a later ID can install first,
-			// and a solution extended at the END of the chain is only
-			// valid for a member that also sorts last.
-			if !extBuilt {
-				if ext == nil {
-					ext = q.extOverlays.get()
-				}
-				ext.Reset(v)
-				extBuilt, extOK = true, applyGroundings(ext, cached) == nil
+		if t != nil {
+			if !seeded {
+				seeded, known = true, true
+				cached = snap.combinedGroundings()
 			}
-			if extOK {
-				sol, ok, err := formula.SolveChain(ext, []*txn.T{strip(t)}, q.chainOpts(false))
-				if err != nil {
-					return err
+			if known && (len(chain) == 0 || chain[len(chain)-1].ID < t.ID) {
+				// Extension fast path: ground just this transaction over
+				// the chain's solution. The ID guard keeps the extension
+				// aligned with the chain order: IDs are assigned before any
+				// admission lock, so an admission with a later ID can
+				// install first, and a solution extended at the END of the
+				// chain is only valid for a member that also sorts last.
+				if !extBuilt {
+					if ext == nil {
+						ext = q.extOverlays.get()
+					}
+					ext.Reset(base)
+					extBuilt, extOK = true, applyGroundings(ext, cached) == nil
 				}
-				if ok {
-					q.stats.cacheHits.Add(1)
-					d.ok = true
-					out.accepts++
-					chain = append(chain, t)
-					g := sol.Groundings[0]
-					cached = append(cached, g)
-					extOK = ext.ApplyFacts(g.Inserts, g.Deletes) == nil
-					continue
+				if extOK {
+					sol, ok, err := formula.SolveChain(ext, []*txn.T{strip(t)}, q.chainOpts(false))
+					if err != nil {
+						return err
+					}
+					if ok {
+						q.stats.cacheHits.Add(1)
+						d.ok = true
+						out.accepts++
+						chain = append(chain, t)
+						g := sol.Groundings[0]
+						cached = append(cached, g)
+						extOK = ext.ApplyFacts(g.Inserts, g.Deletes) == nil
+						continue
+					}
 				}
 			}
+			q.stats.cacheMisses.Add(1)
 		}
 		// Slow path: full composed-body satisfiability check.
-		q.stats.cacheMisses.Add(1)
-		sol, ok, err := formula.SolveChain(v, views, q.chainOpts(false))
+		sol, ok, err := formula.SolveChain(src, views, q.chainOpts(false))
 		if err != nil {
 			return err
 		}
@@ -282,9 +329,10 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			d.ok = true
 			out.accepts++
 			chain = append(chain[:0], scratch...)
+			base, delta = src, dk
 			// The full chain solution re-seeds the extension path for the
 			// remaining members.
-			cached, known, extBuilt = sol.Groundings, true, false
+			cached, known, seeded, extBuilt = sol.Groundings, true, true, false
 		}
 	}
 	out.finalChain = chain

@@ -67,6 +67,24 @@ func epochFingerprint(src epochSource, ts []*txn.T) uint64 {
 	return h
 }
 
+// cycleFingerprint is epochFingerprint of an admission cycle's merged
+// chain with the relations its writes' facts name folded in: a write's
+// structural check reads them even where no pending transaction does.
+func cycleFingerprint(src epochSource, merged []*txn.T, items []batchItem) uint64 {
+	h := epochFingerprint(src, merged)
+	var relsBuf [4]string
+	rels := relsBuf[:0]
+	for _, it := range items {
+		for _, f := range it.inserts {
+			h, rels = fingerprintRel(src, h, rels, f.Rel)
+		}
+		for _, f := range it.deletes {
+			h, rels = fingerprintRel(src, h, rels, f.Rel)
+		}
+	}
+	return h
+}
+
 // epochSource is a relstore.View or the *relstore.DB.
 type epochSource interface{ TableEpoch(rel string) uint64 }
 
@@ -100,10 +118,16 @@ func solveKey(views []*txn.T, maximize bool, sample int, delta uint64) uint64 {
 	return h
 }
 
-// deltaKey hashes a blind write's fact batch, for keying validation
-// solves that run over the store plus the hypothetical write.
-func deltaKey(inserts, deletes []relstore.GroundFact) uint64 {
-	h := uint64(hash.Offset64)
+// deltaKey folds a blind write's fact batch into h, the key of the
+// facts a solve already runs over (0: the store alone), for keying
+// solves that run over the store plus hypothetical writes. A batch with
+// no facts leaves h as it is, so a solve over the store alone keys the
+// same whoever asks it.
+func deltaKey(h uint64, inserts, deletes []relstore.GroundFact) uint64 {
+	if len(inserts)+len(deletes) == 0 {
+		return h
+	}
+	h = hash.Mix(hash.Offset64, h)
 	hashFacts := func(sign uint64, fs []relstore.GroundFact) {
 		h = hash.Mix(h, sign)
 		for _, f := range fs {

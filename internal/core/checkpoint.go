@@ -56,12 +56,11 @@ import (
 // partition's shard. An admission appends and installs under admitMu and
 // then holds its survivor's shard through its WAL wait and its carried
 // evictions, so the cut, which takes every live shard, sees either all of
-// it or none. A blind write does the same with its home: it appends and
-// registers under admitMu and holds the home — a fresh, empty partition
-// when no pending transaction unifies with it — and its other affected
-// shards until its apply, so the cut waits for every write in flight.
-// It waits under admitMu, so no new write starts meanwhile and a stream
-// of writes cannot starve it.
+// it or none. A blind write is such an admission: its home is the
+// survivor — a fresh, empty partition when no pending transaction
+// unifies with it — held until its facts apply, so the cut waits for
+// every write in flight. It waits under admitMu, so no new write is
+// published meanwhile and a stream of writes cannot starve it.
 func (q *QDB) Checkpoint(path string) error {
 	if q.log == nil {
 		return fmt.Errorf("core: Checkpoint requires a WAL-backed database")

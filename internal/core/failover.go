@@ -219,16 +219,7 @@ func (q *QDB) readmit(t *txn.T) error {
 		return ErrInvariantBroken
 	}
 	p := q.mergeLocked(overlapping)
-	p.txns = merged
-	p.cached = sol.Groundings
-	p.version++
-	q.mu.Lock()
-	q.byTxn[t.ID] = p
-	q.idx.add(t, p.id())
-	q.mu.Unlock()
-	q.admitSeq.Add(1)
-	q.partVersion.Add(1)
-	q.noteHighWater(p)
+	q.installLocked(p, []*txn.T{t}, nil, merged, sol.Groundings)
 	p.shard.Unlock()
 	return nil
 }

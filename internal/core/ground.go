@@ -16,7 +16,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // ErrInvariantBroken reports that a grounding the invariant promised could
@@ -234,7 +233,7 @@ func (q *QDB) replayRun(p *partition, n int, sp *telemetry.Span) (int, error) {
 			return done, err
 		}
 		applyStart := time.Now()
-		if err := q.applyUnit(p.cached[:m]); err != nil {
+		if err := q.applyUnit(nil, p.cached[:m]); err != nil {
 			q.stats.solutionStale.Add(1)
 			p.cached = nil
 			p.version++
@@ -254,12 +253,13 @@ func (q *QDB) replayRun(p *partition, n int, sp *telemetry.Span) (int, error) {
 // unitPool recycles applyUnit's unit lists.
 var unitPool = sync.Pool{New: func() any { return new([]relstore.Unit) }}
 
-// applyUnit applies gs, in chain order, to the store as one commit unit:
-// one store-lock acquisition, all or nothing (relstore.Writer.Apply).
-// On success it counts the groundings and the unit.
-func (q *QDB) applyUnit(gs []formula.Grounding) error {
+// applyUnit applies writes, then gs in chain order, to the store as one
+// commit unit: one store-lock acquisition, all or nothing
+// (relstore.Writer.Apply). On success it counts the groundings and, if
+// there are any, the unit.
+func (q *QDB) applyUnit(writes []relstore.Unit, gs []formula.Grounding) error {
 	up := unitPool.Get().(*[]relstore.Unit)
-	us := (*up)[:0]
+	us := append((*up)[:0], writes...)
 	for _, g := range gs {
 		us = append(us, relstore.Unit{Inserts: g.Inserts, Deletes: g.Deletes})
 	}
@@ -267,7 +267,7 @@ func (q *QDB) applyUnit(gs []formula.Grounding) error {
 	clear(us)
 	*up = us[:0]
 	unitPool.Put(up)
-	if err == nil {
+	if err == nil && len(gs) > 0 {
 		q.stats.grounded.Add(int64(len(gs)))
 		q.stats.groundUnits.Add(1)
 	}
@@ -278,12 +278,14 @@ func (q *QDB) applyUnit(gs []formula.Grounding) error {
 // store now holds, along with their cached groundings, and retires p if
 // that empties it. Caller holds p's shard.
 func (q *QDB) retireHeads(p *partition, n int) {
-	q.mu.Lock()
-	for _, t := range p.txns[:n] {
-		delete(q.byTxn, t.ID)
-		q.idx.remove(t, p.id())
+	if n > 0 {
+		q.mu.Lock()
+		for _, t := range p.txns[:n] {
+			delete(q.byTxn, t.ID)
+			q.idx.remove(t, p.id())
+		}
+		q.mu.Unlock()
 	}
-	q.mu.Unlock()
 	p.txns = p.txns[n:]
 	p.cached = p.cached[n:]
 	p.version++
@@ -434,7 +436,7 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 		return false, err
 	}
 	applyStart := time.Now()
-	if err := q.applyUnit(gs); err != nil {
+	if err := q.applyUnit(nil, gs); err != nil {
 		err = fmt.Errorf("core: executing grounding of txn %d: %w", gs[0].Txn.ID, err)
 		if aerr := q.logAbort(p.id(), seq, nil); aerr != nil {
 			err = errors.Join(err, aerr)
@@ -752,172 +754,35 @@ func partitionAffected(p *partition, query []logic.Atom, maxID int64) int {
 // Write applies a non-resource blind write (a batch of ground inserts and
 // deletes). Writes that unify with pending bodies must keep every
 // affected partition satisfiable over the modified store, or they are
-// rejected (§3.2.2 "Writes"). Validation solves of independent affected
-// partitions run in parallel on the worker pool.
+// rejected (§3.2.2 "Writes").
 //
-// Under admitMu a write locks the partitions it affects, checks itself,
-// validates, appends, and files its key atoms (keyAtoms) in the overlap
-// index under its home: the first affected partition, or a fresh empty
-// one (never a merge). It then waits, applies and files the keys out
-// holding those shards but not admitMu. Whatever depends on the write —
-// an admission, a collapsing read, a later write on a key it writes,
-// the checkpoint cut — blocks on the home, as on an admission's
-// survivor (publish).
+// A write is a member of the one admission routine (admit.go) that
+// carries facts and admits no transaction: decided over the cycle's
+// snapshot outside admitMu, revalidated, logged in the cycle's batch,
+// and applied after its wait, holding its home — the survivor of its
+// overlap set, or a fresh partition — with its key atoms (keyAtoms)
+// filed there. Whatever depends on the write — an admission, a
+// collapsing read, a later write on a key it writes, the checkpoint cut
+// — blocks on the home, as on an admission's survivor (publish).
 func (q *QDB) Write(inserts, deletes []relstore.GroundFact) error {
 	if err := q.checkWritable(); err != nil {
 		return err
 	}
-	factAtoms := make([]logic.Atom, 0, len(inserts)+len(deletes))
+	atoms := make([]logic.Atom, 0, len(inserts)+len(deletes))
 	for _, f := range inserts {
-		factAtoms = append(factAtoms, factAtom(f))
+		atoms = append(atoms, factAtom(f))
 	}
 	for _, f := range deletes {
-		factAtoms = append(factAtoms, factAtom(f))
+		atoms = append(atoms, factAtom(f))
 	}
-
-	q.admitMu.Lock()
+	var errs [1]error
 	sp := q.met.write.Start()
-	defer sp.End()
-	// Locking first waits out any write in flight on these keys, so the
-	// structural check below sees it.
-	affected := q.lockOverlap(factAtoms)
-
-	// Structural validation of the write itself (arity, delete-of-absent,
-	// duplicate keys) on a scratch overlay over a store view.
-	v := q.view()
-	err := relstore.NewOverlay(v).ApplyFacts(inserts, deletes)
-	var keys []logic.Atom
-	if err == nil {
-		keys = keyAtoms(v, factAtoms)
+	q.admit([]batchItem{{inserts: inserts, deletes: deletes, atoms: atoms}}, nil, errs[:], &sp)
+	sp.End()
+	if errs[0] == nil {
+		q.stats.writesAccepted.Add(1)
 	}
-	q.db.EndView()
-	if err != nil {
-		unlockPartitions(affected)
-		q.admitMu.Unlock()
-		return fmt.Errorf("core: invalid write: %w", err)
-	}
-
-	dk := deltaKey(inserts, deletes)
-	refreshed := make([][]formula.Grounding, len(affected))
-	sp.Mark()
-	err = q.pool.Map(len(affected), func(i int) error {
-		p := affected[i] // pre-locked; task takes no shard
-		q.stats.parallelSolves.Add(1)
-		// Overlays are single-goroutine; each validation builds its own,
-		// over a view of its own: a view held across pool.Map would wait
-		// for a slot whose holder waits on db.mu (QDB.view).
-		v := q.view()
-		defer q.db.EndView()
-		views := stripAll(p.txns)
-		// Negative probe: this write was already proven to empty this
-		// partition's possible worlds at these epochs — re-reject by
-		// probe (a retried rejected write costs no solves).
-		negKey := solveKey(views, false, 1, dk)
-		negFP := epochFingerprint(v, views)
-		if q.rejects.hit(negKey, negFP) {
-			q.stats.negHits.Add(1)
-			return ErrWriteRejected
-		}
-		ov := relstore.NewOverlay(v)
-		if err := ov.ApplyFacts(inserts, deletes); err != nil {
-			return fmt.Errorf("core: invalid write: %w", err)
-		}
-		sol, ok, err := formula.SolveChain(ov, views, q.chainOpts(false))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			q.rejects.add(negKey, negFP)
-			return ErrWriteRejected
-		}
-		refreshed[i] = sol.Groundings
-		return nil
-	})
-	sp.Stage(stageWriteValidate)
-	if err != nil {
-		unlockPartitions(affected)
-		q.admitMu.Unlock()
-		if errors.Is(err, ErrWriteRejected) {
-			q.stats.writesRejected.Add(1)
-			return ErrWriteRejected
-		}
-		return err
-	}
-
-	// Write-ahead: the write's batch is appended under admitMu, which
-	// orders it against admissions, to its home's segment (a fresh home
-	// gets nextPart, which admitMu keeps fixed), and is durable before it
-	// mutates the store; the wait runs with no store lock and without
-	// admitMu.
-	var home *partition
-	affinity := q.nextPart
-	if len(affected) > 0 {
-		home = affected[0]
-		affinity = home.id()
-	}
-	walStart := time.Now()
-	tk, err := q.logWrite(affinity, inserts, deletes)
-	if err != nil {
-		unlockPartitions(affected)
-		q.admitMu.Unlock()
-		sp.Add(stageWriteWAL, time.Since(walStart))
-		return err
-	}
-	if home == nil {
-		home = q.mergeLocked(nil)
-	}
-	q.fileKeys(keys, home, 1)
-	// Bumped after the keys are filed (QDB's counters): an admission
-	// decided without the write re-locks, finds the home, and fails the
-	// store check once the write has applied (revalidateBatch).
-	q.admitSeq.Add(1)
-	q.partVersion.Add(1)
-	q.admitMu.Unlock()
-	err = q.applyWrite(tk, affinity, inserts, deletes, affected, refreshed, &sp, walStart)
-	q.fileKeys(keys, home, -1)
-	if len(affected) == 0 {
-		q.retireLocked(home)
-		home.shard.Unlock()
-	}
-	unlockPartitions(affected)
-	if err != nil {
-		return err
-	}
-	q.stats.writesAccepted.Add(1)
-	return nil
-}
-
-// applyWrite is Write's second half, after its batch tk is appended to
-// the segment of affinity: wait for durability, apply, and refresh the
-// affected partitions' caches. Caller holds the affected shards and not
-// admitMu.
-func (q *QDB) applyWrite(tk wal.Ticket, affinity int64, inserts, deletes []relstore.GroundFact, affected []*partition, refreshed [][]formula.Grounding, sp *telemetry.Span, walStart time.Time) error {
-	err := q.waitLog(tk)
-	sp.Add(stageWriteWAL, time.Since(walStart))
-	if err != nil {
-		return err
-	}
-	if err := q.crashApplyPoint(); err != nil {
-		return err
-	}
-	applyStart := time.Now()
-	if err := q.w.Apply([]relstore.Unit{{Inserts: inserts, Deletes: deletes}}); err != nil {
-		err = fmt.Errorf("core: applying write: %w", err)
-		if aerr := q.logAbort(affinity, tk.Seq, nil); aerr != nil {
-			err = errors.Join(err, aerr)
-		}
-		return err
-	}
-	sp.Add(stageWriteApply, time.Since(applyStart))
-	for i, p := range affected {
-		// Refreshed solutions were validated over the store plus this
-		// write, which is now the store, so grounding can replay them.
-		// The partition's solve-relevant state moved: any in-flight
-		// admission speculation over it must conflict.
-		p.cached = refreshed[i]
-		p.version++
-	}
-	return nil
+	return errs[0]
 }
 
 // keyAtoms returns each fact's key atom: its key columns as constants,
@@ -943,12 +808,15 @@ func keyAtoms(src relstore.Source, facts []logic.Atom) []logic.Atom {
 	return out
 }
 
-// fileKeys files a write's key atoms under its home in the overlap
-// index (delta 1) or out of it (-1). Caller holds the home's shard.
-func (q *QDB) fileKeys(keys []logic.Atom, home *partition, delta int) {
+// unfileKeys files a write's key atoms out of its home in the overlap
+// index, where installLocked filed them. Caller holds the home's shard.
+func (q *QDB) unfileKeys(keys []logic.Atom, home *partition) {
+	if len(keys) == 0 {
+		return
+	}
 	q.mu.Lock()
 	for _, a := range keys {
-		q.idx.updateAtom(a, home.id(), delta)
+		q.idx.updateAtom(a, home.id(), -1)
 	}
 	q.mu.Unlock()
 }

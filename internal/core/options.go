@@ -90,8 +90,9 @@ type Options struct {
 	// means unbounded.
 	MaxSolverSteps int
 	// Workers bounds the scheduler's worker pool, which drives parallel
-	// partition grounding: GroundAll, read collapse across partitions,
-	// and blind-write validation solves. 0 means GOMAXPROCS; 1 runs the
+	// partition grounding (GroundAll, read collapse across partitions)
+	// and the speculative solves of admission cycles, blind writes
+	// included (one slot per cycle). 0 means GOMAXPROCS; 1 runs the
 	// scheduler fully serially (every multi-partition operation executes
 	// inline on the calling goroutine); negative values are treated as 1.
 	Workers int

@@ -140,7 +140,8 @@ func oracleTxn(rng *rand.Rand, user string) *txn.T {
 }
 
 // runOracle drives one engine through a random single-client interleaving
-// of Submit, SubmitBatch, Ground, GroundGroup, Read and Write
+// of Submit, SubmitBatch, Ground, GroundGroup, Read and Write (on one
+// flight or both)
 // (cancellations keep seats recycling, so admissions keep deciding both
 // ways), checking every admission verdict (and every blind-write verdict)
 // against the oracle, and after every step that the pending chain stays
@@ -238,17 +239,25 @@ func runOracle(t *testing.T, seed int64, opt Options, steps int) (gaps int) {
 					t.Fatalf("seed %d step %d: ground group %v: %v", seed, step, group, err)
 				}
 			}
-		default: // blind write: take an available seat, cancel a booking, or free a taken seat
+		default: // blind write, per seat: take an available one, cancel a booking, or free a taken one
+			// A third of the writes touch a seat on each flight, so their
+			// cycle merges both flights' partitions.
 			w := world()
-			f := tup(1+rng.Intn(2), fmt.Sprintf("1%c", 'A'+rng.Intn(3)))
-			seat := []relstore.GroundFact{{Rel: "Available", Tuple: f}}
+			flights := []int{1 + rng.Intn(2)}
+			if rng.Intn(3) == 0 {
+				flights = []int{1, 2}
+			}
 			var ins, del []relstore.GroundFact
-			if _, avail := w["Available"][f.Key(nil)]; avail {
-				del = seat
-			} else if b, booked := w["Bookings"][f.Key(nil)]; booked {
-				ins, del = seat, []relstore.GroundFact{{Rel: "Bookings", Tuple: b}}
-			} else {
-				ins = seat
+			for _, fl := range flights {
+				f := tup(fl, fmt.Sprintf("1%c", 'A'+rng.Intn(3)))
+				seat := relstore.GroundFact{Rel: "Available", Tuple: f}
+				if _, avail := w["Available"][f.Key(nil)]; avail {
+					del = append(del, seat)
+				} else if b, booked := w["Bookings"][f.Key(nil)]; booked {
+					ins, del = append(ins, seat), append(del, relstore.GroundFact{Rel: "Bookings", Tuple: b})
+				} else {
+					ins = append(ins, seat)
+				}
 			}
 			after, _ := w.apply(ins, del)
 			err := q.Write(ins, del)

@@ -40,23 +40,24 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	  - checkpointMu serializes checkpoints, cut through truncation, and
 //	    is held by nothing else.
 //	  - admitMu serializes changes to the partition SET: admission
-//	    installs (which can create and merge partitions), blind writes,
-//	    and checkpoints. While held, no partition appears or gains atoms,
-//	    so lockOverlap's first pass stands. Submit holds it only for the
-//	    short validate-append-install critical section by default — the
-//	    chain solve runs BEFORE it, against a versioned snapshot of the
+//	    installs (which can create and merge partitions; a blind write is
+//	    an admission member) and checkpoints. While held, no partition
+//	    appears or gains atoms, so lockOverlap's first pass stands.
+//	    Submit and Write hold it only for the short
+//	    validate-append-install critical section by default — the
+//	    decision solves run BEFORE it, against a versioned snapshot of the
 //	    overlapping partitions, and the snapshot is revalidated under the
 //	    lock before anything is published (optimistic admission,
 //	    admit.go). SerialAdmission restores the classic
 //	    hold-across-the-solve discipline. admitMu is never held across its
-//	    holder's own WAL wait: admissions and blind writes append under
-//	    it and wait for their fsync after releasing it (publish, Write).
+//	    holder's own WAL wait: a cycle appends under it and waits for its
+//	    fsync after releasing it (publish).
 //	  - each partition's shard guards its txns and cached groundings.
 //	    A shard MAY be held across a WAL wait, and is the one thing
-//	    waited on while a batch is in flight: an admission holds its
-//	    survivor's shard until the batch is durable, and a blind write
-//	    its affected shards and home, which files its keys in the index,
-//	    until it has applied (see publish and Write).
+//	    waited on while a batch is in flight: an admission cycle holds
+//	    its survivor's shard until the batch is durable and its carried
+//	    unit applied — a blind write's home, under which the write's keys
+//	    are filed in the index (see publish).
 //	    Two locators, and nothing else, turn a key into locked
 //	    partitions, in ascending ID order (deadlock-free by
 //	    construction): lockOverlap by atoms and lockGroup by pending IDs.
@@ -72,8 +73,9 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	  - db.mu, inside relstore, is the one store lock. A solve holds it
 //	    shared from start to end through a lock-free view (view), so the
 //	    store and its epochs stay fixed under the solve and the evaluator
-//	    never asks for a lock it already holds; applies take it
-//	    exclusively inside Writer.Apply, after their WAL append.
+//	    never asks for a lock it already holds; applies — groundings, and
+//	    a cycle's carried unit of write facts and evictions — take it
+//	    exclusively inside Writer.Apply, after their WAL wait.
 //
 // Chain solves — the expensive part — run outside mu, under only the
 // solved partition's shard and the store's read side; the worker pool
@@ -108,12 +110,12 @@ type QDB struct {
 
 	// Optimistic-admission snapshot counters (see admit.go). partVersion
 	// versions the partition SET: bumped on every partition create, merge,
-	// retire, admission install and blind-write registration — always
+	// retire and admission install (a blind write's included) — always
 	// AFTER the registry and index reflect the change, so a snapshot that
 	// read the counter BEFORE walking the index observes every install the
 	// counter covers, and counter equality at validation proves the
 	// snapshot's overlap set is still the true one. admitSeq counts
-	// admission installs and blind-write registrations; since the engine
+	// admission installs, a blind write's included; since the engine
 	// is the store's only writer, it lets a validation accept a snapshot
 	// whose relevant table epochs moved only by groundings of
 	// non-overlapping partitions, which cannot unify with the admission's
@@ -364,23 +366,29 @@ func (q *QDB) Submit(t *txn.T) (int64, error) {
 	return ids[0], errs[0]
 }
 
-// installLocked publishes an accepted admission: the merged chain and
-// its cached solution go into p, the registry and overlap index learn
-// the new transaction, and the partition-set counters advance — LAST, so
-// snapshot readers that observe the old counter values are guaranteed to
-// have missed nothing (see the counter ordering note on QDB). Caller
-// holds admitMu and p's shard.
-func (q *QDB) installLocked(p *partition, admitted *txn.T, merged []*txn.T, cached []formula.Grounding) {
+// installLocked publishes a decided cycle, or a recovered pending
+// transaction (readmit), into p, the merge of its overlap set: p takes
+// the merged chain and its cached solution, the
+// registry and overlap index learn the accepted transactions, the
+// accepted writes' key atoms are filed under p, and the partition-set
+// counters advance — LAST, so snapshot readers that observe the old
+// counter values are guaranteed to have missed nothing (see the counter
+// ordering note on QDB). Caller holds admitMu and p's shard.
+func (q *QDB) installLocked(p *partition, accepted []*txn.T, keys []logic.Atom, merged []*txn.T, cached []formula.Grounding) {
 	p.txns = merged
 	p.cached = cached
 	p.version++
 	q.mu.Lock()
-	q.byTxn[admitted.ID] = p
-	q.idx.add(admitted, p.id())
+	for _, t := range accepted {
+		q.byTxn[t.ID] = p
+		q.idx.add(t, p.id())
+	}
+	for _, a := range keys {
+		q.idx.updateAtom(a, p.id(), 1)
+	}
 	q.mu.Unlock()
 	q.admitSeq.Add(1)
 	q.partVersion.Add(1)
-	q.stats.accepted.Add(1)
 	q.noteHighWater(p)
 }
 
@@ -439,7 +447,7 @@ func (q *QDB) enforceK(p *partition) error {
 // slot, a shard, admitMu or any q.db method: their holders may be
 // appliers queued on db.mu behind it. So the solver, its overlays, the
 // chooser, epochFingerprint and keyAtoms get the view, never q.db, and
-// Write takes one view per validation task, never one across pool.Map.
+// an admission cycle takes one view for all its decisions (decideBatch).
 func (q *QDB) view() relstore.View { return q.db.View() }
 
 // chainOpts builds solver options; maximize toggles optional-atom subset

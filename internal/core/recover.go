@@ -20,18 +20,19 @@ import (
 // extensional store can be rebuilt from the initial database.
 //
 // Records travel in BATCHES (wal.SegmentedLog.Append): one batch is one
-// commit unit — an admission's pending records (plus the k-bound
-// evictions it triggers), a blind write's facts, or the groundings one
+// commit unit — an admission cycle's accepted blind-write facts, pending
+// records and the k-bound evictions they trigger, or the groundings one
 // collapse executes — framed and sequence-stamped together, so recovery
-// can never observe part of a unit. Each grounding in a unit is its
-// deletes, then its inserts, then its tombstone, in chain order. The
-// engine appends a batch and waits for it to be durable BEFORE applying
-// its effects to the store or acknowledging it, and applies the whole
-// unit at once (write-ahead ordering): a crash between log and apply is
-// repaired by replay, never by divergence. Admissions and blind writes
-// append under admitMu and wait after releasing it, still holding the
-// partition shards their batch touched (see publish and Write);
-// groundings append and wait under their partition's shard alone.
+// can never observe part of a unit. A write's facts are its deletes,
+// then its inserts; each grounding in a unit is its deletes, then its
+// inserts, then its tombstone, in chain order. The engine appends a
+// batch and waits for it to be durable BEFORE applying its effects to
+// the store or acknowledging it, and applies the whole unit at once
+// (write-ahead ordering): a crash between log and apply is repaired by
+// replay, never by divergence. An admission cycle appends under admitMu
+// and waits after releasing it, still holding the survivor of the
+// partitions its batch touched (see publish); groundings append and wait
+// under their partition's shard alone.
 const (
 	recPending  uint8 = 1 // payload: txn.Marshal
 	recGrounded uint8 = 2 // payload: 8-byte big-endian txn ID
@@ -134,29 +135,33 @@ func (e *batchEnc) addGroundings(gs []formula.Grounding, maxBody int) int {
 	return len(gs)
 }
 
-// logPendingBatch appends admitted transactions as ONE WAL batch before
-// any of them is installed, and the caller waits for it (waitLog) before
-// any of them is acknowledged: the §4 invariant wants the
-// pending-transactions table durable ahead of any acknowledged effect.
-// After the pending records it carries the leading groundings of evict
-// (the k-bound evictions the install will trigger) that fit within
-// unitBodyLimit, and returns how many it carried and the batch's ticket
-// (the zero ticket with no log, which carries them all). affinity routes
-// the batch to the partition's segment. Recovery and follower replay
-// iterate every record of a batch in order, so the admissions register
-// before the evictions ground.
-func (q *QDB) logPendingBatch(affinity int64, ts []*txn.T, evict []formula.Grounding) (int, wal.Ticket, error) {
+// logPendingBatch appends a cycle's accepted writes and admitted
+// transactions as ONE WAL batch before any of them is installed, and the
+// caller waits for it (waitLog) before any of them is applied or
+// acknowledged: the §4 invariant wants the pending-transactions table
+// durable ahead of any acknowledged effect. The writes' facts come
+// first, then the pending records, then the leading groundings of
+// c.evict (the k-bound evictions the install will trigger) that fit
+// within unitBodyLimit; it returns how many evictions it carried and the
+// batch's ticket (the zero ticket with no log, which carries them all).
+// affinity routes the batch to the partition's segment. Recovery and
+// follower replay iterate every record of a batch in order, so the
+// writes apply and the admissions register before the evictions ground.
+func (q *QDB) logPendingBatch(affinity int64, ts []*txn.T, c *carried) (int, wal.Ticket, error) {
 	if q.log == nil {
-		return len(evict), wal.Ticket{}, nil
+		return len(c.evict), wal.Ticket{}, nil
 	}
 	e := getBatchEnc()
 	defer batchEncPool.Put(e)
+	for _, u := range c.writes {
+		e.addFacts(u.Inserts, u.Deletes)
+	}
 	for _, t := range ts {
 		if err := e.addPending(t); err != nil {
 			return 0, wal.Ticket{}, err
 		}
 	}
-	n := e.addGroundings(evict, unitBodyLimit)
+	n := e.addGroundings(c.evict, unitBodyLimit)
 	tk, err := q.log.Append(affinity, e.recs)
 	return n, tk, q.noteStaleTerm(err)
 }
@@ -177,20 +182,6 @@ func (q *QDB) logGroundings(affinity int64, gs []formula.Grounding, maxBody int)
 	n := e.addGroundings(gs, maxBody)
 	seq, err := q.log.AppendBatch(affinity, e.recs)
 	return n, seq, q.noteStaleTerm(err)
-}
-
-// logWrite appends a blind write's facts as one batch to the segment of
-// affinity, the write's home partition, and returns its ticket; the
-// caller waits for it (waitLog) before applying them.
-func (q *QDB) logWrite(affinity int64, inserts, deletes []relstore.GroundFact) (wal.Ticket, error) {
-	if q.log == nil {
-		return wal.Ticket{}, nil
-	}
-	e := getBatchEnc()
-	defer batchEncPool.Put(e)
-	e.addFacts(inserts, deletes)
-	tk, err := q.log.Append(affinity, e.recs)
-	return tk, q.noteStaleTerm(err)
 }
 
 // waitLog returns once the batch tk names is durable (wal.Wait; at once

@@ -6,7 +6,10 @@ import "sync/atomic"
 // since construction. Retrieved via QDB.Stats (a consistent-enough copy:
 // each counter is read atomically, the set is not a snapshot).
 type Stats struct {
-	// Submitted counts resource transactions offered to Submit.
+	// Submitted counts resource transactions offered to Submit or
+	// SubmitBatch. Submitted, Accepted, Rejected, CacheHits, CacheMisses
+	// and OptimisticAdmissions count transactions only, never a blind
+	// write, though a write is decided by the same admission cycle.
 	Submitted int
 	// Accepted counts transactions admitted (committed).
 	Accepted int
@@ -25,7 +28,7 @@ type Stats struct {
 	// ForcedByRead counts groundings forced by read collapse.
 	ForcedByRead int
 	// CacheHits counts admissions satisfied by extending a cached
-	// solution; CacheMisses counts full composed-body solves.
+	// solution; CacheMisses counts full composed-body solves at admission.
 	CacheHits   int
 	CacheMisses int
 	// SolutionReplays counts groundings served by replaying the
@@ -51,7 +54,7 @@ type Stats struct {
 	SemanticReorders  int
 	SemanticFallbacks int
 	// Reads counts read queries; WritesAccepted/WritesRejected count
-	// non-resource blind writes.
+	// non-resource blind writes (a write refused as invalid is neither).
 	Reads          int
 	WritesAccepted int
 	WritesRejected int
@@ -74,7 +77,8 @@ type Stats struct {
 	// speculation (AdmissionRetries) or, once the per-call retry budget is
 	// exhausted, falls back to serial admission under the lock
 	// (SerialFallbacks) — so AdmissionConflicts equals AdmissionRetries +
-	// SerialFallbacks.
+	// SerialFallbacks. These three count cycles, so a blind write's
+	// cycle counts in them as an admission's does.
 	OptimisticAdmissions int
 	AdmissionConflicts   int
 	AdmissionRetries     int
@@ -85,8 +89,8 @@ type Stats struct {
 	// the expected feeder.
 	BatchedSubmits int
 	// ParallelSolves counts partition tasks executed on the scheduler's
-	// worker pool: GroundAll partition drains, read-collapse tasks,
-	// blind-write validation solves, and speculative admission solves.
+	// worker pool: GroundAll partition drains, read-collapse tasks, and
+	// speculative admission cycles, a blind write's included.
 	ParallelSolves int
 	// LockWaits counts locator retries and TryLock skips: a retry is a
 	// lockOverlap or lockGroup pass whose key no longer resolved inside

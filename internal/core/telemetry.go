@@ -21,14 +21,17 @@ import (
 // Per-op stage indices. Each op's stages must match the names passed to
 // its Tracer in newEngineMetrics, in order.
 const (
-	// submit: snapshot the overlap set, speculative/serial chain solve,
-	// validate critical section (optimistic cycles only); wal is the
-	// pending-record append under the admission lock plus the wait for
-	// its fsync after it, timed by publish.
-	stageSubmitSnapshot = iota
-	stageSubmitSolve
-	stageSubmitValidate
-	stageSubmitWAL
+	// submit and write, the two ops of the admission cycle: snapshot the
+	// overlap set, speculative/serial decision solves, validate critical
+	// section (optimistic cycles only); wal is the batch append under the
+	// admission lock plus the wait for its fsync after it, and apply the
+	// carried unit (a write's facts, the k-bound evictions) applied after
+	// the wait, both timed by publish.
+	stageAdmitSnapshot = iota
+	stageAdmitSolve
+	stageAdmitValidate
+	stageAdmitWAL
+	stageAdmitApply
 )
 
 const (
@@ -45,14 +48,6 @@ const (
 	// evaluation (lock-free, on a pinned snapshot).
 	stageReadCollapse = iota
 	stageReadEval
-)
-
-const (
-	// write: parallel validation solves, write-ahead append and the wait
-	// for its fsync, store apply.
-	stageWriteValidate = iota
-	stageWriteWAL
-	stageWriteApply
 )
 
 const (
@@ -199,14 +194,15 @@ func newEngineMetrics(q *QDB) *engineMetrics {
 		c.staleTermRefusals.Load)
 
 	const opHelp = "End-to-end engine operation latency."
+	admitStages := []string{"snapshot", "solve", "validate", "wal", "apply"}
 	m.submit = reg.Tracer("qdb_op_duration_seconds", "qdb_op_stage_duration_seconds",
-		"submit", opHelp, []string{"snapshot", "solve", "validate", "wal"}, m.slow)
+		"submit", opHelp, admitStages, m.slow)
 	m.ground = reg.Tracer("qdb_op_duration_seconds", "qdb_op_stage_duration_seconds",
 		"ground", opHelp, []string{"solve", "wal", "apply"}, m.slow)
 	m.read = reg.Tracer("qdb_op_duration_seconds", "qdb_op_stage_duration_seconds",
 		"read", opHelp, []string{"collapse", "eval"}, m.slow)
 	m.write = reg.Tracer("qdb_op_duration_seconds", "qdb_op_stage_duration_seconds",
-		"write", opHelp, []string{"validate", "wal", "apply"}, m.slow)
+		"write", opHelp, admitStages, m.slow)
 	m.checkpoint = reg.Tracer("qdb_op_duration_seconds", "qdb_op_stage_duration_seconds",
 		"checkpoint", opHelp, []string{"cut", "serialize", "truncate"}, m.slow)
 

@@ -499,3 +499,41 @@ func TestWriteBetweenDecideAndPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteWaitsForItsShardWithoutAdmitMu: a blind write whose partition
+// is held through another batch's wait blocks on that shard without
+// holding admitMu. While a flight-1 admission waits for its fsync and a
+// flight-1 write waits behind it, a flight-2 Submit admits; once the
+// batch is durable the write and the held admission both succeed.
+func TestWriteWaitsForItsShardWithoutAdmitMu(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1, 2}, 3), Options{
+		WALPath: filepath.Join(t.TempDir(), "qdb.wal"), SyncWAL: true,
+	})
+	held, release := holdNextWait(q)
+	first := submitAsync(q, "A", 1)
+	<-held
+	write := make(chan error, 1)
+	go func() {
+		write <- q.Write([]relstore.GroundFact{{Rel: "Available", Tuple: tup(1, "9Z")}}, nil)
+	}()
+	notYet(t, "a write on the held flight", write)
+	other := submitAsync(q, "B", 2)
+	select {
+	case err := <-other:
+		if err != nil {
+			t.Fatalf("Submit on flight 2 while the write waits: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		release()
+		t.Fatal("a Submit on flight 2 waited for a write blocked on flight 1's shard")
+	}
+	release()
+	for what, ch := range map[string]<-chan error{"Write": write, "held Submit": first} {
+		if err := <-ch; err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	if !q.Store().Contains("Available", tup(1, "9Z")) {
+		t.Fatal("the write's seat is not in the store")
+	}
+}
