@@ -17,55 +17,47 @@ import (
 
 // This file implements admission — ONE routine behind Submit (a batch of
 // one), SubmitBatch and Write (a batch of one blind write, a member that
-// carries facts and admits no transaction). Each cycle runs the decision
-// procedure (decideBatch, batch.go) over a snapshot of the partitions the
-// batch overlaps, then publishes every member's outcome in one critical
-// section under admitMu. By default the chain solve — the dominant cost
-// of the whole hot path — runs OUTSIDE the admission lock, so concurrent
-// clients whose transactions or writes touch disjoint partitions admit
-// in parallel instead of serializing. The optimistic protocol is
-// snapshot / speculate / validate+publish:
+// carries facts and admits no transaction). Each cycle locks the
+// partitions the batch can overlap, runs the decision procedure
+// (decideBatch, batch.go) over them, then publishes every member's
+// outcome in one critical section under admitMu. By default the chain
+// solve — the dominant cost of the whole hot path — runs OUTSIDE the
+// admission lock, so concurrent clients whose transactions or writes
+// touch disjoint partitions admit in parallel instead of serializing.
+// The optimistic protocol is snapshot / speculate / validate+publish:
 //
-//  1. Snapshot: lock the partitions the batch overlaps through
-//     lockOverlap (without admitMu — the locator's re-read keeps the set
-//     internally consistent, and the final say belongs to step 3) and
-//     record, per partition, the pending chain, the cached solution, and
-//     the partition's version counter; plus the database-wide
-//     partition-set version and admission sequence. The counters are
-//     read BEFORE the index walk and bumped by installers AFTER
-//     publication, so counter equality later proves the snapshot missed
-//     no install.
+//  1. Snapshot: read the database-wide partition-set version and
+//     admission sequence, then lock every index candidate for the
+//     batch's atoms (lockCandidates, false positives included) and keep
+//     them held through publish. The partitions the batch overlaps are
+//     the snapshot: while held, their pending chains and cached
+//     solutions cannot change.
 //  2. Speculate: on the scheduler pool (one worker slot per cycle,
 //     bounding concurrent solves machine-wide), through one store view
 //     (QDB.view), decide each member in order — a write's structural
 //     check, negative-cache probe, solution-extension fast path, or full
 //     composed-body solve — over a chain that grows with each accepted
 //     transaction and a base store that grows with each accepted write's
-//     facts, against immutable
-//     inputs: *txn.T values are never mutated once published and
-//     partition slices are replaced, not written in place, so the
-//     snapshot needs no copies.
-//  3. Validate + publish: re-enter admitMu, re-lock the overlap set, and
-//     check it is EXACTLY the snapshot (same partitions at the same
-//     versions — a new overlapping partition, a merge, a grounding, or a
-//     cache refresh all change it), then check the store: the epoch
+//     facts.
+//  3. Validate + publish: take admitMu and check, without waiting, that
+//     no partition the batch overlaps appeared since the snapshot
+//     (overlapStands), then check the store (storeStands): the epoch
 //     fingerprint of the relations of the whole would-be chain and of
-//     the writes' facts must equal the speculation's (bit-identical
-//     tables ⇒ every decision reproduces), OR every store mutation since
-//     must provably come from groundings of NON-overlapping partitions
-//     (admitSeq, which counts published cycles, unchanged — the engine is
-//     the store's only writer), which cannot unify with the batch's
-//     atoms and so can neither create nor destroy its groundings. On
-//     success every outcome — accepts and rejections alike, both are
-//     user-visible decisions — is published; on conflict the whole cycle
-//     retries, and after maxAdmitAttempts conflicts the call falls back
-//     to serial admission, which cannot conflict.
+//     the writes' facts must equal the speculation's, OR admitSeq, which
+//     counts published cycles, must be unchanged — the engine is the
+//     store's only writer, and with no install every store mutation
+//     since came from groundings of partitions outside the candidate
+//     set, which cannot unify with the batch's atoms. On success every
+//     outcome — accepts and rejections alike, both are user-visible
+//     decisions — is published; on conflict the whole cycle retries,
+//     and after maxAdmitAttempts conflicts the call falls back to serial
+//     admission.
 //
 // Serial admission is a mode of the same routine, used for
 // Options.SerialAdmission and the conflict fallback. It admits the
-// members one at a time, holding admitMu from overlap resolution through
-// publish, so the partition set cannot move under the solve and nothing
-// needs revalidating.
+// members one at a time and takes admitMu right after the snapshot, so
+// the overlap check comes before the solve and the store check is moot;
+// a failed check retries the member (counted in LockWaits).
 //
 // Stats: the per-transaction counters count transactions only: every
 // cycle bumps CacheHits or CacheMisses per solved transaction and
@@ -88,26 +80,18 @@ import (
 // degrades to the classic discipline instead of livelocking.
 const maxAdmitAttempts = 3
 
-// admitSnap freezes everything a cycle's decisions depend on.
+// admitSnap is what a cycle's decisions depend on.
 type admitSnap struct {
 	partVersion uint64
 	admitSeq    uint64
-	parts       []partSnap
-	// base is the snapshot partitions' pending chain alone and merged is
-	// base plus the whole batch, both ascending by ID: decideBatch grows
-	// its chain from base as members are accepted, while merged remains
-	// the validation basis.
+	// held is every candidate partition the cycle locked, false positives
+	// included; parts is the subset the batch overlaps. Both ascend by ID.
+	held, parts []*partition
+	// base is the overlapping partitions' pending chain alone and merged
+	// is base plus the whole batch, both ascending by ID: decideBatch
+	// grows its chain from base as members are accepted, while merged
+	// remains the validation basis.
 	base, merged []*txn.T
-}
-
-// partSnap freezes one overlapping partition. txns/cached alias the
-// partition's slices — safe because the engine replaces those slices on
-// every mutation (and bumps version) rather than writing them in place.
-type partSnap struct {
-	p       *partition
-	version uint64
-	txns    []*txn.T
-	cached  []formula.Grounding
 }
 
 // admit decides and publishes items, filling ids and errs at each
@@ -127,27 +111,32 @@ func (q *QDB) admit(items []batchItem, ids []int64, errs []error, sp *telemetry.
 		q.stats.serialFallbacks.Add(1)
 	}
 	for i := range items {
-		q.admitCycle(items[i:i+1], true, ids, errs, sp)
+		for !q.admitCycle(items[i:i+1], true, ids, errs, sp) {
+			q.stats.lockWaits.Add(1)
+		}
 	}
 }
 
 // admitCycle runs one snapshot → decide → publish cycle over items and
-// reports whether it published. A serial cycle (one member) holds
-// admitMu throughout and always publishes; an optimistic one speculates
-// outside it and returns false, having published nothing, when its
-// snapshot went stale.
+// reports whether it published. It holds the snapshot's partitions from
+// the snapshot through publish and takes admitMu after them: a serial
+// cycle before deciding, an optimistic one after. It returns false,
+// having published nothing, when a partition the batch overlaps
+// appeared meanwhile, or, optimistic only, when the store moved under
+// the decisions.
 func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []error, sp *telemetry.Span) bool {
 	sp.Mark()
-	var snap *admitSnap
-	var locked []*partition
+	atoms := batchAtoms(items)
+	snap := q.snapshotOverlapBatch(items, atoms)
+	sp.Stage(stageAdmitSnapshot)
 	if serial {
 		q.admitMu.Lock()
-		locked = q.lockOverlap(batchAtoms(items))
-		snap = buildSnapBatch(locked, items)
-	} else {
-		snap = q.snapshotOverlapBatch(items)
+		if !q.overlapStands(snap, atoms) {
+			unlockPartitions(snap.held)
+			q.admitMu.Unlock()
+			return false
+		}
 	}
-	sp.Stage(stageAdmitSnapshot)
 	out := &batchOutcome{}
 	var err error
 	if serial {
@@ -160,8 +149,8 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 	}
 	sp.Stage(stageAdmitSolve)
 	if err != nil {
+		unlockPartitions(snap.held)
 		if serial {
-			unlockPartitions(locked)
 			q.admitMu.Unlock()
 		}
 		for _, it := range items {
@@ -174,10 +163,10 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 			h()
 		}
 		q.admitMu.Lock()
-		var ok bool
-		locked, ok = q.revalidateBatch(snap, items, out)
+		ok := q.overlapStands(snap, atoms) && q.storeStands(snap, items, out)
 		sp.Stage(stageAdmitValidate)
 		if !ok {
+			unlockPartitions(snap.held)
 			q.admitMu.Unlock()
 			return false
 		}
@@ -187,49 +176,41 @@ func (q *QDB) admitCycle(items []batchItem, serial bool, ids []int64, errs []err
 			}
 		}
 	}
-	q.publish(items, locked, out, sp, ids, errs)
+	unlockOthers(snap.held, snap.parts)
+	q.publish(items, snap.parts, out, sp, ids, errs)
 	return true
 }
 
-// snapshotOverlapBatch resolves and freezes the partitions the batch
-// overlaps, over the union of its atoms: merging every member's overlap
-// set into one snapshot is the batch's tentative partition merge —
-// coarser than n individual merges would be only when members are
-// mutually disjoint, and a coarser partitioning is always correct (it
-// can only force more serialization, never miss a dependency).
-func (q *QDB) snapshotOverlapBatch(items []batchItem) *admitSnap {
-	// Counters first, index second: installs publish to the index before
-	// bumping, so if the counters are still equal at validation, every
-	// install is either in this snapshot or did not happen.
+// snapshotOverlapBatch locks the batch's candidate partitions and
+// freezes those it overlaps, over the union of its atoms: merging every
+// member's overlap set into one snapshot is the batch's tentative
+// partition merge — coarser than n individual merges would be only when
+// members are mutually disjoint, and a coarser partitioning is always
+// correct (it can only force more serialization, never miss a
+// dependency). The counters are read before the index walk: installs
+// publish to the index before bumping them.
+func (q *QDB) snapshotOverlapBatch(items []batchItem, atoms []logic.Atom) *admitSnap {
 	partVersion := q.partVersion.Load()
 	admitSeq := q.admitSeq.Load()
-	locked := q.lockOverlap(batchAtoms(items))
-	snap := buildSnapBatch(locked, items)
-	unlockPartitions(locked)
-	snap.partVersion, snap.admitSeq = partVersion, admitSeq
+	held := q.lockCandidates(atoms)
+	snap := buildSnapBatch(overlapping(held, atoms), items)
+	snap.held, snap.partVersion, snap.admitSeq = held, partVersion, admitSeq
 	return snap
 }
 
-// buildSnapBatch freezes an overlap set the caller has locked (live
-// partitions in a serial cycle, a moment-in-time set in an optimistic
-// one) and assembles base and merged. A concurrent admission can install
-// an ID above the batch's between our ID assignment and this snapshot,
-// so merged is sorted rather than assumed append-ordered. Counters are
-// the caller's concern: a serial cycle never validates, so it leaves
-// them zero.
-func buildSnapBatch(ps []*partition, items []batchItem) *admitSnap {
-	snap := &admitSnap{}
+// buildSnapBatch assembles base and merged over parts, which the caller
+// holds. A concurrent admission can install an ID above the batch's
+// between our ID assignment and this snapshot, so merged is sorted
+// rather than assumed append-ordered.
+func buildSnapBatch(parts []*partition, items []batchItem) *admitSnap {
+	snap := &admitSnap{parts: parts}
 	n := 0
-	for _, p := range ps {
-		snap.parts = append(snap.parts, partSnap{
-			p: p, version: p.version,
-			txns: p.txns, cached: p.cached,
-		})
+	for _, p := range parts {
 		n += len(p.txns)
 	}
 	snap.base = make([]*txn.T, 0, n)
-	for _, s := range snap.parts {
-		snap.base = append(snap.base, s.txns...)
+	for _, p := range parts {
+		snap.base = append(snap.base, p.txns...)
 	}
 	slices.SortFunc(snap.base, byID)
 	snap.merged = make([]*txn.T, 0, n+len(items))
@@ -245,55 +226,27 @@ func buildSnapBatch(ps []*partition, items []batchItem) *admitSnap {
 
 func byID(a, b *txn.T) int { return cmp.Compare(a.ID, b.ID) }
 
-// revalidateBatch re-checks an optimistic snapshot under admitMu (the
-// caller holds it). First the partitions: fast path, admitMu excludes
-// installs, so if no install (or create/merge/retire) has happened since
-// the snapshot — partVersion unchanged — no partition can have gained
-// atoms, and locking the snapshot set and checking versions suffices;
-// otherwise the overlap set is resolved from scratch and compared. Then
-// the store. On success the overlap set is returned locked (ascending
-// ID); on failure everything is released.
-func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutcome) ([]*partition, bool) {
-	var locked []*partition
-	if q.partVersion.Load() == snap.partVersion {
-		locked = make([]*partition, 0, len(snap.parts))
-		for _, s := range snap.parts {
-			s.p.shard.Lock()
-			locked = append(locked, s.p)
-			if !s.p.shard.Alive() || s.p.version != s.version {
-				unlockPartitions(locked)
-				return nil, false
-			}
-		}
-	} else {
-		locked = q.lockOverlap(batchAtoms(items))
-		same := len(locked) == len(snap.parts)
-		for i := 0; same && i < len(locked); i++ {
-			same = locked[i] == snap.parts[i].p && locked[i].version == snap.parts[i].version
-		}
-		if !same {
-			unlockPartitions(locked)
-			return nil, false
-		}
-	}
-	// The store: either bit-identical to the solve's over every relation
-	// of merged (every decision's basis is a subset), or moved past it
-	// only by groundings of non-overlapping partitions, which cannot
-	// unify with any of merged's atoms and so preserve every solution and
-	// rejection proof verbatim. Epochs only grow, so a fingerprint equal
-	// to fpAll, even read table by table, proves the relations were all
-	// unchanged when the first was read. admitMu keeps admitSeq still. A
-	// write published since the snapshot moved it and partVersion, so
-	// the re-lock above waited on its home if it unifies with the batch
-	// and has not applied, and the fingerprint decides; one published
-	// before was waited for by the snapshot or commutes with the batch.
-	ok := cycleFingerprint(q.db, snap.merged, items) == out.fpAll ||
+// overlapStands reports whether the snapshot's held set still holds
+// every partition the batch can overlap. Caller holds admitMu, so no
+// install runs meanwhile: partVersion unchanged means none ran since the
+// snapshot, and otherwise the index is re-read (covers). Neither waits.
+func (q *QDB) overlapStands(snap *admitSnap, atoms []logic.Atom) bool {
+	return q.partVersion.Load() == snap.partVersion || q.covers(snap.held, atoms)
+}
+
+// storeStands reports whether an optimistic cycle's decisions still hold
+// over the store. Caller holds admitMu, which keeps admitSeq still. The
+// store is either bit-identical to the solve's over every relation of
+// merged (every decision's basis is a subset), or moved past it only by
+// groundings of partitions outside the held set, which cannot unify
+// with any of merged's atoms and so preserve every solution and
+// rejection proof verbatim. Epochs only grow, so a fingerprint equal to
+// fpAll, even read table by table, proves the relations were all
+// unchanged when the first was read. A cycle published since the
+// snapshot moved admitSeq, and then the fingerprint decides.
+func (q *QDB) storeStands(snap *admitSnap, items []batchItem, out *batchOutcome) bool {
+	return cycleFingerprint(q.db, snap.merged, items) == out.fpAll ||
 		q.admitSeq.Load() == snap.admitSeq
-	if !ok {
-		unlockPartitions(locked)
-		return nil, false
-	}
-	return locked, true
 }
 
 // publish makes a decided cycle visible. In one critical section under
@@ -308,8 +261,8 @@ func (q *QDB) revalidateBatch(snap *admitSnap, items []batchItem, out *batchOutc
 // the rest of the k-bound with only the survivor locked.
 //
 // Holding the survivor through the wait is what makes waiting outside
-// admitMu safe. Every locator blocks on that shard (lockOverlap,
-// lockGroup, revalidateBatch's re-lock, lockAllPartitions), so nothing
+// admitMu safe. Every locator blocks on that shard (lockCandidates,
+// lockGroup, lockAllPartitions), none of them under admitMu, so nothing
 // reads, grounds or extends the partition before its batch is durable
 // and applied, and a batch that depends on it — the next admission into
 // it, a grounding of it, a write it constrains — is appended only
@@ -489,24 +442,24 @@ func (q *QDB) applyCarried(p *partition, affinity int64, seq uint64, admitted []
 	return err
 }
 
-// allCached reports whether every snapshot partition carries a cached
+// allCached reports whether every overlapping partition carries a cached
 // solution (false once a stale apply dropped one).
 func (s *admitSnap) allCached() bool {
-	for _, ps := range s.parts {
-		if ps.cached == nil && len(ps.txns) > 0 {
+	for _, p := range s.parts {
+		if p.cached == nil && len(p.txns) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// combinedGroundings merges the snapshot partitions' cached groundings
+// combinedGroundings merges the overlapping partitions' cached groundings
 // in transaction-ID order: the chain solution decideBatch's extension
 // path starts from.
 func (s *admitSnap) combinedGroundings() []formula.Grounding {
 	var all []formula.Grounding
-	for _, ps := range s.parts {
-		all = append(all, ps.cached...)
+	for _, p := range s.parts {
+		all = append(all, p.cached...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Txn.ID < all[j].Txn.ID })
 	return all

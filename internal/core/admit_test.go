@@ -314,3 +314,26 @@ func TestAdmissionCostIndependentOfPartitionCount(t *testing.T) {
 		t.Fatalf("admission cost grows with the pending set: %.0f allocs / %.0f B at 10 partitions, %.0f allocs / %.0f B at 1000", smallA, smallB, bigA, bigB)
 	}
 }
+
+// TestOrphanWriteSolvesNothing: a blind write no pending transaction
+// unifies with is decided by its structural check alone, without a
+// negative probe or a chain solve. An insert and a delete of one orphan
+// seat cost 64 allocations while they still solved the empty chain;
+// the ceiling holds them at 60. Under -race the count is not compared
+// (see TestAdmissionCostIndependentOfPartitionCount).
+func TestOrphanWriteSolvesNothing(t *testing.T) {
+	q := mustQDB(t, worldDB([]int{1}, 3), Options{})
+	seat := []relstore.GroundFact{{Rel: "Available", Tuple: tup(9, "9Z")}}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := q.Write(seat, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Write(nil, seat); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("per orphan insert and delete: %.0f allocs", allocs)
+	if allocs > 60 && !raceEnabled {
+		t.Fatalf("an orphan insert and delete cost %.0f allocs, want at most 60", allocs)
+	}
+}

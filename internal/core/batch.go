@@ -271,6 +271,16 @@ func (q *QDB) decideBatch(snap *admitSnap, items []batchItem, out *batchOutcome)
 			d.keys = keyAtoms(v, it.atoms)
 		}
 		scratch = insertByID(scratch[:0], chain, t)
+		if len(scratch) == 0 {
+			// A write no pending transaction overlaps: with no chain to
+			// keep satisfiable the structural check is the whole decision,
+			// and an empty chain can be neither refuted nor cached.
+			d.ok = true
+			out.accepts++
+			base, delta = src, dk
+			cached, known, seeded, extBuilt = nil, true, true, false
+			continue
+		}
 		views := stripAll(scratch)
 		// Negative probe: the same composed-body question (up to variable
 		// renaming — ContentKey normalizes the fresh rename-apart) over the

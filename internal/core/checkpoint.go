@@ -27,7 +27,7 @@ import (
 // transactions followed by their length-prefixed serializations.
 //
 // The checkpoint is FUZZY: the engine quiesces only for the cut itself
-// — the admission lock and every live partition's shard are held just
+// — every live partition's shard, then the admission lock, are held just
 // long enough to pin a copy-on-write store snapshot, copy the
 // pending-transaction pointers, and read the WAL sequence stamp. That
 // pause is O(pending + tables), independent of row count.
@@ -59,8 +59,13 @@ import (
 // it or none. A blind write is such an admission: its home is the
 // survivor — a fresh, empty partition when no pending transaction
 // unifies with it — held until its facts apply, so the cut waits for
-// every write in flight. It waits under admitMu, so no new write is
-// published meanwhile and a stream of writes cannot starve it.
+// every write in flight. It waits for shards without admitMu, and takes
+// admitMu only to count the live partitions: no partition appears under
+// it, so an equal count means the cut holds them all. A partition
+// created since was created by a cycle that overlapped nothing the cut
+// holds; the cut locks it and counts again. Cycles that touch a held
+// partition wait for the cut, so only such fresh partitions can extend
+// it.
 func (q *QDB) Checkpoint(path string) error {
 	if q.log == nil {
 		return fmt.Errorf("core: Checkpoint requires a WAL-backed database")
@@ -108,20 +113,29 @@ type checkpointCut struct {
 }
 
 // checkpointCut executes the fuzzy checkpoint's locked cut — the only
-// quiescent moment: the admission lock and every live partition's shard
+// quiescent moment: every live partition's shard and the admission lock
 // are held just long enough to pin a COW store snapshot, copy the
 // pending-transaction pointers, and read the WAL sequence stamp. Shared
-// by Checkpoint (which
-// then serializes to a file and truncates the WAL) and CheckpointImage
-// (which serializes to memory for replica bootstrap and truncates
-// nothing). Stats.CheckpointPauseNs accumulates the hold time.
+// by Checkpoint (which then serializes to a file and truncates the WAL)
+// and CheckpointImage (which serializes to memory for replica bootstrap
+// and truncates nothing). Stats.CheckpointPauseNs accumulates the time
+// from the first shard lock to the release.
 func (q *QDB) checkpointCut() checkpointCut {
-	q.admitMu.Lock()
 	cutStart := time.Now()
-	locked := q.lockAllPartitions()
-	q.mu.Lock()
-	nextID := q.nextID
-	q.mu.Unlock()
+	var locked []*partition
+	var nextID int64
+	for {
+		locked = q.lockAllPartitions(locked)
+		q.admitMu.Lock()
+		q.mu.Lock()
+		all := len(q.parts) == len(locked)
+		nextID = q.nextID
+		q.mu.Unlock()
+		if all {
+			break
+		}
+		q.admitMu.Unlock()
+	}
 	var pending []*txn.T
 	for _, p := range locked {
 		pending = append(pending, p.txns...)
@@ -238,13 +252,18 @@ func writeCheckpointFile(path string, cut checkpointCut) error {
 	return nil
 }
 
-// lockAllPartitions locks every live partition, ascending by shard ID.
-// Caller holds admitMu, so no new partition can appear; partitions that
-// drained between snapshot and lock are skipped.
-func (q *QDB) lockAllPartitions() []*partition {
-	parts := q.livePartitions()
-	locked := parts[:0]
-	for _, p := range parts {
+// lockAllPartitions locks every live partition above locked's last ID
+// and returns locked with them appended, ascending by shard ID;
+// partitions that drained between snapshot and lock are skipped. Every
+// live partition missing from locked is among them: IDs are handed out
+// in order (mergeLocked), each registered within the admitMu hold that
+// took it, so one registered after the snapshot that filled locked has
+// a higher ID than all of locked.
+func (q *QDB) lockAllPartitions(locked []*partition) []*partition {
+	for _, p := range q.livePartitions() {
+		if n := len(locked); n > 0 && p.id() <= locked[n-1].id() {
+			continue
+		}
 		p.shard.Lock()
 		if !p.shard.Alive() {
 			p.shard.Unlock()

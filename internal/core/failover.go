@@ -204,21 +204,24 @@ func (st *ReplicaState) promote(opt Options) (*QDB, error) {
 // original ID, without re-logging it; promote's caller guarantees it
 // admits (ErrInvariantBroken otherwise).
 func (q *QDB) readmit(t *txn.T) error {
+	atoms := atomsOf(t)
+	held := q.lockCandidates(atoms)
+	parts := overlapping(held, atoms)
+	unlockOthers(held, parts)
 	q.admitMu.Lock()
 	defer q.admitMu.Unlock()
-	overlapping := q.lockOverlap(atomsOf(t))
-	merged := buildSnapBatch(overlapping, []batchItem{{admitted: t}}).merged
+	merged := buildSnapBatch(parts, []batchItem{{admitted: t}}).merged
 	sol, ok, err := formula.SolveChain(q.view(), stripAll(merged), q.chainOpts(false))
 	q.db.EndView()
 	if err != nil {
-		unlockPartitions(overlapping)
+		unlockPartitions(parts)
 		return err
 	}
 	if !ok {
-		unlockPartitions(overlapping)
+		unlockPartitions(parts)
 		return ErrInvariantBroken
 	}
-	p := q.mergeLocked(overlapping)
+	p := q.mergeLocked(parts)
 	q.installLocked(p, []*txn.T{t}, nil, merged, sol.Groundings)
 	p.shard.Unlock()
 	return nil

@@ -236,7 +236,6 @@ func (q *QDB) replayRun(p *partition, n int, sp *telemetry.Span) (int, error) {
 		if err := q.applyUnit(nil, p.cached[:m]); err != nil {
 			q.stats.solutionStale.Add(1)
 			p.cached = nil
-			p.version++
 			return done, q.logAbort(p.id(), seq, nil)
 		}
 		sp.Add(stageGroundApply, time.Since(applyStart))
@@ -288,7 +287,6 @@ func (q *QDB) retireHeads(p *partition, n int) {
 	}
 	p.txns = p.txns[n:]
 	p.cached = p.cached[n:]
-	p.version++
 	if len(p.txns) == 0 {
 		q.retireLocked(p)
 	}
@@ -457,7 +455,6 @@ func (q *QDB) trySolveAndApply(p *partition, order []int, solver []*txn.T, groun
 	// used here (arrival order, or the members first) the tail is already
 	// in ascending-ID partition order.
 	p.cached = append([]formula.Grounding(nil), sol.Groundings[groundCount:]...)
-	p.version++
 	if len(p.txns) == 0 {
 		q.retireLocked(p)
 	}
@@ -588,7 +585,7 @@ func (q *QDB) GroundGroup(ids []int64) error {
 
 // lockGroup locks the partitions holding the given pending transactions
 // (sched.LockOrdered) and returns them ascending by ID in buf: the one
-// locator by pending IDs (lockOverlap is the one by atoms). It retries,
+// locator by pending IDs (lockCandidates is the one by atoms). It retries,
 // counted in LockWaits, when a merge or collapse re-homes a member
 // between lookup and lock; ErrUnknownTxn when a member is not pending.
 func (q *QDB) lockGroup(ids []int64, buf []*partition) ([]*partition, error) {
@@ -654,7 +651,7 @@ func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 	maxID := q.nextID - 1
 	q.mu.Unlock()
 	for {
-		ps := q.lockOverlap(query)
+		ps := q.lockCandidates(query)
 		var affected []*partition
 		for _, p := range ps {
 			if partitionAffected(p, query, maxID) >= 0 {
@@ -663,7 +660,7 @@ func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 		}
 		if len(affected) == 0 {
 			// No pending transaction the read must observe can touch the
-			// query: pin a snapshot (while the overlapping partitions are
+			// query: pin a snapshot (while the candidate partitions are
 			// still locked, so no affected grounding can slip between the
 			// check and the pin), then release everything and evaluate
 			// lock-free — a long read never stalls appliers, and appliers
@@ -709,7 +706,7 @@ func (q *QDB) Read(query []logic.Atom) (*relstore.RowSet, error) {
 // is conservative and momentary — by the time the read is issued, more
 // transactions may have arrived.
 func (q *QDB) PreviewRead(query []logic.Atom) []int64 {
-	ps := q.lockOverlap(query)
+	ps := q.lockCandidates(query)
 	var ids []int64
 	for _, p := range ps {
 		for _, t := range p.txns {
@@ -757,8 +754,8 @@ func partitionAffected(p *partition, query []logic.Atom, maxID int64) int {
 // rejected (§3.2.2 "Writes").
 //
 // A write is a member of the one admission routine (admit.go) that
-// carries facts and admits no transaction: decided over the cycle's
-// snapshot outside admitMu, revalidated, logged in the cycle's batch,
+// carries facts and admits no transaction: decided under its cycle's
+// shards outside admitMu, validated, logged in the cycle's batch,
 // and applied after its wait, holding its home — the survivor of its
 // overlap set, or a fresh partition — with its key atoms (keyAtoms)
 // filed there. Whatever depends on the write — an admission, a

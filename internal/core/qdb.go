@@ -35,23 +35,10 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 // operations acquire only the partitions they touch. Lock order, outermost
 // first:
 //
-//		checkpointMu → admitMu → partition shards (ascending ID) → mu | db.mu
+//		checkpointMu → partition shards (ascending ID) → admitMu → mu | db.mu
 //
 //	  - checkpointMu serializes checkpoints, cut through truncation, and
 //	    is held by nothing else.
-//	  - admitMu serializes changes to the partition SET: admission
-//	    installs (which can create and merge partitions; a blind write is
-//	    an admission member) and checkpoints. While held, no partition
-//	    appears or gains atoms, so lockOverlap's first pass stands.
-//	    Submit and Write hold it only for the short
-//	    validate-append-install critical section by default — the
-//	    decision solves run BEFORE it, against a versioned snapshot of the
-//	    overlapping partitions, and the snapshot is revalidated under the
-//	    lock before anything is published (optimistic admission,
-//	    admit.go). SerialAdmission restores the classic
-//	    hold-across-the-solve discipline. admitMu is never held across its
-//	    holder's own WAL wait: a cycle appends under it and waits for its
-//	    fsync after releasing it (publish).
 //	  - each partition's shard guards its txns and cached groundings.
 //	    A shard MAY be held across a WAL wait, and is the one thing
 //	    waited on while a batch is in flight: an admission cycle holds
@@ -60,13 +47,21 @@ var ErrUnknownTxn = errors.New("core: unknown or already-grounded transaction")
 //	    are filed in the index (see publish).
 //	    Two locators, and nothing else, turn a key into locked
 //	    partitions, in ascending ID order (deadlock-free by
-//	    construction): lockOverlap by atoms and lockGroup by pending IDs.
-//	    Both validate after locking under one rule — the key must still
-//	    resolve inside the locked set — and retry otherwise (counted in
-//	    Stats.LockWaits). Beside them only the checkpoint cut
-//	    (lockAllPartitions), optimistic admission's re-lock of its own
-//	    snapshot (revalidateBatch) and GroundAll's pool-task TryLock take
-//	    shards in order (Partitions holds one at a time, alone).
+//	    construction): lockCandidates by atoms and lockGroup by pending
+//	    IDs. Both validate after locking under one rule — the key must
+//	    still resolve inside the locked set — and retry otherwise
+//	    (counted in Stats.LockWaits). Beside them only the checkpoint cut
+//	    (lockAllPartitions) and GroundAll's pool-task TryLock take shards
+//	    in order (Partitions holds one at a time, alone).
+//	  - admitMu serializes changes to the partition SET: admission
+//	    installs (which can create and merge partitions; a blind write is
+//	    an admission member) and the checkpoint cut's final count. It is
+//	    taken only by a goroutine that already holds its shards, and
+//	    nothing blocks while holding it: its holder checks that its
+//	    locked set still covers its atoms (admit.go), appends, merges and
+//	    installs, and waits for its fsync after releasing it (publish).
+//	    The one shard it locks is a fresh, unpublished one (mergeLocked).
+//	    SerialAdmission holds it across the solve as well.
 //	  - mu guards only the partition registry (parts, byTxn, idx, the ID
 //	    counters) and is held for map operations only — never across a
 //	    solve.
@@ -108,18 +103,18 @@ type QDB struct {
 	// extOverlays recycles admission's extension overlays (decideBatch).
 	extOverlays overlayList
 
-	// Optimistic-admission snapshot counters (see admit.go). partVersion
-	// versions the partition SET: bumped on every partition create, merge,
-	// retire and admission install (a blind write's included) — always
-	// AFTER the registry and index reflect the change, so a snapshot that
-	// read the counter BEFORE walking the index observes every install the
-	// counter covers, and counter equality at validation proves the
-	// snapshot's overlap set is still the true one. admitSeq counts
-	// admission installs, a blind write's included; since the engine
-	// is the store's only writer, it lets a validation accept a snapshot
-	// whose relevant table epochs moved only by groundings of
-	// non-overlapping partitions, which cannot unify with the admission's
-	// atoms and so cannot invalidate its solve.
+	// Admission snapshot counters (see admit.go). partVersion versions
+	// the partition SET: bumped on every partition create, merge, retire
+	// and admission install (a blind write's included) — always AFTER the
+	// registry and index reflect the change, so a snapshot that read the
+	// counter BEFORE walking the index observes every install the counter
+	// covers, and counter equality under admitMu proves no partition
+	// joined the snapshot's candidates. admitSeq counts admission
+	// installs, a blind write's included; since the engine is the store's
+	// only writer, it lets a validation accept a snapshot whose relevant
+	// table epochs moved only by groundings of partitions outside its
+	// candidates, which cannot unify with the admission's atoms and so
+	// cannot invalidate its solve.
 	partVersion atomic.Uint64
 	admitSeq    atomic.Uint64
 
@@ -183,12 +178,6 @@ type partition struct {
 	// once a stale apply dropped it, until a solve over the partition
 	// refills it.
 	cached []formula.Grounding
-	// version counts mutations of txns/cached (written under
-	// shard). Optimistic admission snapshots it and re-checks it at
-	// install time: equality under the shard proves the partition's
-	// pending chain and cached solution are exactly what the speculative
-	// solve saw.
-	version uint64
 }
 
 func (p *partition) id() int64 { return p.shard.ID() }
@@ -377,7 +366,6 @@ func (q *QDB) Submit(t *txn.T) (int64, error) {
 func (q *QDB) installLocked(p *partition, accepted []*txn.T, keys []logic.Atom, merged []*txn.T, cached []formula.Grounding) {
 	p.txns = merged
 	p.cached = cached
-	p.version++
 	q.mu.Lock()
 	for _, t := range accepted {
 		q.byTxn[t.ID] = p
@@ -413,7 +401,6 @@ func (q *QDB) uninstallLocked(p *partition, admitted []*txn.T) {
 	}
 	q.mu.Unlock()
 	p.txns, p.cached = keep, nil
-	p.version++
 	if len(keep) == 0 {
 		q.retireLocked(p)
 	} else {
@@ -462,16 +449,15 @@ func (q *QDB) chainOpts(maximize bool) formula.ChainOptions {
 	}
 }
 
-// lockOverlap locks and returns the live partitions holding an atom
-// unifiable with one of atoms, ascending by partition ID: the one locator
-// by atoms (lockGroup is the one by pending IDs). It locks the index's
-// live candidates, then re-reads the index under mu; a candidate that
-// appeared in between (an install or merge, which only a caller without
-// admitMu can race) means a retry, counted in LockWaits. Under admitMu
-// the candidate set can only shrink, so the first pass stands. The exact
-// unification test then runs under the locks, and the index's false
-// positives are released before returning.
-func (q *QDB) lockOverlap(atoms []logic.Atom) []*partition {
+// lockCandidates locks and returns the index's live candidate partitions
+// for atoms, ascending by partition ID: the one locator by atoms
+// (lockGroup is the one by pending IDs). It locks the candidates, then
+// re-reads the index under mu; a candidate that appeared in between (an
+// install or merge) means a retry, counted in LockWaits. The index is
+// conservative, so the set can hold partitions no atom unifies with: the
+// callers that merge filter it (overlapping), the others skip what they
+// find unaffected.
+func (q *QDB) lockCandidates(atoms []logic.Atom) []*partition {
 	for {
 		cands := q.candidateSnapshot(atoms)
 		locked := cands[:0]
@@ -484,20 +470,24 @@ func (q *QDB) lockOverlap(atoms []logic.Atom) []*partition {
 			}
 		}
 		if q.covers(locked, atoms) {
-			out := locked[:0]
-			for _, p := range locked {
-				if overlaps(p, atoms) {
-					out = append(out, p)
-				} else {
-					p.shard.Unlock()
-				}
-			}
-			return out
+			return locked
 		}
 		unlockPartitions(locked)
 		q.stats.lockWaits.Add(1)
 		runtime.Gosched()
 	}
+}
+
+// overlapping returns the members of held that overlap atoms, in order.
+// Caller holds them.
+func overlapping(held []*partition, atoms []logic.Atom) []*partition {
+	var out []*partition
+	for _, p := range held {
+		if overlaps(p, atoms) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // covers reports whether every current index candidate for atoms is in
@@ -521,6 +511,18 @@ func (q *QDB) covers(locked []*partition, atoms []logic.Atom) bool {
 func unlockPartitions(ps []*partition) {
 	for _, p := range ps {
 		p.shard.Unlock()
+	}
+}
+
+// unlockOthers unlocks the members of held missing from keep, a
+// subsequence of held.
+func unlockOthers(held, keep []*partition) {
+	for _, p := range held {
+		if len(keep) > 0 && keep[0] == p {
+			keep = keep[1:]
+		} else {
+			p.shard.Unlock()
+		}
 	}
 }
 
@@ -616,7 +618,6 @@ func (q *QDB) mergeLocked(ps []*partition) *partition {
 		q.mu.Unlock()
 		for _, p := range ps[1:] {
 			p.txns, p.cached = nil, nil
-			p.version++
 			p.shard.Retire()
 			p.shard.Unlock()
 		}

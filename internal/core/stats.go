@@ -93,10 +93,11 @@ type Stats struct {
 	// speculative admission cycles, a blind write's included.
 	ParallelSolves int
 	// LockWaits counts locator retries and TryLock skips: a retry is a
-	// lockOverlap or lockGroup pass whose key no longer resolved inside
-	// the locked set (a new index candidate, or a member re-homed by a
-	// merge or collapse between lookup and lock); a skip is a GroundAll
-	// pool task passing a busy partition. A dead candidate dropped
+	// lockCandidates or lockGroup pass whose key no longer resolved
+	// inside the locked set (a new index candidate, or a member re-homed
+	// by a merge or collapse between lookup and lock), or a serial
+	// admission cycle whose locked set no longer covered its atoms under
+	// admitMu; a skip is a GroundAll pool task passing a busy partition. A dead candidate dropped
 	// without a retry is not counted.
 	LockWaits int
 	// SnapshotReads counts read evaluations served lock-free against a

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -535,5 +536,155 @@ func TestWriteWaitsForItsShardWithoutAdmitMu(t *testing.T) {
 	}
 	if !q.Store().Contains("Available", tup(1, "9Z")) {
 		t.Fatal("the write's seat is not in the store")
+	}
+}
+
+// TestNothingWaitsUnderAdmitMu: whatever waits for a shard held through
+// another batch's wait does so without admitMu, so a Submit on another
+// flight goes on meanwhile. A flight-1 batch is held in its Wait, and one
+// caller waits behind it: an optimistic admission decided before that
+// batch created the flight's partition, a serial admission, or a
+// checkpoint. A flight-2 Submit must return; once the batch is durable
+// every call succeeds and everything grounds.
+func TestNothingWaitsUnderAdmitMu(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		serial bool
+		// behind holds a flight-1 batch in its wait (held) and starts the
+		// caller that waits behind it; it returns every call in flight.
+		behind func(q *QDB, held <-chan uint64, ckpt string) []<-chan error
+	}{
+		{"optimistic", false, func(q *QDB, held <-chan uint64, ckpt string) []<-chan error {
+			var fired atomic.Bool
+			inner := make(chan error, 1)
+			decided := make(chan struct{})
+			q.testAdmitDecided = func() {
+				if fired.CompareAndSwap(false, true) {
+					go func() {
+						_, err := q.Submit(book("A", 1))
+						inner <- err
+					}()
+					<-held
+					close(decided)
+				}
+			}
+			outer := submitAsync(q, "B", 1)
+			<-decided
+			return []<-chan error{inner, outer}
+		}},
+		{"serial", true, func(q *QDB, held <-chan uint64, ckpt string) []<-chan error {
+			first := submitAsync(q, "A", 1)
+			<-held
+			return []<-chan error{first, submitAsync(q, "B", 1)}
+		}},
+		{"checkpoint", false, func(q *QDB, held <-chan uint64, ckpt string) []<-chan error {
+			first := submitAsync(q, "A", 1)
+			<-held
+			cut := make(chan error, 1)
+			go func() { cut <- q.Checkpoint(ckpt) }()
+			return []<-chan error{first, cut}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			q := mustQDB(t, worldDB([]int{1, 2}, 3), Options{
+				WALPath: filepath.Join(dir, "qdb.wal"), SyncWAL: true, SerialAdmission: tc.serial,
+			})
+			held, release := holdNextWait(q)
+			calls := tc.behind(q, held, filepath.Join(dir, "qdb.ckpt"))
+			notYet(t, "a call on the held flight", calls...)
+			other := submitAsync(q, "C", 2)
+			select {
+			case err := <-other:
+				if err != nil {
+					t.Fatalf("Submit on flight 2: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				release()
+				t.Fatal("a Submit on flight 2 waited behind a call blocked on flight 1's shard")
+			}
+			release()
+			for _, ch := range calls {
+				if err := <-ch; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := q.GroundAll(); err != nil {
+				t.Fatal(err)
+			}
+			if n := q.PendingCount(); n != 0 {
+				t.Fatalf("%d transactions pending after GroundAll", n)
+			}
+		})
+	}
+}
+
+// TestCheckpointCutCannotStarve: the cut waits for shards without
+// admitMu, so admissions that create fresh partitions go on while it
+// waits, and each may extend the set it must hold. Two clients admit on
+// flights that have no partition yet while 20 checkpoints run; the
+// checkpoints finish, and recovery from the last equals the live state.
+func TestCheckpointCutCannotStarve(t *testing.T) {
+	const nFlights = 400
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "qdb.ckpt")
+	opts := Options{WALPath: filepath.Join(dir, "qdb.wal"), SyncWAL: true}
+	flights := make([]int, nFlights)
+	for i := range flights {
+		flights[i] = i + 1
+	}
+	q, err := New(worldDB(flights, 3), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var clients sync.WaitGroup
+	for c := 1; c <= 2; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for f := c; f <= nFlights; f += 2 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := q.Submit(book(fmt.Sprint("u", f), f)); err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			if err := q.Checkpoint(ckpt); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		close(stop)
+		t.Fatal("20 checkpoints did not finish in 30 s beside two admitting clients")
+	}
+	close(stop)
+	clients.Wait()
+	want := stateOf(q)
+	q.Close()
+	r, err := RecoverCheckpoint(ckpt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := stateOf(r); got != want {
+		t.Fatalf("recovered state:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -67,6 +67,21 @@ func ParseQuery(src string) ([]logic.Atom, error) {
 	}
 }
 
+// ParseOps reads a comma-separated list of update ops, each +R(...)
+// (insert) or -R(...) (delete): a transaction's update portion on its
+// own, as a blind write states it. A trailing '.' is permitted.
+func ParseOps(src string) ([]Op, error) {
+	p := &parser{src: src}
+	ops, err := p.parseOps()
+	if err == nil {
+		err = p.end()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("txn: parse ops %q: %w", src, err)
+	}
+	return ops, nil
+}
+
 type parser struct {
 	src string
 	pos int
@@ -96,30 +111,11 @@ func (p *parser) skipSpace() {
 }
 
 func (p *parser) parseTxn() (*T, error) {
-	t := &T{}
-	// Update portion.
-	for {
-		p.skipSpace()
-		var insert bool
-		switch {
-		case p.eat('+'):
-			insert = true
-		case p.eat('-'):
-			insert = false
-		default:
-			return nil, fmt.Errorf("expected '+' or '-' starting an update op at offset %d", p.pos)
-		}
-		a, err := p.parseAtom()
-		if err != nil {
-			return nil, err
-		}
-		t.Update = append(t.Update, Op{Insert: insert, Atom: a})
-		p.skipSpace()
-		if p.eat(',') {
-			continue
-		}
-		break
+	update, err := p.parseOps()
+	if err != nil {
+		return nil, err
 	}
+	t := &T{Update: update}
 	p.skipSpace()
 	if !strings.HasPrefix(p.src[p.pos:], ":-1") {
 		return nil, fmt.Errorf("expected ':-1' at offset %d", p.pos)
@@ -147,16 +143,50 @@ func (p *parser) parseTxn() (*T, error) {
 		}
 		break
 	}
-	p.skipSpace()
-	p.eat('.')
-	p.skipSpace()
-	if !p.eof() {
-		return nil, fmt.Errorf("trailing input at offset %d", p.pos)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// end accepts an optional trailing '.' and then the end of input.
+func (p *parser) end() error {
+	p.skipSpace()
+	p.eat('.')
+	p.skipSpace()
+	if !p.eof() {
+		return fmt.Errorf("trailing input at offset %d", p.pos)
+	}
+	return nil
+}
+
+// parseOps reads the comma-separated update ops at the cursor.
+func (p *parser) parseOps() ([]Op, error) {
+	var ops []Op
+	for {
+		p.skipSpace()
+		var insert bool
+		switch {
+		case p.eat('+'):
+			insert = true
+		case p.eat('-'):
+			insert = false
+		default:
+			return nil, fmt.Errorf("expected '+' or '-' starting an update op at offset %d", p.pos)
+		}
+		a, err := p.parseAtom()
+		if err != nil {
+			return nil, err
+		}
+		ops = append(ops, Op{Insert: insert, Atom: a})
+		p.skipSpace()
+		if !p.eat(',') {
+			return ops, nil
+		}
+	}
 }
 
 func (p *parser) parseAtom() (logic.Atom, error) {

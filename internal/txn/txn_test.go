@@ -96,6 +96,21 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+func TestParseOps(t *testing.T) {
+	ops, err := ParseOps("+Notes('a, (b)'), -A(1, x).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != 2 || !ops[0].Insert || ops[1].Insert || ops[0].Atom.Args[0].Value().Str() != "a, (b)" {
+		t.Fatalf("ParseOps = %v", ops)
+	}
+	for _, src := range []string{"", "A(1)", "+A(1), ,", "+A(1) :-1 A(1)", "+A(1) -B(2)"} {
+		if _, err := ParseOps(src); err == nil {
+			t.Errorf("ParseOps(%q) succeeded, want error", src)
+		}
+	}
+}
+
 func TestValidateRangeRestriction(t *testing.T) {
 	// Update var bound only by an optional atom: invalid.
 	tx := &T{

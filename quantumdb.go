@@ -186,7 +186,6 @@ package quantumdb
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -580,72 +579,20 @@ func (co *Coordinator) CoordinatedPairs() int { return co.c.CoordinatedPairs() }
 
 // parseFacts reads comma-separated signed ground atoms.
 func parseFacts(src string) (inserts, deletes []relstore.GroundFact, err error) {
-	rest := strings.TrimSpace(src)
-	if rest == "" {
-		return nil, nil, fmt.Errorf("quantumdb: empty write")
+	ops, err := txn.ParseOps(src)
+	if err != nil {
+		return nil, nil, fmt.Errorf("quantumdb: write: %w", err)
 	}
-	// Reuse the transaction parser by wrapping the ops into a dummy txn:
-	// "<ops> :-1 True(0)" would need a True relation; parse manually via
-	// ParseQuery on the atom part after stripping signs instead.
-	parts := splitTopLevel(rest)
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return nil, nil, fmt.Errorf("quantumdb: empty atom in write %q", src)
+	for _, op := range ops {
+		if !op.Atom.IsGround() {
+			return nil, nil, fmt.Errorf("quantumdb: write atom %s contains variables", op.Atom)
 		}
-		var insert bool
-		switch p[0] {
-		case '+':
-			insert = true
-		case '-':
-			insert = false
-		default:
-			return nil, nil, fmt.Errorf("quantumdb: write atom %q must start with + or -", p)
-		}
-		atoms, err := txn.ParseQuery(p[1:])
-		if err != nil || len(atoms) != 1 {
-			return nil, nil, fmt.Errorf("quantumdb: bad write atom %q", p)
-		}
-		a := atoms[0]
-		if !a.IsGround() {
-			return nil, nil, fmt.Errorf("quantumdb: write atom %q contains variables", p)
-		}
-		f := relstore.GroundFact{Rel: a.Rel, Tuple: a.Tuple()}
-		if insert {
+		f := relstore.GroundFact{Rel: op.Atom.Rel, Tuple: op.Atom.Tuple()}
+		if op.Insert {
 			inserts = append(inserts, f)
 		} else {
 			deletes = append(deletes, f)
 		}
 	}
 	return inserts, deletes, nil
-}
-
-// splitTopLevel splits on commas that are outside parentheses and
-// quotes.
-func splitTopLevel(s string) []string {
-	var parts []string
-	depth, start := 0, 0
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case inStr:
-			if c == '\\' {
-				i++
-			} else if c == '\'' {
-				inStr = false
-			}
-		case c == '\'':
-			inStr = true
-		case c == '(':
-			depth++
-		case c == ')':
-			depth--
-		case c == ',' && depth == 0:
-			parts = append(parts, s[start:i])
-			start = i + 1
-		}
-	}
-	parts = append(parts, s[start:])
-	return parts
 }
